@@ -13,6 +13,7 @@ outputs are still written).
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -180,7 +181,12 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
     spec: LoopSpec
     detector: DetectorConfig | None
     spec, detector = scenario.payload
-    result = simulate_loop(spec)
+    is_multibody = scenario.resolved["simulate"]["plant"]["kind"] == "multibody"
+    demo = multibody_demo(gains=spec.gains, sim=spec.sim) if is_multibody else None
+    if demo is not None and spec == demo.filtered_spec:
+        result = demo.closed_filtered
+    else:
+        result = simulate_loop(spec)
     results = _loop_result_dict(result)
 
     if detector is not None:
@@ -188,8 +194,8 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
         events = detect_faults(result.series.t, residual, detector)
         results["fault_events"] = [dataclasses.asdict(e) for e in events]
 
-    if scenario.resolved["simulate"]["plant"]["kind"] == "multibody":
-        demo = multibody_demo(gains=spec.gains, sim=spec.sim)
+    if demo is not None:
+        filtered_verdict = demo.filtered_verdict
         results["multibody"] = {
             "open_bounded": demo.open_bounded,
             "open_routh": demo.open_routh.value,
@@ -200,7 +206,7 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
                 "characteristic": demo.ideal_char,
             },
             "filtered": {
-                "stability_verdict": demo.closed_filtered.stability_verdict.value,
+                "stability_verdict": filtered_verdict.value if filtered_verdict else None,
                 "bounded": demo.closed_filtered.bounded,
                 "characteristic": demo.closed_filtered.characteristic,
             },
@@ -284,7 +290,8 @@ def _apply_overrides(scenario: Scenario, dt: float | None, t_end: float | None) 
         return scenario
     if scenario.kind not in ("simulate", "tune"):
         return scenario
-    section = scenario.resolved[scenario.kind]
+    resolved = copy.deepcopy(scenario.resolved)
+    section = resolved[scenario.kind]
     sim_block = section["sim"] if scenario.kind == "simulate" else section["loop"]["sim"]
     if dt is not None:
         sim_block["dt"] = float(dt)
@@ -305,7 +312,7 @@ def _apply_overrides(scenario: Scenario, dt: float | None, t_end: float | None) 
             )
     except ValueError as exc:
         raise ScenarioError(f"sim override: {exc}") from exc
-    return dataclasses.replace(scenario, payload=payload)
+    return dataclasses.replace(scenario, resolved=resolved, payload=payload)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ setpoint profile, an optional sensor/fault path, and simulation settings.
 :func:`simulate_loop` runs the discrete co-simulation: at each step the
 setpoint is evaluated, the plant output is measured through the sensor
 path, the PID produces a command, and the plant state advances one step
-of RK4 (or Euler) under a zero-order-hold of that command.  For ZOH
-input the RK4 update is exactly a linear map x+ = M x + N u, so both
-matrices are precomputed once.
+under a zero-order hold of that command through the
+:func:`~rollsim.lti.zoh_step_matrices` map x+ = M x + N u, the same
+discretisation open-loop runs use; both matrices are precomputed once.
 
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is actually
@@ -31,7 +31,6 @@ from .lti import (
     ResponseMetrics,
     SimConfig,
     SimulationDiverged,
-    StateSpaceModel,
     TimeSeries,
     TransferFunction,
     polynomial_roots,
@@ -41,6 +40,7 @@ from .lti import (
     step_response,
     tf_new,
     tf_to_state_space,
+    zoh_step_matrices,
 )
 from .pid import PidGains, PidState, characteristic_polynomial, pid_rational_terms, pid_step
 from .plants import (
@@ -66,7 +66,6 @@ __all__ = [
     "simulate_loop",
     "speed_loop",
     "thickness_loop",
-    "zoh_step_matrices",
 ]
 
 # Tuning reported for the multibody stand model; origin undocumented, kept
@@ -224,27 +223,6 @@ def series_is_bounded(ts: TimeSeries, channel: str = "y") -> bool:
 # Discrete co-simulation
 # ---------------------------------------------------------------------------
 
-def zoh_step_matrices(
-    ss: StateSpaceModel, dt: float, integrator: str = "rk4"
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) with x+ = M x + N u for one fixed step under constant input.
-
-    For RK4 these are the degree-4 Taylor truncations of the exact
-    zero-order-hold discretization; for Euler the degree-1 ones.
-    """
-    A = ss.A
-    n = ss.n
-    eye = np.eye(n)
-    hA = dt * A
-    if integrator == "rk4":
-        m = eye + hA @ (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
-        ng = dt * (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
-    else:
-        m = eye + hA
-        ng = dt * eye
-    return m, (ng @ ss.B).ravel()
-
-
 def _analysis(spec: LoopSpec) -> tuple[StabilityVerdict | None, np.ndarray | None, TransferFunction | None]:
     if not spec.is_linear:
         return None, None, None
@@ -387,8 +365,10 @@ class MultibodyDemo:
     The closed loop is simulated twice: once with the raw first-difference
     (ideal) derivative and once with the filtered derivative, because the
     ideal PID has no realizable transfer function and its stability can
-    only be judged from the characteristic polynomial.  ``closed`` is the
-    filtered variant, the one a real controller would run.
+    only be judged from the characteristic polynomial.  The filtered
+    variant is the one a real controller would run; ``filtered_spec`` is
+    the loop it simulated, so a caller whose own loop spec equals it can
+    reuse ``closed_filtered`` instead of simulating the same loop again.
     """
 
     open: TimeSeries
@@ -397,12 +377,9 @@ class MultibodyDemo:
     open_verdict: StabilityVerdict
     closed_ideal: LoopResult
     closed_filtered: LoopResult
+    filtered_spec: LoopSpec
     ideal_char: np.ndarray
     ideal_verdict: StabilityVerdict
-
-    @property
-    def closed(self) -> LoopResult:
-        return self.closed_filtered
 
     @property
     def filtered_verdict(self) -> StabilityVerdict | None:
@@ -440,9 +417,8 @@ def multibody_demo(
     closed_ideal = simulate_loop(
         LoopSpec(plant=plant, gains=ideal_gains, setpoint=setpoint, sim=sim)
     )
-    closed_filtered = simulate_loop(
-        LoopSpec(plant=plant, gains=filtered_gains, setpoint=setpoint, sim=sim)
-    )
+    filtered_spec = LoopSpec(plant=plant, gains=filtered_gains, setpoint=setpoint, sim=sim)
+    closed_filtered = simulate_loop(filtered_spec)
     ideal_num, ideal_den = pid_rational_terms(ideal_gains)
     ideal_char = characteristic_polynomial(ideal_num, ideal_den, plant)
     return MultibodyDemo(
@@ -452,6 +428,7 @@ def multibody_demo(
         open_verdict=classify_polynomial_stability(plant.den),
         closed_ideal=closed_ideal,
         closed_filtered=closed_filtered,
+        filtered_spec=filtered_spec,
         ideal_char=ideal_char,
         ideal_verdict=classify_polynomial_stability(ideal_char),
     )

@@ -4,9 +4,15 @@ Polynomials in the Laplace variable s are plain 1-D float arrays in
 descending powers (``coeffs[0]`` multiplies the highest power), the same
 convention numpy's ``polyval``/``polymul``/``roots`` use.  On top of that
 sit a rational :class:`TransferFunction`, its controllable-canonical
-:class:`StateSpaceModel` realization, fixed-step time simulation (RK4 or
-forward Euler), pole analysis via companion-matrix eigenvalues, a
-Routh-array stability test, and step-response metrics.
+:class:`StateSpaceModel` realization, fixed-step time simulation, pole
+analysis via companion-matrix eigenvalues, a Routh-array stability test,
+and step-response metrics.
+
+There is one discretisation: :func:`zoh_step_matrices` gives the linear
+step map x+ = M x + N u for an input held constant over the step (RK4 or
+forward Euler, chosen by :class:`SimConfig`).  Open-loop runs here and
+the closed loops in :mod:`rollsim.loops` both advance plant states with
+it, sampling the input once at each step start and holding it.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +37,6 @@ __all__ = [
     "TimeSeries",
     "TransferFunction",
     "dc_gain",
-    "poly_degree",
     "poly_trim",
     "polynomial_roots",
     "poles",
@@ -40,6 +45,7 @@ __all__ = [
     "simulate_lti",
     "step_response",
     "tf_new",
+    "zoh_step_matrices",
 ]
 
 
@@ -56,11 +62,6 @@ def poly_trim(coeffs: Sequence[float]) -> np.ndarray:
     if nz.size == 0:
         return np.zeros(1)
     return c[nz[0]:].copy()
-
-
-def poly_degree(coeffs: Sequence[float]) -> int:
-    """Degree after trimming; the zero polynomial reports degree 0."""
-    return len(poly_trim(coeffs)) - 1
 
 
 def polynomial_roots(coeffs: Sequence[float]) -> np.ndarray:
@@ -86,19 +87,24 @@ def polynomial_roots(coeffs: Sequence[float]) -> np.ndarray:
 # Transfer functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferFunction:
     """Proper rational function num(s)/den(s), den normalized to monic.
 
     Construct through :func:`tf_new`, which validates and normalizes.
+    Equality and hashing go by coefficient values.
     """
 
     num: np.ndarray
     den: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return len(self.den) - 1
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransferFunction):
+            return NotImplemented
+        return np.array_equal(self.num, other.num) and np.array_equal(self.den, other.den)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.num.tolist()), tuple(self.den.tolist())))
 
     def __repr__(self) -> str:
         return f"TransferFunction(num={self.num.tolist()}, den={self.den.tolist()})"
@@ -264,8 +270,10 @@ class SimConfig:
     integrator: Integrator = Integrator.RK4
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end ({self.t_end}) must be >= dt ({self.dt})")
         object.__setattr__(self, "integrator", Integrator(self.integrator))
@@ -299,13 +307,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def names(self) -> Iterator[str]:
-        return iter(self.channels)
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
-
 
 class SimulationDiverged(RuntimeError):
     """State became non-finite; carries the divergence time and the finite prefix."""
@@ -316,55 +317,61 @@ class SimulationDiverged(RuntimeError):
         self.partial = partial
 
 
+def zoh_step_matrices(
+    ss: StateSpaceModel, dt: float, integrator: str = "rk4"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) with x+ = M x + N u for one fixed step under constant input.
+
+    For RK4 these are the degree-4 Taylor truncations of the exact
+    zero-order-hold discretization (what classical RK4 computes when the
+    input is held over the step); for Euler the degree-1 ones.
+    """
+    A = ss.A
+    n = ss.n
+    eye = np.eye(n)
+    hA = dt * A
+    if integrator == "rk4":
+        m = eye + hA @ (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
+        ng = dt * (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
+    else:
+        m = eye + hA
+        ng = dt * eye
+    return m, (ng @ ss.B).ravel()
+
+
 def simulate_lti(
     ss: StateSpaceModel,
     input_fn: Callable[[float], float],
     cfg: SimConfig,
 ) -> TimeSeries:
-    """Integrate a state-space model from zero initial state.
+    """Step a state-space model from zero initial state.
 
-    ``input_fn`` is sampled at sub-step times by RK4 (t, t + dt/2, t + dt)
-    and at the step start by Euler.  Returns channels ``u`` and ``y``.
-    Raises :class:`SimulationDiverged` when the state leaves the finite
-    range, with the finite prefix attached.
+    ``input_fn`` is sampled once at each step start and held over the
+    step; the state advances by the :func:`zoh_step_matrices` map of
+    ``cfg.integrator``.  Returns channels ``u`` and ``y``.  Raises
+    :class:`SimulationDiverged` when the state leaves the finite range,
+    with the finite prefix attached.
     """
     steps = cfg.steps
-    h = cfg.dt
-    t = np.arange(steps + 1) * h
-    A, B, C, D = ss.A, ss.B.ravel(), ss.C.ravel(), ss.D
-    x = np.zeros(ss.n)
-    u_out = np.empty(steps + 1)
-    y_out = np.empty(steps + 1)
-
-    rk4 = cfg.integrator is Integrator.RK4
-    # Overflow is the detection mechanism for divergence, not an anomaly.
+    t = np.arange(steps + 1) * cfg.dt
+    u = np.array([float(input_fn(tk)) for tk in t])
+    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    x = np.zeros((steps + 1, ss.n))
+    # Overflow is the detection mechanism for divergence, not an anomaly;
+    # a non-finite state stays non-finite, so it is found after the loop.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            tk = t[k]
-            uk = float(input_fn(tk))
-            u_out[k] = uk
-            y_out[k] = float(C @ x) + D * uk if ss.n else D * uk
-            if k == steps:
-                break
-            if ss.n == 0:
-                continue
-            if rk4:
-                u_half = float(input_fn(tk + 0.5 * h))
-                u_full = float(input_fn(tk + h))
-                k1 = A @ x + B * uk
-                k2 = A @ (x + 0.5 * h * k1) + B * u_half
-                k3 = A @ (x + 0.5 * h * k2) + B * u_half
-                k4 = A @ (x + h * k3) + B * u_full
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                x = x + h * (A @ x + B * uk)
-            if not np.all(np.isfinite(x)):
-                partial = TimeSeries(
-                    t=t[: k + 1],
-                    channels={"u": u_out[: k + 1].copy(), "y": y_out[: k + 1].copy()},
-                )
-                raise SimulationDiverged(time=float(t[k + 1]), partial=partial)
-    return TimeSeries(t=t, channels={"u": u_out, "y": y_out})
+        for k in range(steps):
+            x[k + 1] = m @ x[k] + nvec * u[k]
+        y = x @ ss.C.ravel() + ss.D * u
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        first_bad = int(np.argmin(finite))
+        partial = TimeSeries(
+            t=t[:first_bad],
+            channels={"u": u[:first_bad].copy(), "y": y[:first_bad].copy()},
+        )
+        raise SimulationDiverged(time=float(t[first_bad]), partial=partial)
+    return TimeSeries(t=t, channels={"u": u, "y": y})
 
 
 def step_response(tf: TransferFunction, cfg: SimConfig) -> TimeSeries:

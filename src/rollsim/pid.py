@@ -78,9 +78,6 @@ class PidState:
     prev_error: float = 0.0
     prev_derivative: float = 0.0
 
-    def reset(self) -> "PidState":
-        return PidState()
-
 
 def pid_step(
     state: PidState, error: float, dt: float, gains: PidGains
@@ -165,9 +162,10 @@ def closed_loop_tf(controller: TransferFunction, plant: TransferFunction) -> Tra
     numerator and denominator are deliberately not cancelled, so pole
     listings retain any controller/plant cancellations.
     """
-    num = np.polymul(controller.num, plant.num)
-    den = np.polyadd(np.polymul(controller.den, plant.den), num)
-    return tf_new(num, den)
+    return tf_new(
+        np.polymul(controller.num, plant.num),
+        characteristic_polynomial(controller.num, controller.den, plant),
+    )
 
 
 def characteristic_polynomial(

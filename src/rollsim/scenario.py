@@ -489,6 +489,8 @@ def _resolve_poles(raw: dict, path: str) -> tuple[dict, TransferFunction]:
         tf = tf_new(resolved["num"], resolved["den"])
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+    if len(tf.den) < 2:
+        raise ScenarioError(f"{path}.den: pole analysis needs degree >= 1 after leading zeros")
     return resolved, tf
 
 

@@ -242,6 +242,24 @@ def test_metrics_use_true_output_not_measurement():
     )
 
 
+def test_loop_spec_value_equality():
+    def spec(**changes):
+        fields = dict(
+            plant=tf_new([1], [1, 1]), gains=PidGains(kp=2.0, ki=1.0),
+            setpoint=SetpointProfile.step(1.0), sim=SimConfig(dt=1e-3, t_end=1.0),
+        )
+        return LoopSpec(**{**fields, **changes})
+
+    # Separately built plants compare by coefficients, not identity.
+    assert spec() == spec()
+    assert hash(spec()) == hash(spec())
+    assert spec() != spec(plant=tf_new([1], [1, 2]))
+    assert spec() != spec(gains=PidGains(kp=2.0, ki=1.0, kd=0.1, derivative_filter_n=100.0))
+    assert spec() != spec(setpoint=SetpointProfile.step(0.5))
+    assert spec() != spec(sensor=SensorModel())
+    assert spec() != spec(seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Multibody demo
 # ---------------------------------------------------------------------------

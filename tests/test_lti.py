@@ -21,6 +21,7 @@ from rollsim.lti import (
     tf_new,
     tf_to_state_space,
     TimeSeries,
+    zoh_step_matrices,
 )
 from rollsim.plants import MULTIBODY_DEN, multibody_tf
 
@@ -74,6 +75,19 @@ def test_tf_new_strips_leading_zeros():
     tf = tf_new([0.0, 1.0], [0.0, 1.0, 2.0])
     assert tf.den.tolist() == [1.0, 2.0]
     assert tf.num.tolist() == [1.0]
+
+
+def test_tf_value_equality_and_hash():
+    a = tf_new([1], [1, 1])
+    # Same function after normalization: equal, with equal hashes.
+    b = tf_new([0, 2], [2, 2])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != tf_new([1], [1, 2])
+    assert a != tf_new([1, 0], [1, 1])
+    assert a != tf_new([1], [1, 1, 0])
+    assert a != "1/(s+1)"
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +337,32 @@ def test_divergence_reports_time_and_prefix():
         simulate_lti(ss, lambda t: 1.0, SimConfig(dt=0.1, t_end=50.0))
     assert info.value.time > 0
     assert np.all(np.isfinite(info.value.partial["y"]))
+
+
+@pytest.mark.parametrize("integrator", list(Integrator))
+def test_simulate_lti_is_the_zoh_recurrence(integrator):
+    # A piecewise-constant input is sampled at each step start and held:
+    # the result is the x <- M x + N u recurrence of zoh_step_matrices.
+    ss = tf_to_state_space(tf_new([1, 2], [1, 3, 2]))
+    cfg = SimConfig(dt=0.01, t_end=2.0, integrator=integrator)
+
+    def input_fn(t):
+        return 1.0 if t < 0.5 else (-2.0 if t < 1.25 else 0.5)
+
+    ts = simulate_lti(ss, input_fn, cfg)
+
+    m, nvec = zoh_step_matrices(ss, cfg.dt, integrator.value)
+    c = ss.C.ravel()
+    x = np.zeros(ss.n)
+    u_ref, y_ref = [], []
+    for tk in np.arange(cfg.steps + 1) * cfg.dt:
+        uk = input_fn(tk)
+        u_ref.append(uk)
+        y_ref.append(float(c @ x) + ss.D * uk)
+        x = m @ x + nvec * uk
+    assert ts["u"].tolist() == u_ref
+    # Only the output projection's summation order may differ.
+    np.testing.assert_allclose(ts["y"], y_ref, rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
