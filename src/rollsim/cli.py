@@ -138,20 +138,9 @@ def _write_history_csv(path: Path, history) -> None:
             fh.write(f"{i},{gains.kp:.12g},{gains.ki:.12g},{gains.kd:.12g},{cost:.12g}\n")
 
 
-def _metrics_dict(result: LoopResult) -> dict:
-    m = result.metrics
-    return {
-        "rise_time_10_90": m.rise_time_10_90,
-        "overshoot_pct": m.overshoot_pct,
-        "settling_time_2pct": m.settling_time_2pct,
-        "steady_state_error": m.steady_state_error,
-        "final_value": m.final_value,
-    }
-
-
 def _loop_result_dict(result: LoopResult) -> dict:
     out = {
-        "metrics": _metrics_dict(result),
+        "metrics": dataclasses.asdict(result.metrics),
         "stability_verdict": result.stability_verdict.value if result.stability_verdict else None,
         "diverged": result.diverged,
         "divergence_time": result.divergence_time,

@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "Integrator",
+    "MAX_STEPS",
     "ResponseMetrics",
     "RouthVerdict",
     "SimConfig",
@@ -257,12 +258,18 @@ class Integrator(str, Enum):
     EULER = "euler"
 
 
+# Longest horizon, in steps, that a SimConfig may ask for.  The longest
+# shipped run is 50,000 steps; 10^7 samples is about 400 MB of loop arrays.
+MAX_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Fixed-step simulation settings.
 
     The defaults (dt = 1 ms over 20 s) resolve the fastest time constants
-    of the shipped plant models while keeping desk-scale runtimes.
+    of the shipped plant models while keeping desk-scale runtimes.  A
+    horizon of more than ``MAX_STEPS`` steps is rejected.
     """
 
     dt: float = 1e-3
@@ -276,6 +283,10 @@ class SimConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end ({self.t_end}) must be >= dt ({self.dt})")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValueError(
+                f"t_end / dt is {self.t_end / self.dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS}"
+            )
         object.__setattr__(self, "integrator", Integrator(self.integrator))
 
     @property

@@ -54,9 +54,10 @@ class PidGains:
     output_max: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kp < 0 or self.ki < 0 or self.kd < 0:
+        # Written as `not x >= 0` so that NaN is rejected too.
+        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
             raise ValueError("PID gains must be >= 0")
-        if self.derivative_filter_n < 0:
+        if not self.derivative_filter_n >= 0:
             raise ValueError("derivative_filter_n must be >= 0 (or inf)")
         if (
             self.output_min is not None

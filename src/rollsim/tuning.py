@@ -174,11 +174,14 @@ def tune_pid(
 
     if spec.method is TuneMethod.GRID:
         axes = [_grid_axis(lo, hi, spec.grid_points) for lo, hi in bounds]
-        candidates: list[tuple[float, float, float]] = [start]
-        for point in itertools.product(*axes):
-            if point not in candidates:
-                candidates.append(point)
-        candidates = candidates[: spec.max_evals]
+        # Enumerate lazily, skipping repeats of the start point, and stop at
+        # max_evals: the full lattice can be far larger than the budget.
+        seen: set[tuple[float, float, float]] = set()
+        fresh = (
+            point for point in itertools.chain([start], itertools.product(*axes))
+            if point not in seen and not seen.add(point)
+        )
+        candidates = list(itertools.islice(fresh, spec.max_evals))
         if jobs > 1 and cost_fn is loop_cost:
             import multiprocessing
 

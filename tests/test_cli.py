@@ -121,3 +121,43 @@ def test_overrides_leave_the_parsed_scenario_unchanged(tmp_path):
     assert scenario.payload[0].sim.t_end == 20.0
     assert [r["scenario"]["simulate"]["sim"]["t_end"] for r in reports] == [1.0, 2.0]
     assert [r["results"]["samples"] for r in reports] == [1001, 2001]
+
+
+
+_HUGE = "9" * 401
+_SIM = "kind: simulate\nsimulate:\n  "
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("simulate", _SIM + "controller: {kp: .nan}\n", "simulate.controller.kp"),
+        ("simulate", _SIM + "controller: {n: .nan}\n", "simulate.controller.n"),
+        ("simulate", _SIM + "controller: {kp: " + _HUGE + "}\n", "simulate.controller.kp"),
+        ("simulate", _SIM + "sensor: {noise_sigma: .nan}\n", "simulate.sensor.noise_sigma"),
+        ("simulate", _SIM + "fault: {kind: stuck, onset_t: .nan}\n", "simulate.fault.onset_t"),
+        ("simulate", _SIM + "setpoint: [{t: .nan}]\n", "simulate.setpoint[0].t"),
+        ("simulate", _SIM + "sim: {t_end: 1.0e+15}\n", "simulate.sim: t_end / dt"),
+        ("simulate", _SIM + "sim: {dt: 1.0e-300, t_end: 1.0e+300}\n", "simulate.sim: t_end / dt"),
+        ("tune", "kind: tune\ntune:\n  bounds: {kp: [.nan, 1.0]}\n", "tune.bounds.kp[0]"),
+        ("size", "kind: size\nsizing: {width: " + _HUGE + "}\n", "sizing.width"),
+    ],
+    ids=[
+        "kp_nan", "n_nan", "kp_huge", "noise_nan", "onset_nan", "setpoint_t_nan",
+        "t_end_1e15", "dt_1e-300", "bounds_nan", "width_huge",
+    ],
+)
+def test_nan_huge_and_long_inputs_exit_1_at_parse_time(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    def no_simulation(spec):
+        raise AssertionError("a malformed scenario reached the simulator")
+
+    monkeypatch.setattr(cli, "simulate_loop", no_simulation)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

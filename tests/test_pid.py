@@ -123,6 +123,14 @@ def test_rejects_bad_inputs():
         PidGains(output_min=1.0, output_max=-1.0)
 
 
+@pytest.mark.parametrize(
+    "bad", [dict(kp=math.nan), dict(ki=math.nan), dict(kd=math.nan), dict(derivative_filter_n=math.nan)]
+)
+def test_nan_gains_rejected(bad):
+    with pytest.raises(ValueError):
+        PidGains(**bad)
+
+
 @given(
     scale=st.floats(0.1, 10.0),
     errors=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40),

@@ -1,0 +1,198 @@
+"""Scenario parsing: the resolved echo round-trips, malformed input names
+its key path, and no input raises anything but ScenarioError."""
+
+import math
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rollsim import scenario as sc
+from rollsim.lti import MAX_STEPS
+from rollsim.scenario import ScenarioError, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+_TF_PLANT_WITH_UMIN = """\
+kind: simulate
+simulate:
+  plant: {kind: tf, num: [2.0], den: [1.0, 3.0, 2.0]}
+  controller: {kp: 1.5, ki: 0.5, umin: -1.0}
+  setpoint: [{t: 0.0, kind: step, value: 0.5}, {t: 1.0, kind: ramp, value: 0.1}]
+  sim: {dt: 0.01, t_end: 2.0}
+"""
+
+ROUND_TRIP = {
+    **{p.stem: p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.yaml"))},
+    "size_defaults": "kind: size\n",
+    "tune_defaults": "kind: tune\n",
+    "tf_plant_with_umin": _TF_PLANT_WITH_UMIN,
+}
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+def test_resolved_echo_reparses_to_the_same_scenario(text):
+    first = parse_scenario(text)
+    again = parse_scenario(yaml.safe_dump(first.resolved))
+    assert again.resolved == first.resolved
+    assert again.payload == first.payload
+
+
+def test_defaults_fill_every_key():
+    resolved = parse_scenario("kind: simulate\n").resolved["simulate"]
+    assert resolved["plant"] == {"kind": "roll_drive", "K": 1.0, "J": 1.0, "B": 1.0, "r": 0.125}
+    assert resolved["controller"]["umin"] is None
+    assert resolved["sensor"] is None and resolved["fault"] is None
+    assert resolved["sim"] == {"dt": 1e-3, "t_end": 20.0, "integrator": "rk4"}
+    null_sim = parse_scenario("kind: simulate\nsimulate: {sim: null}\n")
+    assert null_sim.resolved == parse_scenario("kind: simulate\n").resolved
+
+
+def test_units_convert_to_si():
+    inputs, _ = parse_scenario("kind: size\nsizing: {width: 800 mm, sigma_y: 150 MPa}\n").payload
+    assert inputs.width_w == pytest.approx(0.8)
+    assert inputs.sigma_y == pytest.approx(150e6)
+
+
+def test_ideal_derivative_infinity_still_parses():
+    spec, _ = parse_scenario("kind: simulate\nsimulate:\n  controller: {kd: 1.0, n: .inf}\n").payload
+    assert spec.gains.derivative_filter_n == math.inf
+
+
+_S = "kind: simulate\nsimulate:\n  "
+_HUGE = "9" * 401
+
+MALFORMED = [
+    ("kind: roll\n", "kind: expected one of"),
+    ("kind: size\nextra: 1\n", "unknown key(s): extra"),
+    ("kind: size\nsizing: {width: " + _HUGE + "}\n", "sizing.width: integer too large"),
+    ("kind: size\nsizing: {width: 5 furlongs}\n", "sizing.width: unknown unit"),
+    ("kind: size\nsizing: {t_final: 10 mm}\n", "sizing.t_final: must be <="),
+    ("kind: size\nsizing: {motor_poles: 3}\n", "sizing.motor_poles"),
+    ("kind: size\nsizing: {motor_poles: 1" + "0" * 400 + "}\n", "sizing.motor_poles: integer too large"),
+    ("kind: size\nsizing: {motor_poles: " + "1" * 5000 + "}\n", "scenario is not valid YAML"),
+    (_S + "plant: {kind: tf}\n", "simulate.plant.den: required"),
+    (_S + "plant: {kind: tf, num: [1, 2, 3], den: [1, 1]}\n", "simulate.plant: improper"),
+    (_S + "plant: {kind: roll_drive, J: -1}\n", "simulate.plant: RollDriveParams.J"),
+    (_S + "plant: {kind: power_screw, mode: fast}\n", "simulate.plant.mode"),
+    (_S + "plant: {kind: multibody, K: 1}\n", "unknown key(s): simulate.plant.K"),
+    (_S + "controller: {kp: .nan}\n", "simulate.controller.kp: expected a number, got NaN"),
+    (_S + "controller: {n: .nan}\n", "simulate.controller.n: expected a number, got NaN"),
+    (_S + "controller: {kp: " + _HUGE + "}\n", "simulate.controller.kp: integer too large"),
+    (_S + "controller: {kp: true}\n", "simulate.controller.kp: expected a number, got a boolean"),
+    (_S + "controller: {umin: 1.0, umax: 0.0}\n", "simulate.controller: output_min"),
+    (_S + "setpoint: [{t: .nan}]\n", "simulate.setpoint[0].t: expected a number, got NaN"),
+    (_S + "setpoint: [{t: 2.0}, {t: 1.0}]\n", "simulate.setpoint: setpoint segments must be time-ordered"),
+    (_S + "setpoint: [{t: 0.0, kind: jump}]\n", "simulate.setpoint[0].kind"),
+    (_S + "sensor: {noise_sigma: .nan}\n", "simulate.sensor.noise_sigma: expected a number, got NaN"),
+    (_S + "sensor: {noise_sigma: -1.0}\n", "simulate.sensor: noise_sigma must be >= 0"),
+    (_S + "fault: {kind: stuck}\n", "simulate.fault.onset_t: required"),
+    (_S + "fault: {kind: stuck, onset_t: .nan}\n", "simulate.fault.onset_t: expected a number, got NaN"),
+    (_S + "detector: {window: 2}\n", "simulate.detector.residual_threshold: required"),
+    (_S + "detector: {residual_threshold: 1.0, window: 1.5}\n", "simulate.detector.window"),
+    (_S + "sim: {t_end: .nan}\n", "simulate.sim: t_end must be finite"),
+    (_S + "sim: {t_end: 1.0e+15}\n", f"simulate.sim: t_end / dt is 1e+18 steps, more than MAX_STEPS = {MAX_STEPS}"),
+    (_S + "sim: {dt: 1.0e-300, t_end: 1.0e+300}\n", "simulate.sim: t_end / dt is inf steps"),
+    (_S + "seed: 1.5\n", "simulate.seed: expected an integer"),
+    ("kind: tune\ntune: {bounds: {kp: [.nan, 1.0]}}\n", "tune.bounds.kp[0]: expected a number, got NaN"),
+    ("kind: tune\ntune: {bounds: {kp: [1.0]}}\n", "tune.bounds.kp: expected [lo, hi]"),
+    ("kind: tune\ntune: {bounds: {kp: [2.0, 1.0]}}\n", "tune: kp_bounds is an empty interval"),
+    ("kind: tune\ntune: {initial: {kp: -1.0}}\n", "tune: PID gains must be >= 0"),
+    ("kind: tune\ntune: {method: anneal}\n", "tune.method"),
+    ("kind: tune\ntune: {loop: {sim: {dt: 0.0}}}\n", "tune.loop.sim: dt must be finite and positive"),
+    ("kind: poles\npoles: {den: [0.0, 2.0]}\n", "poles.den: pole analysis needs degree >= 1"),
+    ("kind: poles\npoles: {num: [1.0]}\n", "poles.den: required"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=[m for _, m in MALFORMED])
+def test_malformed_input_names_its_key_path(text, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert str(info.value).startswith(message)
+
+
+def test_unknown_keys_always_raise(monkeypatch):
+    monkeypatch.setenv("ROLLSIM_STRICT", "0")
+    with pytest.raises(ScenarioError, match="simulate.controller.kq"):
+        parse_scenario(_S + "controller: {kq: 1.0}\n")
+
+
+_WORDS = [
+    "roll_drive", "power_screw", "multibody", "tf", "step", "ramp", "hold", "stuck",
+    "bias_jump", "drift", "dropout", "rk4", "euler", "grid", "nelder_mead", "itae",
+    "exact", "integrated", "5 mm", "150 MPa", "1e5", "3 furlongs", "nan mm", "",
+]
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e-300, 1e300]),
+    st.text(st.characters(codec="ascii"), max_size=6),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# Mostly plausible values, so that fuzzed sections get past their first
+# field and reach the readers and constructors behind it.
+_LEAF = st.one_of(
+    st.floats(-5.0, 50.0), st.integers(-2, 8), st.sampled_from(_WORDS), _JUNK
+)
+_LIST = st.one_of(st.lists(_LEAF, max_size=4), _LEAF)
+
+
+def _section(keys, values=_LEAF):
+    """Mappings over a table's keys plus a stray one, or a junk value."""
+    keys = sorted(keys) + ["stray"]
+    return st.one_of(st.dictionaries(st.sampled_from(keys), values, max_size=len(keys)), _JUNK)
+
+
+_PLANT_KEYS = {"kind", "num", "den", "K", "J", "B", "r", "K_ps", "J_ps", "B_ps", "lead", "mode"}
+_SIMULATE = st.fixed_dictionaries(
+    {},
+    optional={
+        "plant": _section(_PLANT_KEYS, _LIST),
+        "controller": _section(sc._CONTROLLER),
+        "setpoint": st.one_of(st.lists(_section(sc._SEGMENT), max_size=3), _JUNK),
+        "sensor": _section(sc._SENSOR),
+        "fault": _section(sc._FAULT),
+        "detector": _section(sc._DETECTOR),
+        "sim": _section(sc._SIM),
+        "seed": _LEAF,
+    },
+)
+_BODIES = {
+    "size": _section(sc._SIZING),
+    "simulate": _SIMULATE,
+    "tune": st.fixed_dictionaries(
+        {},
+        optional={
+            "loop": _SIMULATE,
+            "bounds": _section(sc._BOUNDS, _LIST),
+            "initial": _section(sc._GAINS),
+            **{key: _LEAF for key in ("cost", "method", "grid_points", "max_evals")},
+        },
+    ),
+    "poles": _section({"num", "den"}, _LIST),
+}
+_DOCS = st.sampled_from(sorted(_BODIES)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)},
+        optional={
+            sc._SECTIONS[kind][0]: _BODIES[kind],
+            "output_prefix": st.sampled_from([None, "runs/x", 3]),
+        },
+    )
+)
+
+
+@given(doc=_DOCS)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_mappings_raise_only_scenario_errors(doc):
+    try:
+        parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError:
+        pass

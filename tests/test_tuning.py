@@ -213,3 +213,22 @@ def test_empty_bounds_rejected():
         grid_spec(kp_bounds=(2.0, 1.0))
     with pytest.raises(ValueError, match=">= 0"):
         grid_spec(kp_bounds=(-1.0, 1.0))
+
+
+def test_grid_enumeration_stops_at_max_evals():
+    # 200 points per gain over three free gains is 8 million lattice points;
+    # only the first max_evals may be enumerated.
+    spec = TuneSpec(
+        loop=speed_spec(),
+        method=TuneMethod.GRID,
+        kp_bounds=(0.1, 10.0),
+        ki_bounds=(0.0, 5.0),
+        kd_bounds=(0.0, 1.0),
+        grid_points=200,
+        max_evals=50,
+    )
+    result = tune_pid(spec, cost_fn=lambda loop, kind: 0.0)
+    assert result.evals == 50
+    triples = [(g.kp, g.ki, g.kd) for g, _ in result.history]
+    assert len(set(triples)) == 50
+    assert triples[:2] == [(0.1, 0.0, 0.0), (0.1, 0.0, 1.0 / 199)]
