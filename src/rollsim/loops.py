@@ -7,14 +7,19 @@ setpoint is evaluated, the plant output is measured through the sensor
 path, the PID produces a command, and the plant state advances one step
 under a zero-order hold of that command through the
 :func:`~rollsim.lti.zoh_step_matrices` map x+ = M x + N u, the same
-discretisation open-loop runs use; both matrices are precomputed once.
+discretisation open-loop runs use.
+
+A linear loop (ideal sensor, no fault, no saturation) is one linear
+recurrence over the plant state and the controller memory, so it is
+propagated in closed form by :func:`~rollsim.lti.propagate`; its maps
+come from applying that same step to unit states.  Nonlinear loops are
+stepped one sample at a time.
 
 Alongside the time series, the loop reports a stability verdict from the
-closed-loop characteristic polynomial whenever the loop is actually
-linear (ideal sensor, no fault, no saturation).  Convenience wrappers
-build the sheet-speed loop, the gap/thickness loop, and the multibody
-demo that contrasts open-loop behavior with PID control under both the
-ideal and the filtered derivative.
+closed-loop characteristic polynomial whenever the loop is linear.
+Convenience wrappers build the sheet-speed loop, the gap/thickness loop,
+and the multibody demo that contrasts open-loop behavior with PID control
+under both the ideal and the filtered derivative.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from .lti import (
     ResponseMetrics,
     SimConfig,
     SimulationDiverged,
+    StateSpaceModel,
     TimeSeries,
     TransferFunction,
     polynomial_roots,
+    propagate,
     response_metrics,
     routh_classification,
     RouthVerdict,
@@ -72,7 +79,6 @@ __all__ = [
 # as the demo's reference point.  Pole analysis shows it does not stabilize
 # the plant (see multibody_demo).
 MULTIBODY_REFERENCE_GAINS = PidGains(kp=0.00941, ki=6.53e-05, kd=0.339)
-
 
 # ---------------------------------------------------------------------------
 # Setpoint profiles
@@ -114,20 +120,40 @@ class SetpointProfile:
         return SetpointProfile(segments=(Segment(t_start=at, kind="step", value=value),))
 
     def value(self, t: float) -> float:
-        level = 0.0
-        for i, seg in enumerate(self.segments):
-            if t < seg.t_start:
-                break
-            seg_end = (
-                self.segments[i + 1].t_start if i + 1 < len(self.segments) else t
-            )
-            local_t = min(t, seg_end)
-            if seg.kind == "step":
-                level = seg.value
-            elif seg.kind == "ramp":
-                level = level + seg.value * (local_t - seg.t_start)
-            # hold keeps the running level
+        """Setpoint level at time ``t``."""
+        return float(self.values(np.array([t], dtype=float))[0])
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """Setpoint level at each time in ``t``."""
+        t = np.asarray(t, dtype=float)
+        level = np.zeros_like(t)
+        # A ramp may overflow; first_nonfinite looks for exactly that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, seg in enumerate(self.segments):
+                reached = t >= seg.t_start
+                if seg.kind == "step":
+                    level = np.where(reached, seg.value, level)
+                elif seg.kind == "ramp":
+                    local_t = (
+                        np.minimum(t, self.segments[i + 1].t_start)
+                        if i + 1 < len(self.segments) else t
+                    )
+                    level = np.where(reached, level + seg.value * (local_t - seg.t_start), level)
+                # hold keeps the running level
         return level
+
+    def first_nonfinite(self, sim: SimConfig) -> int | None:
+        """Index of the first segment whose level is not finite at some time
+        of ``sim``'s horizon, or None.  A ramp's level is monotone over its
+        segment, so only each segment's end needs testing."""
+        # Sample times run to steps * dt, which rounding can put past t_end.
+        t_last = max(sim.t_end, sim.steps * sim.dt)
+        segs = self.segments
+        for i, seg in enumerate(segs):
+            end = min(segs[i + 1].t_start, t_last) if i + 1 < len(segs) else t_last
+            if seg.t_start <= end and not math.isfinite(SetpointProfile(segs[: i + 1]).value(end)):
+                return i
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +194,11 @@ class LoopSpec:
     fault: FaultSpec | None = None
     sim: SimConfig = field(default_factory=SimConfig)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        bad = self.setpoint.first_nonfinite(self.sim)
+        if bad is not None:
+            raise ValueError(f"setpoint[{bad}].value: the setpoint level is not finite within the horizon")
 
     @property
     def is_linear(self) -> bool:
@@ -237,22 +268,44 @@ def _analysis(spec: LoopSpec) -> tuple[StabilityVerdict | None, np.ndarray | Non
     return verdict, char, closed
 
 
-def simulate_loop(spec: LoopSpec) -> LoopResult:
-    """Run the discrete closed loop described by ``spec``.
+def _closed_loop_maps(
+    spec: LoopSpec, ss: StateSpaceModel, m: np.ndarray, nvec: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(F, G, H, J) of a linear loop over z = [x, integral, prev_error,
+    prev_derivative, u_prev]: z[k+1] = F z[k] + G sp[k] and
+    (y_true, error, u)[k] = H z[k] + J sp[k].
 
-    Per step: evaluate setpoint, measure the plant output through the
-    sensor/fault path, form the error, run :func:`~rollsim.pid.pid_step`,
-    and hold the command over the next integration step.  A non-finite
-    plant state flags the result diverged and truncates the series at the
-    last finite sample.
+    Each column is one loop step, the plant's step map and
+    :func:`~rollsim.pid.pid_step`, applied to a unit state or to a unit
+    setpoint, so the control law is written only once.
     """
-    ss = tf_to_state_space(spec.plant)
-    cfg = spec.sim
-    steps = cfg.steps
-    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    n, c_row, d_term = ss.n, ss.C.ravel(), ss.D
+    size = n + 4
 
-    t = np.arange(steps + 1) * cfg.dt
-    sp_out = np.empty(steps + 1)
+    def step(z: np.ndarray, sp: float) -> tuple[list, list]:
+        x = z[:n]
+        y_true = float(c_row @ x) + d_term * z[-1]
+        err = sp - y_true
+        u, pid = pid_step(PidState(*z[n:-1]), err, spec.sim.dt, spec.gains)
+        nxt = [*(m @ x + nvec * u), pid.integral, pid.prev_error, pid.prev_derivative, u]
+        return nxt, [y_true, err, u]
+
+    columns = [step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]
+    nxt = np.array([c[0] for c in columns]).T
+    out = np.array([c[1] for c in columns]).T
+    return nxt[:, :size], nxt[:, size], out[:, :size], out[:, size]
+
+
+def _stepped(
+    spec: LoopSpec, ss: StateSpaceModel, m: np.ndarray, nvec: np.ndarray, t: np.ndarray, sp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Step the loop one sample at a time through the sensor/fault path.
+
+    Returns (y_true, y_measured, error, u, end): the channels are valid
+    up to ``end``, the first sample with a non-finite plant state or
+    output (``len(t)`` when there is none).
+    """
+    steps = len(t) - 1
     y_out = np.empty(steps + 1)
     ym_out = np.empty(steps + 1)
     e_out = np.empty(steps + 1)
@@ -266,52 +319,78 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
     needs_sensor = sensor is not None or fault is not None
     model = sensor if sensor is not None else SensorModel()
     c_row, d_term = ss.C.ravel(), ss.D
+    dt, gains = spec.sim.dt, spec.gains
+    setpoints = sp.tolist()  # Python floats keep the per-step arithmetic fast
     u_prev = 0.0
 
-    diverged = False
-    divergence_time: float | None = None
-    last = steps
+    end = steps + 1
     # Overflow in an unstable loop is how divergence is detected, not noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             tk = t[k]
-            sp = spec.setpoint.value(tk)
             # Direct feedthrough uses the previous command: the measurement
             # must exist before the current command does.
             y_true = (float(c_row @ x) if ss.n else 0.0) + d_term * u_prev
             if not math.isfinite(y_true):
                 # Output projection can overflow a step before the state does.
-                diverged = True
-                divergence_time = tk
-                last = k - 1
+                end = k
                 break
             if needs_sensor:
                 y_meas, sensor_state = apply_sensor(y_true, model, fault, tk, sensor_state)
             else:
                 y_meas = y_true
-            err = sp - y_meas
-            u, pid_state = pid_step(pid_state, err, cfg.dt, spec.gains)
-            sp_out[k], y_out[k], ym_out[k], e_out[k], u_out[k] = sp, y_true, y_meas, err, u
+            err = setpoints[k] - y_meas
+            u, pid_state = pid_step(pid_state, err, dt, gains)
+            y_out[k], ym_out[k], e_out[k], u_out[k] = y_true, y_meas, err, u
             if k == steps:
                 break
             if ss.n:
                 x = m @ x + nvec * u
                 if not np.all(np.isfinite(x)):
-                    diverged = True
-                    divergence_time = float(t[k + 1])
-                    last = k
+                    end = k + 1
                     break
             u_prev = u
+    return y_out, ym_out, e_out, u_out, end
 
-    end = last + 1
+
+def simulate_loop(spec: LoopSpec) -> LoopResult:
+    """Run the discrete closed loop described by ``spec``.
+
+    Per step: evaluate setpoint, measure the plant output through the
+    sensor/fault path, form the error, run :func:`~rollsim.pid.pid_step`,
+    and hold the command over the next integration step.  A linear spec
+    runs the same steps in closed form through
+    :func:`~rollsim.lti.propagate`.  The first sample with a non-finite
+    plant state or output flags the result diverged at its time, and the
+    series ends just before it.
+    """
+    ss = tf_to_state_space(spec.plant)
+    cfg = spec.sim
+    steps = cfg.steps
+    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    t = np.arange(steps + 1) * cfg.dt
+    sp = spec.setpoint.values(t)
+
+    if spec.is_linear:
+        f, g, h, j = _closed_loop_maps(spec, ss, m, nvec)
+        rows, end = propagate(f, g, sp, h, j)
+        y_true, err, u = rows.T.copy()
+        bad_output = np.flatnonzero(~np.isfinite(y_true))
+        if bad_output.size:
+            end = int(bad_output[0])
+        y_meas = y_true
+    else:
+        y_true, y_meas, err, u, end = _stepped(spec, ss, m, nvec, t, sp)
+
+    diverged = end <= steps
     series = TimeSeries(
         t=t[:end],
         channels={
-            "setpoint": sp_out[:end],
-            "y_true": y_out[:end],
-            "y_measured": ym_out[:end],
-            "error": e_out[:end],
-            "u": u_out[:end],
+            "setpoint": sp[:end],
+            "y_true": y_true[:end],
+            "y_measured": y_meas[:end],
+            "error": err[:end],
+            "u": u[:end],
         },
     )
     metrics = response_metrics(series, spec.setpoint.value(cfg.t_end), channel="y_true")
@@ -323,7 +402,7 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
         characteristic=char,
         closed_loop=closed,
         diverged=diverged,
-        divergence_time=divergence_time,
+        divergence_time=float(t[end]) if diverged else None,
     )
 
 

@@ -85,6 +85,9 @@ def _check_keys(mapping: dict, allowed, path: str) -> None:
 
 
 def _require_mapping(value: Any, path: str) -> dict:
+    """A mapping; a null section body is an empty one, so it takes every default."""
+    if value is None:
+        return {}
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: expected a mapping, got {type(value).__name__}")
     return value
@@ -164,10 +167,11 @@ def _interval(value: Any, path: str) -> list[float]:
 def _fields(raw: Any, path: str, table: dict[str, tuple[Reader, Any]]) -> dict[str, Any]:
     """Read a mapping through ``table`` (key -> (reader, default)).
 
-    Unknown keys and absent required keys are errors.  An absent key takes
-    its default, which goes through the reader like a given value, so the
-    result is the resolved echo with every key of the table.  A key whose
-    default is None is optional: null or absent, it resolves to None.
+    A null ``raw`` reads as an empty mapping.  Unknown keys and absent
+    required keys are errors.  An absent key takes its default, which goes
+    through the reader like a given value, so the result is the resolved
+    echo with every key of the table.  A key whose default is None is
+    optional: null or absent, it resolves to None.
     """
     raw = _require_mapping(raw, path)
     _check_keys(raw, table, path)
@@ -293,6 +297,10 @@ _resolve_segment = _record(
 def _resolve_setpoint(raw: Any, path: str) -> tuple[list, SetpointProfile]:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(f"{path}: expected a non-empty list of segments")
+    # A null segment is a slip, not a section body taking its defaults.
+    for i, entry in enumerate(raw):
+        if entry is None:
+            raise ScenarioError(f"{path}[{i}]: expected a mapping, got null")
     resolved, segments = zip(*(_resolve_segment(e, f"{path}[{i}]") for i, e in enumerate(raw)))
     return list(resolved), _build(path, SetpointProfile, segments=segments)
 
@@ -323,11 +331,6 @@ _SIM = {
 }
 
 
-def _resolve_sim(raw: Any, path: str) -> tuple[dict, SimConfig]:
-    """A null ``sim`` section takes every default."""
-    return _record(_SIM, SimConfig)({} if raw is None else raw, path)
-
-
 # Every reader here but ``seed``'s returns (resolved echo, typed object);
 # the optional parts resolve to None when left out.
 _SIMULATE = {
@@ -337,7 +340,7 @@ _SIMULATE = {
     "sensor": (_record(_SENSOR, SensorModel), None),
     "fault": (_record(_FAULT, FaultSpec), None),
     "detector": (_record(_DETECTOR, DetectorConfig), None),
-    "sim": (_resolve_sim, {}),
+    "sim": (_record(_SIM, SimConfig), {}),
     "seed": (_integer, 0),
 }
 
@@ -347,10 +350,13 @@ def _resolve_simulate(raw: Any, path: str) -> tuple[dict, tuple[LoopSpec, Detect
     resolved, made = {"seed": parts.pop("seed")}, {}
     for key, part in parts.items():
         resolved[key], made[key] = part or (None, None)
-    spec = LoopSpec(
-        plant=made["plant"], gains=made["controller"], setpoint=made["setpoint"],
-        sensor=made["sensor"], fault=made["fault"], sim=made["sim"], seed=resolved["seed"],
-    )
+    try:
+        spec = LoopSpec(
+            plant=made["plant"], gains=made["controller"], setpoint=made["setpoint"],
+            sensor=made["sensor"], fault=made["fault"], sim=made["sim"], seed=resolved["seed"],
+        )
+    except ValueError as exc:  # LoopSpec names the field: setpoint[i].value
+        raise ScenarioError(f"{path}.{exc}") from exc
     return resolved, (spec, made["detector"])
 
 
@@ -359,7 +365,7 @@ _BOUNDS = {gain: (_interval, [0.0, 0.0]) for gain in ("kp", "ki", "kd")}
 
 _TUNE = {
     "loop": (_resolve_simulate, {}),
-    "bounds": (lambda raw, path: _fields({} if raw is None else raw, path, _BOUNDS), {}),
+    "bounds": (lambda raw, path: _fields(raw, path, _BOUNDS), {}),
     "initial": (lambda raw, path: _fields(raw, path, _GAINS), {}),
     "cost": (_choice("itae", "ise", "iae"), "itae"),
     "method": (_choice("nelder_mead", "grid"), "nelder_mead"),
@@ -415,7 +421,7 @@ def parse_scenario(text: str) -> Scenario:
         raw = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past str->int limits
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
-    raw = _require_mapping(raw if raw is not None else {}, "scenario")
+    raw = _require_mapping(raw, "scenario")
     if "kind" not in raw:
         raise ScenarioError("kind: required (one of size, simulate, tune, poles)")
     kind = _choice(*_SECTIONS)(raw["kind"], "kind")

@@ -123,15 +123,52 @@ def _with_gains(spec: TuneSpec, triple: tuple[float, float, float]) -> LoopSpec:
     return replace(spec.loop, gains=gains)
 
 
-def _grid_axis(lo: float, hi: float, points: int) -> list[float]:
-    """Grid values for one gain: geometric when the interval is strictly
+def _grid_axis(lo: float, hi: float, points: int, count: int) -> list[float]:
+    """The first ``count`` distinct values, in order, of one gain's grid
+    axis of ``points`` values: geometric when the interval is strictly
     positive (gains act as scale parameters, so decades matter), linear
-    when it starts at zero."""
-    if lo == hi:
+    when it starts at zero.
+
+    The values are those ``np.geomspace``/``np.linspace`` give, formed the
+    same way, but only as many as needed are built: ``points`` may be far
+    larger than the evaluation budget.
+    """
+    if lo == hi or points == 1:
         return [lo]
-    if lo > 0:
-        return list(np.geomspace(lo, hi, points))
-    return list(np.linspace(lo, hi, points))
+    geometric = lo > 0
+    start, stop = (np.log10(lo), np.log10(hi)) if geometric else (lo, hi)
+    delta = np.subtract(stop, start)
+    step = delta / (points - 1)
+
+    def at(index: np.ndarray) -> np.ndarray:
+        """Values at the given indices, before the endpoints are pinned."""
+        axis = np.asarray(index, dtype=float)
+        # linspace scales by delta directly when the step underflows to zero.
+        axis = axis / (points - 1) * delta if step == 0 else axis * step
+        axis += start
+        return np.power(10.0, axis) if geometric else axis
+
+    axis = at(np.arange(min(points, count)))
+    axis[0] = lo
+    if len(axis) == points:
+        axis[-1] = hi
+    values = list(dict.fromkeys(axis.tolist()))
+    # An interval narrow for its point count repeats values, so the prefix
+    # holds fewer distinct ones than needed.  The values between the pinned
+    # endpoints are monotone in the index: bisect to the end of each run.
+    index = len(axis)
+    while len(values) < count and index < points - 1:
+        value = at([index])[0]
+        if value not in values:
+            values.append(float(value))
+        low, high = index, points - 1
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if at([mid])[0] == value else (low, mid)
+        index = high
+    if len(values) < count and index == points - 1 and hi not in values:
+        values.append(hi)
+    return values
 
 
 def _grid_eval(args: tuple[TuneSpec, tuple[float, float, float]]) -> float:
@@ -173,9 +210,12 @@ def tune_pid(
     start = _project((spec.initial.kp, spec.initial.ki, spec.initial.kd), bounds)
 
     if spec.method is TuneMethod.GRID:
-        axes = [_grid_axis(lo, hi, spec.grid_points) for lo, hi in bounds]
-        # Enumerate lazily, skipping repeats of the start point, and stop at
+        # The distinct lattice points come in the order of the product of
+        # each axis's distinct values, so the max_evals of them that can be
+        # needed (one may repeat the start point) use no axis value past the
+        # max_evals-th distinct one.  Enumerate lazily and stop at
         # max_evals: the full lattice can be far larger than the budget.
+        axes = [_grid_axis(lo, hi, spec.grid_points, spec.max_evals) for lo, hi in bounds]
         seen: set[tuple[float, float, float]] = set()
         fresh = (
             point for point in itertools.chain([start], itertools.product(*axes))

@@ -161,3 +161,44 @@ def test_nan_huge_and_long_inputs_exit_1_at_parse_time(
     assert code == cli.EXIT_INPUT_ERROR
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+_OVERFLOWING_RAMP = "setpoint: [{t: 0.0, kind: step, value: 1.0}, {t: 1.0, kind: ramp, value: 1.0e+305}]\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, override, message",
+    [
+        ("simulate", _SIM + "setpoint: [{t: 0.0, kind: step, value: .inf}]\n", [],
+         "simulate.setpoint[0].value"),
+        ("simulate", _SIM + "setpoint: [{t: 0.0, kind: step, value: 1.0}, {t: 2.0, value: -.inf}]\n", [],
+         "simulate.setpoint[1].value"),
+        ("simulate", _SIM + "setpoint: [{t: 0.0, kind: ramp, value: 1.0e+308}]\n", [],
+         "simulate.setpoint[0].value"),
+        ("tune", "kind: tune\ntune:\n  loop:\n    setpoint: [{t: 0.0, value: .inf}]\n", [],
+         "tune.loop.setpoint[0].value"),
+        ("simulate", _SIM + _OVERFLOWING_RAMP + "  sim: {t_end: 3.0}\n", ["--t-end", "5000"],
+         "sim override: setpoint[1].value"),
+    ],
+    ids=["step_inf", "step_minus_inf", "ramp_overflow", "tune_loop", "override_overflow"],
+)
+def test_nonfinite_setpoints_exit_1_before_simulating(
+    tmp_path, capsys, monkeypatch, command, text, override, message
+):
+    def no_simulation(spec):
+        raise AssertionError("a non-finite setpoint reached the simulator")
+
+    monkeypatch.setattr(cli, "simulate_loop", no_simulation)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), *override])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err.startswith(f"error: {message}: ")
+    assert "Traceback" not in err
+
+
+def test_ramp_that_overflows_after_the_horizon_runs(tmp_path):
+    path = tmp_path / "ramp.yaml"
+    path.write_text(_SIM + _OVERFLOWING_RAMP + "  sim: {t_end: 3.0}\n", encoding="utf-8")
+    assert cli.run(parse_scenario_file(str(path)), out_prefix=str(tmp_path / "out")).exit_code == cli.EXIT_OK

@@ -2,6 +2,7 @@
 stability verdicts, and the multibody demo."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,46 @@ def test_profile_rejects_unordered():
 def test_profile_rejects_unknown_kind():
     with pytest.raises(ValueError):
         Segment(0.0, "pulse", 1.0)
+
+
+PROFILES = {
+    "step": SetpointProfile.step(0.5),
+    "late_step": SetpointProfile.step(2.0, at=1.0),
+    "ramp_hold": SetpointProfile(
+        segments=(Segment(0.0, "step", 1.0), Segment(2.0, "ramp", 0.5), Segment(4.0, "hold"))
+    ),
+    "ramps": SetpointProfile(
+        segments=(
+            Segment(0.5, "ramp", -0.3), Segment(1.5, "ramp", 0.7),
+            Segment(1.5, "step", 0.1), Segment(3.0, "ramp", 1e-3),
+        )
+    ),
+}
+
+
+def segment_law(profile, t):
+    """Setpoint level at ``t``, one segment at a time in plain floats."""
+    level, segs = 0.0, profile.segments
+    for i, seg in enumerate(segs):
+        if t < seg.t_start:
+            break
+        local_t = min(t, segs[i + 1].t_start) if i + 1 < len(segs) else t
+        if seg.kind == "step":
+            level = seg.value
+        elif seg.kind == "ramp":
+            level = level + seg.value * (local_t - seg.t_start)
+    return level
+
+
+@pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES.keys())
+def test_profile_values_follow_the_segment_law_bit_for_bit(profile):
+    edges = np.array([seg.t_start for seg in profile.segments])
+    t = np.sort(np.concatenate([
+        np.arange(6001) * 1e-3, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+    ]))
+    expected = np.array([segment_law(profile, tk) for tk in t], dtype=float)
+    assert profile.values(t).tobytes() == expected.tobytes()
+    assert [profile.value(tk) for tk in t[::97]] == list(expected[::97])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +241,85 @@ def test_divergence_is_flagged_not_fatal():
     assert 0.0 < r.divergence_time <= 30.0
     assert not r.bounded
     assert np.all(np.isfinite(r.series["y_true"]))
+
+
+CHANNELS = ("setpoint", "y_true", "y_measured", "error", "u")
+
+PLANTS = {
+    "lag": lambda rng: tf_new([rng.uniform(0.5, 2.0)], [1.0, rng.uniform(0.5, 5.0)]),
+    "second_order": lambda rng: tf_new(
+        [rng.uniform(0.5, 2.0)], [1.0, rng.uniform(0.5, 3.0), rng.uniform(1.0, 9.0)]
+    ),
+    # Feedthrough D closes a loop through u_prev; D * (kp + kd / dt) < 1
+    # keeps it from growing by a factor per step.
+    "biproper": lambda rng: tf_new([rng.uniform(0.01, 0.05), 1.0], [1.0, rng.uniform(0.5, 5.0)]),
+    "gain": lambda rng: tf_new([rng.uniform(0.02, 0.1)], [1.0]),
+}
+
+CONTROLLERS = {
+    "p": lambda rng: PidGains(kp=rng.uniform(0.5, 5.0)),
+    "pi": lambda rng: PidGains(kp=rng.uniform(0.5, 5.0), ki=rng.uniform(0.5, 5.0)),
+    "pid_filtered": lambda rng: PidGains(
+        kp=rng.uniform(0.5, 5.0), ki=rng.uniform(0.5, 5.0), kd=rng.uniform(0.01, 0.1),
+        derivative_filter_n=rng.uniform(20.0, 200.0),
+    ),
+    "pid_ideal": lambda rng: PidGains(
+        kp=rng.uniform(0.5, 5.0), ki=rng.uniform(0.5, 5.0), kd=rng.uniform(1e-4, 1e-3),
+        derivative_filter_n=math.inf,
+    ),
+}
+
+
+def stepped_twin(spec: LoopSpec) -> LoopSpec:
+    """The same loop with output limits at +-inf: they never bind, but they
+    make the loop nonlinear, so simulate_loop steps it."""
+    return replace(spec, gains=replace(spec.gains, output_min=-math.inf, output_max=math.inf))
+
+
+def assert_same_run(closed, stepped):
+    assert closed.diverged == stepped.diverged
+    assert closed.divergence_time == stepped.divergence_time
+    assert len(closed.series) == len(stepped.series)
+    for name in CHANNELS:
+        np.testing.assert_allclose(
+            closed.series[name], stepped.series[name], rtol=1e-9, atol=1e-12, err_msg=name
+        )
+
+
+# A P controller around a pure gain has a constant characteristic
+# polynomial, which the pole analysis cannot classify; that pair is left out.
+PAIRS = [(p, c) for p in PLANTS for c in CONTROLLERS if (p, c) != ("gain", "p")]
+
+
+@pytest.mark.parametrize("plant, controller", PAIRS, ids=[f"{p}-{c}" for p, c in PAIRS])
+def test_closed_form_matches_the_step_loop(plant, controller):
+    rng = np.random.default_rng(sorted(PLANTS).index(plant) * 10 + sorted(CONTROLLERS).index(controller))
+    for _ in range(3):
+        spec = LoopSpec(
+            plant=PLANTS[plant](rng),
+            gains=CONTROLLERS[controller](rng),
+            setpoint=PROFILES["ramp_hold"],
+            sim=SimConfig(dt=1e-3, t_end=float(rng.uniform(1.0, 5.0))),
+        )
+        assert spec.is_linear and not stepped_twin(spec).is_linear
+        closed = simulate_loop(spec)
+        assert not closed.diverged
+        assert_same_run(closed, simulate_loop(stepped_twin(spec)))
+
+
+@pytest.mark.parametrize("kp", [1.0, 40.0])  # 40: a growing oscillation
+def test_closed_form_diverges_where_the_step_loop_does(kp):
+    # Both paths keep the samples before the first non-finite state or
+    # output and flag its time.
+    spec = LoopSpec(
+        plant=tf_new([1.0], [1.0, -60.0]),
+        gains=PidGains(kp=kp),
+        setpoint=SetpointProfile.step(1.0),
+        sim=SimConfig(dt=1e-2, t_end=30.0),
+    )
+    closed = simulate_loop(spec)
+    assert closed.diverged
+    assert_same_run(closed, simulate_loop(stepped_twin(spec)))
 
 
 def test_nonlinear_paths_withhold_verdict():

@@ -14,6 +14,7 @@ from rollsim.lti import (
     dc_gain,
     poles,
     polynomial_roots,
+    propagate,
     response_metrics,
     routh_classification,
     simulate_lti,
@@ -363,6 +364,58 @@ def test_simulate_lti_is_the_zoh_recurrence(integrator):
     assert ts["u"].tolist() == u_ref
     # Only the output projection's summation order may differ.
     np.testing.assert_allclose(ts["y"], y_ref, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Block propagation
+# ---------------------------------------------------------------------------
+
+def plain_recurrence(m, g, w):
+    """States z[0 .. len(w)-1] of z[k+1] = m z[k] + g w[k], one step at a time."""
+    z = np.zeros(len(g))
+    states = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for wk in w:
+            states.append(z)
+            z = m @ z + np.asarray(g) * wk
+    return np.array(states).reshape(len(w), len(g))
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 1001])
+@pytest.mark.parametrize("order", [0, 1, 3, 12])
+def test_propagate_is_the_plain_recurrence(order, count):
+    rng = np.random.default_rng(100 * order + count)
+    m = rng.normal(size=(order, order))
+    if order:
+        m *= 0.98 / np.max(np.abs(np.linalg.eigvals(m)))  # decaying modes
+    g, w = rng.normal(size=order), rng.normal(size=count)
+    h, j = rng.normal(size=(3, order)), rng.normal(size=3)
+    expected = plain_recurrence(m, g, w)
+
+    states, end = propagate(m, g, w, np.eye(order), np.zeros(order))
+    assert end == count and states.shape == (count, order)
+    np.testing.assert_allclose(states, expected, rtol=1e-12, atol=1e-13)
+    rows, end = propagate(m, g, w, h, j)
+    assert end == count and rows.shape == (count, 3)
+    np.testing.assert_allclose(rows, expected @ h.T + np.outer(w, j), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("growth", [2.0, 1e30])  # 1e30: m^16 itself overflows
+def test_propagate_stops_at_the_first_nonfinite_state(growth):
+    m = np.array([[growth, 1.0], [0.0, 0.5]])
+    g, w = np.array([1.0, 1.0]), np.ones(3000)
+    expected = plain_recurrence(m, g, w)
+    first = int(np.argmin(np.all(np.isfinite(expected), axis=1)))
+    assert 0 < first < len(w)
+
+    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    assert end == first and len(states) == first
+    np.testing.assert_allclose(states, expected[:first], rtol=1e-12)
+
+
+def test_propagate_rejects_nonfinite_inputs():
+    with pytest.raises(ValueError):
+        propagate(np.eye(1), [1.0], [0.0, math.inf], np.eye(1), [0.0])
 
 
 # ---------------------------------------------------------------------------

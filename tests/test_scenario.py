@@ -86,6 +86,8 @@ MALFORMED = [
     (_S + "setpoint: [{t: .nan}]\n", "simulate.setpoint[0].t: expected a number, got NaN"),
     (_S + "setpoint: [{t: 2.0}, {t: 1.0}]\n", "simulate.setpoint: setpoint segments must be time-ordered"),
     (_S + "setpoint: [{t: 0.0, kind: jump}]\n", "simulate.setpoint[0].kind"),
+    (_S + "setpoint: [~]\n", "simulate.setpoint[0]: expected a mapping"),
+    (_S + "setpoint:\n  - {t: 0.0}\n  -\n", "simulate.setpoint[1]: expected a mapping"),
     (_S + "sensor: {noise_sigma: .nan}\n", "simulate.sensor.noise_sigma: expected a number, got NaN"),
     (_S + "sensor: {noise_sigma: -1.0}\n", "simulate.sensor: noise_sigma must be >= 0"),
     (_S + "fault: {kind: stuck}\n", "simulate.fault.onset_t: required"),
@@ -112,6 +114,37 @@ def test_malformed_input_names_its_key_path(text, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text)
     assert str(info.value).startswith(message)
+
+
+# A null section body means every default: the same scenario as leaving the
+# section out (for the optional sensor, fault and detector, no section).
+NULL_SECTIONS = {
+    "sizing": ("kind: size\nsizing:\n", "kind: size\n"),
+    "simulate": ("kind: simulate\nsimulate:\n", "kind: simulate\n"),
+    "tune": ("kind: tune\ntune:\n", "kind: tune\n"),
+    **{
+        f"simulate.{key}": (_S + f"{key}:\n", "kind: simulate\n")
+        for key in ("plant", "controller", "sensor", "fault", "detector", "sim")
+    },
+    **{
+        f"tune.{key}": (f"kind: tune\ntune:\n  {key}:\n", "kind: tune\n")
+        for key in ("loop", "bounds", "initial")
+    },
+    "tune.loop.controller": ("kind: tune\ntune:\n  loop:\n    controller:\n", "kind: tune\n"),
+}
+
+
+@pytest.mark.parametrize("null, absent", NULL_SECTIONS.values(), ids=NULL_SECTIONS.keys())
+def test_null_section_body_takes_every_default(null, absent):
+    got, expected = parse_scenario(null), parse_scenario(absent)
+    assert got.resolved == expected.resolved
+    assert got.payload == expected.payload
+
+
+def test_null_section_body_still_needs_its_required_keys():
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario("kind: poles\npoles:\n")
+    assert str(info.value).startswith("poles.den: required")
 
 
 def test_unknown_keys_always_raise(monkeypatch):

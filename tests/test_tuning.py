@@ -1,8 +1,14 @@
 """Gain search: cost indices, grid and Nelder-Mead behavior, determinism."""
 
+import itertools
+import time
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rollsim.loops as loops
 from rollsim.loops import LoopSpec, SetpointProfile
 from rollsim.lti import SimConfig, tf_new
 from rollsim.pid import PidGains
@@ -13,6 +19,7 @@ from rollsim.tuning import (
     TuneMethod,
     TuneResult,
     TuneSpec,
+    _grid_axis,
     loop_cost,
     tune_pid,
 )
@@ -232,3 +239,89 @@ def test_grid_enumeration_stops_at_max_evals():
     triples = [(g.kp, g.ki, g.kd) for g, _ in result.history]
     assert len(set(triples)) == 50
     assert triples[:2] == [(0.1, 0.0, 0.0), (0.1, 0.0, 1.0 / 199)]
+
+
+def test_linear_loop_cost_does_not_step_the_loop(monkeypatch):
+    # A linear loop is propagated in closed form: pid_step only builds its
+    # maps, once per state of z = [x, integral, prev_error,
+    # prev_derivative, u_prev] and once for the setpoint.
+    calls = []
+    step = loops.pid_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(loops, "pid_step", counting)
+    gains = PidGains(kp=2.0, ki=1.0, kd=0.1, derivative_filter_n=50.0)
+    spec = replace(speed_spec(), gains=gains)
+    assert spec.is_linear
+    loop_cost(spec)
+    states = len(spec.plant.den) - 1 + 4
+    assert 0 < len(calls) <= states + 1
+
+
+def full_axis(lo, hi, points):
+    return np.geomspace(lo, hi, points) if lo > 0 else np.linspace(lo, hi, points)
+
+
+# The last three intervals hold fewer floats than the larger point counts,
+# so their axes repeat values.
+NARROW = [(1.0, 1.0 + 4e-16), (0.0, 2e-323), (0.25, 0.25 + 2e-16)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 1.0), (0.0, 7.3), (0.1, 10.0), (1e-3, 2.5), (3.0, 1e6), (0.0, 1e-320), *NARROW]
+)
+def test_grid_axis_prefix_is_the_full_axis_prefix(lo, hi):
+    for points in range(1, 30):
+        distinct = np.array(list(dict.fromkeys(full_axis(lo, hi, points).tolist())))
+        for count in (1, 4, points, points + 3):
+            prefix = np.array(_grid_axis(lo, hi, points, count), dtype=float)
+            assert prefix.tobytes() == distinct[:count].tobytes(), (points, count)
+
+
+@pytest.mark.parametrize("max_evals", [1, 2, 3, 5, 8, 40])
+def test_grid_candidates_are_those_of_the_full_lattice(max_evals):
+    # ki and kd repeat values within the first max_evals of their 7 points.
+    bounds = {"kp": (0.0, 1.0), "ki": (0.0, 2e-323), "kd": (1.0, 1.0 + 4e-16)}
+    spec = grid_spec(
+        **{f"{gain}_bounds": pair for gain, pair in bounds.items()},
+        initial=PidGains(kp=0.5, ki=1e-323, kd=1.0),
+        grid_points=7,
+        max_evals=max_evals,
+    )
+    full = itertools.product(*(full_axis(lo, hi, 7).tolist() for lo, hi in bounds.values()))
+    expected = list(dict.fromkeys([(0.5, 1e-323, 1.0), *full]))[:max_evals]
+    result = tune_pid(spec, cost_fn=lambda loop, kind: 0.0)
+    assert [(g.kp, g.ki, g.kd) for g, _ in result.history] == expected
+
+
+def test_huge_grid_on_a_narrow_interval_returns_at_once():
+    start = time.perf_counter()
+    values = _grid_axis(1.0, 1.0 + 1e-15, 10**9, 200)
+    assert time.perf_counter() - start < 1.0
+    every_double = [1.0]  # 10**9 points hit each double of the interval
+    while every_double[-1] < 1.0 + 1e-15:
+        every_double.append(float(np.nextafter(every_double[-1], 2.0)))
+    assert values == every_double
+
+
+def test_huge_grid_builds_only_the_budgeted_prefix():
+    spec = TuneSpec(
+        loop=speed_spec(),
+        method=TuneMethod.GRID,
+        kp_bounds=(0.1, 10.0),
+        ki_bounds=(0.0, 5.0),
+        grid_points=10**9,
+        max_evals=5,
+    )
+    tracemalloc.start()
+    try:
+        result = tune_pid(spec, cost_fn=lambda loop, kind: 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.evals == 5
+    assert peak < 1_000_000  # one full axis would be 8 GB
+    assert [(g.kp, g.ki) for g, _ in result.history][:2] == [(0.1, 0.0), (0.1, 5.0 / (10**9 - 1))]
