@@ -14,9 +14,9 @@ from .faults import (
     FaultKind,
     FaultSpec,
     SensorModel,
-    SensorState,
     apply_sensor,
     detect_faults,
+    sensor_terms,
 )
 from .loops import (
     LoopResult,

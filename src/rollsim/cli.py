@@ -122,12 +122,14 @@ def _write_json(path: Path, scenario: Scenario, results: dict, started: float) -
 
 def _write_series_csv(path: Path, series) -> None:
     columns = ["t", "setpoint", "y_true", "y_measured", "error", "u"]
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         data = [series.t] + [series[c] for c in columns[1:]]
-        for row in zip(*data):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        for start in range(0, len(series.t), 1024):  # rows formatted per write
+            chunk = [col[start:start + 1024].tolist() for col in data]
+            fh.write("".join([row % values for values in zip(*chunk)]))
 
 
 def _write_history_csv(path: Path, history) -> None:
@@ -209,9 +211,9 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
     return OutputBundle(csv_paths=[csv_path], json_path=json_path, exit_code=code)
 
 
-def _run_tune(scenario: Scenario, prefix: Path, started: float, jobs: int) -> OutputBundle:
+def _run_tune(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
     spec: TuneSpec = scenario.payload
-    result = tune_pid(spec, jobs=jobs)
+    result = tune_pid(spec)
     results = {
         "best_gains": {
             "kp": result.best_gains.kp,
@@ -260,7 +262,8 @@ def run(
     ``dt``/``t_end`` override the scenario's simulation settings (simulate
     and tune kinds).  The output prefix resolution order is the ``--out``
     flag, then the scenario's ``output_prefix``, then the scenario kind in
-    the current directory.
+    the current directory.  ``jobs`` is accepted for compatibility and
+    ignored, like ``tune_pid``'s.
     """
     started = time.perf_counter()
     scenario = _apply_overrides(scenario, dt, t_end)
@@ -270,7 +273,7 @@ def run(
     if scenario.kind == "simulate":
         return _run_simulate(scenario, prefix, started)
     if scenario.kind == "tune":
-        return _run_tune(scenario, prefix, started, jobs)
+        return _run_tune(scenario, prefix, started)
     return _run_poles(scenario, prefix, started)
 
 
@@ -318,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a '{name}' scenario")
         p.add_argument("--scenario", required=True, help="path to the scenario YAML file")
         p.add_argument("--out", default=None, help="output path prefix")
-        p.add_argument("--jobs", type=int, default=1, help="parallel grid-tuning evaluations")
+        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
         p.add_argument("--dt", type=float, default=None, help="override simulation step, s")
         p.add_argument("--t-end", type=float, default=None, help="override simulation horizon, s")
     sub.add_parser("version", help="print the tool version")
@@ -336,13 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError(
                 f"scenario kind '{scenario.kind}' does not match subcommand '{args.command}'"
             )
-        bundle = run(
-            scenario,
-            out_prefix=args.out,
-            jobs=max(1, args.jobs),
-            dt=args.dt,
-            t_end=args.t_end,
-        )
+        bundle = run(scenario, out_prefix=args.out, dt=args.dt, t_end=args.t_end)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -6,9 +6,17 @@ overrides the measurement after an onset time: stuck-at (hold the last
 healthy reading), bias jump, drift, or dropout (hold-last for a fixed
 duration).
 
+A reading splits in two.  What does not depend on the measured value
+(the sensor ticks, the noise draw of each tick, the bias-jump or drift
+term and the stuck/dropout window) is a function of the time grid alone,
+computed with numpy a chunk of samples at a time by :func:`sensor_terms`.
+What does, adding those terms to the value, quantizing and holding, is
+:func:`apply_sensor`, called once per sample by the loop.
+
 Randomness is a pure function of (seed, draw counter) via a splitmix64
-bit mixer feeding Box-Muller, so a measurement stream is reproducible
-from its :class:`SensorState` alone; no global generator is touched.
+bit mixer feeding Box-Muller, and the n-th tick of a run draws counter n,
+so a measurement stream is reproducible from its seed alone; no global
+generator is touched.
 Detection works on a residual series (measured minus model-predicted,
 supplied by the caller) with run-length-confirmed threshold and rate
 tests.
@@ -17,8 +25,9 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -28,10 +37,10 @@ __all__ = [
     "FaultKind",
     "FaultSpec",
     "SensorModel",
-    "SensorState",
     "apply_sensor",
     "counter_gauss",
     "detect_faults",
+    "sensor_terms",
 ]
 
 
@@ -43,21 +52,33 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO53 = 9007199254740992.0  # 2**53
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    # uint64 arithmetic wraps modulo 2**64, which is the 64-bit mask.
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def counter_gauss(seed: int, counter: int) -> float:
-    """Standard normal deviate as a pure function of (seed, counter)."""
-    base = _splitmix64(((seed & _MASK64) << 1) ^ _splitmix64(counter & _MASK64))
-    u1 = (_splitmix64(base) >> 11) / _TWO53
-    u2 = (_splitmix64(base + 1) >> 11) / _TWO53
-    if u1 <= 0.0:
-        u1 = 5e-324
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
+    """Standard normal deviate as a pure function of (seed, counter).
+
+    ``counter`` is an int, giving a float, or an integer array, giving an
+    array of draws of the same shape.  The bit mixing runs in numpy
+    ``uint64``; ``log`` and ``cos`` stay ``math`` calls per element,
+    because numpy's differ from them in the last ulp on some inputs.
+    """
+    scalar = np.ndim(counter) == 0
+    counters = np.atleast_1d(
+        np.uint64(int(counter) & _MASK64) if scalar else np.asarray(counter).astype(np.uint64)
+    )
+    base = _splitmix64(np.uint64(((seed & _MASK64) << 1) & _MASK64) ^ _splitmix64(counters.ravel()))
+    u1 = (_splitmix64(base) >> np.uint64(11)).astype(float) / _TWO53
+    u2 = (_splitmix64(base + np.uint64(1)) >> np.uint64(11)).astype(float) / _TWO53
+    u1[u1 <= 0.0] = 5e-324
+    pairs = zip(u1.tolist(), u2.tolist())
+    draws = [math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b) for a, b in pairs]
+    return draws[0] if scalar else np.array(draws).reshape(counters.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -120,72 +141,72 @@ class FaultSpec:
         if self.duration is not None and not self.duration > 0:
             raise ValueError("duration must be > 0 when given")
 
-    def active(self, t: float) -> bool:
-        if t < self.onset_t:
-            return False
-        return self.duration is None or t < self.onset_t + self.duration
+    def active(self, t: float | np.ndarray) -> bool | np.ndarray:
+        """Whether the fault acts at time ``t`` (elementwise for an array)."""
+        return (t >= self.onset_t) & (self.duration is None or t < self.onset_t + self.duration)
 
 
-@dataclass(frozen=True)
-class SensorState:
-    """Reproducible per-stream state threaded through :func:`apply_sensor`."""
+def sensor_terms(
+    model: SensorModel, fault: FaultSpec | None, seed: int, t: np.ndarray, chunk: int
+) -> Iterator[list[tuple[float, float, bool] | None]]:
+    """The value-independent part of every reading over the time grid ``t``.
 
-    seed: int = 0
-    counter: int = 0
-    prev_measured: float | None = None
-    hold_value: float | None = None
-    last_sample_t: float | None = None
-    last_output: float = 0.0
+    Yields one list per ``chunk`` samples of ``t``: ``None`` for a sample
+    between sensor ticks, else ``(noise, offset, window)`` for
+    :func:`apply_sensor`: sigma times the tick's draw, the bias-jump or
+    drift term, and whether a stuck or dropout window is open.  A tick is
+    the first sample at least ``sample_dt`` after the previous one, and
+    the n-th tick draws counter n.
+    """
+    spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
+    last_tick, drawn = -math.inf, 0
+    for start in range(0, len(t), chunk):
+        tc = t[start:start + chunk]
+        tick = np.ones(len(tc), dtype=bool)
+        if model.sample_dt > 0.0:
+            for i, ti in enumerate(tc.tolist()):
+                tick[i] = ti - last_tick >= spacing
+                last_tick = ti if tick[i] else last_tick
+        # -0.0 is the exact additive identity, so an absent term changes no reading.
+        noise, offset = np.full(len(tc), -0.0), np.full(len(tc), -0.0)
+        window = np.zeros(len(tc), dtype=bool)
+        if model.noise_sigma > 0.0:
+            count = int(np.count_nonzero(tick))
+            noise[tick] = model.noise_sigma * counter_gauss(seed, np.arange(drawn, drawn + count))
+            drawn += count
+        if fault is not None:
+            active = fault.active(tc)
+            if fault.kind is FaultKind.BIAS_JUMP:
+                offset[active] = fault.magnitude
+            elif fault.kind is FaultKind.DRIFT:
+                offset[active] = fault.magnitude * (tc[active] - fault.onset_t)
+            else:
+                window = active
+        terms = list(zip(noise.tolist(), offset.tolist(), window.tolist()))
+        if model.sample_dt > 0.0:
+            terms = [r if k else None for r, k in zip(terms, tick.tolist())]
+        yield terms
 
 
 def apply_sensor(
-    true_value: float,
-    model: SensorModel,
-    fault: FaultSpec | None,
-    t: float,
-    state: SensorState,
-) -> tuple[float, SensorState]:
-    """Measure one value; returns (measurement, next state).
+    true_value: float, model: SensorModel, noise: float = -0.0, offset: float = -0.0,
+    hold: float | None = None,
+) -> float:
+    """One reading at a sensor tick.
 
-    Pipeline: bias + noise, fault additives (bias jump, drift), then
-    quantization; STUCK and DROPOUT replace the result with the last
-    measurement taken before onset.  With ``sample_dt`` set, calls between
-    sensor ticks return the held previous output unchanged.
+    Adds the terms in the order ((true_value + bias) + noise) + offset,
+    quantizes, then a stuck or dropped-out sensor reads ``hold`` (the last
+    reading before its window opened) instead.  ``noise`` and ``offset``
+    come from :func:`sensor_terms`.
     """
-    if model.sample_dt > 0.0 and state.last_sample_t is not None:
-        # Half-step slack so accumulated float error cannot skip a tick.
-        if t - state.last_sample_t < model.sample_dt * (1.0 - 1e-9):
-            return state.last_output, state
-
-    counter = state.counter
-    value = true_value + model.bias
-    if model.noise_sigma > 0.0:
-        value += model.noise_sigma * counter_gauss(state.seed, counter)
-        counter += 1
-
-    hold = state.hold_value
-    if fault is not None and fault.active(t):
-        if fault.kind is FaultKind.BIAS_JUMP:
-            value += fault.magnitude
-        elif fault.kind is FaultKind.DRIFT:
-            value += fault.magnitude * (t - fault.onset_t)
-
-    if model.quantization_step > 0.0:
-        value = round(value / model.quantization_step) * model.quantization_step
-
-    if fault is not None and fault.active(t) and fault.kind in (FaultKind.STUCK, FaultKind.DROPOUT):
-        if hold is None:
-            hold = state.prev_measured if state.prev_measured is not None else value
-        value = hold
-
-    return value, replace(
-        state,
-        counter=counter,
-        prev_measured=value,
-        hold_value=hold,
-        last_sample_t=t,
-        last_output=value,
-    )
+    value = true_value + model.bias + noise + offset
+    step = model.quantization_step
+    if step > 0.0:
+        try:
+            value = round(value / step) * step
+        except OverflowError:
+            pass  # too large to count in steps: already coarser than one
+    return value if hold is None else hold
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ under a zero-order hold of that command through the
 :func:`~rollsim.lti.zoh_step_matrices` map x+ = M x + N u, the same
 discretisation open-loop runs use.
 
-A linear loop (ideal sensor, no fault, no saturation) is one linear
-recurrence over the plant state and the controller memory, so it is
-propagated in closed form by :func:`~rollsim.lti.propagate`; its maps
-come from applying that same step to unit states.  Nonlinear loops are
-stepped one sample at a time.
+One loop step is linear in z = [x, integral, prev_error,
+prev_derivative, u_prev] and the error: z+ = F z + g e, y_true = h z,
+with maps built by applying the step to unit states.  A linear loop
+(ideal sensor, no fault, no saturation) closes them with e = sp - y_true
+and is propagated in closed form by :func:`~rollsim.lti.propagate`.  A
+nonlinear loop runs one small product per sample; only the sensor
+reading and the output clamp, which depend on the previous sample, are
+evaluated in between.
 
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is linear.
@@ -24,6 +27,7 @@ under both the ideal and the filtered derivative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -31,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .faults import FaultSpec, SensorModel, SensorState, apply_sensor
+from .faults import FaultSpec, SensorModel, apply_sensor, sensor_terms
 from .lti import (
     ResponseMetrics,
     SimConfig,
@@ -39,6 +43,7 @@ from .lti import (
     StateSpaceModel,
     TimeSeries,
     TransferFunction,
+    poly_trim,
     polynomial_roots,
     propagate,
     response_metrics,
@@ -49,7 +54,14 @@ from .lti import (
     tf_to_state_space,
     zoh_step_matrices,
 )
-from .pid import PidGains, PidState, characteristic_polynomial, pid_rational_terms, pid_step
+from .pid import (
+    PidGains,
+    PidState,
+    characteristic_polynomial,
+    pid_rational_terms,
+    pid_step,
+    saturate,
+)
 from .plants import (
     KinematicsMode,
     PowerScrewParams,
@@ -173,8 +185,15 @@ def classify_polynomial_stability(
 
     Max real part below -tol is stable, above +tol unstable, otherwise
     marginal (roots on or numerically indistinguishable from the axis).
+    A nonzero constant has no roots and is stable; the zero polynomial
+    has no verdict and raises ``ValueError``.
     """
-    roots = polynomial_roots(coeffs)
+    c = poly_trim(coeffs)
+    if len(c) == 1:
+        if c[0] == 0.0:
+            raise ValueError("the zero polynomial has no stability verdict")
+        return StabilityVerdict.POLES_STABLE
+    roots = polynomial_roots(c)
     max_re = float(np.max(roots.real))
     if max_re < -tol:
         return StabilityVerdict.POLES_STABLE
@@ -259,7 +278,8 @@ def _analysis(spec: LoopSpec) -> tuple[StabilityVerdict | None, np.ndarray | Non
         return None, None, None
     ctrl_num, ctrl_den = pid_rational_terms(spec.gains)
     char = characteristic_polynomial(ctrl_num, ctrl_den, spec.plant)
-    verdict = classify_polynomial_stability(char)
+    # 1 + C G = 0 identically: the loop equation is singular.
+    verdict = classify_polynomial_stability(char) if np.any(char) else None
     closed: TransferFunction | None
     try:
         closed = tf_new(np.polymul(ctrl_num, spec.plant.num), char)
@@ -268,89 +288,96 @@ def _analysis(spec: LoopSpec) -> tuple[StabilityVerdict | None, np.ndarray | Non
     return verdict, char, closed
 
 
-def _closed_loop_maps(
+def _loop_maps(
     spec: LoopSpec, ss: StateSpaceModel, m: np.ndarray, nvec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(F, G, H, J) of a linear loop over z = [x, integral, prev_error,
-    prev_derivative, u_prev]: z[k+1] = F z[k] + G sp[k] and
-    (y_true, error, u)[k] = H z[k] + J sp[k].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, g, h) of one unsaturated loop step over z = [x, integral,
+    prev_error, prev_derivative, u_prev] with the error as input:
+    z[k+1] = F z[k] + g e[k] and y_true[k] = h z[k].
 
     Each column is one loop step, the plant's step map and
-    :func:`~rollsim.pid.pid_step`, applied to a unit state or to a unit
-    setpoint, so the control law is written only once.
+    :func:`~rollsim.pid.pid_step` with the output limits lifted, applied
+    to a unit state or to a unit error, so the control law stays written
+    once.  Direct feedthrough uses the previous command: the measurement
+    must exist before the current command does.
     """
-    n, c_row, d_term = ss.n, ss.C.ravel(), ss.D
+    n = ss.n
+    gains = replace(spec.gains, output_min=None, output_max=None)
+
+    def step(z: np.ndarray, err: float) -> list:
+        u, pid = pid_step(PidState(*z[n:-1]), err, spec.sim.dt, gains)
+        return [*(m @ z[:n] + nvec * u), pid.integral, pid.prev_error, pid.prev_derivative, u]
+
     size = n + 4
+    columns = np.array([step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]).T
+    return columns[:, :size], columns[:, size], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
 
-    def step(z: np.ndarray, sp: float) -> tuple[list, list]:
-        x = z[:n]
-        y_true = float(c_row @ x) + d_term * z[-1]
-        err = sp - y_true
-        u, pid = pid_step(PidState(*z[n:-1]), err, spec.sim.dt, spec.gains)
-        nxt = [*(m @ x + nvec * u), pid.integral, pid.prev_error, pid.prev_derivative, u]
-        return nxt, [y_true, err, u]
 
-    columns = [step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]
-    nxt = np.array([c[0] for c in columns]).T
-    out = np.array([c[1] for c in columns]).T
-    return nxt[:, :size], nxt[:, size], out[:, :size], out[:, size]
+_CHUNK = 1024  # samples whose sensor terms and channel values are held as Python lists
 
 
 def _stepped(
-    spec: LoopSpec, ss: StateSpaceModel, m: np.ndarray, nvec: np.ndarray, t: np.ndarray, sp: np.ndarray
+    spec: LoopSpec, maps: tuple, m: np.ndarray, nvec: np.ndarray, t: np.ndarray, sp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Step the loop one sample at a time through the sensor/fault path.
+    """Step a nonlinear loop through the sensor/fault path and the clamp.
 
     Returns (y_true, y_measured, error, u, end): the channels are valid
     up to ``end``, the first sample with a non-finite plant state or
     output (``len(t)`` when there is none).
     """
-    steps = len(t) - 1
-    y_out = np.empty(steps + 1)
-    ym_out = np.empty(steps + 1)
-    e_out = np.empty(steps + 1)
-    u_out = np.empty(steps + 1)
-
-    x = np.zeros(ss.n)
-    pid_state = PidState()
-    sensor_state = SensorState(seed=spec.seed)
-    sensor = spec.sensor
-    fault = spec.fault
-    needs_sensor = sensor is not None or fault is not None
-    model = sensor if sensor is not None else SensorModel()
-    c_row, d_term = ss.C.ravel(), ss.D
-    dt, gains = spec.sim.dt, spec.gains
-    setpoints = sp.tolist()  # Python floats keep the per-step arithmetic fast
-    u_prev = 0.0
-
-    end = steps + 1
+    f, g, h = maps
+    size = len(g)
+    n = size - 4
+    # [z; y_true][k+1] = step_map [z; e][k]: one product per sample.
+    step_map = np.vstack([np.column_stack([f, g]), np.append(h @ f, h @ g)])
+    cur, nxt = np.zeros(size + 1), np.zeros(size + 1)
+    out = np.empty((len(t), 4))  # y_true, y_measured, error, u
+    measured = spec.sensor is not None or spec.fault is not None
+    model = spec.sensor if spec.sensor is not None else SensorModel()
+    terms = sensor_terms(model, spec.fault, spec.seed, t, _CHUNK) if measured else None
+    gains, clamps, dot = spec.gains, spec.gains.saturates, np.dot
+    ym = held = None
+    end = len(t)
     # Overflow in an unstable loop is how divergence is detected, not noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            tk = t[k]
-            # Direct feedthrough uses the previous command: the measurement
-            # must exist before the current command does.
-            y_true = (float(c_row @ x) if ss.n else 0.0) + d_term * u_prev
-            if not math.isfinite(y_true):
-                # Output projection can overflow a step before the state does.
-                end = k
-                break
-            if needs_sensor:
-                y_meas, sensor_state = apply_sensor(y_true, model, fault, tk, sensor_state)
-            else:
-                y_meas = y_true
-            err = setpoints[k] - y_meas
-            u, pid_state = pid_step(pid_state, err, dt, gains)
-            y_out[k], ym_out[k], e_out[k], u_out[k] = y_true, y_meas, err, u
-            if k == steps:
-                break
-            if ss.n:
-                x = m @ x + nvec * u
-                if not np.all(np.isfinite(x)):
-                    end = k + 1
+        for start in range(0, len(t), _CHUNK):
+            rows = []
+            readings = next(terms) if measured else itertools.repeat(None)
+            for setpoint, term in zip(sp[start:start + _CHUNK].tolist(), readings):
+                y = cur.item(size)
+                if not math.isfinite(y):
+                    end = start + len(rows) // 4
                     break
-            u_prev = u
-    return y_out, ym_out, e_out, u_out, end
+                if not measured:
+                    ym = y
+                elif term is not None:  # a sensor tick; in between, the last reading holds
+                    noise, offset, window = term
+                    if window and held is None:
+                        held = ym  # None until the first reading
+                    ym = apply_sensor(y, model, noise, offset, held if window else None)
+                e = setpoint - ym
+                cur[size] = e
+                dot(step_map, cur, out=nxt)
+                if clamps:
+                    u_lin = nxt.item(size - 1)
+                    u_out, discard = saturate(u_lin, e, gains)
+                    if u_out != u_lin:
+                        nxt[:n] = m @ cur[:n] + nvec * u_out
+                        nxt[size - 1] = u_out
+                        if discard:
+                            nxt[n] = cur[n]
+                        nxt[size] = h @ nxt[:size]
+                cur, nxt = nxt, cur
+                rows += (y, ym, e, cur.item(size - 1))
+            out[start:start + len(rows) // 4] = np.reshape(rows, (-1, 4))
+            if end < len(t):
+                # y is read a step ahead of z: a plant state (or command) that
+                # overflowed while its output did not ends the run there.
+                if n and not (np.all(np.isfinite(nxt[:n])) and math.isfinite(nxt[size - 1])):
+                    end -= 1
+                break
+    y_true, y_meas, err, u = out.T.copy()
+    return y_true, y_meas, err, u, end
 
 
 def simulate_loop(spec: LoopSpec) -> LoopResult:
@@ -358,11 +385,12 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
 
     Per step: evaluate setpoint, measure the plant output through the
     sensor/fault path, form the error, run :func:`~rollsim.pid.pid_step`,
-    and hold the command over the next integration step.  A linear spec
-    runs the same steps in closed form through
-    :func:`~rollsim.lti.propagate`.  The first sample with a non-finite
-    plant state or output flags the result diverged at its time, and the
-    series ends just before it.
+    and hold the command over the next integration step.  Both paths run
+    that step as the maps of :func:`_loop_maps`: a linear spec in closed
+    form through :func:`~rollsim.lti.propagate`, a nonlinear one sample by
+    sample.  The first sample with a non-finite plant state or output
+    flags the result diverged at its time, and the series ends just
+    before it.
     """
     ss = tf_to_state_space(spec.plant)
     cfg = spec.sim
@@ -371,16 +399,18 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
     t = np.arange(steps + 1) * cfg.dt
     sp = spec.setpoint.values(t)
 
+    maps = _loop_maps(spec, ss, m, nvec)
     if spec.is_linear:
-        f, g, h, j = _closed_loop_maps(spec, ss, m, nvec)
-        rows, end = propagate(f, g, sp, h, j)
+        f, g, h = maps
+        closed = f - np.outer(g, h)  # e = sp - h z
+        rows, end = propagate(closed, g, sp, np.array([h, -h, closed[-1]]), [0.0, 1.0, g[-1]])
         y_true, err, u = rows.T.copy()
         bad_output = np.flatnonzero(~np.isfinite(y_true))
         if bad_output.size:
             end = int(bad_output[0])
         y_meas = y_true
     else:
-        y_true, y_meas, err, u, end = _stepped(spec, ss, m, nvec, t, sp)
+        y_true, y_meas, err, u, end = _stepped(spec, maps, m, nvec, t, sp)
 
     diverged = end <= steps
     series = TimeSeries(

@@ -30,6 +30,7 @@ __all__ = [
     "pid_rational_terms",
     "pid_step",
     "pid_tf",
+    "saturate",
 ]
 
 
@@ -105,19 +106,23 @@ def pid_step(
         t_f = 0.0 if math.isinf(gains.derivative_filter_n) else 1.0 / gains.derivative_filter_n
         derivative = (t_f * state.prev_derivative + (error - state.prev_error)) / (t_f + dt)
 
-    u = gains.kp * error + gains.ki * integral + gains.kd * derivative
-
-    lo, hi = gains.output_min, gains.output_max
-    if hi is not None and u > hi:
-        u = hi
-        if error > 0.0:
-            integral = state.integral
-    elif lo is not None and u < lo:
-        u = lo
-        if error < 0.0:
-            integral = state.integral
+    u, discard = saturate(gains.kp * error + gains.ki * integral + gains.kd * derivative, error, gains)
+    if discard:
+        integral = state.integral
 
     return u, PidState(integral=integral, prev_error=error, prev_derivative=derivative)
+
+
+def saturate(u: float, error: float, gains: PidGains) -> tuple[float, bool]:
+    """Clamp an output to the gains' limits: (output, discard), where
+    ``discard`` drops this step's integrator update (conditional
+    integration: the output is pinned in the direction of the error)."""
+    lo, hi = gains.output_min, gains.output_max
+    if hi is not None and u > hi:
+        return hi, error > 0.0
+    if lo is not None and u < lo:
+        return lo, error < 0.0
+    return u, False
 
 
 def pid_rational_terms(gains: PidGains) -> tuple[np.ndarray, np.ndarray]:

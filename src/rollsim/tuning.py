@@ -171,11 +171,6 @@ def _grid_axis(lo: float, hi: float, points: int, count: int) -> list[float]:
     return values
 
 
-def _grid_eval(args: tuple[TuneSpec, tuple[float, float, float]]) -> float:
-    spec, triple = args
-    return loop_cost(_with_gains(spec, triple), spec.cost_kind)
-
-
 def tune_pid(
     spec: TuneSpec,
     cost_fn: Callable[[LoopSpec, CostKind], float] = loop_cost,
@@ -194,9 +189,9 @@ def tune_pid(
     lowest (kp, ki, kd).
 
     ``cost_fn`` is injectable for testing; the default simulates the loop.
-    ``jobs`` > 1 fans grid evaluations out over processes (cost
-    evaluations are pure, and the merge keeps candidate order, so the
-    history is identical to a serial run).
+    ``jobs`` is accepted and ignored: evaluations run in this process,
+    because a process pool cost more to start than the evaluations it
+    shared out.
     """
     bounds = spec.bounds
     history: list[tuple[PidGains, float]] = []
@@ -221,17 +216,8 @@ def tune_pid(
             point for point in itertools.chain([start], itertools.product(*axes))
             if point not in seen and not seen.add(point)
         )
-        candidates = list(itertools.islice(fresh, spec.max_evals))
-        if jobs > 1 and cost_fn is loop_cost:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                costs = pool.map(_grid_eval, [(spec, c) for c in candidates])
-            for point, cost in zip(candidates, costs):
-                history.append((_with_gains(spec, point).gains, cost))
-        else:
-            for point in candidates:
-                evaluate(point)
+        for point in itertools.islice(fresh, spec.max_evals):
+            evaluate(point)
     else:
         _nelder_mead(evaluate, start, bounds, spec.max_evals, history)
 

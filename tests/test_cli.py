@@ -3,13 +3,16 @@ errors, overrides, and reuse of the multibody demo's filtered loop."""
 
 import copy
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import rollsim.cli as cli
 import rollsim.loops as loops
+from rollsim.lti import TimeSeries
 from rollsim.scenario import parse_scenario_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -202,3 +205,81 @@ def test_ramp_that_overflows_after_the_horizon_runs(tmp_path):
     path = tmp_path / "ramp.yaml"
     path.write_text(_SIM + _OVERFLOWING_RAMP + "  sim: {t_end: 3.0}\n", encoding="utf-8")
     assert cli.run(parse_scenario_file(str(path)), out_prefix=str(tmp_path / "out")).exit_code == cli.EXIT_OK
+
+
+def _reference_series_csv(path: Path, series) -> None:
+    """The per-value writer the chunked one must match byte for byte."""
+    columns = ["t", "setpoint", "y_true", "y_measured", "error", "u"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        data = [series.t] + [series[c] for c in columns[1:]]
+        for row in zip(*data):
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+
+
+def test_series_csv_bytes_match_the_per_value_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = 1024 * 2 + 17  # two full chunks and a partial one
+    special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+               1e-310, 1.7976931348623157e308, 123456789012.5, 1e-5, 0.1 + 0.2]
+    channels = {}
+    for i, name in enumerate(["setpoint", "y_true", "y_measured", "error", "u"]):
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+        values[i::len(special)][: len(special)] = special
+        channels[name] = values
+    series = TimeSeries(t=np.arange(rows) * 1e-3, channels=channels)
+    cli._write_series_csv(tmp_path / "chunked.csv", series)
+    _reference_series_csv(tmp_path / "reference.csv", series)
+    written = (tmp_path / "chunked.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert b"-0," in written and b"nan" in written and b"-inf" in written and b"e-324" in written
+
+
+_PURE_GAIN = """\
+kind: simulate
+simulate:
+  plant: {{kind: tf, num: [{num}], den: [1.0]}}
+  controller: {{kp: 1.0}}
+  sim: {{dt: 0.01, t_end: 1.0}}
+"""
+
+
+@pytest.mark.parametrize("num, verdict", [(2.0, "poles_stable"), (-1.0, None)], ids=["constant", "zero"])
+def test_loop_with_a_constant_characteristic_polynomial_runs(tmp_path, capsys, num, verdict):
+    # 1 + 2 = 3 has no poles; 1 + (-1) = 0 makes the loop equation singular.
+    path = tmp_path / "gain.yaml"
+    path.write_text(_PURE_GAIN.format(num=num), encoding="utf-8")
+    out = tmp_path / "gain"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert _valid_report(out.with_suffix(".json"))["results"]["stability_verdict"] == verdict
+
+
+def test_diverging_quantized_loop_exits_2_with_partial_outputs(tmp_path, capsys):
+    path = tmp_path / "unstable.yaml"
+    path.write_text(
+        "kind: simulate\nsimulate:\n"
+        "  plant: {kind: tf, num: [1.0], den: [1.0, -60.0]}\n"
+        "  controller: {kp: 1.0}\n"
+        "  sensor: {noise_sigma: 1.0e-6, quantization_step: 1.0e-6}\n"
+        "  sim: {dt: 0.01, t_end: 30.0}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "unstable"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DIVERGED
+    assert "Traceback" not in capsys.readouterr().err
+    results = _valid_report(out.with_suffix(".json"))["results"]
+    assert results["diverged"] and 0.0 < results["divergence_time"] < 30.0
+
+
+def test_jobs_is_accepted_and_runs_no_process_pool(tmp_path, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("tuning started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    out = tmp_path / "tune"
+    args = ["tune", "--scenario", str(SCENARIOS / "tune_speed_grid.yaml"), "--out", str(out), "--jobs", "3"]
+    assert cli.main(args) == cli.EXIT_OK
+    assert _valid_report(out.with_suffix(".json"))["results"]["evals"] > 1

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rollsim.faults import FaultSpec, SensorModel
+import rollsim.loops as loops
+from rollsim.faults import FaultKind, FaultSpec, SensorModel, counter_gauss
 from rollsim.loops import (
+    LoopResult,
     LoopSpec,
     MULTIBODY_REFERENCE_GAINS,
     Segment,
@@ -21,8 +23,8 @@ from rollsim.loops import (
     speed_loop,
     thickness_loop,
 )
-from rollsim.lti import RouthVerdict, SimConfig, dc_gain, tf_new
-from rollsim.pid import PidGains
+from rollsim.lti import RouthVerdict, SimConfig, dc_gain, tf_new, tf_to_state_space, zoh_step_matrices
+from rollsim.pid import PidGains, PidState, pid_step
 from rollsim.plants import KinematicsMode, PowerScrewParams, RollDriveParams
 
 
@@ -286,9 +288,7 @@ def assert_same_run(closed, stepped):
         )
 
 
-# A P controller around a pure gain has a constant characteristic
-# polynomial, which the pole analysis cannot classify; that pair is left out.
-PAIRS = [(p, c) for p in PLANTS for c in CONTROLLERS if (p, c) != ("gain", "p")]
+PAIRS = [(p, c) for p in PLANTS for c in CONTROLLERS]
 
 
 @pytest.mark.parametrize("plant, controller", PAIRS, ids=[f"{p}-{c}" for p, c in PAIRS])
@@ -320,6 +320,153 @@ def test_closed_form_diverges_where_the_step_loop_does(kp):
     closed = simulate_loop(spec)
     assert closed.diverged
     assert_same_run(closed, simulate_loop(stepped_twin(spec)))
+
+
+# ---------------------------------------------------------------------------
+# Nonlinear loops against a plain-Python stepper
+# ---------------------------------------------------------------------------
+
+def reference_loop(spec: LoopSpec):
+    """The loop one sample at a time in plain Python: the plant's step map,
+    ``pid_step`` per sample, and a sensor that keeps its own tick time,
+    draw counter and hold.  Returns (t, rows of (y_true, y_measured,
+    error, u), end) with ``end`` the first sample whose plant state or
+    output is not finite."""
+    ss = tf_to_state_space(spec.plant)
+    cfg = spec.sim
+    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    t = np.arange(cfg.steps + 1) * cfg.dt
+    sp = spec.setpoint.values(t).tolist()
+    model = spec.sensor if spec.sensor is not None else SensorModel()
+    fault = spec.fault
+    measured = spec.sensor is not None or fault is not None
+    x, pid, u_prev = np.zeros(ss.n), PidState(), 0.0
+    counter, last_t, last_out, hold = 0, None, None, None
+    rows, end = [], len(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, tk in enumerate(t.tolist()):
+            y = (float(ss.C.ravel() @ x) if ss.n else 0.0) + ss.D * u_prev
+            if not math.isfinite(y):
+                end = k
+                break
+            ym = y
+            if measured:
+                if last_t is None or not tk - last_t < model.sample_dt * (1.0 - 1e-9):
+                    value = y + model.bias
+                    if model.noise_sigma > 0.0:
+                        value += model.noise_sigma * counter_gauss(spec.seed, counter)
+                        counter += 1
+                    active = fault is not None and fault.onset_t <= tk and (
+                        fault.duration is None or tk < fault.onset_t + fault.duration
+                    )
+                    if active and fault.kind is FaultKind.BIAS_JUMP:
+                        value += fault.magnitude
+                    elif active and fault.kind is FaultKind.DRIFT:
+                        value += fault.magnitude * (tk - fault.onset_t)
+                    if model.quantization_step > 0.0:
+                        value = round(value / model.quantization_step) * model.quantization_step
+                    if active and fault.kind in (FaultKind.STUCK, FaultKind.DROPOUT):
+                        hold = (last_out if last_out is not None else value) if hold is None else hold
+                        value = hold
+                    last_t, last_out = tk, value
+                ym = last_out
+            e = sp[k] - ym
+            u, pid = pid_step(pid, e, cfg.dt, spec.gains)
+            rows.append((y, ym, e, u))
+            if k == len(t) - 1:
+                break
+            if ss.n:
+                x = m @ x + nvec * u
+                if not np.all(np.isfinite(x)):
+                    end = k + 1
+                    break
+            u_prev = u
+    return t, np.array(rows).reshape(-1, 4)[:end], end
+
+
+def assert_matches_reference(spec: LoopSpec) -> LoopResult:
+    result = simulate_loop(spec)
+    t, rows, end = reference_loop(spec)
+    assert result.diverged == (end < len(t))
+    assert result.divergence_time == (float(t[end]) if end < len(t) else None)
+    assert len(result.series) == end
+    np.testing.assert_array_equal(result.series.t, t[:end])
+    for i, name in enumerate(("y_true", "y_measured", "error", "u")):
+        np.testing.assert_allclose(result.series[name], rows[:, i], rtol=1e-9, atol=1e-12, err_msg=name)
+    return result
+
+
+def noisy(rng):
+    return SensorModel(noise_sigma=rng.uniform(1e-3, 1e-2), quantization_step=rng.uniform(1e-3, 4e-3))
+
+
+def slow(rng):
+    return SensorModel(noise_sigma=rng.uniform(1e-3, 1e-2), bias=rng.uniform(-0.1, 0.1),
+                       sample_dt=rng.uniform(2e-3, 2e-2))
+
+
+def limits(rng):
+    return dict(output_min=-rng.uniform(0.2, 0.5), output_max=rng.uniform(0.4, 0.8))
+
+
+# (sensor, fault kind, output limits) per case; each fault kind appears,
+# with and without a slow sample clock, and with limits that bind.
+SENSOR_CASES = {
+    "quantized_stuck": (noisy, "stuck", None),
+    "slow_bias_jump": (slow, "bias_jump", None),
+    "quantized_drift_clamped": (noisy, "drift", limits),
+    "slow_dropout_clamped": (slow, "dropout", limits),
+    "clamped_only": (None, None, limits),
+    "fault_only": (None, "bias_jump", None),
+}
+
+
+@pytest.mark.parametrize("case", SENSOR_CASES)
+@pytest.mark.parametrize("plant", PLANTS)
+def test_nonlinear_loop_matches_the_reference_stepper(plant, case):
+    rng = np.random.default_rng(sorted(PLANTS).index(plant) * 10 + sorted(SENSOR_CASES).index(case))
+    sensor, kind, bounds = SENSOR_CASES[case]
+    gains = CONTROLLERS[sorted(CONTROLLERS)[rng.integers(len(CONTROLLERS))]](rng)
+    if bounds is not None:
+        gains = replace(gains, **bounds(rng))
+    fault = None if kind is None else FaultSpec(
+        kind=kind, onset_t=float(rng.uniform(0.5, 1.0)),
+        magnitude=float(rng.uniform(0.05, 0.2)), duration=0.5 if kind == "dropout" else None,
+    )
+    spec = LoopSpec(
+        plant=PLANTS[plant](rng), gains=gains, setpoint=PROFILES["ramp_hold"],
+        sensor=None if sensor is None else sensor(rng), fault=fault,
+        seed=int(rng.integers(2**31)), sim=SimConfig(dt=1e-3, t_end=2.0),
+    )
+    result = assert_matches_reference(spec)
+    assert not result.diverged
+    if bounds is not None:
+        assert np.any(result.series["u"] == gains.output_max)
+
+
+@pytest.mark.parametrize("gains", [
+    PidGains(kp=40.0),  # a growing oscillation
+    PidGains(kp=1.0, ki=0.5, output_min=-1.0, output_max=1.0),  # limits too weak to hold it
+], ids=["oscillating", "clamped"])
+def test_diverging_noisy_loop_matches_the_reference_stepper(gains):
+    spec = LoopSpec(
+        plant=tf_new([1.0], [1.0, -60.0]), gains=gains, setpoint=SetpointProfile.step(1.0),
+        sensor=SensorModel(noise_sigma=0.01), seed=5, sim=SimConfig(dt=1e-2, t_end=30.0),
+    )
+    assert assert_matches_reference(spec).diverged
+
+
+def test_nonlinear_loop_derives_its_maps_once(monkeypatch):
+    calls = []
+    original = loops.pid_step
+    monkeypatch.setattr(loops, "pid_step", lambda *a: calls.append(a) or original(*a))
+    spec = LoopSpec(
+        plant=tf_new([1.0], [1.0, 3.0, 2.0]), gains=PidGains(kp=2.0, ki=1.0, output_max=0.5),
+        setpoint=SetpointProfile.step(1.0), sensor=SensorModel(noise_sigma=0.01),
+        sim=SimConfig(dt=1e-3, t_end=5.0),
+    )
+    simulate_loop(spec)
+    assert len(calls) == 2 + 4 + 1  # nz + 1 unit steps, nz = plant order + 4
 
 
 def test_nonlinear_paths_withhold_verdict():
