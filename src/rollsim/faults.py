@@ -11,7 +11,9 @@ A reading splits in two.  What does not depend on the measured value
 term and the stuck/dropout window) is a function of the time grid alone,
 computed with numpy a chunk of samples at a time by :func:`sensor_terms`.
 What does, adding those terms to the value, quantizing and holding, is
-:func:`apply_sensor`, called once per sample by the loop.
+:func:`apply_sensor`.  The loop calls it on one reading at a time when it
+steps sample by sample, and on a whole block of readings at once when it
+verifies a block (see :mod:`rollsim.loops`).
 
 Randomness is a pure function of (seed, draw counter) via a splitmix64
 bit mixer feeding Box-Muller, and the n-th tick of a run draws counter n,
@@ -65,8 +67,10 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
 
     ``counter`` is an int, giving a float, or an integer array, giving an
     array of draws of the same shape.  The bit mixing runs in numpy
-    ``uint64``; ``log`` and ``cos`` stay ``math`` calls per element,
-    because numpy's differ from them in the last ulp on some inputs.
+    ``uint64``.  ``log`` and ``cos`` stay ``math`` calls mapped over the
+    elements, because numpy's differ from them in the last ulp on some
+    inputs; the scaling, ``sqrt`` and product are correctly rounded IEEE
+    operations, so numpy gives the same bits for them.
     """
     scalar = np.ndim(counter) == 0
     counters = np.atleast_1d(
@@ -76,9 +80,10 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     u1 = (_splitmix64(base) >> np.uint64(11)).astype(float) / _TWO53
     u2 = (_splitmix64(base + np.uint64(1)) >> np.uint64(11)).astype(float) / _TWO53
     u1[u1 <= 0.0] = 5e-324
-    pairs = zip(u1.tolist(), u2.tolist())
-    draws = [math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b) for a, b in pairs]
-    return draws[0] if scalar else np.array(draws).reshape(counters.shape)
+    log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
+    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, len(u2))
+    draws = np.sqrt(-2.0 * log_u1) * cos_u2
+    return float(draws[0]) if scalar else draws.reshape(counters.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +153,15 @@ class FaultSpec:
 
 def sensor_terms(
     model: SensorModel, fault: FaultSpec | None, seed: int, t: np.ndarray, chunk: int
-) -> Iterator[list[tuple[float, float, bool] | None]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The value-independent part of every reading over the time grid ``t``.
 
-    Yields one list per ``chunk`` samples of ``t``: ``None`` for a sample
-    between sensor ticks, else ``(noise, offset, window)`` for
-    :func:`apply_sensor`: sigma times the tick's draw, the bias-jump or
-    drift term, and whether a stuck or dropout window is open.  A tick is
-    the first sample at least ``sample_dt`` after the previous one, and
+    Yields, per ``chunk`` samples of ``t``, the arrays ``(tick, noise,
+    offset, window)``: whether the sample is a sensor tick, and for
+    :func:`apply_sensor` sigma times the tick's draw, the bias-jump or
+    drift term, and whether a stuck or dropout window is open.  Between
+    ticks the last reading holds and the other three are not used.  A tick
+    is the first sample at least ``sample_dt`` after the previous one, and
     the n-th tick draws counter n.
     """
     spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
@@ -182,31 +188,37 @@ def sensor_terms(
                 offset[active] = fault.magnitude * (tc[active] - fault.onset_t)
             else:
                 window = active
-        terms = list(zip(noise.tolist(), offset.tolist(), window.tolist()))
-        if model.sample_dt > 0.0:
-            terms = [r if k else None for r, k in zip(terms, tick.tolist())]
-        yield terms
+        yield tick, noise, offset, window
 
 
 def apply_sensor(
-    true_value: float, model: SensorModel, noise: float = -0.0, offset: float = -0.0,
-    hold: float | None = None,
-) -> float:
-    """One reading at a sensor tick.
+    true_value: float | np.ndarray, model: SensorModel, noise: float | np.ndarray = -0.0,
+    offset: float | np.ndarray = -0.0, hold: float | None = None,
+) -> float | np.ndarray:
+    """One reading at a sensor tick, or elementwise a block of them.
 
     Adds the terms in the order ((true_value + bias) + noise) + offset,
     quantizes, then a stuck or dropped-out sensor reads ``hold`` (the last
     reading before its window opened) instead.  ``noise`` and ``offset``
-    come from :func:`sensor_terms`.
+    come from :func:`sensor_terms`.  For arrays, every element reads a
+    given ``hold``.
     """
     value = true_value + model.bias + noise + offset
     step = model.quantization_step
     if step > 0.0:
-        try:
-            value = round(value / step) * step
-        except OverflowError:
-            pass  # too large to count in steps: already coarser than one
-    return value if hold is None else hold
+        if isinstance(value, np.ndarray):
+            with np.errstate(over="ignore"):
+                scaled = value / step
+            # Too large to count in steps: already coarser than one, read as is.
+            value = np.where(np.isfinite(scaled), np.round(scaled) * step, value)
+        else:
+            try:
+                value = round(value / step) * step
+            except OverflowError:
+                pass  # too large to count in steps: already coarser than one
+    if hold is None:
+        return value
+    return np.full(value.shape, hold) if isinstance(value, np.ndarray) else hold
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,21 @@ discretisation open-loop runs use.
 
 One loop step is linear in z = [x, integral, prev_error,
 prev_derivative, u_prev] and the error: z+ = F z + g e, y_true = h z,
-with maps built by applying the step to unit states.  A linear loop
-(ideal sensor, no fault, no saturation) closes them with e = sp - y_true
-and is propagated in closed form by :func:`~rollsim.lti.propagate`.  A
-nonlinear loop runs one small product per sample; only the sensor
-reading and the output clamp, which depend on the previous sample, are
-evaluated in between.
+with maps built by applying the step to unit states.  A loop runs those
+maps by one of three routes:
+
+- closed form: a linear loop (ideal sensor, no fault, no saturation)
+  closes them with e = sp - y_true and is propagated by
+  :func:`~rollsim.lti.propagate`;
+- verified blocks: a loop whose sensor reads every sample and whose
+  controller has no output limits is computed in closed form a block at
+  a time from a guess of its readings, which one array call of
+  :func:`~rollsim.faults.apply_sensor` then checks and corrects;
+- stepped: any other loop (output limits, a slower sensor clock) runs one
+  small product per sample, and only the sensor reading and the output
+  clamp, which depend on the previous sample, are evaluated in between.
+  A verified block that does not settle in a few rounds is finished
+  this way.
 
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is linear.
@@ -313,45 +322,80 @@ def _loop_maps(
     return columns[:, :size], columns[:, size], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
 
 
-_CHUNK = 1024  # samples whose sensor terms and channel values are held as Python lists
+_CHUNK = 1024  # samples whose sensor terms and channel values are held at once
+_BLOCK = 128  # samples per verified block
+_ROUNDS = 4  # verification rounds before a block is stepped instead
+# Largest open-loop growth over a block: the closed form sums terms that
+# large to get an output of the loop's own size, so each decade costs a digit.
+_GROWTH = 1e4
+_MIN_BLOCK = 16  # below this a block saves less than it costs to set up
 
 
-def _stepped(
-    spec: LoopSpec, maps: tuple, m: np.ndarray, nvec: np.ndarray, t: np.ndarray, sp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Step a nonlinear loop through the sensor/fault path and the clamp.
+class _Carry:
+    """Where a nonlinear run stands between two samples.
 
-    Returns (y_true, y_measured, error, u, end): the channels are valid
-    up to ``end``, the first sample with a non-finite plant state or
-    output (``len(t)`` when there is none).
+    ``cur`` is [z; y_true] of the next sample and ``prev`` the buffer of
+    the sample before it (its state and error); ``ym`` is the last reading
+    and ``held`` the value a stuck or dropped-out sensor reads, both None
+    until there is one.  Verified blocks do not update ``prev``: their
+    states are all finite, so when the stepper next looks one step back
+    for an overflowed state, a stale but finite buffer gives the same
+    answer.
     """
-    f, g, h = maps
-    size = len(g)
-    n = size - 4
-    # [z; y_true][k+1] = step_map [z; e][k]: one product per sample.
-    step_map = np.vstack([np.column_stack([f, g]), np.append(h @ f, h @ g)])
-    cur, nxt = np.zeros(size + 1), np.zeros(size + 1)
-    out = np.empty((len(t), 4))  # y_true, y_measured, error, u
-    measured = spec.sensor is not None or spec.fault is not None
-    model = spec.sensor if spec.sensor is not None else SensorModel()
-    terms = sensor_terms(model, spec.fault, spec.seed, t, _CHUNK) if measured else None
-    gains, clamps, dot = spec.gains, spec.gains.saturates, np.dot
-    ym = held = None
-    end = len(t)
-    # Overflow in an unstable loop is how divergence is detected, not noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(t), _CHUNK):
-            rows = []
-            readings = next(terms) if measured else itertools.repeat(None)
-            for setpoint, term in zip(sp[start:start + _CHUNK].tolist(), readings):
+
+    def __init__(self, size: int) -> None:
+        self.cur, self.prev = np.zeros(size + 1), np.zeros(size + 1)
+        self.ym: float | None = None
+        self.held: float | None = None
+
+
+class _Stepper:
+    """A nonlinear loop one sample at a time: one product per sample of
+    [[F, g], [hF, hg]] (the next state and the next ``y_true`` at once),
+    with only the sensor reading and the output clamp in Python between."""
+
+    def __init__(self, spec: LoopSpec, maps: tuple, m: np.ndarray, nvec: np.ndarray) -> None:
+        f, g, h = maps
+        self.size = len(g)
+        self.step_map = np.vstack([np.column_stack([f, g]), np.append(h @ f, h @ g)])
+        self.h, self.m, self.nvec = h, m, nvec
+        self.gains = spec.gains
+        self.measured = spec.sensor is not None or spec.fault is not None
+        self.model = spec.sensor if spec.sensor is not None else SensorModel()
+
+    def run(self, carry: _Carry, sp: np.ndarray, terms: tuple | None, out: np.ndarray) -> int:
+        """Step the samples of ``sp`` from ``carry``, writing their
+        y_true, y_measured, error and u to the rows of ``out``; ``terms``
+        are their :func:`~rollsim.faults.sensor_terms`, None without a
+        sensor path.
+
+        Returns how many samples hold valid rows: ``len(sp)``, or fewer
+        when a plant state or output became non-finite (one fewer than
+        stepped, possibly -1, when the state overflowed a step before the
+        output did).
+        """
+        size, n = self.size, self.size - 4
+        step_map, h, m, nvec = self.step_map, self.h, self.m, self.nvec
+        model, gains, clamps, dot = self.model, self.gains, self.gains.saturates, np.dot
+        cur, nxt, ym, held = carry.cur, carry.prev, carry.ym, carry.held
+        readings = zip(*(a.tolist() for a in terms)) if terms is not None else itertools.repeat(None)
+        rows: list[float] = []
+        valid = len(sp)
+        # Overflow in an unstable loop is how divergence is detected, not noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for setpoint, term in zip(sp.tolist(), readings):
                 y = cur.item(size)
                 if not math.isfinite(y):
-                    end = start + len(rows) // 4
+                    valid = len(rows) // 4
+                    # y is read a step ahead of z: a plant state (or command) that
+                    # overflowed while its output did not ends the run there.
+                    if n and not (np.all(np.isfinite(nxt[:n])) and math.isfinite(nxt[size - 1])):
+                        valid -= 1
                     break
-                if not measured:
+                if term is None:
                     ym = y
-                elif term is not None:  # a sensor tick; in between, the last reading holds
-                    noise, offset, window = term
+                elif term[0]:  # a sensor tick; in between, the last reading holds
+                    _, noise, offset, window = term
                     if window and held is None:
                         held = ym  # None until the first reading
                     ym = apply_sensor(y, model, noise, offset, held if window else None)
@@ -369,15 +413,176 @@ def _stepped(
                         nxt[size] = h @ nxt[:size]
                 cur, nxt = nxt, cur
                 rows += (y, ym, e, cur.item(size - 1))
-            out[start:start + len(rows) // 4] = np.reshape(rows, (-1, 4))
-            if end < len(t):
-                # y is read a step ahead of z: a plant state (or command) that
-                # overflowed while its output did not ends the run there.
-                if n and not (np.all(np.isfinite(nxt[:n])) and math.isfinite(nxt[size - 1])):
-                    end -= 1
-                break
-    y_true, y_meas, err, u = out.T.copy()
-    return y_true, y_meas, err, u, end
+        out[:, :len(rows) // 4] = np.reshape(rows, (-1, 4)).T
+        carry.cur, carry.prev, carry.ym, carry.held = cur, nxt, ym, held
+        return valid
+
+
+def _powers(f: np.ndarray, count: int) -> np.ndarray:
+    """f^0 .. f^count stacked, by repeated doubling."""
+    size = len(f)
+    powers = np.empty((count + 1, size, size))
+    powers[0] = np.eye(size)
+    done = 1
+    while done <= count:
+        take = min(done, count + 1 - done)
+        ahead = powers[done - 1] @ f
+        np.dot(powers[:take].reshape(-1, size), ahead, out=powers[done:done + take].reshape(-1, size))
+        done += take
+    return powers
+
+
+def _radius(f: np.ndarray) -> float:
+    """Spectral radius of ``f``, estimated from the growth of its powers
+    from f^128 to f^256 (Gelfand's formula); NaN or inf when they overflow."""
+    power = f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(7):
+            power = power @ power
+        low, high = np.max(np.abs(power)), np.max(np.abs(power @ power))
+        return float((high / low) ** (1.0 / 128)) if low > 0.0 else 0.0
+
+
+def _block_map(
+    powers: np.ndarray, g: np.ndarray, row: np.ndarray, ahead: int, lags: np.ndarray
+) -> np.ndarray:
+    """The matrix taking [z; e] of a block to ``row`` times the state
+    ``ahead`` (0 or 1) samples after each of its samples: z[i + ahead] =
+    F^(i + ahead) z + sum_{l < i + ahead} F^(i + ahead - 1 - l) g e[l],
+    given ``powers`` F^0 .. F^L and ``lags`` i - l for each (i, l), or L
+    above the diagonal.
+    """
+    length, size = len(powers) - 1, len(g)
+    markov = np.zeros(length + 1)  # markov[length] is the zero above the diagonal
+    markov[1 - ahead:length] = (powers[:length - 1 + ahead] @ g) @ row
+    block = np.empty((length, size + length))
+    block[:, :size] = row @ powers[ahead:length + ahead]
+    block[:, size:] = markov[lags]
+    return block
+
+
+class _VerifiedBlocks:
+    """A loop whose sensor reads every sample and whose controller has no
+    limits, a block of samples at a time.
+
+    Only the reading depends on the measured value, and a reading depends
+    only on earlier errors.  From the block's start state z, a guess of
+    its readings gives its outputs in closed form, y[i] = h F^i z +
+    sum_{l<i} a[i-l] e[l] with the Markov parameters a[m] = h F^(m-1) g
+    of :func:`_loop_maps`; one :func:`~rollsim.faults.apply_sensor` call
+    then reads all of them again.  Where a reading changed the block is
+    recomputed with it, and read again, until none changes.  Each round
+    leaves every sample before its first changed reading final, so the
+    rounds end, and they end on the readings the stepper would take.
+
+    The guess is the loop closed through an unquantized sensor, so only
+    the quantizer's own error is left to correct.  Without a quantizer
+    that guess is exact, and in an open stuck or dropout window the
+    readings are the held value: both take one pass.  A block that needs
+    more than ``_ROUNDS`` rounds, or whose outputs are not finite, is
+    finished by the stepper from its last verified sample.
+    """
+
+    def __init__(self, maps: tuple, length: int, stepper: _Stepper) -> None:
+        f, g, h = maps
+        size = len(g)
+        self.size, self.length, self.stepper, self.h = size, length, stepper, h
+        last = np.zeros(size)
+        last[-1] = 1.0  # u is the next state's last entry
+        lags = np.subtract.outer(np.arange(length), np.arange(length))
+        lags[lags < 0] = length
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.powers = _powers(f, length)
+            self.impulse = self.powers[:length] @ g  # impulse[k] = F^k g
+            self.outputs = _block_map(self.powers, g, h, 0, lags)
+            self.commands = _block_map(self.powers, g, last, 1, lags)
+            self.guesses = _block_map(_powers(f - np.outer(g, h), length), g, h, 0, lags)
+        self.inputs = np.empty(size + length)  # [z; e] of the block in hand
+
+    @staticmethod
+    def fits(spec: LoopSpec, maps: tuple) -> int:
+        """Block length for a nonlinear ``spec``, 0 when it must be stepped.
+
+        A block is as long as neither the open loop nor the loop closed
+        through an unquantized sensor grows by more than ``_GROWTH`` over
+        it.  Open-loop growth costs the closed form digits; closed-loop
+        growth amplifies each quantization error, so the block would not
+        verify in a few rounds.
+        """
+        if spec.gains.saturates or (spec.sensor is not None and spec.sensor.sample_dt > 0.0):
+            return 0
+        f, g, h = maps
+        radius = max(_radius(f), _radius(f - np.outer(g, h)))
+        if not radius <= _GROWTH ** (1.0 / _MIN_BLOCK):  # also when the estimate overflowed
+            return 0
+        return _BLOCK if radius <= 1.0 else min(_BLOCK, int(math.log(_GROWTH) / math.log(radius)))
+
+    def run(self, carry: _Carry, sp: np.ndarray, terms: tuple, out: np.ndarray) -> int:
+        """As :meth:`_Stepper.run`, over blocks that never straddle a
+        window edge."""
+        window = terms[3]
+        if carry.ym is None and window[0]:
+            # No earlier reading to hold: the first sample reads as usual.
+            window = window.copy()
+            window[0] = False
+            terms = (*terms[:3], window)
+        edges = np.flatnonzero(window[1:] != window[:-1]) + 1
+        cuts = sorted({*range(0, len(sp), self.length), *edges.tolist(), len(sp)})
+        for a, b in zip(cuts, cuts[1:]):
+            if window[a] and carry.held is None:
+                carry.held = carry.ym
+            hold = carry.held if window[a] else None
+            done = a + self._block(carry, sp[a:b], terms[1][a:b], terms[2][a:b], hold, out[:, a:b])
+            if done < b:
+                stepped = self.stepper.run(carry, sp[done:b], tuple(x[done:b] for x in terms), out[:, done:b])
+                if stepped < b - done:
+                    return done + stepped
+        return len(sp)
+
+    def _block(
+        self, carry: _Carry, sp: np.ndarray, noise: np.ndarray, offset: np.ndarray,
+        hold: float | None, out: np.ndarray,
+    ) -> int:
+        """Verify one block from ``carry``; returns how many of its samples
+        are final and written (0 when the stepper must take all of it)."""
+        count, size, model = len(sp), self.size, self.stepper.model
+        columns = size + count
+        inputs = self.inputs[:columns]
+        inputs[:size] = carry.cur[:size]
+        errors = inputs[size:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(sp, model.bias + noise + offset, out=errors)
+            readings = apply_sensor(self.guesses[:count, :columns] @ inputs, model, noise, offset, hold)
+            np.subtract(sp, readings, out=errors)
+            y = self.outputs[:count, :columns] @ inputs
+            final = count
+            if model.quantization_step > 0.0 and hold is None:
+                for _ in range(_ROUNDS):
+                    again = apply_sensor(y, model, noise, offset)
+                    changed = np.flatnonzero(again != readings)
+                    final = int(changed[0]) if changed.size else count
+                    if final == count:
+                        break
+                    readings = again
+                    np.subtract(sp, readings, out=errors)
+                    y = self.outputs[:count, :columns] @ inputs
+            if final == 0:
+                return 0
+            used = inputs[:size + final]
+            u = self.commands[:final, :size + final] @ used
+            z_next = self.powers[final] @ used[:size] + used[size:] @ self.impulse[final - 1::-1]
+            # A sum is non-finite when a term is (or when it overflows: stepping
+            # then decides).
+            if not math.isfinite(y[:final].sum() + u.sum() + z_next.sum()):
+                return 0
+        out[0, :final] = y[:final]
+        out[1, :final] = readings[:final]
+        out[2, :final] = errors[:final]
+        out[3, :final] = u
+        carry.cur[:size] = z_next
+        carry.cur[size] = self.h @ z_next
+        carry.ym = readings.item(final - 1)
+        return final
 
 
 def simulate_loop(spec: LoopSpec) -> LoopResult:
@@ -385,12 +590,14 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
 
     Per step: evaluate setpoint, measure the plant output through the
     sensor/fault path, form the error, run :func:`~rollsim.pid.pid_step`,
-    and hold the command over the next integration step.  Both paths run
+    and hold the command over the next integration step.  Every route runs
     that step as the maps of :func:`_loop_maps`: a linear spec in closed
-    form through :func:`~rollsim.lti.propagate`, a nonlinear one sample by
-    sample.  The first sample with a non-finite plant state or output
-    flags the result diverged at its time, and the series ends just
-    before it.
+    form through :func:`~rollsim.lti.propagate`; a spec whose sensor reads
+    every sample and whose controller has no output limits in verified
+    blocks (:class:`_VerifiedBlocks`), which reproduce the stepper's
+    readings; any other spec sample by sample.  The first sample with a
+    non-finite plant state or output flags the result diverged at its
+    time, and the series ends just before it.
     """
     ss = tf_to_state_space(spec.plant)
     cfg = spec.sim
@@ -410,7 +617,23 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
             end = int(bad_output[0])
         y_meas = y_true
     else:
-        y_true, y_meas, err, u, end = _stepped(spec, maps, m, nvec, t, sp)
+        stepper = _Stepper(spec, maps, m, nvec)
+        length = _VerifiedBlocks.fits(spec, maps)
+        run = _VerifiedBlocks(maps, length, stepper).run if length else stepper.run
+        carry = _Carry(len(maps[1]))
+        terms = (
+            sensor_terms(stepper.model, spec.fault, spec.seed, t, _CHUNK) if stepper.measured
+            else itertools.repeat(None)
+        )
+        channels = np.empty((4, len(t)))  # y_true, y_measured, error, u
+        end = len(t)
+        for start in range(0, len(t), _CHUNK):
+            chunk = sp[start:start + _CHUNK]
+            valid = run(carry, chunk, next(terms), channels[:, start:start + _CHUNK])
+            if valid < len(chunk):
+                end = start + valid
+                break
+        y_true, y_meas, err, u = channels
 
     diverged = end <= steps
     series = TimeSeries(

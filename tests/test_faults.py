@@ -41,6 +41,16 @@ def reference_gauss(seed: int, counter: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+def per_sample(chunks) -> list:
+    """The chunks of ``sensor_terms`` as one entry per sample: None between
+    ticks, else (noise, offset, window)."""
+    return [
+        (noise, offset, window) if tick else None
+        for arrays in chunks
+        for tick, noise, offset, window in zip(*(a.tolist() for a in arrays))
+    ]
+
+
 def loop(sensor=None, fault=None, seed=0, t_end=2.0, dt=1e-3) -> LoopSpec:
     return LoopSpec(
         plant=tf_new([2.0], [1.0, 3.0]),
@@ -91,7 +101,7 @@ def test_same_seed_same_stream_other_seed_other_stream():
 def test_the_nth_tick_draws_counter_n_across_chunks():
     t = np.arange(10_001) * 1e-3
     model = SensorModel(noise_sigma=0.5, sample_dt=2e-3)
-    terms = [term for chunk in sensor_terms(model, None, 9, t, 4096) for term in chunk]
+    terms = per_sample(sensor_terms(model, None, 9, t, 4096))
     ticks = [term for term in terms if term is not None]
     assert len(terms) == len(t)
     assert [noise for noise, _, _ in ticks] == [0.5 * reference_gauss(9, n) for n in range(len(ticks))]
@@ -115,7 +125,7 @@ def reference_ticks(t: np.ndarray, sample_dt: float) -> list[int]:
 @pytest.mark.parametrize("dt, sample_dt", [(1e-3, 1e-2), (1e-3, 2.5e-3), (1e-3, 1e-3), (3e-3, 1e-3), (0.1, 0.3)])
 def test_sample_ticks_follow_the_spacing_rule(dt, sample_dt):
     t = np.arange(9001) * dt
-    terms = [term for chunk in sensor_terms(SensorModel(sample_dt=sample_dt), None, 0, t, 4096) for term in chunk]
+    terms = per_sample(sensor_terms(SensorModel(sample_dt=sample_dt), None, 0, t, 4096))
     assert [k for k, term in enumerate(terms) if term is not None] == reference_ticks(t, sample_dt)
 
 
@@ -155,12 +165,28 @@ def test_a_value_too_large_to_quantize_is_read_as_is():
     assert apply_sensor(-1e305, model, offset=-1e305) == -2e305
 
 
+@pytest.mark.parametrize("model", [
+    SensorModel(bias=0.1, quantization_step=1e-3),
+    SensorModel(quantization_step=0.5),  # k + 1/2 steps: ties round to even
+    SensorModel(quantization_step=1e-6),  # 1e305 is too large to count in steps
+    SensorModel(bias=-0.2),
+], ids=["fine", "ties", "huge", "unquantized"])
+def test_a_block_of_readings_equals_its_readings_one_at_a_time(model):
+    rng = np.random.default_rng(4)
+    values = np.concatenate([rng.normal(0.0, 2.0, 500), [0.25, 0.75, -0.25, 1.25, 1e305, -1e305, 0.0, -0.0]])
+    noise = np.where(rng.random(len(values)) < 0.5, -0.0, rng.normal(0.0, 1e-3, len(values)))
+    offset = np.where(rng.random(len(values)) < 0.5, -0.0, 0.05)
+    expected = [apply_sensor(v, model, n, o) for v, n, o in zip(values.tolist(), noise.tolist(), offset.tolist())]
+    assert apply_sensor(values, model, noise, offset).tolist() == expected
+    assert apply_sensor(values, model, noise, offset, hold=7.25).tolist() == [7.25] * len(values)
+
+
 def test_fault_terms_act_only_inside_their_window():
     t = np.arange(2001) * 1e-3
     bias = FaultSpec(kind="bias_jump", onset_t=0.5, magnitude=0.25, duration=0.5)
     drift = FaultSpec(kind="drift", onset_t=1.0, magnitude=2.0)
     for fault in (bias, drift):
-        terms = [term for chunk in sensor_terms(SensorModel(), fault, 0, t, 512) for term in chunk]
+        terms = per_sample(sensor_terms(SensorModel(), fault, 0, t, 512))
         offsets = np.array([offset for _, offset, _ in terms])
         active = np.array([fault.active(tk) for tk in t.tolist()])
         assert not any(window for _, _, window in terms)

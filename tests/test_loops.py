@@ -1,11 +1,14 @@
 """Closed-loop simulation: setpoint profiles, steady-state analytics,
 stability verdicts, and the multibody demo."""
 
+import collections
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rollsim.loops as loops
 from rollsim.faults import FaultKind, FaultSpec, SensorModel, counter_gauss
@@ -25,7 +28,7 @@ from rollsim.loops import (
 )
 from rollsim.lti import RouthVerdict, SimConfig, dc_gain, tf_new, tf_to_state_space, zoh_step_matrices
 from rollsim.pid import PidGains, PidState, pid_step
-from rollsim.plants import KinematicsMode, PowerScrewParams, RollDriveParams
+from rollsim.plants import KinematicsMode, PowerScrewParams, RollDriveParams, power_screw_tf
 
 
 # ---------------------------------------------------------------------------
@@ -584,3 +587,183 @@ def test_series_is_bounded_on_growth():
     flat = lti.TimeSeries(t=t, channels={"y": np.sin(t)})
     assert not series_is_bounded(growing)
     assert series_is_bounded(flat)
+
+
+# ---------------------------------------------------------------------------
+# Verified blocks: loops read every sample, no output limits
+# ---------------------------------------------------------------------------
+
+def count_routes(monkeypatch) -> collections.Counter:
+    """Count verified blocks, stepper runs and sensor calls (by argument
+    type) of the loops run after this call."""
+    calls = collections.Counter()
+    for owner, name in ((loops._VerifiedBlocks, "_block"), (loops._Stepper, "run")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    original_sensor = loops.apply_sensor
+
+    def sensor(value, *args):
+        calls[f"apply_sensor({type(value).__name__})"] += 1
+        return original_sensor(value, *args)
+
+    monkeypatch.setattr(loops, "apply_sensor", sensor)
+    return calls
+
+
+def assert_block_route_matches(spec: LoopSpec, monkeypatch) -> LoopResult:
+    """As :func:`assert_matches_reference`, for a loop that runs verified
+    blocks; with a quantizer its readings equal the stepper's bit for bit."""
+    calls = count_routes(monkeypatch)
+    result = simulate_loop(spec)
+    assert calls["_block"] > 0
+    t, rows, end = reference_loop(spec)
+    assert result.diverged == (end < len(t))
+    assert len(result.series) == end
+    for i, name in enumerate(("y_true", "y_measured", "error", "u")):
+        np.testing.assert_allclose(result.series[name], rows[:, i], rtol=1e-9, atol=1e-12, err_msg=name)
+    if spec.sensor is not None and spec.sensor.quantization_step > 0.0:
+        np.testing.assert_array_equal(result.series["y_measured"], rows[:, 1])
+    return result
+
+
+def quantized(rng):
+    return SensorModel(noise_sigma=rng.uniform(1e-3, 1e-2), quantization_step=rng.uniform(1e-3, 4e-3))
+
+
+def unquantized(rng):
+    return SensorModel(noise_sigma=rng.uniform(1e-3, 1e-2), bias=rng.uniform(-0.1, 0.1))
+
+
+EDGE = 2 * loops._BLOCK * 1e-3  # the time of the sample that starts the third block at dt = 1 ms
+
+# (sensor, fault) per case: each fault kind behind a quantizer, a window
+# open from the first sample, a window whose both edges fall on block
+# boundaries, and a noisy sensor without a quantizer.
+BLOCK_CASES = {
+    "stuck": (quantized, lambda rng: FaultSpec(kind="stuck", onset_t=rng.uniform(0.5, 1.0))),
+    "bias_jump": (quantized, lambda rng: FaultSpec(
+        kind="bias_jump", onset_t=rng.uniform(0.5, 1.0), magnitude=rng.uniform(0.05, 0.2))),
+    "drift": (quantized, lambda rng: FaultSpec(
+        kind="drift", onset_t=rng.uniform(0.5, 1.0), magnitude=rng.uniform(0.05, 0.2))),
+    "dropout": (quantized, lambda rng: FaultSpec(kind="dropout", onset_t=rng.uniform(0.5, 1.0), duration=0.5)),
+    "stuck_from_the_start": (quantized, lambda rng: FaultSpec(kind="stuck", onset_t=0.0)),
+    "dropout_on_block_edges": (quantized, lambda rng: FaultSpec(kind="dropout", onset_t=EDGE, duration=EDGE)),
+    "unquantized_bias_jump": (unquantized, lambda rng: FaultSpec(
+        kind="bias_jump", onset_t=rng.uniform(0.5, 1.0), magnitude=rng.uniform(0.05, 0.2))),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_verified_blocks_match_the_reference_stepper(case, monkeypatch):
+    # The cases take the plants in turn, so each plant shape runs.
+    index = list(BLOCK_CASES).index(case)
+    rng = np.random.default_rng(100 + index)
+    plant = list(PLANTS)[index % len(PLANTS)]
+    sensor, fault = BLOCK_CASES[case]
+    spec = LoopSpec(
+        plant=PLANTS[plant](rng), gains=CONTROLLERS[sorted(CONTROLLERS)[rng.integers(len(CONTROLLERS))]](rng),
+        setpoint=PROFILES["ramp_hold"], sensor=sensor(rng), fault=fault(rng),
+        seed=int(rng.integers(2**31)), sim=SimConfig(dt=1e-3, t_end=2.0),
+    )
+    result = assert_block_route_matches(spec, monkeypatch)
+    assert not result.diverged
+    if case == "dropout_on_block_edges":
+        edges = np.flatnonzero(np.diff(spec.fault.active(result.series.t))) + 1
+        assert edges.tolist() == [2 * loops._BLOCK, 4 * loops._BLOCK]
+
+
+def coarse_quantizer_loop(t_end: float = 20.0) -> LoopSpec:
+    """No noise and a quantizer coarse enough that correcting one reading
+    flips the next: its transient needs more rounds than a block allows."""
+    return LoopSpec(
+        plant=tf_new([1.0], [1.0, 1.0]), gains=PidGains(kp=2.0, ki=1.0), setpoint=SetpointProfile.step(1.0),
+        sensor=SensorModel(quantization_step=0.1), sim=SimConfig(dt=1e-3, t_end=t_end),
+    )
+
+
+def test_coarse_quantizer_falls_back_to_the_stepper(monkeypatch):
+    calls = count_routes(monkeypatch)
+    assert_block_route_matches(coarse_quantizer_loop(5.0), monkeypatch)
+    assert calls["run"] > 0
+
+
+@pytest.mark.parametrize("sensor", [
+    SensorModel(quantization_step=1e-6),
+    SensorModel(bias=1e-3),  # no quantizer: each block is one pass, nothing to correct
+], ids=["quantized", "unquantized"])
+def test_diverging_loop_in_blocks_matches_the_stepper(sensor, monkeypatch):
+    # reference_loop's round() raises once a reading passes 1.8e302 steps,
+    # so the oracle is the stepped twin, itself checked against it above.
+    spec = LoopSpec(
+        plant=tf_new([1.0], [1.0, -60.0]), gains=PidGains(kp=1.0), setpoint=SetpointProfile.step(1.0),
+        sensor=sensor, sim=SimConfig(dt=1e-3, t_end=30.0),
+    )
+    calls = count_routes(monkeypatch)
+    result = simulate_loop(spec)
+    assert calls["_block"] > 0
+    stepped = simulate_loop(stepped_twin(spec))
+    assert result.diverged and 0.0 < result.divergence_time < 30.0
+    assert_same_run(result, stepped)
+    if sensor.quantization_step > 0.0:
+        # Past |y| = step / 1e-9 the quantizer resolves finer than two summation
+        # orders agree on y, so only the readings before that can match bit for bit.
+        resolved = np.abs(stepped.series["y_true"]) * 1e-9 < sensor.quantization_step
+        assert np.count_nonzero(resolved) > 150
+        np.testing.assert_array_equal(result.series["y_measured"][resolved], stepped.series["y_measured"][resolved])
+
+
+def test_routes_and_rounds(monkeypatch):
+    # Shaped like a fault-sweep job: gap loop, fine noisy quantizer, a fault.
+    sweep = LoopSpec(
+        plant=power_screw_tf(PowerScrewParams(lead=0.005), KinematicsMode.INTEGRATED),
+        gains=PidGains(kp=4000.0, ki=800.0),
+        setpoint=SetpointProfile(segments=(Segment(0.0, "step", 0.002), Segment(6.0, "step", 0.0025))),
+        sensor=SensorModel(noise_sigma=1e-6, quantization_step=1e-6),
+        fault=FaultSpec(kind="dropout", onset_t=5.0, duration=3.0), seed=3, sim=SimConfig(dt=1e-3, t_end=10.0),
+    )
+    for spec, steps in ((sweep, False), (coarse_quantizer_loop(), True)):
+        calls = count_routes(monkeypatch)
+        blocks = []
+        original_block = loops._VerifiedBlocks._block
+
+        def block(*args):
+            before = calls["apply_sensor(ndarray)"]
+            done = original_block(*args)
+            blocks.append(calls["apply_sensor(ndarray)"] - before)
+            return done
+
+        monkeypatch.setattr(loops._VerifiedBlocks, "_block", block)
+        simulate_loop(spec)
+        assert (calls["run"] > 0) == steps
+        # The guess, then at most _ROUNDS verifications, each one array call.
+        assert blocks and max(blocks) <= 1 + loops._ROUNDS
+        assert calls["apply_sensor(ndarray)"] == sum(blocks) < spec.sim.steps / 20
+        if not steps:
+            assert calls["apply_sensor(float)"] == 0
+        monkeypatch.undo()
+
+
+@given(
+    plant=st.sampled_from(sorted(PLANTS)), controller=st.sampled_from(sorted(CONTROLLERS)),
+    seed=st.integers(0, 2**31 - 1), noise=st.sampled_from([0.0, 1e-3, 1e-2]),
+    step=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 1e-1]),
+    kind=st.one_of(st.none(), st.sampled_from(list(FaultKind))),
+    onset=st.floats(0.0, 2.0), duration=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+    magnitude=st.floats(-0.5, 0.5), samples=st.integers(1, 2000),
+)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_loops_match_the_reference_stepper(
+    plant, controller, seed, noise, step, kind, onset, duration, magnitude, samples
+):
+    rng = np.random.default_rng(seed)
+    fault = None if kind is None else FaultSpec(kind=kind, onset_t=onset, magnitude=magnitude, duration=duration)
+    assert_matches_reference(LoopSpec(
+        plant=PLANTS[plant](rng), gains=CONTROLLERS[controller](rng), setpoint=PROFILES["ramp_hold"],
+        sensor=SensorModel(noise_sigma=noise, quantization_step=step), fault=fault, seed=seed,
+        sim=SimConfig(dt=1e-3, t_end=samples * 1e-3),
+    ))
