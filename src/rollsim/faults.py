@@ -210,7 +210,8 @@ def apply_sensor(
             with np.errstate(over="ignore"):
                 scaled = value / step
             # Too large to count in steps: already coarser than one, read as is.
-            value = np.where(np.isfinite(scaled), np.round(scaled) * step, value)
+            # Adding +0.0 turns -0.0 into +0.0, as the scalar int round gives.
+            value = np.where(np.isfinite(scaled), np.round(scaled) * step + 0.0, value)
         else:
             try:
                 value = round(value / step) * step

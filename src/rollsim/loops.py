@@ -328,7 +328,6 @@ _ROUNDS = 4  # verification rounds before a block is stepped instead
 # Largest open-loop growth over a block: the closed form sums terms that
 # large to get an output of the loop's own size, so each decade costs a digit.
 _GROWTH = 1e4
-_MIN_BLOCK = 16  # below this a block saves less than it costs to set up
 
 
 class _Carry:
@@ -483,9 +482,9 @@ class _VerifiedBlocks:
     finished by the stepper from its last verified sample.
     """
 
-    def __init__(self, maps: tuple, length: int, stepper: _Stepper) -> None:
+    def __init__(self, maps: tuple, stepper: _Stepper) -> None:
         f, g, h = maps
-        size = len(g)
+        size, length = len(g), _BLOCK
         self.size, self.length, self.stepper, self.h = size, length, stepper, h
         last = np.zeros(size)
         last[-1] = 1.0  # u is the next state's last entry
@@ -500,22 +499,22 @@ class _VerifiedBlocks:
         self.inputs = np.empty(size + length)  # [z; e] of the block in hand
 
     @staticmethod
-    def fits(spec: LoopSpec, maps: tuple) -> int:
-        """Block length for a nonlinear ``spec``, 0 when it must be stepped.
+    def fits(spec: LoopSpec, maps: tuple) -> bool:
+        """Whether a nonlinear ``spec`` runs in blocks; otherwise it is stepped.
 
-        A block is as long as neither the open loop nor the loop closed
-        through an unquantized sensor grows by more than ``_GROWTH`` over
-        it.  Open-loop growth costs the closed form digits; closed-loop
-        growth amplifies each quantization error, so the block would not
-        verify in a few rounds.
+        A loop is stepped when the open loop or the loop closed through an
+        unquantized sensor grows by more than ``_GROWTH`` over a block.
+        Open-loop growth costs the closed form digits; closed-loop growth
+        amplifies each quantization error, so the block would not verify
+        in a few rounds.
         """
         if spec.gains.saturates or (spec.sensor is not None and spec.sensor.sample_dt > 0.0):
-            return 0
+            return False
         f, g, h = maps
         radius = max(_radius(f), _radius(f - np.outer(g, h)))
-        if not radius <= _GROWTH ** (1.0 / _MIN_BLOCK):  # also when the estimate overflowed
-            return 0
-        return _BLOCK if radius <= 1.0 else min(_BLOCK, int(math.log(_GROWTH) / math.log(radius)))
+        # Compared as a root: radius ** _BLOCK may overflow, and NaN (an
+        # overflowed estimate) fails the test.
+        return radius <= _GROWTH ** (1.0 / _BLOCK)
 
     def run(self, carry: _Carry, sp: np.ndarray, terms: tuple, out: np.ndarray) -> int:
         """As :meth:`_Stepper.run`, over blocks that never straddle a
@@ -618,8 +617,7 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
         y_meas = y_true
     else:
         stepper = _Stepper(spec, maps, m, nvec)
-        length = _VerifiedBlocks.fits(spec, maps)
-        run = _VerifiedBlocks(maps, length, stepper).run if length else stepper.run
+        run = _VerifiedBlocks(maps, stepper).run if _VerifiedBlocks.fits(spec, maps) else stepper.run
         carry = _Carry(len(maps[1]))
         terms = (
             sensor_terms(stepper.model, spec.fault, spec.seed, t, _CHUNK) if stepper.measured

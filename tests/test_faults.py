@@ -177,7 +177,9 @@ def test_a_block_of_readings_equals_its_readings_one_at_a_time(model):
     noise = np.where(rng.random(len(values)) < 0.5, -0.0, rng.normal(0.0, 1e-3, len(values)))
     offset = np.where(rng.random(len(values)) < 0.5, -0.0, 0.05)
     expected = [apply_sensor(v, model, n, o) for v, n, o in zip(values.tolist(), noise.tolist(), offset.tolist())]
-    assert apply_sensor(values, model, noise, offset).tolist() == expected
+    # Compared as bits, so a -0.0 where one at a time reads +0.0 fails.
+    block = apply_sensor(values, model, noise, offset)
+    assert block.view(np.int64).tolist() == np.array(expected, dtype=float).view(np.int64).tolist()
     assert apply_sensor(values, model, noise, offset, hold=7.25).tolist() == [7.25] * len(values)
 
 
