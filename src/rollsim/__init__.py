@@ -8,6 +8,8 @@ detection.  Scenario-driven runs are available through the ``rollsim``
 command-line tool.
 """
 
+__version__ = "0.1.0"
+
 from .faults import (
     DetectorConfig,
     FaultEvent,
@@ -93,5 +95,3 @@ from .tuning import (
     loop_cost,
     tune_pid,
 )
-
-__version__ = "0.1.0"

@@ -6,6 +6,12 @@ and ``poles`` each take ``--scenario <path>`` plus optional overrides;
 report (resolved inputs echoed back, results, tool version, wall-clock
 runtime) and, for time-domain and tuning runs, CSV files next to it.
 
+CSV files hold one row per sample (simulate: ``t``, setpoint, true and
+measured output, error, controller output) or per tuner evaluation (tune:
+``eval``, gains, cost).  Every value is written as ``'%.12g' % value``
+would write it; :func:`rollsim.csvfmt.format_rows` produces those bytes
+with numpy, a chunk of rows per write, and the file is written in binary mode.
+
 Exit codes: 0 success, 1 input error, 2 simulation divergence (partial
 outputs are still written).
 """
@@ -19,12 +25,13 @@ import json
 import math
 import sys
 import time
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from . import __version__
+from .csvfmt import format_rows
 from .faults import DetectorConfig, detect_faults
 from .loops import LoopResult, LoopSpec, multibody_demo, simulate_loop
 from .lti import dc_gain, poles, routh_classification
@@ -37,6 +44,8 @@ __all__ = ["OutputBundle", "main", "run"]
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DIVERGED = 2
+
+_CSV_CHUNK = 1024  # rows formatted per write
 
 # JSON Schema for every report this tool writes; per-kind required result
 # fields are listed in RESULT_REQUIRED.
@@ -75,13 +84,6 @@ RESULT_REQUIRED = {
 }
 
 
-def _tool_version() -> str:
-    try:
-        return pkg_version("rollsim")
-    except PackageNotFoundError:
-        return "0.1.0+local"
-
-
 @dataclasses.dataclass
 class OutputBundle:
     csv_paths: list[Path]
@@ -110,7 +112,7 @@ def _write_json(path: Path, scenario: Scenario, results: dict, started: float) -
         "scenario": _json_safe(scenario.resolved),
         "tool": {
             "name": "rollsim",
-            "version": _tool_version(),
+            "version": __version__,
             "runtime_s": round(time.perf_counter() - started, 6),
         },
     }
@@ -120,24 +122,23 @@ def _write_json(path: Path, scenario: Scenario, results: dict, started: float) -
         fh.write("\n")
 
 
-def _write_series_csv(path: Path, series) -> None:
-    columns = ["t", "setpoint", "y_true", "y_measured", "error", "u"]
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        data = [series.t] + [series[c] for c in columns[1:]]
-        for start in range(0, len(series.t), 1024):  # rows formatted per write
-            chunk = [col[start:start + 1024].tolist() for col in data]
-            fh.write("".join([row % values for values in zip(*chunk)]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            fh.write(format_rows([c[start:start + _CSV_CHUNK] for c in columns]))
+
+
+def _write_series_csv(path: Path, series) -> None:
+    channels = ["setpoint", "y_true", "y_measured", "error", "u"]
+    _write_csv(path, ["t", *channels], [series.t] + [series[c] for c in channels])
 
 
 def _write_history_csv(path: Path, history) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("eval,kp,ki,kd,cost\n")
-        for i, (gains, cost) in enumerate(history):
-            fh.write(f"{i},{gains.kp:.12g},{gains.ki:.12g},{gains.kd:.12g},{cost:.12g}\n")
+    # '%.12g' writes an eval index below 1e12 as its integer digits.
+    rows = [(i, gains.kp, gains.ki, gains.kd, cost) for i, (gains, cost) in enumerate(history)]
+    _write_csv(path, ["eval", "kp", "ki", "kd", "cost"], list(np.array(rows, dtype=float).reshape(-1, 5).T))
 
 
 def _loop_result_dict(result: LoopResult) -> dict:
@@ -331,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "version":
-        print(f"rollsim {_tool_version()}")
+        print(f"rollsim {__version__}")
         return EXIT_OK
     try:
         scenario = parse_scenario_file(args.scenario)

@@ -100,6 +100,9 @@ class SensorModel:
     sample_dt: float = 0.0          # 0 samples every simulation step
 
     def __post_init__(self) -> None:
+        for name in ("noise_sigma", "bias", "quantization_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.quantization_step < 0:
@@ -143,6 +146,8 @@ class FaultSpec:
         object.__setattr__(self, "kind", FaultKind(self.kind))
         if self.onset_t < 0:
             raise ValueError("onset_t must be >= 0")
+        if not math.isfinite(self.magnitude):
+            raise ValueError("magnitude must be finite")
         if self.duration is not None and not self.duration > 0:
             raise ValueError("duration must be > 0 when given")
 

@@ -439,21 +439,27 @@ def propagate(
 
 def simulate_lti(
     ss: StateSpaceModel,
-    input_fn: Callable[[float], float],
+    input_fn: Callable[[float], float] | np.ndarray,
     cfg: SimConfig,
 ) -> TimeSeries:
     """Run a state-space model from zero initial state.
 
     ``input_fn`` is sampled once at each step start and held over the
-    step, and must return finite values; the state advances by the
-    :func:`zoh_step_matrices` map of ``cfg.integrator``, evaluated by
-    :func:`propagate`.  Returns channels ``u`` and ``y``.  Raises
+    step, and must return finite values; an array gives those samples
+    directly, one per step start (``cfg.steps + 1``).  The state advances
+    by the :func:`zoh_step_matrices` map of ``cfg.integrator``, evaluated
+    by :func:`propagate`.  Returns channels ``u`` and ``y``.  Raises
     :class:`SimulationDiverged` when the state leaves the finite range,
     with the finite prefix attached.
     """
     steps = cfg.steps
     t = np.arange(steps + 1) * cfg.dt
-    u = np.array([float(input_fn(tk)) for tk in t])
+    if callable(input_fn):
+        u = np.array([float(input_fn(tk)) for tk in t])
+    else:
+        u = np.array(input_fn, dtype=float)
+        if u.shape != t.shape:
+            raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
     m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
     rows, end = propagate(m, nvec, u, ss.C, [ss.D])
     y = rows[:, 0]
@@ -465,7 +471,7 @@ def simulate_lti(
 
 def step_response(tf: TransferFunction, cfg: SimConfig) -> TimeSeries:
     """Unit-step response of a transfer function."""
-    return simulate_lti(tf_to_state_space(tf), lambda _t: 1.0, cfg)
+    return simulate_lti(tf_to_state_space(tf), np.ones(cfg.steps + 1), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
+import rollsim
 import rollsim.cli as cli
+import rollsim.csvfmt as csvfmt
 import rollsim.loops as loops
-from rollsim.lti import TimeSeries
+from rollsim.faults import FaultSpec, SensorModel
+from rollsim.loops import LoopSpec, Segment, SetpointProfile
+from rollsim.lti import SimConfig, TimeSeries
+from rollsim.pid import PidGains
+from rollsim.plants import KinematicsMode, PowerScrewParams, power_screw_tf
 from rollsim.scenario import parse_scenario_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -144,10 +151,19 @@ _SIM = "kind: simulate\nsimulate:\n  "
         ("simulate", _SIM + "sim: {dt: 1.0e-300, t_end: 1.0e+300}\n", "simulate.sim: t_end / dt"),
         ("tune", "kind: tune\ntune:\n  bounds: {kp: [.nan, 1.0]}\n", "tune.bounds.kp[0]"),
         ("size", "kind: size\nsizing: {width: " + _HUGE + "}\n", "sizing.width"),
+        ("simulate", _SIM + "fault: {kind: drift, onset_t: 0.5, magnitude: .inf}\n",
+         "simulate.fault: magnitude must be finite"),
+        ("simulate", _SIM + "fault: {kind: bias_jump, onset_t: 0.5, magnitude: -.inf}\n",
+         "simulate.fault: magnitude must be finite"),
+        ("simulate", _SIM + "sensor: {bias: .inf}\n", "simulate.sensor: bias must be finite"),
+        ("simulate", _SIM + "sensor: {noise_sigma: .inf}\n", "simulate.sensor: noise_sigma must be finite"),
+        ("simulate", _SIM + "sensor: {quantization_step: .inf}\n",
+         "simulate.sensor: quantization_step must be finite"),
     ],
     ids=[
         "kp_nan", "n_nan", "kp_huge", "noise_nan", "onset_nan", "setpoint_t_nan",
         "t_end_1e15", "dt_1e-300", "bounds_nan", "width_huge",
+        "drift_inf", "bias_jump_minus_inf", "bias_inf", "noise_inf", "quantization_inf",
     ],
 )
 def test_nan_huge_and_long_inputs_exit_1_at_parse_time(
@@ -233,6 +249,108 @@ def test_series_csv_bytes_match_the_per_value_writer(tmp_path):
     written = (tmp_path / "chunked.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert b"-0," in written and b"nan" in written and b"-inf" in written and b"e-324" in written
+
+
+def _per_value_rows(values: np.ndarray) -> bytes:
+    return "".join(["%.12g\n" % v for v in values.tolist()]).encode()
+
+
+def _ulps(values: np.ndarray, count: int) -> np.ndarray:
+    """``values`` and their neighbours up to ``count`` ulps away on each side."""
+    out = [values]
+    for direction in (math.inf, -math.inf):
+        step = values
+        for _ in range(count):
+            with np.errstate(over="ignore"):  # the largest double steps to inf
+                step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def _boundary_values() -> np.ndarray:
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # Twelve nines and a 5: where rounding to 12 digits carries into the next power of ten.
+    rollover = np.array([float(f"9.999999999995e{e}") for e in range(-324, 308)])
+    switches = np.array([1e-5, 1e-4, 1e11, 1e12, 9.99999999999e-6, 9.99999999999e-5, 99999999999.0])
+    twelve = np.random.default_rng(5).integers(10**11, 10**12, 200)
+    ties = np.concatenate([
+        (10 * twelve + 5).astype(float),          # 13 digits ending in 5
+        (10 * twelve + 5).astype(float) * 100.0,
+        twelve + 0.5,
+        twelve // 10 + 0.25,
+        twelve // 100 + 0.125,
+        twelve // 1000 + 0.0625,
+    ])
+    grid = np.arange(-100_000, 100_001) * 1e-6   # the quantizer's 1e-6 step
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310,
+                        2.2250738585072014e-308, 1.7976931348623157e308, 1e-280, 1e280])
+    values = np.concatenate([_ulps(powers, 3), _ulps(rollover, 3), _ulps(switches, 3), ties, grid,
+                             _ulps(special[5:], 2)])
+    return np.concatenate([values, -values, special[:5]])
+
+
+def test_formatted_values_match_percent_g_at_every_boundary():
+    values = _boundary_values()
+    assert csvfmt.format_rows([values]) == _per_value_rows(values)
+
+
+@given(values=st.lists(st.floats(), min_size=1, max_size=120), columns=st.integers(1, 6))
+def test_formatted_rows_match_percent_g(values, columns):
+    rows = max(len(values) // columns, 1)
+    data = np.resize(np.array(values), (columns, rows))
+    expected = "".join(",".join("%.12g" % v for v in row) + "\n" for row in data.T.tolist()).encode()
+    assert csvfmt.format_rows(list(data)) == expected
+
+
+def _reference_history_csv(path: Path, history) -> None:
+    """The f-string writer the history CSV must match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("eval,kp,ki,kd,cost\n")
+        for i, (gains, cost) in enumerate(history):
+            fh.write(f"{i},{gains.kp:.12g},{gains.ki:.12g},{gains.kd:.12g},{cost:.12g}\n")
+
+
+@pytest.mark.parametrize("evals", [0, 1, 1500])
+def test_history_csv_bytes_match_the_fstring_writer(tmp_path, evals):
+    rng = np.random.default_rng(evals)
+    costs = rng.standard_normal(evals) * 10.0 ** rng.integers(-8, 8, evals)
+    costs[::7] = math.inf
+    history = [
+        (PidGains(kp=kp, ki=ki, kd=kd), cost)
+        for kp, ki, kd, cost in zip(*rng.uniform(0.0, 50.0, (3, evals)).tolist(), costs.tolist())
+    ]
+    cli._write_history_csv(tmp_path / "history.csv", history)
+    _reference_history_csv(tmp_path / "reference.csv", history)
+    written = (tmp_path / "history.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\n") == evals + 1
+
+
+def test_a_fault_sweep_series_rarely_takes_the_percent_g_fallback():
+    # Shaped like a fault-sweep job: gap loop, fine noisy quantizer, a fault.
+    spec = LoopSpec(
+        plant=power_screw_tf(PowerScrewParams(lead=0.005), KinematicsMode.INTEGRATED),
+        gains=PidGains(kp=4000.0, ki=800.0),
+        setpoint=SetpointProfile(segments=(Segment(0.0, "step", 0.002), Segment(6.0, "step", 0.0025))),
+        sensor=SensorModel(noise_sigma=1e-6, quantization_step=1e-6),
+        fault=FaultSpec(kind="drift", onset_t=5.0, magnitude=1e-4), seed=3, sim=SimConfig(dt=1e-3, t_end=10.0),
+    )
+    series = loops.simulate_loop(spec).series
+    values = np.concatenate([series.t] + [series[c] for c in ("setpoint", "y_true", "y_measured", "error", "u")])
+    _, _, fast = csvfmt._decompose(np.concatenate([values, [0.0, -0.0]]))
+    assert np.count_nonzero(~fast) < 0.01 * len(values)
+    assert fast[-2:].all()  # a series at rest is mostly zeros
+
+
+def test_the_reported_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SCENARIOS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert rollsim.__version__ == pyproject["project"]["version"]
+
+
+def test_version_command_prints_the_package_version(capsys):
+    assert cli.main(["version"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"rollsim {rollsim.__version__}\n"
 
 
 _PURE_GAIN = """\

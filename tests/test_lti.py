@@ -276,6 +276,39 @@ def test_pure_gain_step():
     assert np.all(ts["y"] == 2.0)
 
 
+@pytest.mark.parametrize("den", [[1, 3, 2], [1, -60]], ids=["stable", "diverging"])
+def test_sampled_input_equals_the_callable_bit_for_bit(den):
+    tf = tf_new([1, 2], den)
+    ss = tf_to_state_space(tf)
+    cfg = SimConfig(dt=1e-3, t_end=20.0)
+    t = np.arange(cfg.steps + 1) * cfg.dt
+
+    def run(sim, *args):
+        try:
+            return sim(*args)
+        except SimulationDiverged as exc:
+            return exc.partial
+
+    runs = [
+        run(step_response, tf, cfg),
+        run(simulate_lti, ss, lambda _t: 1.0, cfg),
+        run(simulate_lti, ss, np.ones(len(t)), cfg),
+    ]
+    for ts in runs[1:]:
+        assert len(ts) == len(runs[0])
+        for name in ("u", "y"):
+            np.testing.assert_array_equal(ts[name].view(np.int64), runs[0][name].view(np.int64))
+    assert (len(runs[0]) < len(t)) == (den[1] < 0)
+    wave = run(simulate_lti, ss, np.sin(3 * t), cfg)
+    np.testing.assert_array_equal(wave["y"], run(simulate_lti, ss, lambda tk: np.sin(3 * tk), cfg)["y"])
+
+
+def test_sampled_input_needs_one_sample_per_step_start():
+    cfg = SimConfig(dt=1e-3, t_end=1.0)
+    with pytest.raises(ValueError, match="1001 input samples"):
+        simulate_lti(tf_to_state_space(tf_new([1], [1, 1])), np.ones(cfg.steps), cfg)
+
+
 def test_rk4_order_ratio():
     # Truncation error must dominate roundoff for the order to show, so the
     # ratio is measured at coarse steps; halving dt should give ~2^4.
