@@ -40,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -243,16 +244,36 @@ class LoopResult:
     only populated for linear specs; with noise, faults, or saturation in
     the path the continuous pole analysis does not describe the simulated
     system, so it is withheld.  Metrics are computed on ``y_true`` against
-    the final setpoint level, so sensor noise never corrupts them.
+    the final setpoint level, so sensor noise never corrupts them.  Both
+    are computed from ``spec`` on first access: the tuner reads only the
+    series.
     """
 
     series: TimeSeries
-    metrics: ResponseMetrics
-    stability_verdict: StabilityVerdict | None
-    characteristic: np.ndarray | None
-    closed_loop: TransferFunction | None
+    spec: LoopSpec
     diverged: bool = False
     divergence_time: float | None = None
+
+    @cached_property
+    def metrics(self) -> ResponseMetrics:
+        setpoint = self.spec.setpoint.value(self.spec.sim.t_end)
+        return response_metrics(self.series, setpoint, channel="y_true")
+
+    @cached_property
+    def _linear_analysis(self) -> tuple:  # (verdict, characteristic, closed loop)
+        return _analysis(self.spec)
+
+    @property
+    def stability_verdict(self) -> StabilityVerdict | None:
+        return self._linear_analysis[0]
+
+    @property
+    def characteristic(self) -> np.ndarray | None:
+        return self._linear_analysis[1]
+
+    @property
+    def closed_loop(self) -> TransferFunction | None:
+        return self._linear_analysis[2]
 
     @property
     def bounded(self) -> bool:
@@ -644,17 +665,8 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
             "u": u[:end],
         },
     )
-    metrics = response_metrics(series, spec.setpoint.value(cfg.t_end), channel="y_true")
-    verdict, char, closed = _analysis(spec)
-    return LoopResult(
-        series=series,
-        metrics=metrics,
-        stability_verdict=verdict,
-        characteristic=char,
-        closed_loop=closed,
-        diverged=diverged,
-        divergence_time=float(t[end]) if diverged else None,
-    )
+    divergence_time = float(t[end]) if diverged else None
+    return LoopResult(series=series, spec=spec, diverged=diverged, divergence_time=divergence_time)
 
 
 # ---------------------------------------------------------------------------

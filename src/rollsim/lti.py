@@ -15,7 +15,9 @@ the closed loops in :mod:`rollsim.loops` both advance plant states with
 it, sampling the input once at each step start and holding it.  A linear
 recurrence over a whole horizon is evaluated in closed form, a block of
 steps at a time, by :func:`propagate`: open-loop runs always, closed
-loops when they are linear.
+loops when they are linear.  Its block starts come from a doubling scan
+over finite powers of the step map only, so an overflow shows at the
+sample where the step-by-step recurrence meets it.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -364,6 +366,17 @@ _BLOCK = 16
 _SERIAL_PRODUCT = 4 * 65536
 
 
+def _finite_chain(first: np.ndarray, advance: Callable, length: int) -> list[np.ndarray]:
+    """[first, advance(first), ...], at most ``length`` long and ending
+    before the first non-finite item after ``first``."""
+    chain = [first]
+    while len(chain) < length and np.all(np.isfinite(chain[-1])):
+        chain.append(advance(chain[-1]))
+    if len(chain) > 1 and not np.all(np.isfinite(chain[-1])):
+        chain.pop()
+    return chain
+
+
 def propagate(
     m: np.ndarray,
     g: np.ndarray,
@@ -378,10 +391,22 @@ def propagate(
     the projection h z[k] + j w[k], with ``h`` p x n and ``j`` of length p.
     The inputs must be finite.
 
-    The recurrence is evaluated in blocks of ``_BLOCK`` steps (G. Blelloch,
-    *Prefix sums and their applications*, 1990): within a block starting at
-    b, z[b+i] = m^i z[b] + sum_{l<i} m^(i-1-l) g w[b+l], one matrix product
-    for a chunk of blocks, so Python only carries the block-start states.
+    The recurrence is evaluated in blocks of L = ``_BLOCK`` steps (G.
+    Blelloch, *Prefix sums and their applications*, 1990).  Within a block
+    starting at b, z[b+i] = m^i z[b] + sum_{l<i} m^(i-1-l) g w[b+l], one
+    matrix product for a chunk of blocks.  The block starts obey s[b+1] =
+    M s[b] + c[b], with M = m^L and c[b] the block's inputs carried to its
+    end.  A doubling scan (P. Kogge & H. Stone, IEEE Trans. Computers,
+    1973) solves that first-order recurrence for B blocks in ceil(log2 B)
+    array steps, ends[2^k:] += ends[:-2^k] P_k^T with P_k = M^(2^k), so
+    Python never steps once per block.
+
+    Overflow is how divergence shows, but an overflowed power times a zero
+    state is NaN, which would flag finite states.  So only finite powers
+    are used: L shrinks below ``_BLOCK`` when m^L overflows, and one scan
+    covers at most 2^K blocks for K finite P_k, the next scan carrying on
+    from the last end of the one before.  The first non-finite state is
+    then the one the step-by-step recurrence meets.
     """
     m = np.asarray(m, dtype=float)
     g = np.asarray(g, dtype=float).ravel()
@@ -392,25 +417,17 @@ def propagate(
     h = np.atleast_2d(np.asarray(h, dtype=float))
     j = np.ravel(np.asarray(j, dtype=float))
 
-    # Overflow is how divergence shows, not an anomaly.
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [np.eye(n), m]
-        while len(powers) <= _BLOCK and np.all(np.isfinite(powers[-1])):
-            powers.append(m @ powers[-1])
-        if len(powers) > 2 and not np.all(np.isfinite(powers[-1])):
-            # An overflowing power times a zero state is NaN, which would
-            # flag finite states: shorter blocks keep the first bad index.
-            powers.pop()
+        powers = np.array([np.eye(n), *_finite_chain(m, lambda p: m @ p, _BLOCK)])
         size = len(powers) - 1
-        m_block = powers[size]
-        impulse = np.array(powers[:size]) @ g  # impulse[i] = m^i g
+        impulse = powers[:size] @ g  # impulse[i] = m^i g
         # Row l of the in-block map feeds input w[b+l] to offsets i > l;
         # the rows above it carry z[b] to offset i as m^i z[b].
         toeplitz = np.zeros((size, size, n))
         for i in range(1, size):
             toeplitz[:i, i] = impulse[i - 1::-1]
         block_map = np.concatenate([
-            np.array(powers[:size]).transpose(2, 0, 1).reshape(n, size * n),
+            powers[:size].transpose(2, 0, 1).reshape(n, size * n),
             toeplitz.reshape(size, size * n),
         ])
 
@@ -418,16 +435,30 @@ def propagate(
         inputs = np.zeros(blocks * size)
         inputs[:count] = w
         inputs = inputs.reshape(blocks, size)
-        rows = np.empty((blocks * size, len(h)))
+
+        # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
+        # needs P_k for 2^k < len(ends).
+        span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
+        depth = max(1, (min(blocks, span) - 1).bit_length())
+        doubling = _finite_chain(powers[size], lambda p: p @ p, depth)  # M^(2^k)
+        span = min(span, 2 ** len(doubling))
+        starts = np.empty((blocks, n))
         start = np.zeros(n)
+        for first in range(0, blocks, span):
+            ends = inputs[first:first + span] @ impulse[::-1]
+            ends[0] += doubling[0] @ start
+            for k, power in enumerate(doubling[:(len(ends) - 1).bit_length()]):
+                ends[2 ** k:] += ends[:-2 ** k] @ power.T
+            starts[first] = start
+            starts[first + 1:first + len(ends)] = ends[:-1]
+            start = ends[-1]
+
+        rows = np.empty((blocks * size, len(h)))
         per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * n))
         for first in range(0, blocks, per_chunk):
             chunk = inputs[first:first + per_chunk]
-            starts = np.empty((len(chunk), n))
-            for b, carried in enumerate(chunk @ impulse[::-1]):
-                starts[b] = start
-                start = m_block @ start + carried
-            states = (np.hstack([starts, chunk]) @ block_map).reshape(len(chunk) * size, n)
+            heads = starts[first:first + per_chunk]
+            states = (np.hstack([heads, chunk]) @ block_map).reshape(len(chunk) * size, n)
             offset = first * size
             rows[offset:offset + len(states)] = states @ h.T + np.outer(chunk, j)
             finite = np.all(np.isfinite(states), axis=1)

@@ -3,6 +3,9 @@
 Cost is an integral performance index (ITAE, ISE, or IAE) of the tracking
 error over the simulation horizon; runs that diverge are charged a large
 finite penalty so unstable regions of the gain box do not abort a search.
+The penalty is also the ceiling of every cost: a run that grows without
+diverging inside the horizon can integrate to more, or overflow, and is
+charged no more than one that diverges.
 Two deterministic methods are provided: exhaustive grid search and a
 bounded Nelder-Mead simplex with fixed coefficients.  Determinism is a
 hard requirement here; identical specs must reproduce identical
@@ -50,7 +53,8 @@ def loop_cost(spec: LoopSpec, cost_kind: CostKind = CostKind.ITAE) -> float:
     """Simulate the loop and integrate its tracking error.
 
     The error used is setpoint minus true output, matching how response
-    metrics are scored.  A diverged run returns ``DIVERGENCE_PENALTY``.
+    metrics are scored.  A diverged run returns ``DIVERGENCE_PENALTY``,
+    which also caps the cost of any other run.
     """
     result = simulate_loop(spec)
     if result.diverged:
@@ -58,12 +62,10 @@ def loop_cost(spec: LoopSpec, cost_kind: CostKind = CostKind.ITAE) -> float:
     t = result.series.t
     e = np.abs(result.series["setpoint"] - result.series["y_true"])
     dt = spec.sim.dt
-    kind = CostKind(cost_kind)
-    if kind is CostKind.ITAE:
-        return float(np.sum(t * e) * dt)
-    if kind is CostKind.ISE:
-        return float(np.sum(e * e) * dt)
-    return float(np.sum(e) * dt)
+    weight = {CostKind.ITAE: t, CostKind.ISE: e, CostKind.IAE: 1.0}[CostKind(cost_kind)]
+    with np.errstate(over="ignore"):  # a growing run may overflow: it pays the ceiling
+        cost = float(np.sum(weight * e) * dt)
+    return cost if cost < DIVERGENCE_PENALTY else DIVERGENCE_PENALTY
 
 
 @dataclass(frozen=True)

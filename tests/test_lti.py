@@ -2,6 +2,7 @@
 and response metrics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -449,6 +450,98 @@ def test_propagate_stops_at_the_first_nonfinite_state(growth):
 def test_propagate_rejects_nonfinite_inputs():
     with pytest.raises(ValueError):
         propagate(np.eye(1), [1.0], [0.0, math.inf], np.eye(1), [0.0])
+
+
+# The block starts come from a doubling scan: ends[2^k:] += ends[:-2^k] P_k^T
+# with P_k = m^(16 * 2^k).  These cases sit on its edges.
+
+def assert_plain_states(m, g, w):
+    """propagate's states are the plain recurrence's, to 1e-12 of the
+    largest state (the scan sums in another order, so a state near zero
+    may carry the rounding of its large neighbours)."""
+    expected = plain_recurrence(m, g, w)
+    states, end = propagate(m, g, w, np.eye(len(g)), np.zeros(len(g)))
+    assert end == len(w) and states.shape == expected.shape
+    assert np.max(np.abs(states - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
+
+
+def decaying(order, seed, radius=0.98):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(order, order))
+    return m * (radius / np.max(np.abs(np.linalg.eigvals(m)))), rng.normal(size=order)
+
+
+@pytest.mark.parametrize("count", [16 * 2 ** k + d for k in range(9) for d in (-1, 0, 1)])
+def test_propagate_scan_edges(count):
+    m, g = decaying(3, count)
+    assert_plain_states(m, g, np.random.default_rng(count).normal(size=count))
+
+
+def test_propagate_scans_a_long_high_order_run():
+    # 50,001 steps of 12 states: several scans and many chunks.
+    m, g = decaying(12, 7)
+    assert_plain_states(m, g, np.random.default_rng(8).normal(size=50_001))
+
+
+def test_propagate_through_underflowing_doubling_powers():
+    m, g = decaying(4, 9, radius=0.01)
+    assert not np.any(np.linalg.matrix_power(m, 16 * 2 ** 5))  # P_5 is zero
+    assert_plain_states(m, g, np.random.default_rng(10).normal(size=5000))
+
+
+def first_nonfinite(states):
+    return int(np.argmin(np.all(np.isfinite(states), axis=1)))
+
+
+@pytest.mark.parametrize(
+    "growth, count, zeros",
+    [(1.01, 150_000, 0), (1.05, 20_000, 0), (1.05, 20_000, 5000)],
+)
+def test_propagate_finds_divergence_when_deep_doubling_powers_overflow(growth, count, zeros):
+    # m^16 is finite but the power that one scan over all blocks would
+    # need is not, so scans are cut short.  Leading zero inputs guard
+    # against inf * 0 = NaN flagging a zero state.
+    blocks = -(-count // 16)
+    deepest = 16 * 2 ** ((blocks - 1).bit_length() - 1)
+    assert 16 * math.log10(growth) < 308 < deepest * math.log10(growth)
+    m, g = np.array([[growth]]), np.ones(1)
+    w = np.ones(count)
+    w[:zeros] = 0.0
+    expected = plain_recurrence(m, g, w)
+    first = first_nonfinite(expected)
+    assert zeros < first < count
+
+    states, end = propagate(m, g, w, np.eye(1), np.zeros(1))
+    assert end == first and len(states) == first
+    assert not np.any(states[:zeros + 1])
+    np.testing.assert_allclose(states, expected[:first], rtol=1e-12)
+
+
+def test_propagate_carries_from_scan_to_scan_past_overflowing_doubling_powers():
+    # The input never excites the growing mode, so every state is finite,
+    # but that mode overflows P_10 and the 2,500 blocks take three scans.
+    m, g = np.diag([1.05, 0.999]), np.array([0.0, 1.0])
+    assert_plain_states(m, g, np.random.default_rng(12).normal(size=40_000))
+
+
+def test_propagate_runs_no_python_line_per_block():
+    m, g = decaying(2, 11)
+    w = np.ones(16 * 4000)
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is propagate.__code__:
+            lines += event == "line"
+            return tracer
+        return None
+
+    sys.settrace(tracer)
+    try:
+        propagate(m, g, w, np.eye(2), np.zeros(2))
+    finally:
+        sys.settrace(None)
+    assert 0 < lines < 4000 / 10
 
 
 # ---------------------------------------------------------------------------

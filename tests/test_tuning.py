@@ -64,6 +64,37 @@ def test_divergence_penalty():
     assert loop_cost(spec, CostKind.ISE) == DIVERGENCE_PENALTY
 
 
+def test_a_growing_run_costs_at_most_the_divergence_penalty():
+    # 1/(s - 50) grows as e^(50 - kp) t without diverging inside 8 s: kp 1
+    # and 3.16 overflow the squared error, kp 10 integrates to 1.7e276.
+    spec = grid_spec(
+        loop=LoopSpec(
+            plant=tf_new([1.0], [1.0, -50.0]),
+            gains=PidGains(kp=1.0),
+            setpoint=SetpointProfile.step(1.0),
+            sim=SimConfig(dt=1e-3, t_end=8.0),
+        ),
+        cost_kind=CostKind.ISE,
+        kp_bounds=(1.0, 100.0),
+        initial=PidGains(kp=1.0),
+        grid_points=5,
+    )
+    result = tune_pid(spec)
+    costs = [cost for _, cost in result.history]
+    assert costs[:4] == [DIVERGENCE_PENALTY] * 4
+    assert costs[4] < 10.0
+    assert result.best_gains.kp == 100.0
+
+
+def test_loop_cost_skips_the_metrics_and_the_pole_analysis(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the tuner reads only the series")
+
+    monkeypatch.setattr(loops, "response_metrics", unused)
+    monkeypatch.setattr(loops, "_analysis", unused)
+    assert loop_cost(speed_spec(2.0), CostKind.ITAE) > 0.0
+
+
 def test_cost_kinds_differ():
     spec = speed_spec(2.0, t_end=5.0)
     itae = loop_cost(spec, CostKind.ITAE)
