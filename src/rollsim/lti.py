@@ -15,9 +15,10 @@ the closed loops in :mod:`rollsim.loops` both advance plant states with
 it, sampling the input once at each step start and holding it.  A linear
 recurrence over a whole horizon is evaluated in closed form, a block of
 steps at a time, by :func:`propagate`: open-loop runs always, closed
-loops when they are linear.  Its block starts come from a doubling scan
-over finite powers of the step map only, so an overflow shows at the
-sample where the step-by-step recurrence meets it.
+loops when they are linear.  It writes output rows straight from its
+block products, and its block starts come from a doubling scan over
+finite powers of the step map only, so an overflow shows at the sample
+where the step-by-step recurrence meets it.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -366,15 +367,15 @@ _BLOCK = 16
 _SERIAL_PRODUCT = 4 * 65536
 
 
-def _finite_chain(first: np.ndarray, advance: Callable, length: int) -> list[np.ndarray]:
-    """[first, advance(first), ...], at most ``length`` long and ending
-    before the first non-finite item after ``first``."""
+def _finite_chain(first: np.ndarray, advance: Callable, length: int) -> np.ndarray:
+    """[first, advance(first), ...] stacked, ``length`` long but cut before
+    the first non-finite item after ``first``, with one finiteness test."""
     chain = [first]
-    while len(chain) < length and np.all(np.isfinite(chain[-1])):
+    for _ in range(length - 1):
         chain.append(advance(chain[-1]))
-    if len(chain) > 1 and not np.all(np.isfinite(chain[-1])):
-        chain.pop()
-    return chain
+    chain = np.array(chain)
+    bad = np.flatnonzero(~np.all(np.isfinite(chain[1:]), axis=(1, 2)))
+    return chain[:1 + bad[0]] if bad.size else chain
 
 
 def propagate(
@@ -394,19 +395,22 @@ def propagate(
     The recurrence is evaluated in blocks of L = ``_BLOCK`` steps (G.
     Blelloch, *Prefix sums and their applications*, 1990).  Within a block
     starting at b, z[b+i] = m^i z[b] + sum_{l<i} m^(i-1-l) g w[b+l], one
-    matrix product for a chunk of blocks.  The block starts obey s[b+1] =
-    M s[b] + c[b], with M = m^L and c[b] the block's inputs carried to its
-    end.  A doubling scan (P. Kogge & H. Stone, IEEE Trans. Computers,
-    1973) solves that first-order recurrence for B blocks in ceil(log2 B)
-    array steps, ends[2^k:] += ends[:-2^k] P_k^T with P_k = M^(2^k), so
-    Python never steps once per block.
+    matrix product for a chunk of blocks; that map projected through ``h``,
+    plus ``j`` where input l meets offset l, writes their rows in one more.
+    The block starts obey s[b+1] = M s[b] + c[b], with M = m^L and c[b] the
+    block's inputs carried to its end.  A doubling scan (P. Kogge & H.
+    Stone, IEEE Trans. Computers, 1973) solves that first-order recurrence
+    for B blocks in ceil(log2 B) array steps, ends[2^k:] += ends[:-2^k]
+    P_k^T with P_k = M^(2^k), so Python never steps once per block.
 
     Overflow is how divergence shows, but an overflowed power times a zero
     state is NaN, which would flag finite states.  So only finite powers
-    are used: L shrinks below ``_BLOCK`` when m^L overflows, and one scan
+    are used, each stack tested once and cut before its first non-finite
+    power: L shrinks below ``_BLOCK`` when m^L overflows, and one scan
     covers at most 2^K blocks for K finite P_k, the next scan carrying on
-    from the last end of the one before.  The first non-finite state is
-    then the one the step-by-step recurrence meets.
+    from the last end of the one before.  A chunk's states are searched
+    one by one only when their sum is not finite.  The first non-finite
+    state is then the one the step-by-step recurrence meets.
     """
     m = np.asarray(m, dtype=float)
     g = np.asarray(g, dtype=float).ravel()
@@ -418,53 +422,57 @@ def propagate(
     j = np.ravel(np.asarray(j, dtype=float))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.array([np.eye(n), *_finite_chain(m, lambda p: m @ p, _BLOCK)])
+        powers = np.concatenate([np.eye(n)[None], _finite_chain(m, lambda p: m @ p, _BLOCK)])
         size = len(powers) - 1
-        impulse = powers[:size] @ g  # impulse[i] = m^i g
-        # Row l of the in-block map feeds input w[b+l] to offsets i > l;
-        # the rows above it carry z[b] to offset i as m^i z[b].
-        toeplitz = np.zeros((size, size, n))
-        for i in range(1, size):
-            toeplitz[:i, i] = impulse[i - 1::-1]
+        markov = np.concatenate([powers[:size] @ g, np.zeros((size, n))])  # m^i g
+        offsets = np.arange(size)
+        lags = offsets - offsets[:, None] - 1  # i - 1 - l; below 0 reads a zero
+        # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
+        # feeds input w[b+l] to offsets i > l.
         block_map = np.concatenate([
             powers[:size].transpose(2, 0, 1).reshape(n, size * n),
-            toeplitz.reshape(size, size * n),
+            markov[lags].reshape(size, size * n),
         ])
+        row_map = block_map.reshape(n + size, size, n) @ h.T
+        row_map[n + offsets, offsets] += j
+        row_map = row_map.reshape(n + size, -1)
 
-        blocks = -(-count // size)
-        inputs = np.zeros(blocks * size)
-        inputs[:count] = w
-        inputs = inputs.reshape(blocks, size)
+        blocks, full = -(-count // size), count // size
+        operands = np.zeros((blocks, n + size))  # each block's [start | inputs]
+        inputs = operands[:, n:]
+        inputs[:full] = w[:full * size].reshape(full, size)
+        inputs[full:, :count - full * size] = w[full * size:]
 
         # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
         # needs P_k for 2^k < len(ends).
         span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
         depth = max(1, (min(blocks, span) - 1).bit_length())
         doubling = _finite_chain(powers[size], lambda p: p @ p, depth)  # M^(2^k)
+        transposed = doubling.transpose(0, 2, 1).copy()  # contiguous: faster products
         span = min(span, 2 ** len(doubling))
-        starts = np.empty((blocks, n))
         start = np.zeros(n)
         for first in range(0, blocks, span):
-            ends = inputs[first:first + span] @ impulse[::-1]
+            ends = inputs[first:first + span] @ markov[size - 1::-1]
             ends[0] += doubling[0] @ start
-            for k, power in enumerate(doubling[:(len(ends) - 1).bit_length()]):
-                ends[2 ** k:] += ends[:-2 ** k] @ power.T
-            starts[first] = start
-            starts[first + 1:first + len(ends)] = ends[:-1]
+            for k, power in enumerate(transposed[:(len(ends) - 1).bit_length()]):
+                ends[2 ** k:] += ends[:-2 ** k] @ power
+            operands[first, :n] = start
+            operands[first + 1:first + len(ends), :n] = ends[:-1]
             start = ends[-1]
 
         rows = np.empty((blocks * size, len(h)))
-        per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * n))
+        per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, len(h))))
+        buffer = np.empty((min(blocks, per_chunk), size * n))
         for first in range(0, blocks, per_chunk):
-            chunk = inputs[first:first + per_chunk]
-            heads = starts[first:first + per_chunk]
-            states = (np.hstack([heads, chunk]) @ block_map).reshape(len(chunk) * size, n)
+            chunk = operands[first:first + per_chunk]
             offset = first * size
-            rows[offset:offset + len(states)] = states @ h.T + np.outer(chunk, j)
-            finite = np.all(np.isfinite(states), axis=1)
-            if not np.all(finite):
-                end = min(count, offset + int(np.argmin(finite)))
-                return rows[:end], end
+            np.dot(chunk, row_map, out=rows[offset:offset + len(chunk) * size].reshape(len(chunk), -1))
+            states = np.dot(chunk, block_map, out=buffer[:len(chunk)])
+            if not np.isfinite(states.sum()):
+                finite = np.all(np.isfinite(states.reshape(-1, n)), axis=1)
+                if not np.all(finite):
+                    end = min(count, offset + int(np.argmin(finite)))
+                    return rows[:end], end
     return rows[:count], count
 
 
@@ -480,8 +488,8 @@ def simulate_lti(
     directly, one per step start (``cfg.steps + 1``).  The state advances
     by the :func:`zoh_step_matrices` map of ``cfg.integrator``, evaluated
     by :func:`propagate`.  Returns channels ``u`` and ``y``.  Raises
-    :class:`SimulationDiverged` when the state leaves the finite range,
-    with the finite prefix attached.
+    :class:`SimulationDiverged` at the first sample whose state or output
+    is not finite, with the finite prefix attached.
     """
     steps = cfg.steps
     t = np.arange(steps + 1) * cfg.dt
@@ -493,7 +501,9 @@ def simulate_lti(
             raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
     m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
     rows, end = propagate(m, nvec, u, ss.C, [ss.D])
-    y = rows[:, 0]
+    finite = np.isfinite(rows[:, 0])
+    end = end if np.all(finite) else int(np.argmin(finite))  # first non-finite output
+    y = rows[:end, 0]
     if end <= steps:
         partial = TimeSeries(t=t[:end], channels={"u": u[:end].copy(), "y": y})
         raise SimulationDiverged(time=float(t[end]), partial=partial)

@@ -374,6 +374,25 @@ def test_divergence_reports_time_and_prefix():
     assert np.all(np.isfinite(info.value.partial["y"]))
 
 
+def test_open_loop_ends_at_the_first_nonfinite_output():
+    # The state grows as e^t and stays finite for about 700 s, but the
+    # output 1e300 x overflows near t = 19 s.
+    tf, cfg = tf_new([1e300], [1, -1]), SimConfig(dt=1e-3, t_end=30.0)
+    ss = tf_to_state_space(tf)
+    m, nvec = zoh_step_matrices(ss, cfg.dt)
+    u = np.ones(cfg.steps + 1)
+    with np.errstate(over="ignore"):
+        y = (plain_recurrence(m, nvec, u) @ ss.C.T).ravel() + ss.D * u
+    first = int(np.argmin(np.isfinite(y)))
+    assert 0 < first < cfg.steps
+
+    with pytest.raises(SimulationDiverged) as info:
+        step_response(tf, cfg)
+    partial = info.value.partial
+    assert info.value.time == pytest.approx(first * cfg.dt) and len(partial) == first
+    np.testing.assert_allclose(partial["y"], y[:first], rtol=1e-12)
+
+
 @pytest.mark.parametrize("integrator", list(Integrator))
 def test_simulate_lti_is_the_zoh_recurrence(integrator):
     # A piecewise-constant input is sampled at each step start and held:
@@ -542,6 +561,87 @@ def test_propagate_runs_no_python_line_per_block():
     finally:
         sys.settrace(None)
     assert 0 < lines < 4000 / 10
+
+
+# Rows come straight from the block map projected through h, with j on
+# the input diagonal, and each chunk's states are tested once by their sum.
+
+def assert_plain_rows(m, g, w, h, j, states=None):
+    """propagate's rows are h z + j w of the plain recurrence (``states``
+    when given), to 1e-12 of the largest row."""
+    states = plain_recurrence(m, g, w) if states is None else states
+    expected = states @ h.T + np.outer(w, j)
+    rows, end = propagate(m, g, w, h, j)
+    assert end == len(w) and rows.shape == expected.shape
+    assert np.max(np.abs(rows - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
+
+
+@pytest.mark.parametrize("outputs", [1, 3])
+@pytest.mark.parametrize("order", [1, 3, 12])
+def test_propagate_projects_rows_inside_the_block_product(order, outputs):
+    m, g = decaying(order, 20 + order)
+    rng = np.random.default_rng(10 * order + outputs)
+    h, j = rng.normal(size=(outputs, order)), rng.normal(size=outputs)
+    assert_plain_rows(m, g, rng.normal(size=6001), h, j)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_propagate_on_random_decaying_loops(seed):
+    rng = np.random.default_rng(1000 + seed)
+    order, count, outputs = int(rng.integers(1, 13)), int(rng.integers(0, 2001)), int(rng.integers(1, 4))
+    m, g = decaying(order, 2000 + seed, radius=rng.uniform(0.5, 0.999))
+    w = rng.normal(size=count)
+    h, j = rng.normal(size=(outputs, order)), rng.normal(size=outputs)
+    expected = plain_recurrence(m, g, w)
+    states, end = propagate(m, g, w, np.eye(order), np.zeros(order))
+    assert end == count and states.shape == expected.shape
+    assert np.max(np.abs(states - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
+    assert_plain_rows(m, g, w, h, j, expected)
+
+
+def test_propagate_runs_past_finite_states_whose_sum_overflows():
+    m, g, w = np.zeros((2, 2)), np.ones(2), np.full(100, 1.5e308)
+    expected = plain_recurrence(m, g, w)
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(expected)) and not np.isfinite(expected.sum())
+
+    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    assert end == len(w)
+    np.testing.assert_array_equal(states, expected)
+
+
+def test_propagate_finds_the_first_overflowing_state_exactly():
+    # z[k] = (2 - 2^(1-k)) 1e308 passes the largest double at k = 4.
+    m, g, w = 0.5 * np.eye(2), np.ones(2), np.full(100, 1e308)
+    expected = plain_recurrence(m, g, w)
+    assert first_nonfinite(expected) == 4
+
+    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    assert end == 4
+    np.testing.assert_allclose(states, expected[:4], rtol=1e-15)
+
+
+def test_propagate_tests_finiteness_once_per_array(monkeypatch):
+    # One test of the inputs, one per power stack and one per chunk of
+    # states: never a test per power, and no state tested one by one
+    # while the chunk sums are finite.
+    m, g = decaying(2, 13)
+    w = np.ones(16 * 1000)
+    tested = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        tested.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    propagate(m, g, w, np.eye(2), np.zeros(2))
+    monkeypatch.undo()
+    chunks = len(tested) - 3  # the inputs and the two power stacks
+    assert 1 <= chunks <= 4
+    # The inputs, at most 16 powers m^i and 10 doubling powers of 2 x 2
+    # entries, and one sum per chunk.
+    assert sum(tested) <= len(w) + 16 * 4 + 10 * 4 + chunks
 
 
 # ---------------------------------------------------------------------------
