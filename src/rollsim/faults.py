@@ -107,7 +107,7 @@ class SensorModel:
             raise ValueError("noise_sigma must be >= 0")
         if self.quantization_step < 0:
             raise ValueError("quantization_step must be >= 0")
-        if self.sample_dt < 0:
+        if not self.sample_dt >= 0:  # NaN too: it would read every sample
             raise ValueError("sample_dt must be >= 0")
 
     @property

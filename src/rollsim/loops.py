@@ -18,14 +18,14 @@ maps by one of three routes:
   closes them with e = sp - y_true and is propagated by
   :func:`~rollsim.lti.propagate`;
 - verified blocks: a loop whose sensor reads every sample and whose
-  controller has no output limits is computed in closed form a block at
-  a time from a guess of its readings, which one array call of
-  :func:`~rollsim.faults.apply_sensor` then checks and corrects;
+  controller has no output limits is propagated a block of up to 1,024
+  samples at a time from a guess of its readings, which one array call
+  of :func:`~rollsim.faults.apply_sensor` then checks and corrects;
 - stepped: any other loop (output limits, a slower sensor clock) runs one
   small product per sample, and only the sensor reading and the output
   clamp, which depend on the previous sample, are evaluated in between.
-  A verified block that does not settle in a few rounds is finished
-  this way.
+  Where verified blocks do not settle in a few rounds, short stretches
+  are stepped.
 
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is linear.
@@ -55,6 +55,7 @@ from .lti import (
     TransferFunction,
     poly_trim,
     polynomial_roots,
+    PropagationPlan,
     propagate,
     response_metrics,
     routh_classification,
@@ -344,8 +345,8 @@ def _loop_maps(
 
 
 _CHUNK = 1024  # samples whose sensor terms and channel values are held at once
-_BLOCK = 128  # samples per verified block
-_ROUNDS = 4  # verification rounds before a block is stepped instead
+_BLOCK = 128  # shortest verified block, and the most a failed block hands the stepper
+_ROUNDS = 4  # verification rounds before the stepper takes over
 # Largest open-loop growth over a block: the closed form sums terms that
 # large to get an output of the loop's own size, so each decade costs a digit.
 _GROWTH = 1e4
@@ -438,20 +439,6 @@ class _Stepper:
         return valid
 
 
-def _powers(f: np.ndarray, count: int) -> np.ndarray:
-    """f^0 .. f^count stacked, by repeated doubling."""
-    size = len(f)
-    powers = np.empty((count + 1, size, size))
-    powers[0] = np.eye(size)
-    done = 1
-    while done <= count:
-        take = min(done, count + 1 - done)
-        ahead = powers[done - 1] @ f
-        np.dot(powers[:take].reshape(-1, size), ahead, out=powers[done:done + take].reshape(-1, size))
-        done += take
-    return powers
-
-
 def _radius(f: np.ndarray) -> float:
     """Spectral radius of ``f``, estimated from the growth of its powers
     from f^128 to f^256 (Gelfand's formula); NaN or inf when they overflow."""
@@ -463,79 +450,56 @@ def _radius(f: np.ndarray) -> float:
         return float((high / low) ** (1.0 / 128)) if low > 0.0 else 0.0
 
 
-def _block_map(
-    powers: np.ndarray, g: np.ndarray, row: np.ndarray, ahead: int, lags: np.ndarray
-) -> np.ndarray:
-    """The matrix taking [z; e] of a block to ``row`` times the state
-    ``ahead`` (0 or 1) samples after each of its samples: z[i + ahead] =
-    F^(i + ahead) z + sum_{l < i + ahead} F^(i + ahead - 1 - l) g e[l],
-    given ``powers`` F^0 .. F^L and ``lags`` i - l for each (i, l), or L
-    above the diagonal.
-    """
-    length, size = len(powers) - 1, len(g)
-    markov = np.zeros(length + 1)  # markov[length] is the zero above the diagonal
-    markov[1 - ahead:length] = (powers[:length - 1 + ahead] @ g) @ row
-    block = np.empty((length, size + length))
-    block[:, :size] = row @ powers[ahead:length + ahead]
-    block[:, size:] = markov[lags]
-    return block
-
-
 class _VerifiedBlocks:
     """A loop whose sensor reads every sample and whose controller has no
     limits, a block of samples at a time.
 
     Only the reading depends on the measured value, and a reading depends
-    only on earlier errors.  From the block's start state z, a guess of
-    its readings gives its outputs in closed form, y[i] = h F^i z +
-    sum_{l<i} a[i-l] e[l] with the Markov parameters a[m] = h F^(m-1) g
-    of :func:`_loop_maps`; one :func:`~rollsim.faults.apply_sensor` call
-    then reads all of them again.  Where a reading changed the block is
-    recomputed with it, and read again, until none changes.  Each round
-    leaves every sample before its first changed reading final, so the
-    rounds end, and they end on the readings the stepper would take.
+    only on earlier errors.  From the block's start state, a guess of its
+    readings gives its errors, and one apply of a
+    :class:`~rollsim.lti.PropagationPlan` of the open loop of
+    :func:`_loop_maps` gives its outputs, commands and end state; one
+    :func:`~rollsim.faults.apply_sensor` call then reads all the outputs
+    again.  Where a reading changed the block is recomputed with it, and
+    read again, until none changes.  Each round leaves every sample before
+    its first changed reading final, so the rounds end, and they end on
+    the readings the stepper would take.
 
-    The guess is the loop closed through an unquantized sensor, so only
-    the quantizer's own error is left to correct.  Without a quantizer
-    that guess is exact, and in an open stuck or dropout window the
-    readings are the held value: both take one pass.  A block that needs
-    more than ``_ROUNDS`` rounds, or whose outputs are not finite, is
-    finished by the stepper from its last verified sample.
+    The guess is a plan of the loop closed through an unquantized sensor,
+    so only the quantizer's own error is left to correct.  Without a
+    quantizer that guess is exact, and in an open stuck or dropout window
+    the readings are the held value: both take one pass.  A block that
+    needs more than ``_ROUNDS`` rounds, or whose outputs are not finite,
+    ends at its last verified sample.  If it verified fewer than
+    ``_BLOCK // 2``, its rounds cost more than stepping would, so the
+    stepper takes the next ``_BLOCK`` samples before the next block.
     """
 
-    def __init__(self, maps: tuple, stepper: _Stepper) -> None:
+    def __init__(self, maps: tuple, stepper: _Stepper, length: int) -> None:
         f, g, h = maps
-        size, length = len(g), _BLOCK
-        self.size, self.length, self.stepper, self.h = size, length, stepper, h
-        last = np.zeros(size)
-        last[-1] = 1.0  # u is the next state's last entry
-        lags = np.subtract.outer(np.arange(length), np.arange(length))
-        lags[lags < 0] = length
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.powers = _powers(f, length)
-            self.impulse = self.powers[:length] @ g  # impulse[k] = F^k g
-            self.outputs = _block_map(self.powers, g, h, 0, lags)
-            self.commands = _block_map(self.powers, g, last, 1, lags)
-            self.guesses = _block_map(_powers(f - np.outer(g, h), length), g, h, 0, lags)
-        self.inputs = np.empty(size + length)  # [z; e] of the block in hand
+        self.size, self.length, self.stepper, self.h = len(g), length, stepper, h
+        self.guess = PropagationPlan(f - np.outer(g, h), g, h, [0.0], length)
+        # u[i] is the next state's last entry: F[-1] z[i] + g[-1] e[i].
+        self.open = PropagationPlan(f, g, np.array([h, f[-1]]), [0.0, g[-1]], length)
 
     @staticmethod
-    def fits(spec: LoopSpec, maps: tuple) -> bool:
-        """Whether a nonlinear ``spec`` runs in blocks; otherwise it is stepped.
-
-        A loop is stepped when the open loop or the loop closed through an
-        unquantized sensor grows by more than ``_GROWTH`` over a block.
+    def block_length(spec: LoopSpec, maps: tuple) -> int:
+        """Samples per verified block of a nonlinear ``spec``: the longest
+        power of two up to ``_CHUNK`` over which neither the open loop nor
+        the loop closed through an unquantized sensor grows by more than
+        ``_GROWTH``, or 0 (it is stepped) when that is under ``_BLOCK``.
         Open-loop growth costs the closed form digits; closed-loop growth
         amplifies each quantization error, so the block would not verify
         in a few rounds.
         """
         if spec.gains.saturates or (spec.sensor is not None and spec.sensor.sample_dt > 0.0):
-            return False
+            return 0
         f, g, h = maps
         radius = max(_radius(f), _radius(f - np.outer(g, h)))
-        # Compared as a root: radius ** _BLOCK may overflow, and NaN (an
-        # overflowed estimate) fails the test.
-        return radius <= _GROWTH ** (1.0 / _BLOCK)
+        # Compared as a root: radius ** length may overflow, and NaN (an
+        # overflowed estimate) fails every test.
+        lengths = (_BLOCK << k for k in range((_CHUNK // _BLOCK).bit_length()))
+        return max((n for n in lengths if radius <= _GROWTH ** (1.0 / n)), default=0)
 
     def run(self, carry: _Carry, sp: np.ndarray, terms: tuple, out: np.ndarray) -> int:
         """As :meth:`_Stepper.run`, over blocks that never straddle a
@@ -552,11 +516,15 @@ class _VerifiedBlocks:
             if window[a] and carry.held is None:
                 carry.held = carry.ym
             hold = carry.held if window[a] else None
-            done = a + self._block(carry, sp[a:b], terms[1][a:b], terms[2][a:b], hold, out[:, a:b])
-            if done < b:
-                stepped = self.stepper.run(carry, sp[done:b], tuple(x[done:b] for x in terms), out[:, done:b])
-                if stepped < b - done:
-                    return done + stepped
+            while a < b:
+                done = self._block(carry, sp[a:b], terms[1][a:b], terms[2][a:b], hold, out[:, a:b])
+                a += done
+                if a < b and done < _BLOCK // 2:
+                    stop = min(b, a + _BLOCK)
+                    stepped = self.stepper.run(carry, sp[a:stop], tuple(x[a:stop] for x in terms), out[:, a:stop])
+                    if stepped < stop - a:
+                        return a + stepped
+                    a = stop
         return len(sp)
 
     def _block(
@@ -564,43 +532,40 @@ class _VerifiedBlocks:
         hold: float | None, out: np.ndarray,
     ) -> int:
         """Verify one block from ``carry``; returns how many of its samples
-        are final and written (0 when the stepper must take all of it)."""
+        are final and written (0 when the stepper must take over at once)."""
         count, size, model = len(sp), self.size, self.stepper.model
-        columns = size + count
-        inputs = self.inputs[:columns]
-        inputs[:size] = carry.cur[:size]
-        errors = inputs[size:]
+        z = carry.cur[:size]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(sp, model.bias + noise + offset, out=errors)
-            readings = apply_sensor(self.guesses[:count, :columns] @ inputs, model, noise, offset, hold)
-            np.subtract(sp, readings, out=errors)
-            y = self.outputs[:count, :columns] @ inputs
+            if hold is None:
+                guess, end, _ = self.guess.apply(sp - (model.bias + noise + offset), z)
+                if end < count:
+                    return 0
+                readings = apply_sensor(guess[:, 0], model, noise, offset)
+            else:
+                readings = np.full(count, hold)
+            errors = sp - readings
+            rows, end, z_end = self.open.apply(errors, z)
             final = count
             if model.quantization_step > 0.0 and hold is None:
-                for _ in range(_ROUNDS):
-                    again = apply_sensor(y, model, noise, offset)
+                for left in range(_ROUNDS - 1, -1, -1):
+                    # A sum is non-finite when a term is (or when it overflows:
+                    # stepping then decides).
+                    if end < count or not math.isfinite(rows.sum()):
+                        return 0
+                    again = apply_sensor(rows[:, 0], model, noise, offset)
                     changed = np.flatnonzero(again != readings)
                     final = int(changed[0]) if changed.size else count
                     if final == count:
                         break
                     readings = again
-                    np.subtract(sp, readings, out=errors)
-                    y = self.outputs[:count, :columns] @ inputs
-            if final == 0:
+                    errors = sp - readings
+                    # The last round keeps only its final samples.
+                    rows, end, z_end = self.open.apply(errors if left else errors[:final], z)
+            if final == 0 or end < final or not math.isfinite(rows[:final].sum() + z_end.sum()):
                 return 0
-            used = inputs[:size + final]
-            u = self.commands[:final, :size + final] @ used
-            z_next = self.powers[final] @ used[:size] + used[size:] @ self.impulse[final - 1::-1]
-            # A sum is non-finite when a term is (or when it overflows: stepping
-            # then decides).
-            if not math.isfinite(y[:final].sum() + u.sum() + z_next.sum()):
-                return 0
-        out[0, :final] = y[:final]
-        out[1, :final] = readings[:final]
-        out[2, :final] = errors[:final]
-        out[3, :final] = u
-        carry.cur[:size] = z_next
-        carry.cur[size] = self.h @ z_next
+        out[:, :final] = rows[:final, 0], readings[:final], errors[:final], rows[:final, 1]
+        carry.cur[:size] = z_end
+        carry.cur[size] = self.h @ z_end
         carry.ym = readings.item(final - 1)
         return final
 
@@ -638,7 +603,8 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
         y_meas = y_true
     else:
         stepper = _Stepper(spec, maps, m, nvec)
-        run = _VerifiedBlocks(maps, stepper).run if _VerifiedBlocks.fits(spec, maps) else stepper.run
+        length = _VerifiedBlocks.block_length(spec, maps)
+        run = _VerifiedBlocks(maps, stepper, length).run if length else stepper.run
         carry = _Carry(len(maps[1]))
         terms = (
             sensor_terms(stepper.model, spec.fault, spec.seed, t, _CHUNK) if stepper.measured

@@ -13,12 +13,12 @@ step map x+ = M x + N u for an input held constant over the step (RK4 or
 forward Euler, chosen by :class:`SimConfig`).  Open-loop runs here and
 the closed loops in :mod:`rollsim.loops` both advance plant states with
 it, sampling the input once at each step start and holding it.  A linear
-recurrence over a whole horizon is evaluated in closed form, a block of
-steps at a time, by :func:`propagate`: open-loop runs always, closed
-loops when they are linear.  It writes output rows straight from its
-block products, and its block starts come from a doubling scan over
-finite powers of the step map only, so an overflow shows at the sample
-where the step-by-step recurrence meets it.
+recurrence is evaluated in closed form, a block of steps at a time, by
+:func:`propagate`: open-loop runs and linear closed loops over their
+whole horizon, and a nonlinear loop's verified blocks through one reused
+:class:`PropagationPlan`.  Rows come straight from the block products,
+and block starts from a doubling scan over finite powers of the step map
+only, so an overflow shows where the step-by-step recurrence meets it.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -47,6 +47,7 @@ __all__ = [
     "poly_trim",
     "polynomial_roots",
     "poles",
+    "PropagationPlan",
     "propagate",
     "response_metrics",
     "routh_classification",
@@ -378,6 +379,93 @@ def _finite_chain(first: np.ndarray, advance: Callable, length: int) -> np.ndarr
     return chain[:1 + bad[0]] if bad.size else chain
 
 
+class PropagationPlan:
+    """The block maps and doubling powers of :func:`propagate`, built once
+    for inputs of up to ``longest`` samples and applied from any start."""
+
+    def __init__(self, m: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray, longest: int) -> None:
+        m = np.asarray(m, dtype=float)
+        g = np.asarray(g, dtype=float).ravel()
+        h = np.atleast_2d(np.asarray(h, dtype=float))
+        j = np.ravel(np.asarray(j, dtype=float))
+        n, outputs = len(g), len(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.concatenate([np.eye(n)[None], _finite_chain(m, lambda p: m @ p, _BLOCK)])
+            size = len(powers) - 1
+            markov = np.concatenate([powers[:size] @ g, np.zeros((size, n))])  # m^i g
+            offsets = np.arange(size)
+            lags = offsets - offsets[:, None] - 1  # i - 1 - l; below 0 reads a zero
+            # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
+            # feeds input w[b+l] to offsets i > l.
+            block_map = np.concatenate([
+                powers[:size].transpose(2, 0, 1).reshape(n, size * n),
+                markov[lags].reshape(size, size * n),
+            ])
+            row_map = block_map.reshape(n + size, size, n) @ h.T
+            row_map[n + offsets, offsets] += j
+            if not np.isfinite(markov.sum() + row_map.sum()):
+                # Offset i of a block needs h m^i and h m^(i-1-l) g, its end m^(L-1) g:
+                # a shorter block's maps are the top-left corner of these.
+                finite = np.all(np.isfinite(markov[:size]), axis=1) & np.all(np.isfinite(row_map), axis=(0, 2))
+                size = max(1, int(np.argmin(finite))) if not np.all(finite) else size
+                block_map, row_map = block_map[:n + size, :size * n], row_map[:n + size, :size]
+            self.block_map, self.row_map = block_map, row_map.reshape(n + size, -1)
+            self.carry = markov[size - 1::-1]  # carries a block's inputs to its end
+
+            # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
+            # needs P_k for 2^k < len(ends).
+            blocks = -(-longest // size)
+            span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
+            depth = max(1, (min(blocks, span) - 1).bit_length())
+            doubling = _finite_chain(powers[size], lambda p: p @ p, depth)  # M^(2^k)
+            self.leap = doubling[0]
+            self.transposed = doubling.transpose(0, 2, 1).copy()  # contiguous: faster products
+            self.span = min(span, 2 ** len(doubling))
+        self.n, self.size, self.outputs = n, size, outputs
+        self.per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, outputs)))
+
+    def apply(self, w: np.ndarray, z0: np.ndarray | None = None) -> tuple[np.ndarray, int, np.ndarray | None]:
+        """:func:`propagate` from the start state ``z0`` (zero when None),
+        returning also z[len(w)], the state after the last sample: None when
+        ``end`` < ``len(w)``, and not tested for finiteness.  A non-finite
+        input shows as non-finite states after it."""
+        w = np.asarray(w, dtype=float)
+        n, size, count = self.n, self.size, len(w)
+        blocks, full = -(-count // size), count // size
+        operands = np.zeros((blocks, n + size))  # each block's [start | inputs]
+        inputs = operands[:, n:]
+        inputs[:full] = w[:full * size].reshape(full, size)
+        inputs[full:, :count - full * size] = w[full * size:]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float)
+            for first in range(0, blocks, self.span):
+                ends = inputs[first:first + self.span] @ self.carry
+                ends[0] += self.leap @ start
+                for k, power in enumerate(self.transposed[:(len(ends) - 1).bit_length()]):
+                    ends[2 ** k:] += ends[:-2 ** k] @ power
+                operands[first, :n] = start
+                operands[first + 1:first + len(ends), :n] = ends[:-1]
+                start = ends[-1]
+
+            rows = np.empty((blocks * size, self.outputs))
+            buffer = np.empty((min(blocks, self.per_chunk), size * n))
+            for first in range(0, blocks, self.per_chunk):
+                chunk = operands[first:first + self.per_chunk]
+                offset = first * size
+                np.dot(chunk, self.row_map, out=rows[offset:offset + len(chunk) * size].reshape(len(chunk), -1))
+                states = np.dot(chunk, self.block_map, out=buffer[:len(chunk)])
+                if not np.isfinite(states.sum()):
+                    finite = np.all(np.isfinite(states.reshape(-1, n)), axis=1)
+                    if not np.all(finite):
+                        end = min(count, offset + int(np.argmin(finite)))
+                        if end < count:
+                            return rows[:end], end, None
+        if count % size:  # the last block's state at offset count % size
+            start = states[-1, (count % size) * n:(count % size + 1) * n].copy()
+        return rows[:count], count, start
+
+
 def propagate(
     m: np.ndarray,
     g: np.ndarray,
@@ -390,7 +478,10 @@ def propagate(
     Returns ``(rows, end)``.  ``end`` is the index of the first non-finite
     state, or ``len(w)`` when all are finite; ``rows[k]`` for k < end is
     the projection h z[k] + j w[k], with ``h`` p x n and ``j`` of length p.
-    The inputs must be finite.
+    The inputs must be finite.  This is one :class:`PropagationPlan`
+    applied from z0 = 0; a caller that runs the same maps over many
+    stretches builds the plan once and starts each apply from the state
+    the one before ended on.
 
     The recurrence is evaluated in blocks of L = ``_BLOCK`` steps (G.
     Blelloch, *Prefix sums and their applications*, 1990).  Within a block
@@ -401,79 +492,22 @@ def propagate(
     block's inputs carried to its end.  A doubling scan (P. Kogge & H.
     Stone, IEEE Trans. Computers, 1973) solves that first-order recurrence
     for B blocks in ceil(log2 B) array steps, ends[2^k:] += ends[:-2^k]
-    P_k^T with P_k = M^(2^k), so Python never steps once per block.
+    P_k^T with P_k = M^(2^k), so Python never steps once per block; the
+    first start is z0.
 
-    Overflow is how divergence shows, but an overflowed power times a zero
-    state is NaN, which would flag finite states.  So only finite powers
-    are used, each stack tested once and cut before its first non-finite
-    power: L shrinks below ``_BLOCK`` when m^L overflows, and one scan
-    covers at most 2^K blocks for K finite P_k, the next scan carrying on
-    from the last end of the one before.  A chunk's states are searched
-    one by one only when their sum is not finite.  The first non-finite
-    state is then the one the step-by-step recurrence meets.
+    Overflow is how divergence shows, but an overflowed map entry times a
+    zero state or input is NaN, which would flag finite states.  So only
+    finite maps are used, each stack tested once: L stops before the first
+    power m^i, m^i g or row map entry h m^i, h m^i g that overflows, and
+    one scan covers at most 2^K blocks for K finite P_k, the next scan
+    carrying on from the last end of the one before.  A chunk's states are
+    searched one by one only when their sum is not finite.  The first
+    non-finite state is then the one the step-by-step recurrence meets.
     """
-    m = np.asarray(m, dtype=float)
-    g = np.asarray(g, dtype=float).ravel()
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("propagate needs finite inputs")
-    n, count = len(g), len(w)
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    j = np.ravel(np.asarray(j, dtype=float))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.concatenate([np.eye(n)[None], _finite_chain(m, lambda p: m @ p, _BLOCK)])
-        size = len(powers) - 1
-        markov = np.concatenate([powers[:size] @ g, np.zeros((size, n))])  # m^i g
-        offsets = np.arange(size)
-        lags = offsets - offsets[:, None] - 1  # i - 1 - l; below 0 reads a zero
-        # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
-        # feeds input w[b+l] to offsets i > l.
-        block_map = np.concatenate([
-            powers[:size].transpose(2, 0, 1).reshape(n, size * n),
-            markov[lags].reshape(size, size * n),
-        ])
-        row_map = block_map.reshape(n + size, size, n) @ h.T
-        row_map[n + offsets, offsets] += j
-        row_map = row_map.reshape(n + size, -1)
-
-        blocks, full = -(-count // size), count // size
-        operands = np.zeros((blocks, n + size))  # each block's [start | inputs]
-        inputs = operands[:, n:]
-        inputs[:full] = w[:full * size].reshape(full, size)
-        inputs[full:, :count - full * size] = w[full * size:]
-
-        # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
-        # needs P_k for 2^k < len(ends).
-        span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
-        depth = max(1, (min(blocks, span) - 1).bit_length())
-        doubling = _finite_chain(powers[size], lambda p: p @ p, depth)  # M^(2^k)
-        transposed = doubling.transpose(0, 2, 1).copy()  # contiguous: faster products
-        span = min(span, 2 ** len(doubling))
-        start = np.zeros(n)
-        for first in range(0, blocks, span):
-            ends = inputs[first:first + span] @ markov[size - 1::-1]
-            ends[0] += doubling[0] @ start
-            for k, power in enumerate(transposed[:(len(ends) - 1).bit_length()]):
-                ends[2 ** k:] += ends[:-2 ** k] @ power
-            operands[first, :n] = start
-            operands[first + 1:first + len(ends), :n] = ends[:-1]
-            start = ends[-1]
-
-        rows = np.empty((blocks * size, len(h)))
-        per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, len(h))))
-        buffer = np.empty((min(blocks, per_chunk), size * n))
-        for first in range(0, blocks, per_chunk):
-            chunk = operands[first:first + per_chunk]
-            offset = first * size
-            np.dot(chunk, row_map, out=rows[offset:offset + len(chunk) * size].reshape(len(chunk), -1))
-            states = np.dot(chunk, block_map, out=buffer[:len(chunk)])
-            if not np.isfinite(states.sum()):
-                finite = np.all(np.isfinite(states.reshape(-1, n)), axis=1)
-                if not np.all(finite):
-                    end = min(count, offset + int(np.argmin(finite)))
-                    return rows[:end], end
-    return rows[:count], count
+    return PropagationPlan(m, g, h, j, len(w)).apply(w)[:2]
 
 
 def simulate_lti(

@@ -129,6 +129,13 @@ def test_sample_ticks_follow_the_spacing_rule(dt, sample_dt):
     assert [k for k, term in enumerate(terms) if term is not None] == reference_ticks(t, sample_dt)
 
 
+@pytest.mark.parametrize("field", ["noise_sigma", "bias", "quantization_step", "sample_dt"])
+def test_sensor_model_rejects_nan(field):
+    # A NaN sample_dt compares False against 0 and would read every sample.
+    with pytest.raises(ValueError, match=field):
+        SensorModel(**{field: math.nan})
+
+
 def test_measurement_is_held_between_ticks():
     spec = loop(SensorModel(noise_sigma=0.01, sample_dt=0.01))
     ym = simulate_loop(spec).series["y_measured"]

@@ -642,7 +642,7 @@ def unquantized(rng):
     return SensorModel(noise_sigma=rng.uniform(1e-3, 1e-2), bias=rng.uniform(-0.1, 0.1))
 
 
-EDGE = 2 * loops._BLOCK * 1e-3  # the time of the sample that starts the third block at dt = 1 ms
+EDGE = 2 * loops._BLOCK * 1e-3  # the time of sample 2 * _BLOCK, two shortest blocks in, at dt = 1 ms
 
 # (sensor, fault) per case: each fault kind behind a quantizer, a window
 # open from the first sample, a window whose both edges fall on block
@@ -719,15 +719,19 @@ def test_diverging_loop_in_blocks_matches_the_stepper(sensor, monkeypatch):
         assert_same_bits(result.series["y_measured"][resolved], stepped.series["y_measured"][resolved])
 
 
-def test_routes_and_rounds(monkeypatch):
-    # Shaped like a fault-sweep job: gap loop, fine noisy quantizer, a fault.
-    sweep = LoopSpec(
+def sweep_loop(t_end: float = 10.0) -> LoopSpec:
+    """Shaped like a fault-sweep job: gap loop, fine noisy quantizer, a fault."""
+    return LoopSpec(
         plant=power_screw_tf(PowerScrewParams(lead=0.005), KinematicsMode.INTEGRATED),
         gains=PidGains(kp=4000.0, ki=800.0),
         setpoint=SetpointProfile(segments=(Segment(0.0, "step", 0.002), Segment(6.0, "step", 0.0025))),
         sensor=SensorModel(noise_sigma=1e-6, quantization_step=1e-6),
-        fault=FaultSpec(kind="dropout", onset_t=5.0, duration=3.0), seed=3, sim=SimConfig(dt=1e-3, t_end=10.0),
+        fault=FaultSpec(kind="dropout", onset_t=5.0, duration=3.0), seed=3, sim=SimConfig(dt=1e-3, t_end=t_end),
     )
+
+
+def test_routes_and_rounds(monkeypatch):
+    sweep = sweep_loop()
     for spec, steps in ((sweep, False), (coarse_quantizer_loop(), True)):
         calls = count_routes(monkeypatch)
         blocks = []
@@ -748,6 +752,39 @@ def test_routes_and_rounds(monkeypatch):
         if not steps:
             assert calls["apply_sensor(float)"] == 0
         monkeypatch.undo()
+
+
+def test_a_sweep_loop_verifies_in_long_blocks(monkeypatch):
+    # 20 s in blocks of up to 1,024 samples, a few array calls each, none
+    # stepped, and read as the stepper reads them.
+    spec = sweep_loop(20.0)
+    calls = count_routes(monkeypatch)
+    result = simulate_loop(spec)
+    assert calls["run"] == 0 and calls["apply_sensor(float)"] == 0
+    assert 0 < calls["apply_sensor(ndarray)"] < spec.sim.steps / 200
+    _, rows, end = reference_loop(spec)
+    assert not result.diverged and end == len(result.series)
+    assert_same_bits(result.series["y_measured"], rows[:, 1])
+    y_true = result.series["y_true"]
+    assert np.max(np.abs(y_true - rows[:, 0])) <= 1e-12 * np.max(np.abs(rows[:, 0]))
+
+
+def test_the_stepper_takes_short_stretches(monkeypatch):
+    # Where blocks do not verify, the stepper takes at most _BLOCK samples
+    # at a time, and no more in all than 128-sample blocks left it.
+    stretches = []
+    original = loops._Stepper.run
+
+    def run(self, carry, sp, *args):
+        stretches.append(len(sp))
+        return original(self, carry, sp, *args)
+
+    monkeypatch.setattr(loops._Stepper, "run", run)
+    spec = coarse_quantizer_loop(20.0)
+    result = simulate_loop(spec)
+    assert stretches and max(stretches) <= loops._BLOCK == 128
+    assert sum(stretches) <= 6014
+    assert_same_bits(result.series["y_measured"], reference_loop(spec)[1][:, 1])
 
 
 @given(

@@ -9,6 +9,7 @@ import pytest
 
 from rollsim.lti import (
     Integrator,
+    PropagationPlan,
     RouthVerdict,
     SimConfig,
     SimulationDiverged,
@@ -423,9 +424,10 @@ def test_simulate_lti_is_the_zoh_recurrence(integrator):
 # Block propagation
 # ---------------------------------------------------------------------------
 
-def plain_recurrence(m, g, w):
-    """States z[0 .. len(w)-1] of z[k+1] = m z[k] + g w[k], one step at a time."""
-    z = np.zeros(len(g))
+def plain_recurrence(m, g, w, z0=None):
+    """States z[0 .. len(w)-1] of z[k+1] = m z[k] + g w[k], one step at a
+    time from z[0] = ``z0`` (zero when None)."""
+    z = np.zeros(len(g)) if z0 is None else np.asarray(z0, dtype=float)
     states = []
     with np.errstate(over="ignore", invalid="ignore"):
         for wk in w:
@@ -550,7 +552,7 @@ def test_propagate_runs_no_python_line_per_block():
 
     def tracer(frame, event, arg):
         nonlocal lines
-        if frame.f_code is propagate.__code__:
+        if frame.f_code in (propagate.__code__, PropagationPlan.__init__.__code__, PropagationPlan.apply.__code__):
             lines += event == "line"
             return tracer
         return None
@@ -642,6 +644,91 @@ def test_propagate_tests_finiteness_once_per_array(monkeypatch):
     # The inputs, at most 16 powers m^i and 10 doubling powers of 2 x 2
     # entries, and one sum per chunk.
     assert sum(tested) <= len(w) + 16 * 4 + 10 * 4 + chunks
+
+
+# A plan is built once and applied from any start state; each apply also
+# returns the state after its last sample, to start the next one from.
+
+def assert_plan_from(plan, m, g, w, h, j, z0):
+    """One apply from ``z0`` gives the plain recurrence's rows, end and
+    end state, to 1e-12 of the largest state or row."""
+    states = plain_recurrence(m, g, np.append(w, 0.0), z0)  # z[0 .. len(w)]
+    rows, end, z_end = plan.apply(w, z0)
+    expected = states[:-1] @ h.T + np.outer(w, j)
+    assert end == len(w) and rows.shape == expected.shape
+    assert np.max(np.abs(rows - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
+    assert np.max(np.abs(z_end - states[-1])) <= 1e-12 * np.max(np.abs(states))
+    return z_end
+
+
+@pytest.mark.parametrize(
+    "order, count",
+    [(order, count) for order in range(1, 13) for count in (0, 1, 15, 16, 17, 5000)]
+    + [(1 + k % 12, 16 * 2 ** k + d) for k in range(9) for d in (-1, 1)],
+)
+def test_a_plan_is_the_plain_recurrence_from_any_start(order, count):
+    m, g = decaying(order, 3000 + count)
+    rng = np.random.default_rng(10 * order + count)
+    w, h, j = rng.normal(size=count), rng.normal(size=(2, order)), rng.normal(size=2)
+    plan = PropagationPlan(m, g, h, j, count)
+    for z0 in rng.normal(scale=5.0, size=(2, order)):  # one plan, two starts
+        assert_plan_from(plan, m, g, w, h, j, z0)
+    # From zero the plan is propagate, bit for bit.
+    rows, end, _ = plan.apply(w)
+    np.testing.assert_array_equal(rows, propagate(m, g, w, h, j)[0])
+
+
+def test_applies_carry_their_end_state():
+    m, g = decaying(6, 31)
+    rng = np.random.default_rng(32)
+    w, h, j, z = rng.normal(size=3000), rng.normal(size=(1, 6)), rng.normal(size=1), rng.normal(size=6)
+    plan = PropagationPlan(m, g, h, j, 1024)
+    for first in range(0, len(w), 1000):
+        z = assert_plan_from(plan, m, g, w[first:first + 1000], h, j, z)
+
+
+@pytest.mark.parametrize("growth", [2.0, 1e30])  # 1e30: m^16 overflows, L is cut
+@pytest.mark.parametrize("z0", [[1.0, 0.0], [0.0, 1.0]], ids=["growing_mode", "through_the_coupling"])
+def test_a_plan_stops_at_the_first_nonfinite_state_from_a_start(growth, z0):
+    # Zero inputs: only the start state drives the growth, and its zero
+    # entry must not read an overflowed power as NaN.
+    m, g, w = np.array([[growth, 1.0], [0.0, 0.5]]), np.array([1.0, 1.0]), np.zeros(3000)
+    expected = plain_recurrence(m, g, w, z0)
+    first = first_nonfinite(expected)
+    assert 0 < first < len(w)
+
+    states, end, z_end = PropagationPlan(m, g, np.eye(2), np.zeros(2), len(w)).apply(w, np.array(z0))
+    assert end == first and len(states) == first and z_end is None
+    np.testing.assert_allclose(states, expected[:first], rtol=1e-12)
+
+
+def test_an_overflowing_impulse_term_cuts_the_block():
+    # m^9 g overflows while m^9 does not: times the zero first input, it
+    # would make z[10] NaN, a state the recurrence meets as finite.
+    m, g = np.array([[1e30, 1.0], [0.0, 0.5]]), np.array([1e40, 0.0])
+    w = np.ones(12)
+    w[0] = 0.0
+    expected = plain_recurrence(m, g, w)
+    assert first_nonfinite(expected) == 11
+    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    assert end == 11
+    np.testing.assert_allclose(states, expected[:11], rtol=1e-12)
+
+
+def test_an_overflowing_row_map_cuts_the_block():
+    # h m^9 overflows, but every state is finite and so is every row
+    # before the last: an overflowed map entry times a zero start would
+    # read rows[9] as NaN.
+    m, g, h = np.array([[1e30, 1.0], [0.0, 0.5]]), np.array([1.0, 1.0]), np.array([[1e40, 0.0]])
+    w = np.ones(12)
+    w[0] = 0.0
+    with np.errstate(over="ignore"):
+        expected = plain_recurrence(m, g, w) @ h.T
+    assert np.all(np.isfinite(expected[:11])) and np.isinf(expected[11, 0])
+    rows, end = propagate(m, g, w, h, np.zeros(1))
+    assert end == len(w)
+    np.testing.assert_allclose(rows[:11], expected[:11], rtol=1e-12)
+    assert rows[11, 0] == expected[11, 0]
 
 
 # ---------------------------------------------------------------------------
