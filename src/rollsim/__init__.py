@@ -36,7 +36,6 @@ from .loops import (
     thickness_loop,
 )
 from .lti import (
-    Integrator,
     ResponseMetrics,
     RouthVerdict,
     SimConfig,

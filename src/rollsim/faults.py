@@ -144,7 +144,7 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", FaultKind(self.kind))
-        if self.onset_t < 0:
+        if not self.onset_t >= 0:
             raise ValueError("onset_t must be >= 0")
         if not math.isfinite(self.magnitude):
             raise ValueError("magnitude must be finite")
@@ -250,7 +250,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not self.residual_threshold > 0:
             raise ValueError("residual_threshold must be > 0")
-        if self.rate_threshold < 0:
+        if not self.rate_threshold >= 0:
             raise ValueError("rate_threshold must be >= 0")
         if self.consecutive_required < 1:
             raise ValueError("consecutive_required must be >= 1")

@@ -122,7 +122,7 @@ class Segment:
     def __post_init__(self) -> None:
         if self.kind not in ("step", "ramp", "hold"):
             raise ValueError(f"unknown segment kind '{self.kind}'")
-        if self.t_start < 0:
+        if not self.t_start >= 0:
             raise ValueError("segment t_start must be >= 0")
 
 
@@ -340,7 +340,8 @@ def _loop_maps(
         return [*(m @ z[:n] + nvec * u), pid.integral, pid.prev_error, pid.prev_derivative, u]
 
     size = n + 4
-    columns = np.array([step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]).T
+    with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
+        columns = np.array([step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]).T
     return columns[:, :size], columns[:, size], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
 
 
@@ -587,7 +588,7 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
     ss = tf_to_state_space(spec.plant)
     cfg = spec.sim
     steps = cfg.steps
-    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    m, nvec = zoh_step_matrices(ss, cfg.dt)
     t = np.arange(steps + 1) * cfg.dt
     sp = spec.setpoint.values(t)
 

@@ -8,11 +8,10 @@ sit a rational :class:`TransferFunction`, its controllable-canonical
 analysis via companion-matrix eigenvalues, a Routh-array stability test,
 and step-response metrics.
 
-There is one discretisation: :func:`zoh_step_matrices` gives the linear
-step map x+ = M x + N u for an input held constant over the step (RK4 or
-forward Euler, chosen by :class:`SimConfig`).  Open-loop runs here and
-the closed loops in :mod:`rollsim.loops` both advance plant states with
-it, sampling the input once at each step start and holding it.  A linear
+There is one discretisation: :func:`zoh_step_matrices` gives the exact
+step map x+ = M x + N u for an input held constant over the step (the
+zero-order hold).  Open-loop runs here and the closed loops in
+:mod:`rollsim.loops` both advance plant states with it.  A linear
 recurrence is evaluated in closed form, a block of steps at a time, by
 :func:`propagate`: open-loop runs and linear closed loops over their
 whole horizon, and a nonlinear loop's verified blocks through one reused
@@ -34,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "Integrator",
     "MAX_STEPS",
     "ResponseMetrics",
     "RouthVerdict",
@@ -261,11 +259,6 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpaceModel:
 # Fixed-step simulation
 # ---------------------------------------------------------------------------
 
-class Integrator(str, Enum):
-    RK4 = "rk4"
-    EULER = "euler"
-
-
 # Longest horizon, in steps, that a SimConfig may ask for.  The longest
 # shipped run is 50,000 steps; 10^7 samples is about 400 MB of loop arrays.
 MAX_STEPS = 10_000_000
@@ -282,7 +275,6 @@ class SimConfig:
 
     dt: float = 1e-3
     t_end: float = 20.0
-    integrator: Integrator = Integrator.RK4
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -295,7 +287,6 @@ class SimConfig:
             raise ValueError(
                 f"t_end / dt is {self.t_end / self.dt:.3g} steps, more than MAX_STEPS = {MAX_STEPS}"
             )
-        object.__setattr__(self, "integrator", Integrator(self.integrator))
 
     @property
     def steps(self) -> int:
@@ -336,26 +327,28 @@ class SimulationDiverged(RuntimeError):
         self.partial = partial
 
 
-def zoh_step_matrices(
-    ss: StateSpaceModel, dt: float, integrator: str = "rk4"
-) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) with x+ = M x + N u for one fixed step under constant input.
-
-    For RK4 these are the degree-4 Taylor truncations of the exact
-    zero-order-hold discretization (what classical RK4 computes when the
-    input is held over the step); for Euler the degree-1 ones.
+def zoh_step_matrices(ss: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) with x+ = M x + N u for one step of ``dt`` under an input held
+    over the step: the exact zero-order-hold map, read from
+    exp(X) = [[M, N], [0, 1]] with X = [[A, B], [0, 0]] dt (C. Van Loan,
+    IEEE TAC 1978).  Scaling and squaring (C. Moler & C. Van Loan, SIAM
+    Review 2003): X is halved s times to ||X||_inf <= 1/2, where the
+    degree-13 Taylor polynomial in Horner form leaves a remainder below
+    1e-15, and the result is squared s times.  A map that overflows comes
+    back non-finite, without a warning, and runs on it diverge at once.
     """
-    A = ss.A
-    n = ss.n
-    eye = np.eye(n)
-    hA = dt * A
-    if integrator == "rk4":
-        m = eye + hA @ (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
-        ng = dt * (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
-    else:
-        m = eye + hA
-        ng = dt * eye
-    return m, (ng @ ss.B).ravel()
+    n, eye = ss.n, np.eye(ss.n + 1)
+    x = np.zeros((n + 1, n + 1))
+    x[:n, :n], x[:n, n:] = ss.A, ss.B
+    with np.errstate(over="ignore", invalid="ignore"):
+        x *= dt
+        squarings = max(0, math.frexp(float(np.abs(x).sum(axis=1).max()))[1] + 1)
+        x, e = np.ldexp(x, -squarings), eye
+        for k in range(13, 0, -1):
+            e = eye + x @ e / k
+        for _ in range(squarings):
+            e = e @ e
+    return e[:n, :n].copy(), e[:n, n].copy()
 
 
 # Steps per block in :func:`propagate`.  16 measured fastest for up to 12
@@ -520,8 +513,8 @@ def simulate_lti(
     ``input_fn`` is sampled once at each step start and held over the
     step, and must return finite values; an array gives those samples
     directly, one per step start (``cfg.steps + 1``).  The state advances
-    by the :func:`zoh_step_matrices` map of ``cfg.integrator``, evaluated
-    by :func:`propagate`.  Returns channels ``u`` and ``y``.  Raises
+    by the exact hold map of :func:`zoh_step_matrices`, evaluated by
+    :func:`propagate`.  Returns channels ``u`` and ``y``.  Raises
     :class:`SimulationDiverged` at the first sample whose state or output
     is not finite, with the finite prefix attached.
     """
@@ -533,7 +526,7 @@ def simulate_lti(
         u = np.array(input_fn, dtype=float)
         if u.shape != t.shape:
             raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
-    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    m, nvec = zoh_step_matrices(ss, cfg.dt)
     rows, end = propagate(m, nvec, u, ss.C, [ss.D])
     finite = np.isfinite(rows[:, 0])
     end = end if np.all(finite) else int(np.argmin(finite))  # first non-finite output

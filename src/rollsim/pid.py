@@ -60,12 +60,10 @@ class PidGains:
             raise ValueError("PID gains must be >= 0")
         if not self.derivative_filter_n >= 0:
             raise ValueError("derivative_filter_n must be >= 0 (or inf)")
-        if (
-            self.output_min is not None
-            and self.output_max is not None
-            and not self.output_min < self.output_max
-        ):
-            raise ValueError("output_min must be < output_max")
+        low = -math.inf if self.output_min is None else self.output_min
+        high = math.inf if self.output_max is None else self.output_max
+        if not (low < high and low < math.inf and high > -math.inf):
+            raise ValueError("output_min must be < output_max, output_min < inf and output_max > -inf")
 
     @property
     def saturates(self) -> bool:
@@ -74,7 +72,7 @@ class PidGains:
 
 @dataclass(frozen=True)
 class PidState:
-    """Integrator and derivative memory; start from ``PidState()``."""
+    """Integral and derivative memory; start from ``PidState()``."""
 
     integral: float = 0.0        # accumulated integral of error, error*s
     prev_error: float = 0.0

@@ -13,6 +13,8 @@ which re-parses to an equivalent scenario.
 
 The section tables below are the schema: each maps a scenario key to its
 reader and default (``_SIZING``, ``_CONTROLLER``, ``_SIMULATE``, ...).
+The ``sim.integrator`` key (``rk4`` or ``euler``) is accepted for
+compatibility and ignored: every run uses the exact zero-order-hold map.
 """
 
 from __future__ import annotations
@@ -327,7 +329,7 @@ _DETECTOR = {
 _SIM = {
     "dt": (_float, SimConfig.dt),
     "t_end": (_float, SimConfig.t_end),
-    "integrator": (_choice("rk4", "euler"), SimConfig.integrator.value),
+    "integrator": (_choice("rk4", "euler"), "rk4"),
 }
 
 
@@ -340,7 +342,7 @@ _SIMULATE = {
     "sensor": (_record(_SENSOR, SensorModel), None),
     "fault": (_record(_FAULT, FaultSpec), None),
     "detector": (_record(_DETECTOR, DetectorConfig), None),
-    "sim": (_record(_SIM, SimConfig), {}),
+    "sim": (_record(_SIM, lambda dt, t_end, integrator: SimConfig(dt=dt, t_end=t_end)), {}),
     "seed": (_integer, 0),
 }
 

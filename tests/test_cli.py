@@ -4,6 +4,9 @@ errors, overrides, and reuse of the multibody demo's filtered loop."""
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +108,9 @@ _SPEED_LOOP = (SCENARIOS / "speed_loop_pi.yaml").read_text(encoding="utf-8")
         ("simulate", "kind: simulate\nsimulate:\n  sim: {dt: .inf, t_end: .inf}\n", [], "simulate.sim: dt"),
         ("poles", "kind: poles\npoles:\n  den: [0.0, 2.0]\n", [], "poles.den"),
         ("simulate", _SPEED_LOOP, ["--t-end", "inf"], "sim override: t_end"),
+        ("simulate", "kind: simulate\nsimulate:\n  controller: {kp: 1, umin: .inf}\n", [], "simulate.controller: output_min"),
     ],
-    ids=["t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf"],
+    ids=["t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf"],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text, extra_args, message):
     path = tmp_path / "bad.yaml"
@@ -388,6 +392,29 @@ def test_diverging_quantized_loop_exits_2_with_partial_outputs(tmp_path, capsys)
     assert "Traceback" not in capsys.readouterr().err
     results = _valid_report(out.with_suffix(".json"))["results"]
     assert results["diverged"] and 0.0 < results["divergence_time"] < 30.0
+
+
+def test_an_overflowing_step_map_diverges_at_once_without_a_warning(tmp_path):
+    # A pole at +1e300 overflows the hold map.  Run in a fresh interpreter,
+    # where a RuntimeWarning would print to stderr instead of being raised.
+    path = tmp_path / "overflow.yaml"
+    path.write_text(
+        "kind: simulate\nsimulate:\n"
+        "  plant: {kind: tf, num: [1.0], den: [1.0e-300, -1.0]}\n"
+        "  controller: {kp: 1.0}\n"
+        "  sim: {dt: 1.0e-3, t_end: 1.0}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "overflow"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rollsim", "simulate", "--scenario", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_DIVERGED
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    results = _valid_report(out.with_suffix(".json"))["results"]
+    assert results["diverged"] and results["divergence_time"] == 1e-3
 
 
 def test_jobs_is_accepted_and_runs_no_process_pool(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from rollsim.faults import (
     detect_faults,
     sensor_terms,
 )
-from rollsim.loops import LoopSpec, SetpointProfile, simulate_loop
+from rollsim.loops import LoopSpec, Segment, SetpointProfile, simulate_loop
 from rollsim.lti import SimConfig, tf_new
 from rollsim.pid import PidGains
 
@@ -134,6 +134,22 @@ def test_sensor_model_rejects_nan(field):
     # A NaN sample_dt compares False against 0 and would read every sample.
     with pytest.raises(ValueError, match=field):
         SensorModel(**{field: math.nan})
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: FaultSpec(kind="bias_jump", onset_t=math.nan), "onset_t"),
+        (lambda: Segment(t_start=math.nan, kind="step"), "t_start"),
+        (lambda: DetectorConfig(residual_threshold=1.0, rate_threshold=math.nan), "rate_threshold"),
+    ],
+    ids=["fault_onset_t", "segment_t_start", "detector_rate_threshold"],
+)
+def test_constructors_reject_nan(make, field):
+    # NaN compares False against 0: the fault would never fire, the rate
+    # test would be silently off.  The scenario reader rejects NaN too.
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_measurement_is_held_between_ticks():

@@ -3,6 +3,7 @@ stability verdicts, and the multibody demo."""
 
 import collections
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -337,7 +338,7 @@ def reference_loop(spec: LoopSpec):
     output is not finite."""
     ss = tf_to_state_space(spec.plant)
     cfg = spec.sim
-    m, nvec = zoh_step_matrices(ss, cfg.dt, cfg.integrator.value)
+    m, nvec = zoh_step_matrices(ss, cfg.dt)
     t = np.arange(cfg.steps + 1) * cfg.dt
     sp = spec.setpoint.values(t).tolist()
     model = spec.sensor if spec.sensor is not None else SensorModel()
@@ -460,6 +461,37 @@ def test_diverging_noisy_loop_matches_the_reference_stepper(gains):
         sensor=SensorModel(noise_sigma=0.01), seed=5, sim=SimConfig(dt=1e-2, t_end=30.0),
     )
     assert assert_matches_reference(spec).diverged
+
+
+@pytest.mark.parametrize("limits", [{}, dict(output_min=-math.inf, output_max=math.inf)], ids=["linear", "stepped"])
+def test_a_stiff_loop_stays_bounded(limits):
+    # 1000/(s+1000) sampled at 3 ms: a dt = 3.  A degree-4 Taylor step map
+    # grows by 1.375 per step here, and this PI loop ended near -6.3e80
+    # without being flagged; the exact map keeps it bounded.
+    spec = LoopSpec(
+        plant=tf_new([1000.0], [1.0, 1000.0]), gains=PidGains(kp=1.0, ki=1.0, **limits),
+        setpoint=SetpointProfile.step(1.0), sim=SimConfig(dt=3e-3, t_end=1.0),
+    )
+    result = assert_matches_reference(spec)
+    assert not result.diverged
+    assert np.max(np.abs(result.series["y_true"])) < 1.5
+
+
+def test_huge_poles_run_bounded_or_diverge_at_the_first_step():
+    def run(den, **sensor):
+        spec = LoopSpec(
+            plant=tf_new([1.0], den), gains=PidGains(kp=1.0), setpoint=SetpointProfile.step(1.0),
+            sim=SimConfig(dt=1e-3, t_end=1.0), **sensor,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return assert_matches_reference(spec)
+
+    for sensor in ({}, dict(sensor=SensorModel(noise_sigma=0.01))):
+        stable = run([1.0e-300, 1.0], **sensor)  # pole at -1e300
+        assert not stable.diverged and np.all(np.isfinite(stable.series["y_true"]))
+        unstable = run([1.0e-300, -1.0], **sensor)  # +1e300: the step map overflows
+        assert unstable.diverged and unstable.divergence_time == 1e-3 and len(unstable.series) == 1
 
 
 def test_nonlinear_loop_derives_its_maps_once(monkeypatch):

@@ -3,16 +3,17 @@ and response metrics."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from rollsim.lti import (
-    Integrator,
     PropagationPlan,
     RouthVerdict,
     SimConfig,
     SimulationDiverged,
+    StateSpaceModel,
     dc_gain,
     poles,
     polynomial_roots,
@@ -311,29 +312,6 @@ def test_sampled_input_needs_one_sample_per_step_start():
         simulate_lti(tf_to_state_space(tf_new([1], [1, 1])), np.ones(cfg.steps), cfg)
 
 
-def test_rk4_order_ratio():
-    # Truncation error must dominate roundoff for the order to show, so the
-    # ratio is measured at coarse steps; halving dt should give ~2^4.
-    tf = tf_new([1], [1, 1])
-
-    def max_err(dt):
-        ts = step_response(tf, SimConfig(dt=dt, t_end=5.0))
-        return np.max(np.abs(ts["y"] - (1.0 - np.exp(-ts.t))))
-
-    ratio = max_err(0.1) / max_err(0.05)
-    assert 12.0 <= ratio <= 20.0
-
-
-def test_euler_integrator_first_order_error():
-    ts = simulate_lti(
-        tf_to_state_space(tf_new([1], [1, 1])),
-        lambda t: 1.0,
-        SimConfig(dt=1e-3, t_end=2.0, integrator=Integrator.EULER),
-    )
-    err = np.max(np.abs(ts["y"] - (1.0 - np.exp(-ts.t))))
-    assert 1e-6 < err < 1e-3  # first-order accurate, far worse than RK4
-
-
 def test_linearity_of_response():
     ss = tf_to_state_space(tf_new([1, 2], [1, 3, 2]))
     cfg = SimConfig(dt=1e-3, t_end=2.0)
@@ -394,19 +372,18 @@ def test_open_loop_ends_at_the_first_nonfinite_output():
     np.testing.assert_allclose(partial["y"], y[:first], rtol=1e-12)
 
 
-@pytest.mark.parametrize("integrator", list(Integrator))
-def test_simulate_lti_is_the_zoh_recurrence(integrator):
+def test_simulate_lti_is_the_zoh_recurrence():
     # A piecewise-constant input is sampled at each step start and held:
     # the result is the x <- M x + N u recurrence of zoh_step_matrices.
     ss = tf_to_state_space(tf_new([1, 2], [1, 3, 2]))
-    cfg = SimConfig(dt=0.01, t_end=2.0, integrator=integrator)
+    cfg = SimConfig(dt=0.01, t_end=2.0)
 
     def input_fn(t):
         return 1.0 if t < 0.5 else (-2.0 if t < 1.25 else 0.5)
 
     ts = simulate_lti(ss, input_fn, cfg)
 
-    m, nvec = zoh_step_matrices(ss, cfg.dt, integrator.value)
+    m, nvec = zoh_step_matrices(ss, cfg.dt)
     c = ss.C.ravel()
     x = np.zeros(ss.n)
     u_ref, y_ref = [], []
@@ -418,6 +395,84 @@ def test_simulate_lti_is_the_zoh_recurrence(integrator):
     assert ts["u"].tolist() == u_ref
     # Only the output projection's summation order may differ.
     np.testing.assert_allclose(ts["y"], y_ref, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The zero-order-hold step map
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, dt", [(1.0, 1e-3), (1.0, 0.1), (1000.0, 3e-3), (50.0, 1.0), (1e-6, 1e-3)])
+def test_hold_map_of_a_first_order_lag(a, dt):
+    # a/(s+a): x' = -a x + u, so M = e^(-a dt) and N = (1 - e^(-a dt))/a.
+    m, nvec = zoh_step_matrices(tf_to_state_space(tf_new([a], [1.0, a])), dt)
+    assert m.shape == (1, 1) and nvec.shape == (1,)
+    assert m[0, 0] == pytest.approx(math.exp(-a * dt), rel=1e-13, abs=1e-300)
+    assert nvec[0] == pytest.approx(-math.expm1(-a * dt) / a, rel=1e-13)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 0.7, 4.0])
+def test_hold_map_of_two_distinct_real_poles(dt):
+    # By Sylvester's formula, with l1 != l2 the eigenvalues of A:
+    # e^(A dt) = sum_i e^(li dt) P_i and its integral sum_i (e^(li dt) - 1)/li P_i,
+    # where P_1 = (A - l2 I)/(l1 - l2) and P_2 = (A - l1 I)/(l2 - l1).
+    ss = tf_to_state_space(tf_new([3.0], [1.0, 9.0, 14.0]))  # poles -2 and -7
+    eye, (l1, l2) = np.eye(2), (-2.0, -7.0)
+    p1, p2 = (ss.A - l2 * eye) / (l1 - l2), (ss.A - l1 * eye) / (l2 - l1)
+    m_ref = math.exp(l1 * dt) * p1 + math.exp(l2 * dt) * p2
+    n_ref = (math.expm1(l1 * dt) / l1 * p1 + math.expm1(l2 * dt) / l2 * p2) @ ss.B.ravel()
+    m, nvec = zoh_step_matrices(ss, dt)
+    assert np.max(np.abs(m - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
+    assert np.max(np.abs(nvec - n_ref)) <= 1e-13 * np.max(np.abs(n_ref))
+
+
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+def test_hold_map_is_the_matrix_exponential(kind):
+    # Van Loan: exp([[A, B], [0, 0]] dt) = [[M, N], [0, 1]].
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11 if kind == "stable" else 12)
+    worst = 0.0
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-1.0, 2.0) / math.sqrt(n)
+        abscissa = float(np.max(np.linalg.eigvals(a).real))
+        # Stable: the rightmost eigenvalue at -0.1..-5; unstable: at +0.1..+2.
+        a -= (abscissa + rng.uniform(0.1, 5.0) if kind == "stable" else abscissa - rng.uniform(0.1, 2.0)) * np.eye(n)
+        b = rng.normal(size=(n, 1))
+        dt = 10.0 ** rng.uniform(-3.0, 0.0)
+        m, nvec = zoh_step_matrices(StateSpaceModel(A=a, B=b, C=np.ones((1, n)), D=0.0), dt)
+        x = np.zeros((n + 1, n + 1))
+        x[:n, :n], x[:n, n:] = a * dt, b * dt
+        ref = linalg.expm(x)
+        got = np.block([[m, nvec[:, None]], [np.zeros((1, n)), np.ones((1, 1))]])
+        worst = max(worst, np.max(np.sum(np.abs(got - ref), axis=1)) / np.max(np.sum(np.abs(ref), axis=1)))
+    assert worst <= 1e-10
+
+
+def test_stiff_step_response_settles_at_its_dc_gain():
+    # a dt = 3: a degree-4 Taylor map grows by |1 - 3 + 9/2 - 27/6 + 81/24| = 1.375
+    # per step and ended near -1.1e46; the exact map settles at 1.
+    ts = step_response(tf_new([1000.0], [1.0, 1000.0]), SimConfig(dt=3e-3, t_end=1.0))
+    assert abs(ts["y"][-1] - 1.0) <= 1e-12
+    np.testing.assert_allclose(ts["y"], -np.expm1(-1000.0 * ts.t), rtol=0, atol=1e-12)
+
+
+def test_a_huge_stable_pole_runs_bounded():
+    # Pole at -1e300: the state reaches its steady state within one step.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = step_response(tf_new([1.0], [1.0e-300, 1.0]), SimConfig(dt=1e-3, t_end=1.0))
+    assert ts["y"][0] == 0.0 and np.all(ts["y"][1:] == pytest.approx(1.0, rel=1e-12))
+
+
+def test_a_huge_unstable_pole_diverges_at_the_first_step_without_a_warning():
+    # Pole at +1e300: the step map overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, nvec = zoh_step_matrices(tf_to_state_space(tf_new([1.0], [1.0e-300, -1.0])), 1e-3)
+        assert not np.all(np.isfinite(m))
+        with pytest.raises(SimulationDiverged) as info:
+            step_response(tf_new([1.0], [1.0e-300, -1.0]), SimConfig(dt=1e-3, t_end=1.0))
+    assert info.value.time == 1e-3 and len(info.value.partial) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,19 @@ def test_nan_gains_rejected(bad):
         PidGains(**bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [dict(output_min=math.nan), dict(output_max=math.nan), dict(output_min=math.inf), dict(output_max=-math.inf)],
+    ids=["min_nan", "max_nan", "min_plus_inf", "max_minus_inf"],
+)
+def test_unusable_output_limits_rejected(bad):
+    # A limit that pins every command to +-inf, or compares False, is an
+    # input error; the open ends -inf and +inf stay allowed.
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        PidGains(kp=1.0, **bad)
+    assert PidGains(kp=1.0, output_min=-math.inf, output_max=math.inf).saturates
+
+
 @given(
     scale=st.floats(0.1, 10.0),
     errors=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40),

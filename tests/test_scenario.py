@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rollsim import scenario as sc
+from rollsim.loops import simulate_loop
 from rollsim.lti import MAX_STEPS
 from rollsim.scenario import ScenarioError, parse_scenario
 
@@ -48,6 +49,17 @@ def test_defaults_fill_every_key():
     assert resolved["sim"] == {"dt": 1e-3, "t_end": 20.0, "integrator": "rk4"}
     null_sim = parse_scenario("kind: simulate\nsimulate: {sim: null}\n")
     assert null_sim.resolved == parse_scenario("kind: simulate\n").resolved
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_the_integrator_key_is_accepted_and_ignored(integrator):
+    text = "kind: simulate\nsimulate:\n  controller: {kp: 8.0, ki: 8.0}\n  sim: {dt: 0.01, t_end: 5.0%s}\n"
+    plain, keyed = parse_scenario(text % ""), parse_scenario(text % f", integrator: {integrator}")
+    assert keyed.resolved["simulate"]["sim"]["integrator"] == integrator
+    assert keyed.payload == plain.payload
+    a, b = (simulate_loop(s.payload[0]).series for s in (plain, keyed))
+    for name in ("y_true", "u"):
+        assert a[name].tobytes() == b[name].tobytes()
 
 
 def test_units_convert_to_si():
