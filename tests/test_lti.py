@@ -372,11 +372,18 @@ def test_open_loop_ends_at_the_first_nonfinite_output():
     np.testing.assert_allclose(partial["y"], y[:first], rtol=1e-12)
 
 
-def test_simulate_lti_is_the_zoh_recurrence():
+# The ids are those of the cases from when the step map was selectable;
+# each case is now a plant and a step run through the one exact map.
+@pytest.mark.parametrize(
+    "num, den, dt",
+    [([1, 2], [1, 3, 2], 0.01), ([2, 1], [1, 4, 6, 4], 0.05)],
+    ids=["euler", "rk4"],
+)
+def test_simulate_lti_is_the_zoh_recurrence(num, den, dt):
     # A piecewise-constant input is sampled at each step start and held:
     # the result is the x <- M x + N u recurrence of zoh_step_matrices.
-    ss = tf_to_state_space(tf_new([1, 2], [1, 3, 2]))
-    cfg = SimConfig(dt=0.01, t_end=2.0)
+    ss = tf_to_state_space(tf_new(num, den))
+    cfg = SimConfig(dt=dt, t_end=2.0)
 
     def input_fn(t):
         return 1.0 if t < 0.5 else (-2.0 if t < 1.25 else 0.5)
