@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from .csvfmt import format_rows
-from .faults import DetectorConfig, detect_faults
-from .loops import LoopResult, LoopSpec, multibody_demo, simulate_loop
+from .faults import detect_faults
+from .loops import LoopResult, multibody_demo, simulate_loop
 from .lti import dc_gain, poles, routh_classification
-from .scenario import Scenario, ScenarioError, parse_scenario_file
+from .scenario import Scenario, ScenarioError, parse_scenario_file, read_scenario
 from .sizing import size_report
-from .tuning import TuneSpec, tune_pid
+from .tuning import tune_pid
 
 __all__ = ["OutputBundle", "main", "run"]
 
@@ -141,10 +141,14 @@ def _write_history_csv(path: Path, history) -> None:
     _write_csv(path, ["eval", "kp", "ki", "kd", "cost"], list(np.array(rows, dtype=float).reshape(-1, 5).T))
 
 
+def _verdict(result: LoopResult) -> str | None:
+    return result.stability_verdict.value if result.stability_verdict else None
+
+
 def _loop_result_dict(result: LoopResult) -> dict:
     out = {
         "metrics": dataclasses.asdict(result.metrics),
-        "stability_verdict": result.stability_verdict.value if result.stability_verdict else None,
+        "stability_verdict": _verdict(result),
         "diverged": result.diverged,
         "divergence_time": result.divergence_time,
         "samples": len(result.series),
@@ -170,15 +174,11 @@ def _run_size(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
 
 
 def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
-    spec: LoopSpec
-    detector: DetectorConfig | None
     spec, detector = scenario.payload
     is_multibody = scenario.resolved["simulate"]["plant"]["kind"] == "multibody"
     demo = multibody_demo(gains=spec.gains, sim=spec.sim) if is_multibody else None
-    if demo is not None and spec == demo.filtered_spec:
-        result = demo.closed_filtered
-    else:
-        result = simulate_loop(spec)
+    demo_loops = (demo.closed_ideal, demo.closed_filtered) if demo is not None else ()
+    result = next((r for r in demo_loops if r.spec == spec), None) or simulate_loop(spec)
     results = _loop_result_dict(result)
 
     if detector is not None:
@@ -187,7 +187,6 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
         results["fault_events"] = [dataclasses.asdict(e) for e in events]
 
     if demo is not None:
-        filtered_verdict = demo.filtered_verdict
         results["multibody"] = {
             "open_bounded": demo.open_bounded,
             "open_routh": demo.open_routh.value,
@@ -198,7 +197,7 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
                 "characteristic": demo.ideal_char,
             },
             "filtered": {
-                "stability_verdict": filtered_verdict.value if filtered_verdict else None,
+                "stability_verdict": _verdict(demo.closed_filtered),
                 "bounded": demo.closed_filtered.bounded,
                 "characteristic": demo.closed_filtered.characteristic,
             },
@@ -213,8 +212,7 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
 
 
 def _run_tune(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
-    spec: TuneSpec = scenario.payload
-    result = tune_pid(spec)
+    result = tune_pid(scenario.payload)
     results = {
         "best_gains": {
             "kp": result.best_gains.kp,
@@ -261,7 +259,10 @@ def run(
     """Dispatch a parsed scenario and write its outputs.
 
     ``dt``/``t_end`` override the scenario's simulation settings (simulate
-    and tune kinds).  The output prefix resolution order is the ``--out``
+    and tune kinds): they are written into a copy of the resolved echo,
+    which is read again by :func:`~rollsim.scenario.read_scenario`, so the
+    report echoes them and an invalid value is a :class:`ScenarioError`
+    naming its key path.  The output prefix resolution order is the ``--out``
     flag, then the scenario's ``output_prefix``, then the scenario kind in
     the current directory.  ``jobs`` is accepted for compatibility and
     ignored, like ``tune_pid``'s.
@@ -279,33 +280,18 @@ def run(
 
 
 def _apply_overrides(scenario: Scenario, dt: float | None, t_end: float | None) -> Scenario:
-    if dt is None and t_end is None:
-        return scenario
-    if scenario.kind not in ("simulate", "tune"):
+    if (dt is None and t_end is None) or scenario.kind not in ("simulate", "tune"):
         return scenario
     resolved = copy.deepcopy(scenario.resolved)
     section = resolved[scenario.kind]
     sim_block = section["sim"] if scenario.kind == "simulate" else section["loop"]["sim"]
-    if dt is not None:
-        sim_block["dt"] = float(dt)
-    if t_end is not None:
-        sim_block["t_end"] = float(t_end)
+    for key, value in (("dt", dt), ("t_end", t_end)):
+        if value is not None:
+            sim_block[key] = float(value)
     try:
-        if scenario.kind == "simulate":
-            spec, detector = scenario.payload
-            new_sim = dataclasses.replace(spec.sim, dt=sim_block["dt"], t_end=sim_block["t_end"])
-            payload = (dataclasses.replace(spec, sim=new_sim), detector)
-        else:
-            tune_spec: TuneSpec = scenario.payload
-            new_sim = dataclasses.replace(
-                tune_spec.loop.sim, dt=sim_block["dt"], t_end=sim_block["t_end"]
-            )
-            payload = dataclasses.replace(
-                tune_spec, loop=dataclasses.replace(tune_spec.loop, sim=new_sim)
-            )
-    except ValueError as exc:
+        return read_scenario(resolved)
+    except ScenarioError as exc:
         raise ScenarioError(f"sim override: {exc}") from exc
-    return dataclasses.replace(scenario, resolved=resolved, payload=payload)
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ class LoopResult:
 
     @cached_property
     def _linear_analysis(self) -> tuple:  # (verdict, characteristic, closed loop)
-        return _analysis(self.spec)
+        return _analysis(self.spec.gains, self.spec.plant) if self.spec.is_linear else (None,) * 3
 
     @property
     def stability_verdict(self) -> StabilityVerdict | None:
@@ -304,16 +304,16 @@ def series_is_bounded(ts: TimeSeries, channel: str = "y") -> bool:
 # Discrete co-simulation
 # ---------------------------------------------------------------------------
 
-def _analysis(spec: LoopSpec) -> tuple[StabilityVerdict | None, np.ndarray | None, TransferFunction | None]:
-    if not spec.is_linear:
-        return None, None, None
-    ctrl_num, ctrl_den = pid_rational_terms(spec.gains)
-    char = characteristic_polynomial(ctrl_num, ctrl_den, spec.plant)
+def _analysis(gains: PidGains, plant: TransferFunction) -> tuple:
+    """(verdict, characteristic polynomial, closed loop) of ``gains`` around
+    ``plant`` under unity feedback, whether or not a loop runs it."""
+    ctrl_num, ctrl_den = pid_rational_terms(gains)
+    char = characteristic_polynomial(ctrl_num, ctrl_den, plant)
     # 1 + C G = 0 identically: the loop equation is singular.
     verdict = classify_polynomial_stability(char) if np.any(char) else None
     closed: TransferFunction | None
     try:
-        closed = tf_new(np.polymul(ctrl_num, spec.plant.num), char)
+        closed = tf_new(np.polymul(ctrl_num, plant.num), char)
     except ValueError:
         closed = None  # improper composition (ideal derivative on a biproper plant)
     return verdict, char, closed
@@ -675,9 +675,9 @@ class MultibodyDemo:
     (ideal) derivative and once with the filtered derivative, because the
     ideal PID has no realizable transfer function and its stability can
     only be judged from the characteristic polynomial.  The filtered
-    variant is the one a real controller would run; ``filtered_spec`` is
-    the loop it simulated, so a caller whose own loop spec equals it can
-    reuse ``closed_filtered`` instead of simulating the same loop again.
+    variant is the one a real controller would run.  A caller whose own
+    loop spec equals a result's ``spec`` can reuse that result instead of
+    simulating the same loop again.
     """
 
     open: TimeSeries
@@ -686,13 +686,8 @@ class MultibodyDemo:
     open_verdict: StabilityVerdict
     closed_ideal: LoopResult
     closed_filtered: LoopResult
-    filtered_spec: LoopSpec
     ideal_char: np.ndarray
     ideal_verdict: StabilityVerdict
-
-    @property
-    def filtered_verdict(self) -> StabilityVerdict | None:
-        return self.closed_filtered.stability_verdict
 
 
 def multibody_demo(
@@ -723,13 +718,11 @@ def multibody_demo(
             else filter_n
         ),
     )
-    closed_ideal = simulate_loop(
-        LoopSpec(plant=plant, gains=ideal_gains, setpoint=setpoint, sim=sim)
+    closed_ideal, closed_filtered = (
+        simulate_loop(LoopSpec(plant=plant, gains=g, setpoint=setpoint, sim=sim))
+        for g in (ideal_gains, filtered_gains)
     )
-    filtered_spec = LoopSpec(plant=plant, gains=filtered_gains, setpoint=setpoint, sim=sim)
-    closed_filtered = simulate_loop(filtered_spec)
-    ideal_num, ideal_den = pid_rational_terms(ideal_gains)
-    ideal_char = characteristic_polynomial(ideal_num, ideal_den, plant)
+    ideal_verdict, ideal_char, _ = _analysis(ideal_gains, plant)
     return MultibodyDemo(
         open=open_ts,
         open_bounded=open_bounded,
@@ -737,7 +730,6 @@ def multibody_demo(
         open_verdict=classify_polynomial_stability(plant.den),
         closed_ideal=closed_ideal,
         closed_filtered=closed_filtered,
-        filtered_spec=filtered_spec,
         ideal_char=ideal_char,
-        ideal_verdict=classify_polynomial_stability(ideal_char),
+        ideal_verdict=ideal_verdict,
     )

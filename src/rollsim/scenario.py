@@ -9,7 +9,10 @@ Sizing fields accept explicit unit suffixes ("5 mm", "150 MPa"); they are
 converted to SI here, at the boundary, and nowhere else.  The parsed
 result carries both the typed payload and a fully resolved plain-data
 echo of the inputs (defaults filled in), which the JSON report embeds and
-which re-parses to an equivalent scenario.
+which :func:`read_scenario` reads back to an equivalent scenario; the
+command line's ``dt``/``t_end`` overrides are written into a copy of the
+echo and read back, so they are checked like any other input.  YAML is
+1.1, but ``1e-3`` and other plain numbers with an exponent are floats.
 
 The section tables below are the schema: each maps a scenario key to its
 reader and default (``_SIZING``, ``_CONTROLLER``, ``_SIMULATE``, ...).
@@ -20,6 +23,7 @@ compatibility and ignored: every run uses the exact zero-order-hold map.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -40,7 +44,7 @@ from .plants import (
 from .sizing import ContactModel, SizingInputs
 from .tuning import TuneSpec
 
-__all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file"]
+__all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "read_scenario"]
 
 _UNIT_FACTORS = {
     "m": 1.0,
@@ -412,17 +416,30 @@ _SECTIONS = {
 # Entry points
 # ---------------------------------------------------------------------------
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text into a typed :class:`Scenario`.
+class _Loader(yaml.SafeLoader):
+    """The safe loader, also reading plain numbers with an exponent but no
+    dot or no exponent sign (``1e-3``, ``1.5e3``) as floats, not strings."""
 
-    Raises :class:`ScenarioError` for malformed YAML, a missing or unknown
-    ``kind``, unknown keys, type mismatches, or invariant violations;
-    messages name the offending key path.
-    """
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse scenario YAML text: :func:`read_scenario` on the loaded mapping."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past str->int limits
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
+    return read_scenario(raw)
+
+
+def read_scenario(raw: Any) -> Scenario:
+    """Read a loaded scenario mapping into a typed :class:`Scenario`; any
+    bad input raises :class:`ScenarioError` naming its key path."""
     raw = _require_mapping(raw, "scenario")
     if "kind" not in raw:
         raise ScenarioError("kind: required (one of size, simulate, tune, poles)")

@@ -16,6 +16,7 @@ scaling anywhere.
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
@@ -173,6 +174,10 @@ def _grid_axis(lo: float, hi: float, points: int, count: int) -> list[float]:
     return values
 
 
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after ``max_evals``: the search ends."""
+
+
 def tune_pid(
     spec: TuneSpec,
     cost_fn: Callable[[LoopSpec, CostKind], float] = loop_cost,
@@ -199,6 +204,8 @@ def tune_pid(
     history: list[tuple[PidGains, float]] = []
 
     def evaluate(triple: tuple[float, float, float]) -> float:
+        if len(history) >= spec.max_evals:
+            raise _BudgetSpent
         loop = _with_gains(spec, triple)
         cost = cost_fn(loop, spec.cost_kind)
         history.append((loop.gains, cost))
@@ -206,22 +213,17 @@ def tune_pid(
 
     start = _project((spec.initial.kp, spec.initial.ki, spec.initial.kd), bounds)
 
-    if spec.method is TuneMethod.GRID:
-        # The distinct lattice points come in the order of the product of
-        # each axis's distinct values, so the max_evals of them that can be
-        # needed (one may repeat the start point) use no axis value past the
-        # max_evals-th distinct one.  Enumerate lazily and stop at
-        # max_evals: the full lattice can be far larger than the budget.
-        axes = [_grid_axis(lo, hi, spec.grid_points, spec.max_evals) for lo, hi in bounds]
-        seen: set[tuple[float, float, float]] = set()
-        fresh = (
-            point for point in itertools.chain([start], itertools.product(*axes))
-            if point not in seen and not seen.add(point)
-        )
-        for point in itertools.islice(fresh, spec.max_evals):
-            evaluate(point)
-    else:
-        _nelder_mead(evaluate, start, bounds, spec.max_evals, history)
+    with suppress(_BudgetSpent):
+        if spec.method is TuneMethod.GRID:
+            # Axis values are distinct, so only the start point can repeat, and
+            # the max_evals points that can be needed use no axis value past
+            # the max_evals-th: the full lattice can be far larger than the budget.
+            axes = [_grid_axis(lo, hi, spec.grid_points, spec.max_evals) for lo, hi in bounds]
+            lattice = (point for point in itertools.product(*axes) if point != start)
+            for point in itertools.chain([start], lattice):
+                evaluate(point)
+        else:
+            _nelder_mead(evaluate, start, bounds)
 
     best_gains, best_cost = min(
         history, key=lambda item: (item[1], item[0].kp, item[0].ki, item[0].kd)
@@ -232,14 +234,10 @@ def tune_pid(
 
 
 def _nelder_mead(
-    evaluate,
-    start: tuple[float, float, float],
-    bounds,
-    max_evals: int,
-    history: list,
-    spread_tol: float = 1e-8,
+    evaluate, start: tuple[float, float, float], bounds, spread_tol: float = 1e-8
 ) -> None:
-    """Bounded Nelder-Mead on the free gain dimensions."""
+    """Bounded Nelder-Mead on the free gain dimensions; it runs until the
+    simplex spread drops below ``spread_tol`` or ``evaluate`` raises."""
     free = [i for i, (lo, hi) in enumerate(bounds) if lo < hi]
     full = list(start)
 
@@ -269,14 +267,10 @@ def _nelder_mead(
             vertex[j] = max(x0[j] - step, lo)
         simplex.append(vertex)
 
-    values = []
-    for v in simplex:
-        if len(history) >= max_evals:
-            return
-        values.append(f(v))
+    values = [f(v) for v in simplex]
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    while len(history) < max_evals:
+    while True:
         order = sorted(range(dim + 1), key=lambda i: (values[i], tuple(simplex[i])))
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
@@ -291,9 +285,6 @@ def _nelder_mead(
         reflected = centroid + alpha * (centroid - worst)
         fr = f(reflected)
         if fr < values[0]:
-            if len(history) >= max_evals:
-                simplex[-1], values[-1] = reflected, fr
-                return
             expanded = centroid + gamma * (centroid - worst)
             fe = f(expanded)
             if fe < fr:
@@ -304,8 +295,6 @@ def _nelder_mead(
         if fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
-        if len(history) >= max_evals:
-            return
         contracted = centroid + rho * (worst - centroid)
         fc = f(contracted)
         if fc < values[-1]:
@@ -313,7 +302,5 @@ def _nelder_mead(
             continue
         # Shrink toward the best vertex.
         for i in range(1, dim + 1):
-            if len(history) >= max_evals:
-                return
             simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
             values[i] = f(simplex[i])

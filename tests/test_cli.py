@@ -64,8 +64,10 @@ def _multibody_scenario(tmp_path: Path, **changes) -> Path:
     [
         ({}, 2),  # the scenario's loop is the demo's filtered loop
         ({"setpoint": [{"t": 0.0, "kind": "step", "value": 0.5}]}, 3),
+        # the scenario's loop is the demo's ideal-derivative loop
+        ({"controller": {"kp": 0.00941, "ki": 6.53e-05, "kd": 0.339, "n": math.inf}}, 2),
     ],
-    ids=["same_loop", "other_setpoint"],
+    ids=["same_loop", "other_setpoint", "ideal_loop"],
 )
 def test_multibody_scenario_simulates_each_loop_once(tmp_path, monkeypatch, changes, expected_loops):
     simulated = []
@@ -107,7 +109,7 @@ _SPEED_LOOP = (SCENARIOS / "speed_loop_pi.yaml").read_text(encoding="utf-8")
         ("simulate", "kind: simulate\nsimulate:\n  sim: {t_end: .inf}\n", [], "simulate.sim: t_end"),
         ("simulate", "kind: simulate\nsimulate:\n  sim: {dt: .inf, t_end: .inf}\n", [], "simulate.sim: dt"),
         ("poles", "kind: poles\npoles:\n  den: [0.0, 2.0]\n", [], "poles.den"),
-        ("simulate", _SPEED_LOOP, ["--t-end", "inf"], "sim override: t_end"),
+        ("simulate", _SPEED_LOOP, ["--t-end", "inf"], "sim override: simulate.sim: t_end"),
         ("simulate", "kind: simulate\nsimulate:\n  controller: {kp: 1, umin: .inf}\n", [], "simulate.controller: output_min"),
     ],
     ids=["t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf"],
@@ -136,6 +138,30 @@ def test_overrides_leave_the_parsed_scenario_unchanged(tmp_path):
     assert [r["scenario"]["simulate"]["sim"]["t_end"] for r in reports] == [1.0, 2.0]
     assert [r["results"]["samples"] for r in reports] == [1001, 2001]
 
+
+@pytest.mark.parametrize(
+    "name, sim_path", [("speed_loop_pi", ["simulate"]), ("tune_speed_grid", ["tune", "loop"])],
+    ids=["simulate", "tune"],
+)
+def test_an_override_runs_the_file_with_it_written_in(tmp_path, name, sim_path):
+    shipped = str(SCENARIOS / f"{name}.yaml")
+    doc = yaml.safe_load(Path(shipped).read_text(encoding="utf-8"))
+    section = doc
+    for key in sim_path:
+        section = section[key]
+    section["sim"]["t_end"] = 2.5
+    edited = tmp_path / "edited.yaml"
+    edited.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    overridden = cli._apply_overrides(parse_scenario_file(shipped), None, 2.5)
+    written = parse_scenario_file(str(edited))
+    assert overridden.resolved == written.resolved
+    assert overridden.payload == written.payload
+
+    a = cli.run(parse_scenario_file(shipped), out_prefix=str(tmp_path / "a"), t_end=2.5)
+    b = cli.run(written, out_prefix=str(tmp_path / "b"))
+    ra, rb = (json.loads(x.json_path.read_text(encoding="utf-8")) for x in (a, b))
+    assert (ra["scenario"], ra["results"]) == (rb["scenario"], rb["results"])
+    assert a.csv_paths[0].read_bytes() == b.csv_paths[0].read_bytes()
 
 
 _HUGE = "9" * 401
@@ -201,7 +227,7 @@ _OVERFLOWING_RAMP = "setpoint: [{t: 0.0, kind: step, value: 1.0}, {t: 1.0, kind:
         ("tune", "kind: tune\ntune:\n  loop:\n    setpoint: [{t: 0.0, value: .inf}]\n", [],
          "tune.loop.setpoint[0].value"),
         ("simulate", _SIM + _OVERFLOWING_RAMP + "  sim: {t_end: 3.0}\n", ["--t-end", "5000"],
-         "sim override: setpoint[1].value"),
+         "sim override: simulate.setpoint[1].value"),
     ],
     ids=["step_inf", "step_minus_inf", "ramp_overflow", "tune_loop", "override_overflow"],
 )

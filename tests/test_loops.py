@@ -594,7 +594,7 @@ def test_multibody_demo_verdicts_and_consistency():
     # verdict pinned from the companion-matrix oracle: still unstable.
     assert demo.closed_filtered.characteristic is not None
     assert len(demo.closed_filtered.characteristic) - 1 == 10
-    assert demo.filtered_verdict is StabilityVerdict.POLES_UNSTABLE
+    assert demo.closed_filtered.stability_verdict is StabilityVerdict.POLES_UNSTABLE
     assert demo.closed_filtered.bounded is False
 
     # Internal consistency: pole analysis agrees with time-domain behavior.

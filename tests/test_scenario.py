@@ -76,6 +76,14 @@ def test_ideal_derivative_infinity_still_parses():
 _S = "kind: simulate\nsimulate:\n  "
 _HUGE = "9" * 401
 
+
+@pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("1E5", 1e5), ("-2e+1", -20.0), ("1.5e3", 1500.0)])
+def test_a_plain_exponent_reads_as_a_float(text, value):
+    spec, _ = parse_scenario(_S + f"setpoint: [{{t: 0.0, value: {text}}}]\n  sim: {{dt: 1e-3}}\n").payload
+    assert spec.setpoint.segments[0].value == value
+    assert spec.sim.dt == 1e-3
+
+
 MALFORMED = [
     ("kind: roll\n", "kind: expected one of"),
     ("kind: size\nextra: 1\n", "unknown key(s): extra"),
@@ -110,6 +118,8 @@ MALFORMED = [
     (_S + "sim: {t_end: 1.0e+15}\n", f"simulate.sim: t_end / dt is 1e+18 steps, more than MAX_STEPS = {MAX_STEPS}"),
     (_S + "sim: {dt: 1.0e-300, t_end: 1.0e+300}\n", "simulate.sim: t_end / dt is inf steps"),
     (_S + "seed: 1.5\n", "simulate.seed: expected an integer"),
+    (_S + "seed: 1e3\n", "simulate.seed: expected an integer, got float"),
+    (_S + "sim: {dt: '1e-3'}\n", "simulate.sim.dt: expected a number, got str"),
     ("kind: tune\ntune: {bounds: {kp: [.nan, 1.0]}}\n", "tune.bounds.kp[0]: expected a number, got NaN"),
     ("kind: tune\ntune: {bounds: {kp: [1.0]}}\n", "tune.bounds.kp: expected [lo, hi]"),
     ("kind: tune\ntune: {bounds: {kp: [2.0, 1.0]}}\n", "tune: kp_bounds is an empty interval"),
