@@ -10,10 +10,11 @@ A reading splits in two.  What does not depend on the measured value
 (the sensor ticks, the noise draw of each tick, the bias-jump or drift
 term and the stuck/dropout window) is a function of the time grid alone,
 computed with numpy a chunk of samples at a time by :func:`sensor_terms`.
-What does, adding those terms to the value, quantizing and holding, is
+What does, adding those terms to the value and quantizing, is
 :func:`apply_sensor`.  The loop calls it on one reading at a time when it
-steps sample by sample, and on a whole block of readings at once when it
-verifies a block (see :mod:`rollsim.loops`).
+steps sample by sample, on a whole block of readings at once when it
+verifies a block, and not at all where a stuck or dropout window holds
+its last reading (see :mod:`rollsim.loops`).
 
 Randomness is a pure function of (seed, draw counter) via a splitmix64
 bit mixer feeding Box-Muller, and the n-th tick of a run draws counter n,
@@ -164,10 +165,10 @@ def sensor_terms(
     Yields, per ``chunk`` samples of ``t``, the arrays ``(tick, noise,
     offset, window)``: whether the sample is a sensor tick, and for
     :func:`apply_sensor` sigma times the tick's draw, the bias-jump or
-    drift term, and whether a stuck or dropout window is open.  Between
-    ticks the last reading holds and the other three are not used.  A tick
-    is the first sample at least ``sample_dt`` after the previous one, and
-    the n-th tick draws counter n.
+    drift term, and whether a stuck or dropout window is open, where the
+    loop holds its last reading.  Between ticks the last reading holds and
+    the other three are not used.  A tick is the first sample at least
+    ``sample_dt`` after the previous one, and the n-th tick draws counter n.
     """
     spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
     last_tick, drawn = -math.inf, 0
@@ -198,15 +199,14 @@ def sensor_terms(
 
 def apply_sensor(
     true_value: float | np.ndarray, model: SensorModel, noise: float | np.ndarray = -0.0,
-    offset: float | np.ndarray = -0.0, hold: float | None = None,
+    offset: float | np.ndarray = -0.0,
 ) -> float | np.ndarray:
     """One reading at a sensor tick, or elementwise a block of them.
 
     Adds the terms in the order ((true_value + bias) + noise) + offset,
-    quantizes, then a stuck or dropped-out sensor reads ``hold`` (the last
-    reading before its window opened) instead.  ``noise`` and ``offset``
-    come from :func:`sensor_terms`.  For arrays, every element reads a
-    given ``hold``.
+    then quantizes.  ``noise`` and ``offset`` come from
+    :func:`sensor_terms`.  A stuck or dropped-out sensor takes no reading:
+    the loop holds its last one.
     """
     value = true_value + model.bias + noise + offset
     step = model.quantization_step
@@ -222,9 +222,7 @@ def apply_sensor(
                 value = round(value / step) * step
             except OverflowError:
                 pass  # too large to count in steps: already coarser than one
-    if hold is None:
-        return value
-    return np.full(value.shape, hold) if isinstance(value, np.ndarray) else hold
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ maps by one of three routes:
   Where verified blocks do not settle in a few rounds, short stretches
   are stepped.
 
+One object, :class:`_NonlinearLoop`, runs the last two routes from one
+run state, and holds the reading of a stuck or dropped-out sensor.
+
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is linear.
 Convenience wrappers build the sheet-speed loop, the gap/thickness loop,
@@ -353,53 +356,127 @@ _ROUNDS = 4  # verification rounds before the stepper takes over
 _GROWTH = 1e4
 
 
-class _Carry:
-    """Where a nonlinear run stands between two samples.
+def _radius(f: np.ndarray) -> float:
+    """Spectral radius of ``f``, estimated from the growth of its powers
+    from f^128 to f^256 (Gelfand's formula); NaN or inf when they overflow."""
+    power = f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(7):
+            power = power @ power
+        low, high = np.max(np.abs(power)), np.max(np.abs(power @ power))
+        return float((high / low) ** (1.0 / 128)) if low > 0.0 else 0.0
 
-    ``cur`` is [z; y_true] of the next sample and ``prev`` the buffer of
-    the sample before it (its state and error); ``ym`` is the last reading
-    and ``held`` the value a stuck or dropped-out sensor reads, both None
-    until there is one.  Verified blocks do not update ``prev``: their
-    states are all finite, so when the stepper next looks one step back
-    for an overflowed state, a stale but finite buffer gives the same
-    answer.
+
+class _NonlinearLoop:
+    """A loop with a sensor path or output limits, run a chunk of samples
+    at a time from one run state.
+
+    It steps one sample at a time: one product per sample of [[F, g],
+    [hF, hg]] (the next state and the next ``y_true`` at once), with only
+    the sensor reading and the output clamp in Python between.
+
+    A loop whose sensor reads every sample and whose controller has no
+    limits verifies blocks instead.  Only the reading depends on the
+    measured value, and a reading depends only on earlier errors.  From
+    the block's start state, a guess of its readings gives its errors, and
+    one apply of a :class:`~rollsim.lti.PropagationPlan` of the open loop
+    of :func:`_loop_maps` gives its outputs, commands and end state; one
+    :func:`~rollsim.faults.apply_sensor` call then reads all the outputs
+    again.  Where a reading changed the block is recomputed with it, and
+    read again, until none changes.  Each round leaves every sample before
+    its first changed reading final, so the rounds end, and they end on
+    the readings stepping would take.
+
+    The guess is a plan of the loop closed through an unquantized sensor,
+    so only the quantizer's own error is left to correct.  Without a
+    quantizer that guess is exact, and in an open stuck or dropout window
+    the readings are the held value: both take one pass.  A block that
+    needs more than ``_ROUNDS`` rounds, or whose outputs are not finite,
+    ends at its last verified sample.  If it verified fewer than
+    ``_BLOCK // 2``, its rounds cost more than stepping would, so the next
+    ``_BLOCK`` samples are stepped before the next block.
+
+    The run state: ``cur`` is [z; y_true] of the next sample and ``prev``
+    the buffer of the sample before it (its state and error); ``ym`` is the
+    last reading and ``held`` the value a stuck or dropped-out sensor
+    reads, both None until there is one.  Verified blocks do not update
+    ``prev``: their states are all finite, so when stepping next looks one
+    step back for an overflowed state, a stale but finite buffer gives the
+    same answer.
     """
-
-    def __init__(self, size: int) -> None:
-        self.cur, self.prev = np.zeros(size + 1), np.zeros(size + 1)
-        self.ym: float | None = None
-        self.held: float | None = None
-
-
-class _Stepper:
-    """A nonlinear loop one sample at a time: one product per sample of
-    [[F, g], [hF, hg]] (the next state and the next ``y_true`` at once),
-    with only the sensor reading and the output clamp in Python between."""
 
     def __init__(self, spec: LoopSpec, maps: tuple, m: np.ndarray, nvec: np.ndarray) -> None:
         f, g, h = maps
         self.size = len(g)
         self.step_map = np.vstack([np.column_stack([f, g]), np.append(h @ f, h @ g)])
-        self.h, self.m, self.nvec = h, m, nvec
-        self.gains = spec.gains
-        self.measured = spec.sensor is not None or spec.fault is not None
+        self.h, self.m, self.nvec, self.gains = h, m, nvec, spec.gains
         self.model = spec.sensor if spec.sensor is not None else SensorModel()
+        # Samples per verified block: the longest power of two up to _CHUNK
+        # over which neither the open loop nor the loop closed through an
+        # unquantized sensor grows by more than _GROWTH, or 0 (it is stepped)
+        # when that is under _BLOCK.  Open-loop growth costs the closed form
+        # digits; closed-loop growth amplifies each quantization error, so
+        # the block would not verify in a few rounds.
+        self.length = 0
+        if not (spec.gains.saturates or self.model.sample_dt > 0.0):
+            radius = max(_radius(f), _radius(f - np.outer(g, h)))
+            # Compared as a root: radius ** length may overflow, and NaN (an
+            # overflowed estimate) fails every test.
+            lengths = (_BLOCK << k for k in range((_CHUNK // _BLOCK).bit_length()))
+            self.length = max((n for n in lengths if radius <= _GROWTH ** (1.0 / n)), default=0)
+        if self.length:
+            self.guess = PropagationPlan(f - np.outer(g, h), g, h, [0.0], self.length)
+            # u[i] is the next state's last entry: F[-1] z[i] + g[-1] e[i].
+            self.open = PropagationPlan(f, g, np.array([h, f[-1]]), [0.0, g[-1]], self.length)
+        self.cur, self.prev = np.zeros(self.size + 1), np.zeros(self.size + 1)
+        self.ym = self.held = None
 
-    def run(self, carry: _Carry, sp: np.ndarray, terms: tuple | None, out: np.ndarray) -> int:
-        """Step the samples of ``sp`` from ``carry``, writing their
+    def run(self, sp: np.ndarray, terms: tuple | None, out: np.ndarray) -> int:
+        """Run the samples of ``sp`` on from the run state, writing their
         y_true, y_measured, error and u to the rows of ``out``; ``terms``
         are their :func:`~rollsim.faults.sensor_terms`, None without a
         sensor path.
+
+        The samples are cut at the edges of a stuck or dropout window, and
+        at block starts when the loop verifies blocks.  A stretch inside
+        the window latches the last reading before it opened as the held
+        value; every reading there is that value, so no sample of it ticks.
 
         Returns how many samples hold valid rows: ``len(sp)``, or fewer
         when a plant state or output became non-finite (one fewer than
         stepped, possibly -1, when the state overflowed a step before the
         output did).
         """
+        if terms is None:
+            return self._step(sp, None, out)
+        tick, noise, offset, window = terms
+        if self.ym is None and window[0]:
+            window = np.concatenate([[False], window[1:]])  # no earlier reading to hold: it reads as usual
+        tick = tick & ~window
+        edges = np.flatnonzero(window[1:] != window[:-1]) + 1
+        cuts = sorted({*range(0, len(sp), self.length or len(sp)), *edges.tolist(), len(sp)})
+        for a, b in zip(cuts, cuts[1:]):
+            if window[a] and self.held is None:
+                self.held = self.ym
+            hold = self.held if window[a] else None
+            while a < b:
+                done = self._block(sp[a:b], noise[a:b], offset[a:b], hold, out[:, a:b]) if self.length else 0
+                a += done
+                if a < b and done < _BLOCK // 2:
+                    stop = min(b, a + _BLOCK) if self.length else b
+                    stepped = self._step(sp[a:stop], (tick[a:stop], noise[a:stop], offset[a:stop]), out[:, a:stop])
+                    if stepped < stop - a:
+                        return a + stepped
+                    a = stop
+        return len(sp)
+
+    def _step(self, sp: np.ndarray, terms: tuple | None, out: np.ndarray) -> int:
+        """As :meth:`run`, one sample at a time; ``terms`` are the ticks,
+        noise and offsets of the samples, None without a sensor path."""
         size, n = self.size, self.size - 4
         step_map, h, m, nvec = self.step_map, self.h, self.m, self.nvec
         model, gains, clamps, dot = self.model, self.gains, self.gains.saturates, np.dot
-        cur, nxt, ym, held = carry.cur, carry.prev, carry.ym, carry.held
+        cur, nxt, ym = self.cur, self.prev, self.ym
         readings = zip(*(a.tolist() for a in terms)) if terms is not None else itertools.repeat(None)
         rows: list[float] = []
         valid = len(sp)
@@ -417,10 +494,7 @@ class _Stepper:
                 if term is None:
                     ym = y
                 elif term[0]:  # a sensor tick; in between, the last reading holds
-                    _, noise, offset, window = term
-                    if window and held is None:
-                        held = ym  # None until the first reading
-                    ym = apply_sensor(y, model, noise, offset, held if window else None)
+                    ym = apply_sensor(y, model, term[1], term[2])
                 e = setpoint - ym
                 cur[size] = e
                 dot(step_map, cur, out=nxt)
@@ -436,106 +510,16 @@ class _Stepper:
                 cur, nxt = nxt, cur
                 rows += (y, ym, e, cur.item(size - 1))
         out[:, :len(rows) // 4] = np.reshape(rows, (-1, 4)).T
-        carry.cur, carry.prev, carry.ym, carry.held = cur, nxt, ym, held
+        self.cur, self.prev, self.ym = cur, nxt, ym
         return valid
 
-
-def _radius(f: np.ndarray) -> float:
-    """Spectral radius of ``f``, estimated from the growth of its powers
-    from f^128 to f^256 (Gelfand's formula); NaN or inf when they overflow."""
-    power = f
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(7):
-            power = power @ power
-        low, high = np.max(np.abs(power)), np.max(np.abs(power @ power))
-        return float((high / low) ** (1.0 / 128)) if low > 0.0 else 0.0
-
-
-class _VerifiedBlocks:
-    """A loop whose sensor reads every sample and whose controller has no
-    limits, a block of samples at a time.
-
-    Only the reading depends on the measured value, and a reading depends
-    only on earlier errors.  From the block's start state, a guess of its
-    readings gives its errors, and one apply of a
-    :class:`~rollsim.lti.PropagationPlan` of the open loop of
-    :func:`_loop_maps` gives its outputs, commands and end state; one
-    :func:`~rollsim.faults.apply_sensor` call then reads all the outputs
-    again.  Where a reading changed the block is recomputed with it, and
-    read again, until none changes.  Each round leaves every sample before
-    its first changed reading final, so the rounds end, and they end on
-    the readings the stepper would take.
-
-    The guess is a plan of the loop closed through an unquantized sensor,
-    so only the quantizer's own error is left to correct.  Without a
-    quantizer that guess is exact, and in an open stuck or dropout window
-    the readings are the held value: both take one pass.  A block that
-    needs more than ``_ROUNDS`` rounds, or whose outputs are not finite,
-    ends at its last verified sample.  If it verified fewer than
-    ``_BLOCK // 2``, its rounds cost more than stepping would, so the
-    stepper takes the next ``_BLOCK`` samples before the next block.
-    """
-
-    def __init__(self, maps: tuple, stepper: _Stepper, length: int) -> None:
-        f, g, h = maps
-        self.size, self.length, self.stepper, self.h = len(g), length, stepper, h
-        self.guess = PropagationPlan(f - np.outer(g, h), g, h, [0.0], length)
-        # u[i] is the next state's last entry: F[-1] z[i] + g[-1] e[i].
-        self.open = PropagationPlan(f, g, np.array([h, f[-1]]), [0.0, g[-1]], length)
-
-    @staticmethod
-    def block_length(spec: LoopSpec, maps: tuple) -> int:
-        """Samples per verified block of a nonlinear ``spec``: the longest
-        power of two up to ``_CHUNK`` over which neither the open loop nor
-        the loop closed through an unquantized sensor grows by more than
-        ``_GROWTH``, or 0 (it is stepped) when that is under ``_BLOCK``.
-        Open-loop growth costs the closed form digits; closed-loop growth
-        amplifies each quantization error, so the block would not verify
-        in a few rounds.
-        """
-        if spec.gains.saturates or (spec.sensor is not None and spec.sensor.sample_dt > 0.0):
-            return 0
-        f, g, h = maps
-        radius = max(_radius(f), _radius(f - np.outer(g, h)))
-        # Compared as a root: radius ** length may overflow, and NaN (an
-        # overflowed estimate) fails every test.
-        lengths = (_BLOCK << k for k in range((_CHUNK // _BLOCK).bit_length()))
-        return max((n for n in lengths if radius <= _GROWTH ** (1.0 / n)), default=0)
-
-    def run(self, carry: _Carry, sp: np.ndarray, terms: tuple, out: np.ndarray) -> int:
-        """As :meth:`_Stepper.run`, over blocks that never straddle a
-        window edge."""
-        window = terms[3]
-        if carry.ym is None and window[0]:
-            # No earlier reading to hold: the first sample reads as usual.
-            window = window.copy()
-            window[0] = False
-            terms = (*terms[:3], window)
-        edges = np.flatnonzero(window[1:] != window[:-1]) + 1
-        cuts = sorted({*range(0, len(sp), self.length), *edges.tolist(), len(sp)})
-        for a, b in zip(cuts, cuts[1:]):
-            if window[a] and carry.held is None:
-                carry.held = carry.ym
-            hold = carry.held if window[a] else None
-            while a < b:
-                done = self._block(carry, sp[a:b], terms[1][a:b], terms[2][a:b], hold, out[:, a:b])
-                a += done
-                if a < b and done < _BLOCK // 2:
-                    stop = min(b, a + _BLOCK)
-                    stepped = self.stepper.run(carry, sp[a:stop], tuple(x[a:stop] for x in terms), out[:, a:stop])
-                    if stepped < stop - a:
-                        return a + stepped
-                    a = stop
-        return len(sp)
-
     def _block(
-        self, carry: _Carry, sp: np.ndarray, noise: np.ndarray, offset: np.ndarray,
-        hold: float | None, out: np.ndarray,
+        self, sp: np.ndarray, noise: np.ndarray, offset: np.ndarray, hold: float | None, out: np.ndarray,
     ) -> int:
-        """Verify one block from ``carry``; returns how many of its samples
-        are final and written (0 when the stepper must take over at once)."""
-        count, size, model = len(sp), self.size, self.stepper.model
-        z = carry.cur[:size]
+        """Verify one block from the run state; returns how many of its
+        samples are final and written (0 when it must be stepped at once)."""
+        count, size, model = len(sp), self.size, self.model
+        z = self.cur[:size]
         with np.errstate(over="ignore", invalid="ignore"):
             if hold is None:
                 guess, end, _ = self.guess.apply(sp - (model.bias + noise + offset), z)
@@ -565,9 +549,9 @@ class _VerifiedBlocks:
             if final == 0 or end < final or not math.isfinite(rows[:final].sum() + z_end.sum()):
                 return 0
         out[:, :final] = rows[:final, 0], readings[:final], errors[:final], rows[:final, 1]
-        carry.cur[:size] = z_end
-        carry.cur[size] = self.h @ z_end
-        carry.ym = readings.item(final - 1)
+        self.cur[:size] = z_end
+        self.cur[size] = self.h @ z_end
+        self.ym = readings.item(final - 1)
         return final
 
 
@@ -578,12 +562,10 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
     sensor/fault path, form the error, run :func:`~rollsim.pid.pid_step`,
     and hold the command over the next integration step.  Every route runs
     that step as the maps of :func:`_loop_maps`: a linear spec in closed
-    form through :func:`~rollsim.lti.propagate`; a spec whose sensor reads
-    every sample and whose controller has no output limits in verified
-    blocks (:class:`_VerifiedBlocks`), which reproduce the stepper's
-    readings; any other spec sample by sample.  The first sample with a
-    non-finite plant state or output flags the result diverged at its
-    time, and the series ends just before it.
+    form through :func:`~rollsim.lti.propagate`, any other through
+    :class:`_NonlinearLoop`.  The first sample with a non-finite plant
+    state or output flags the result diverged at its time, and the series
+    ends just before it.
     """
     ss = tf_to_state_space(spec.plant)
     cfg = spec.sim
@@ -603,19 +585,16 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
             end = int(bad_output[0])
         y_meas = y_true
     else:
-        stepper = _Stepper(spec, maps, m, nvec)
-        length = _VerifiedBlocks.block_length(spec, maps)
-        run = _VerifiedBlocks(maps, stepper, length).run if length else stepper.run
-        carry = _Carry(len(maps[1]))
+        loop = _NonlinearLoop(spec, maps, m, nvec)
         terms = (
-            sensor_terms(stepper.model, spec.fault, spec.seed, t, _CHUNK) if stepper.measured
-            else itertools.repeat(None)
+            sensor_terms(loop.model, spec.fault, spec.seed, t, _CHUNK)
+            if spec.sensor is not None or spec.fault is not None else itertools.repeat(None)
         )
         channels = np.empty((4, len(t)))  # y_true, y_measured, error, u
         end = len(t)
         for start in range(0, len(t), _CHUNK):
             chunk = sp[start:start + _CHUNK]
-            valid = run(carry, chunk, next(terms), channels[:, start:start + _CHUNK])
+            valid = loop.run(chunk, next(terms), channels[:, start:start + _CHUNK])
             if valid < len(chunk):
                 end = start + valid
                 break
@@ -675,9 +654,10 @@ class MultibodyDemo:
     (ideal) derivative and once with the filtered derivative, because the
     ideal PID has no realizable transfer function and its stability can
     only be judged from the characteristic polynomial.  The filtered
-    variant is the one a real controller would run.  A caller whose own
-    loop spec equals a result's ``spec`` can reuse that result instead of
-    simulating the same loop again.
+    variant is the one a real controller would run.  Without a derivative
+    term both are the loop of the given gains, simulated once.  A caller
+    whose own loop spec equals a result's ``spec`` can reuse that result
+    instead of simulating the same loop again.
     """
 
     open: TimeSeries
@@ -690,11 +670,10 @@ class MultibodyDemo:
     ideal_verdict: StabilityVerdict
 
 
-def multibody_demo(
-    gains: PidGains = MULTIBODY_REFERENCE_GAINS,
-    sim: SimConfig = SimConfig(),
-    filter_n: float = 100.0,
-) -> MultibodyDemo:
+_FILTER_N = 100.0  # derivative filter of the demo's filtered loop when gains set none
+
+
+def multibody_demo(gains: PidGains = MULTIBODY_REFERENCE_GAINS, sim: SimConfig = SimConfig()) -> MultibodyDemo:
     """Step the multibody plant open-loop and under PID control.
 
     Setpoint and responses are in normalized units: the exported model
@@ -709,19 +688,16 @@ def multibody_demo(
         open_bounded = False
 
     setpoint = SetpointProfile.step(1.0)
-    ideal_gains = replace(gains, derivative_filter_n=math.inf)
-    filtered_gains = replace(
-        gains,
-        derivative_filter_n=(
-            gains.derivative_filter_n
-            if 0.0 < gains.derivative_filter_n < math.inf
-            else filter_n
-        ),
-    )
-    closed_ideal, closed_filtered = (
-        simulate_loop(LoopSpec(plant=plant, gains=g, setpoint=setpoint, sim=sim))
-        for g in (ideal_gains, filtered_gains)
-    )
+    ideal_gains = filtered_gains = gains  # without a derivative term the filter changes nothing
+    if gains.kd:
+        n = gains.derivative_filter_n
+        ideal_gains = replace(gains, derivative_filter_n=math.inf)
+        filtered_gains = replace(gains, derivative_filter_n=n if 0.0 < n < math.inf else _FILTER_N)
+    closed = {
+        g: simulate_loop(LoopSpec(plant=plant, gains=g, setpoint=setpoint, sim=sim))
+        for g in dict.fromkeys((ideal_gains, filtered_gains))
+    }
+    closed_ideal, closed_filtered = closed[ideal_gains], closed[filtered_gains]
     ideal_verdict, ideal_char, _ = _analysis(ideal_gains, plant)
     return MultibodyDemo(
         open=open_ts,

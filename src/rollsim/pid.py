@@ -55,9 +55,9 @@ class PidGains:
     output_max: float | None = None
 
     def __post_init__(self) -> None:
-        # Written as `not x >= 0` so that NaN is rejected too.
-        if not (self.kp >= 0 and self.ki >= 0 and self.kd >= 0):
-            raise ValueError("PID gains must be >= 0")
+        for name in ("kp", "ki", "kd"):  # NaN fails the test too
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"PID gains must be >= 0 and finite: {name} = {getattr(self, name)}")
         if not self.derivative_filter_n >= 0:
             raise ValueError("derivative_filter_n must be >= 0 (or inf)")
         low = -math.inf if self.output_min is None else self.output_min

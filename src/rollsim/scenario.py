@@ -41,7 +41,7 @@ from .plants import (
     power_screw_tf,
     roll_drive_tf,
 )
-from .sizing import ContactModel, SizingInputs
+from .sizing import ContactModel, SizingInputs, roll_angular_velocity
 from .tuning import TuneSpec
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "read_scenario"]
@@ -231,6 +231,9 @@ _SIZING_FIELDS = {"width": "width_w", "roll_diameter": "roll_diameter_D", "line_
 
 def _resolve_sizing(raw: Any, path: str) -> tuple[dict, tuple[SizingInputs, ContactModel]]:
     resolved = _fields(raw, path, _SIZING)
+    for key, value in resolved.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{path}.{key}: must be finite")
     if resolved["t_final"] > resolved["t_initial"]:
         raise ScenarioError(f"{path}.t_final: must be <= {path}.t_initial")
     if resolved["t_final"] <= 0:
@@ -239,6 +242,8 @@ def _resolve_sizing(raw: Any, path: str) -> tuple[dict, tuple[SizingInputs, Cont
         raise ScenarioError(f"{path}.roll_diameter: must exceed the draft t_initial - t_final")
     if resolved["motor_poles"] < 2 or resolved["motor_poles"] % 2:
         raise ScenarioError(f"{path}.motor_poles: must be an even count >= 2")
+    if not math.isfinite(roll_angular_velocity(resolved["line_speed"], resolved["roll_diameter"])[1]):
+        raise ScenarioError(f"{path}.line_speed: the roll speed it gives is not finite")
     fields = {_SIZING_FIELDS.get(k, k): v for k, v in resolved.items() if k != "contact_mode"}
     return resolved, (_build(path, SizingInputs, **fields), ContactModel(resolved["contact_mode"]))
 

@@ -95,6 +95,8 @@ class TuneSpec:
         object.__setattr__(self, "method", TuneMethod(self.method))
         for name in ("kp_bounds", "ki_bounds", "kd_bounds"):
             lo, hi = getattr(self, name)
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError(f"{name} must be finite: [{lo}, {hi}]")
             if lo < 0:
                 raise ValueError(f"{name} lower bound must be >= 0")
             if lo > hi:

@@ -66,8 +66,10 @@ def _multibody_scenario(tmp_path: Path, **changes) -> Path:
         ({"setpoint": [{"t": 0.0, "kind": "step", "value": 0.5}]}, 3),
         # the scenario's loop is the demo's ideal-derivative loop
         ({"controller": {"kp": 0.00941, "ki": 6.53e-05, "kd": 0.339, "n": math.inf}}, 2),
+        # without a derivative term the scenario's, ideal and filtered loops are one
+        ({"controller": {"kp": 0.00941, "ki": 6.53e-05}}, 1),
     ],
-    ids=["same_loop", "other_setpoint", "ideal_loop"],
+    ids=["same_loop", "other_setpoint", "ideal_loop", "no_derivative"],
 )
 def test_multibody_scenario_simulates_each_loop_once(tmp_path, monkeypatch, changes, expected_loops):
     simulated = []
@@ -111,8 +113,18 @@ _SPEED_LOOP = (SCENARIOS / "speed_loop_pi.yaml").read_text(encoding="utf-8")
         ("poles", "kind: poles\npoles:\n  den: [0.0, 2.0]\n", [], "poles.den"),
         ("simulate", _SPEED_LOOP, ["--t-end", "inf"], "sim override: simulate.sim: t_end"),
         ("simulate", "kind: simulate\nsimulate:\n  controller: {kp: 1, umin: .inf}\n", [], "simulate.controller: output_min"),
+        ("size", "kind: size\nsizing: {line_speed: .inf}\n", [], "sizing.line_speed: must be finite"),
+        ("size", "kind: size\nsizing: {line_speed: 1.0e308, roll_diameter: 1.0e-300, t_initial: 1.0e-301,"
+         " t_final: 1.0e-302}\n", [], "sizing.line_speed: the roll speed"),
+        ("size", "kind: size\nsizing: {sigma_y: .inf}\n", [], "sizing.sigma_y: must be finite"),
+        ("size", "kind: size\nsizing: {width: .inf}\n", [], "sizing.width: must be finite"),
+        ("size", "kind: size\nsizing: {motor_rpm: .inf}\n", [], "sizing.motor_rpm: must be finite"),
+        ("size", "kind: size\nsizing: {roll_diameter: .inf}\n", [], "sizing.roll_diameter: must be finite"),
     ],
-    ids=["t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf"],
+    ids=[
+        "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
+        "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
+    ],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text, extra_args, message):
     path = tmp_path / "bad.yaml"
@@ -189,11 +201,17 @@ _SIM = "kind: simulate\nsimulate:\n  "
         ("simulate", _SIM + "sensor: {noise_sigma: .inf}\n", "simulate.sensor: noise_sigma must be finite"),
         ("simulate", _SIM + "sensor: {quantization_step: .inf}\n",
          "simulate.sensor: quantization_step must be finite"),
+        ("simulate", _SIM + "controller: {kp: .inf}\n", "simulate.controller: PID gains must be >= 0 and finite: kp"),
+        ("simulate", _SIM + "controller: {ki: .inf}\n", "simulate.controller: PID gains must be >= 0 and finite: ki"),
+        ("simulate", _SIM + "controller: {kd: .inf, n: 100}\n",
+         "simulate.controller: PID gains must be >= 0 and finite: kd"),
+        ("tune", "kind: tune\ntune:\n  bounds: {kp: [0, .inf]}\n", "tune: kp_bounds must be finite"),
     ],
     ids=[
         "kp_nan", "n_nan", "kp_huge", "noise_nan", "onset_nan", "setpoint_t_nan",
         "t_end_1e15", "dt_1e-300", "bounds_nan", "width_huge",
         "drift_inf", "bias_jump_minus_inf", "bias_inf", "noise_inf", "quantization_inf",
+        "kp_inf", "ki_inf", "kd_inf", "bounds_inf",
     ],
 )
 def test_nan_huge_and_long_inputs_exit_1_at_parse_time(

@@ -178,7 +178,6 @@ def test_bias_noise_and_fault_come_before_quantization_and_hold_after():
     # Quantizing first would give round(0.4) + 0.2 + 0.3 + 0.1 = 0.6.
     assert apply_sensor(0.4, model, 0.3, 0.1) == 1.0
     assert apply_sensor(0.4, model, 0.3, -0.6) == 0.0
-    assert apply_sensor(0.4, model, 0.3, 0.1, hold=7.25) == 7.25
     assert apply_sensor(0.4, SensorModel()) == 0.4
 
 
@@ -203,7 +202,6 @@ def test_a_block_of_readings_equals_its_readings_one_at_a_time(model):
     # Compared as bits, so a -0.0 where one at a time reads +0.0 fails.
     block = apply_sensor(values, model, noise, offset)
     assert block.view(np.int64).tolist() == np.array(expected, dtype=float).view(np.int64).tolist()
-    assert apply_sensor(values, model, noise, offset, hold=7.25).tolist() == [7.25] * len(values)
 
 
 def test_fault_terms_act_only_inside_their_window():

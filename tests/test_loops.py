@@ -632,14 +632,14 @@ def count_routes(monkeypatch) -> collections.Counter:
     """Count verified blocks, stepper runs and sensor calls (by argument
     type) of the loops run after this call."""
     calls = collections.Counter()
-    for owner, name in ((loops._VerifiedBlocks, "_block"), (loops._Stepper, "run")):
-        original = getattr(owner, name)
+    for name, key in (("_block", "_block"), ("_step", "run")):  # stepped stretches count as "run"
+        original = getattr(loops._NonlinearLoop, name)
 
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
+        def counted(*args, _original=original, _key=key):
+            calls[_key] += 1
             return _original(*args)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(loops._NonlinearLoop, name, counted)
     original_sensor = loops.apply_sensor
 
     def sensor(value, *args):
@@ -767,7 +767,7 @@ def test_routes_and_rounds(monkeypatch):
     for spec, steps in ((sweep, False), (coarse_quantizer_loop(), True)):
         calls = count_routes(monkeypatch)
         blocks = []
-        original_block = loops._VerifiedBlocks._block
+        original_block = loops._NonlinearLoop._block
 
         def block(*args):
             before = calls["apply_sensor(ndarray)"]
@@ -775,7 +775,7 @@ def test_routes_and_rounds(monkeypatch):
             blocks.append(calls["apply_sensor(ndarray)"] - before)
             return done
 
-        monkeypatch.setattr(loops._VerifiedBlocks, "_block", block)
+        monkeypatch.setattr(loops._NonlinearLoop, "_block", block)
         simulate_loop(spec)
         assert (calls["run"] > 0) == steps
         # The guess, then at most _ROUNDS verifications, each one array call.
@@ -805,18 +805,39 @@ def test_the_stepper_takes_short_stretches(monkeypatch):
     # Where blocks do not verify, the stepper takes at most _BLOCK samples
     # at a time, and no more in all than 128-sample blocks left it.
     stretches = []
-    original = loops._Stepper.run
+    original = loops._NonlinearLoop._step
 
-    def run(self, carry, sp, *args):
+    def step(self, sp, *args):
         stretches.append(len(sp))
-        return original(self, carry, sp, *args)
+        return original(self, sp, *args)
 
-    monkeypatch.setattr(loops._Stepper, "run", run)
+    monkeypatch.setattr(loops._NonlinearLoop, "_step", step)
     spec = coarse_quantizer_loop(20.0)
     result = simulate_loop(spec)
     assert stretches and max(stretches) <= loops._BLOCK == 128
     assert sum(stretches) <= 6014
     assert_same_bits(result.series["y_measured"], reference_loop(spec)[1][:, 1])
+
+
+@pytest.mark.parametrize("fault", [
+    # Opens at sample 1022, between the ticks at 1020 and 1023, and stays
+    # open past the chunk edge at sample 1024.
+    FaultSpec(kind="stuck", onset_t=1.0215),
+    FaultSpec(kind="dropout", onset_t=0.0, duration=0.2505),  # no reading before it to hold
+], ids=["stuck_across_the_chunk_edge", "dropout_from_the_start"])
+def test_a_stepped_loop_holds_its_reading_through_the_window(fault, monkeypatch):
+    spec = LoopSpec(
+        plant=tf_new([1.0], [1.0, 3.0, 2.0]), gains=PidGains(kp=4.0, ki=2.0, output_min=-1.5, output_max=1.5),
+        setpoint=SetpointProfile.step(1.0), fault=fault, seed=11, sim=SimConfig(dt=1e-3, t_end=2.0),
+        sensor=SensorModel(noise_sigma=1e-3, quantization_step=2e-3, sample_dt=3e-3),
+    )
+    calls = count_routes(monkeypatch)
+    result = assert_matches_reference(spec)
+    assert calls["_block"] == 0 and calls["run"] > 0
+    assert_same_bits(result.series["y_measured"], reference_loop(spec)[1][:, 1])
+    assert np.any(result.series["u"] == 1.5)
+    held = result.series["y_measured"][fault.active(result.series.t)]
+    assert held.size > 200 and np.all(held == held[0])
 
 
 @given(

@@ -124,7 +124,12 @@ def test_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(kp=math.nan), dict(ki=math.nan), dict(kd=math.nan), dict(derivative_filter_n=math.nan)]
+    "bad", [
+        dict(kp=math.nan), dict(ki=math.nan), dict(kd=math.nan), dict(derivative_filter_n=math.nan),
+        pytest.param(dict(kp=math.inf), id="kp_inf"),
+        pytest.param(dict(ki=math.inf), id="ki_inf"),
+        pytest.param(dict(kd=math.inf, derivative_filter_n=100.0), id="kd_inf"),
+    ],
 )
 def test_nan_gains_rejected(bad):
     with pytest.raises(ValueError):
