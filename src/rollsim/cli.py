@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands mirror the scenario kinds: ``size``, ``simulate``, ``tune``,
-and ``poles`` each take ``--scenario <path>`` plus optional overrides;
-``version`` prints the tool version.  Results are written as a JSON
-report (resolved inputs echoed back, results, tool version, wall-clock
-runtime) and, for time-domain and tuning runs, CSV files next to it.
+Subcommands mirror the scenario kinds, the keys of :data:`RESULT_REQUIRED`
+(``size``, ``simulate``, ``tune``, ``poles``), and each takes ``--scenario
+<path>`` plus optional overrides; ``version`` prints the tool version.  Each
+kind's runner returns its results and, for time-domain and tuning runs, a CSV
+table; :func:`run` alone writes them: the CSV file, then the JSON report
+(resolved inputs echoed back, results, tool version, wall-clock runtime).
 
 CSV files hold one row per sample (simulate: ``t``, setpoint, true and
 measured output, error, controller output) or per tuner evaluation (tune:
@@ -46,9 +47,20 @@ EXIT_INPUT_ERROR = 1
 EXIT_DIVERGED = 2
 
 _CSV_CHUNK = 1024  # rows formatted per write
+_Table = tuple[list[str], list[np.ndarray]]  # a CSV table: header, columns
 
-# JSON Schema for every report this tool writes; per-kind required result
-# fields are listed in RESULT_REQUIRED.
+# Scenario kind -> the result fields every report of that kind has.
+RESULT_REQUIRED = {
+    "size": [
+        "contact_length_L", "contact_area_A", "force_F", "torque_T", "omega",
+        "roll_rpm", "power_P", "gear_ratio_R", "gear_ratio_rounded", "vfd_frequency",
+    ],
+    "simulate": ["metrics", "stability_verdict", "diverged", "divergence_time", "samples"],
+    "tune": ["best_gains", "best_cost", "evals"],
+    "poles": ["poles", "routh", "dc_gain", "num", "den"],
+}
+
+# JSON Schema for every report this tool writes.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["results", "scenario", "tool"],
@@ -58,7 +70,7 @@ REPORT_SCHEMA = {
         "scenario": {
             "type": "object",
             "required": ["kind", "output_prefix"],
-            "properties": {"kind": {"enum": ["size", "simulate", "tune", "poles"]}},
+            "properties": {"kind": {"enum": list(RESULT_REQUIRED)}},
         },
         "tool": {
             "type": "object",
@@ -71,16 +83,6 @@ REPORT_SCHEMA = {
             },
         },
     },
-}
-
-RESULT_REQUIRED = {
-    "size": [
-        "contact_length_L", "contact_area_A", "force_F", "torque_T", "omega",
-        "roll_rpm", "power_P", "gear_ratio_R", "gear_ratio_rounded", "vfd_frequency",
-    ],
-    "simulate": ["metrics", "stability_verdict", "diverged", "divergence_time", "samples"],
-    "tune": ["best_gains", "best_cost", "evals"],
-    "poles": ["poles", "routh", "dc_gain", "num", "den"],
 }
 
 
@@ -130,15 +132,15 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             fh.write(format_rows([c[start:start + _CSV_CHUNK] for c in columns]))
 
 
-def _write_series_csv(path: Path, series) -> None:
+def _series_table(series) -> _Table:
     channels = ["setpoint", "y_true", "y_measured", "error", "u"]
-    _write_csv(path, ["t", *channels], [series.t] + [series[c] for c in channels])
+    return ["t", *channels], [series.t] + [series[c] for c in channels]
 
 
-def _write_history_csv(path: Path, history) -> None:
+def _history_table(history) -> _Table:
     # '%.12g' writes an eval index below 1e12 as its integer digits.
     rows = [(i, gains.kp, gains.ki, gains.kd, cost) for i, (gains, cost) in enumerate(history)]
-    _write_csv(path, ["eval", "kp", "ki", "kd", "cost"], list(np.array(rows, dtype=float).reshape(-1, 5).T))
+    return ["eval", "kp", "ki", "kd", "cost"], list(np.array(rows, dtype=float).reshape(-1, 5).T)
 
 
 def _verdict(result: LoopResult) -> str | None:
@@ -161,19 +163,16 @@ def _loop_result_dict(result: LoopResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Kind runners
+# Kind runners: each returns (results, CSV table or None, exit code) and
+# writes nothing; run() writes the files.
 # ---------------------------------------------------------------------------
 
-def _run_size(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
+def _run_size(scenario: Scenario) -> tuple[dict, _Table | None, int]:
     inputs, mode = scenario.payload
-    report = size_report(inputs, mode)
-    results = dataclasses.asdict(report)
-    json_path = prefix.with_suffix(".json")
-    _write_json(json_path, scenario, results, started)
-    return OutputBundle(csv_paths=[], json_path=json_path)
+    return dataclasses.asdict(size_report(inputs, mode)), None, EXIT_OK
 
 
-def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
+def _run_simulate(scenario: Scenario) -> tuple[dict, _Table | None, int]:
     spec, detector = scenario.payload
     is_multibody = scenario.resolved["simulate"]["plant"]["kind"] == "multibody"
     demo = multibody_demo(gains=spec.gains, sim=spec.sim) if is_multibody else None
@@ -202,34 +201,17 @@ def _run_simulate(scenario: Scenario, prefix: Path, started: float) -> OutputBun
                 "characteristic": demo.closed_filtered.characteristic,
             },
         }
-
-    csv_path = prefix.with_suffix(".csv")
-    _write_series_csv(csv_path, result.series)
-    json_path = prefix.with_suffix(".json")
-    _write_json(json_path, scenario, results, started)
-    code = EXIT_DIVERGED if result.diverged else EXIT_OK
-    return OutputBundle(csv_paths=[csv_path], json_path=json_path, exit_code=code)
+    return results, _series_table(result.series), EXIT_DIVERGED if result.diverged else EXIT_OK
 
 
-def _run_tune(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
+def _run_tune(scenario: Scenario) -> tuple[dict, _Table | None, int]:
     result = tune_pid(scenario.payload)
-    results = {
-        "best_gains": {
-            "kp": result.best_gains.kp,
-            "ki": result.best_gains.ki,
-            "kd": result.best_gains.kd,
-        },
-        "best_cost": result.best_cost,
-        "evals": result.evals,
-    }
-    csv_path = prefix.with_suffix(".csv")
-    _write_history_csv(csv_path, result.history)
-    json_path = prefix.with_suffix(".json")
-    _write_json(json_path, scenario, results, started)
-    return OutputBundle(csv_paths=[csv_path], json_path=json_path)
+    gains = {"kp": result.best_gains.kp, "ki": result.best_gains.ki, "kd": result.best_gains.kd}
+    results = {"best_gains": gains, "best_cost": result.best_cost, "evals": result.evals}
+    return results, _history_table(result.history), EXIT_OK
 
 
-def _run_poles(scenario: Scenario, prefix: Path, started: float) -> OutputBundle:
+def _run_poles(scenario: Scenario) -> tuple[dict, _Table | None, int]:
     tf = scenario.payload
     roots = poles(tf)
     order = np.lexsort((roots.imag, roots.real))
@@ -237,16 +219,17 @@ def _run_poles(scenario: Scenario, prefix: Path, started: float) -> OutputBundle
         gain: Any = dc_gain(tf)
     except ValueError:
         gain = "indeterminate"
-    results = {
+    return {
         "poles": [{"re": float(r.real), "im": float(r.imag)} for r in roots[order]],
         "routh": routh_classification(tf.den).value,
         "dc_gain": gain,
         "num": tf.num,
         "den": tf.den,
-    }
-    json_path = prefix.with_suffix(".json")
-    _write_json(json_path, scenario, results, started)
-    return OutputBundle(csv_paths=[], json_path=json_path)
+    }, None, EXIT_OK
+
+
+# Scenario kind -> runner, in RESULT_REQUIRED's order.
+_RUNNERS = dict(zip(RESULT_REQUIRED, (_run_size, _run_simulate, _run_tune, _run_poles), strict=True))
 
 
 def run(
@@ -256,27 +239,27 @@ def run(
     dt: float | None = None,
     t_end: float | None = None,
 ) -> OutputBundle:
-    """Dispatch a parsed scenario and write its outputs.
+    """Run a parsed scenario through its kind's runner (``_RUNNERS``) and
+    write its outputs: the CSV table, if any, to ``<prefix>.csv``, then the
+    report to ``<prefix>.json``, so ``runtime_s`` covers the CSV write.
 
     ``dt``/``t_end`` override the scenario's simulation settings (simulate
-    and tune kinds): they are written into a copy of the resolved echo,
-    which is read again by :func:`~rollsim.scenario.read_scenario`, so the
-    report echoes them and an invalid value is a :class:`ScenarioError`
-    naming its key path.  The output prefix resolution order is the ``--out``
-    flag, then the scenario's ``output_prefix``, then the scenario kind in
-    the current directory.  ``jobs`` is accepted for compatibility and
-    ignored, like ``tune_pid``'s.
+    and tune kinds): they are written into a copy of the resolved echo and
+    read again by :func:`~rollsim.scenario.read_scenario`, so the report
+    echoes them and an invalid value is a :class:`ScenarioError` naming its
+    key path.  The prefix is ``out_prefix``, else the scenario's
+    ``output_prefix``, else the kind.  ``jobs`` is ignored, like ``tune_pid``'s.
     """
     started = time.perf_counter()
     scenario = _apply_overrides(scenario, dt, t_end)
     prefix = Path(out_prefix or scenario.output_prefix or scenario.kind)
-    if scenario.kind == "size":
-        return _run_size(scenario, prefix, started)
-    if scenario.kind == "simulate":
-        return _run_simulate(scenario, prefix, started)
-    if scenario.kind == "tune":
-        return _run_tune(scenario, prefix, started)
-    return _run_poles(scenario, prefix, started)
+    results, table, code = _RUNNERS[scenario.kind](scenario)
+    csv_paths = [] if table is None else [prefix.with_suffix(".csv")]
+    for path in csv_paths:
+        _write_csv(path, *table)
+    json_path = prefix.with_suffix(".json")
+    _write_json(json_path, scenario, results, started)
+    return OutputBundle(csv_paths=csv_paths, json_path=json_path, exit_code=code)
 
 
 def _apply_overrides(scenario: Scenario, dt: float | None, t_end: float | None) -> Scenario:
@@ -304,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hot-mill drive sizing, loop simulation, PID tuning, and pole analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("size", "simulate", "tune", "poles"):
+    for name in RESULT_REQUIRED:
         p = sub.add_parser(name, help=f"run a '{name}' scenario")
         p.add_argument("--scenario", required=True, help="path to the scenario YAML file")
         p.add_argument("--out", default=None, help="output path prefix")
@@ -323,14 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = parse_scenario_file(args.scenario)
         if scenario.kind != args.command:
-            raise ScenarioError(
-                f"scenario kind '{scenario.kind}' does not match subcommand '{args.command}'"
-            )
+            raise ScenarioError(f"scenario kind '{scenario.kind}' does not match subcommand '{args.command}'")
         bundle = run(scenario, out_prefix=args.out, dt=args.dt, t_end=args.t_end)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     for path in [*bundle.csv_paths, bundle.json_path]:

@@ -311,9 +311,10 @@ def _analysis(gains: PidGains, plant: TransferFunction) -> tuple:
     """(verdict, characteristic polynomial, closed loop) of ``gains`` around
     ``plant`` under unity feedback, whether or not a loop runs it."""
     ctrl_num, ctrl_den = pid_rational_terms(gains)
-    char = characteristic_polynomial(ctrl_num, ctrl_den, plant)
-    # 1 + C G = 0 identically: the loop equation is singular.
-    verdict = classify_polynomial_stability(char) if np.any(char) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        char = characteristic_polynomial(ctrl_num, ctrl_den, plant)
+    # 1 + C G = 0 identically (the loop equation is singular), or it overflowed.
+    verdict = classify_polynomial_stability(char) if np.any(char) and np.all(np.isfinite(char)) else None
     closed: TransferFunction | None
     try:
         closed = tf_new(np.polymul(ctrl_num, plant.num), char)
@@ -577,7 +578,8 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
     maps = _loop_maps(spec, ss, m, nvec)
     if spec.is_linear:
         f, g, h = maps
-        closed = f - np.outer(g, h)  # e = sp - h z
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
+            closed = f - np.outer(g, h)  # e = sp - h z
         rows, end = propagate(closed, g, sp, np.array([h, -h, closed[-1]]), [0.0, 1.0, g[-1]])
         y_true, err, u = rows.T.copy()
         bad_output = np.flatnonzero(~np.isfinite(y_true))
@@ -585,7 +587,8 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
             end = int(bad_output[0])
         y_meas = y_true
     else:
-        loop = _NonlinearLoop(spec, maps, m, nvec)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
+            loop = _NonlinearLoop(spec, maps, m, nvec)
         terms = (
             sensor_terms(loop.model, spec.fault, spec.seed, t, _CHUNK)
             if spec.sensor is not None or spec.fault is not None else itertools.repeat(None)
@@ -650,14 +653,14 @@ def thickness_loop(
 class MultibodyDemo:
     """Open-loop vs PID comparison on the multibody stand model.
 
-    The closed loop is simulated twice: once with the raw first-difference
-    (ideal) derivative and once with the filtered derivative, because the
-    ideal PID has no realizable transfer function and its stability can
-    only be judged from the characteristic polynomial.  The filtered
-    variant is the one a real controller would run.  Without a derivative
-    term both are the loop of the given gains, simulated once.  A caller
-    whose own loop spec equals a result's ``spec`` can reuse that result
-    instead of simulating the same loop again.
+    The closed loop is run with the raw first-difference (ideal)
+    derivative and with the filtered derivative, because the ideal PID has
+    no realizable transfer function and its stability can only be judged
+    from the characteristic polynomial.  The filtered variant is the one a
+    real controller would run.  Each distinct loop is simulated once:
+    without a derivative term both are the loop of the given gains.  A
+    caller whose own loop spec equals a result's ``spec`` can reuse that
+    result instead of simulating the same loop again.
     """
 
     open: TimeSeries

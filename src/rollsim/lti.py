@@ -121,21 +121,22 @@ def tf_new(num: Sequence[float], den: Sequence[float]) -> TransferFunction:
     """Build a proper transfer function.
 
     Leading zeros are stripped, then both polynomials are scaled so the
-    denominator is monic.  Raises ``ValueError`` for a zero denominator or
-    an improper (deg num > deg den) ratio.
+    denominator is monic.  Raises ``ValueError`` for a zero denominator, an
+    improper (deg num > deg den) ratio, or a coefficient that is not finite.
     """
     n = poly_trim(num)
     d = poly_trim(den)
     if np.all(d == 0.0):
         raise ValueError("transfer function denominator is the zero polynomial")
-    if not np.all(np.isfinite(n)) or not np.all(np.isfinite(d)):
-        raise ValueError("transfer function coefficients must be finite")
     if len(n) > len(d):
         raise ValueError(
             f"improper transfer function: deg(num)={len(n) - 1} > deg(den)={len(d) - 1}"
         )
-    lead = d[0]
-    return TransferFunction(num=n / lead, den=d / lead)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, d = n / d[0], d / d[0]
+    if not np.all(np.isfinite(n)) or not np.all(np.isfinite(d)):
+        raise ValueError("transfer function coefficients must be finite, also with the denominator made monic")
+    return TransferFunction(num=n, den=d)
 
 
 def dc_gain(tf: TransferFunction) -> float:
@@ -153,22 +154,24 @@ def dc_gain(tf: TransferFunction) -> float:
 
 
 def poles(tf: TransferFunction, residual_tol: float = 1e-8) -> np.ndarray:
-    """Denominator roots, each checked against |den(root)| < residual_tol.
+    """Denominator roots, each checked by its relative residual.
 
-    The residual is evaluated on the monic denominator.  A residual above
-    the tolerance means the eigenvalue iteration did not converge for this
-    polynomial; that raises with the worst offender reported.
+    A root r of the monic denominator c_0 s^n + ... + c_n passes when
+    |den(r)| / sum_i |c_i| |r|^(n-i) < residual_tol, a test that does not
+    scale with the coefficients.  For |r| > 1 both sums are divided by |r|^n
+    and evaluated in 1/r, so no term overflows.  A root that fails is not
+    accurate; that raises ``ValueError`` naming the worst one.
     """
-    if len(tf.den) < 2:
-        raise ValueError("pole computation requires deg(den) >= 1")
     roots = polynomial_roots(tf.den)
-    residuals = np.abs(np.polyval(tf.den, roots))
-    worst = int(np.argmax(residuals))
-    if residuals[worst] >= residual_tol:
-        raise ArithmeticError(
-            f"pole computation did not converge: |den(root)| = {residuals[worst]:.3e} "
-            f"at root {roots[worst]} (tolerance {residual_tol:.1e})"
-        )
+    outer = np.abs(roots) > 1.0
+    x = np.where(outer, 1.0 / np.where(outer, roots, 1.0), roots)
+    terms = np.where(outer[:, None], tf.den[::-1], tf.den) * x[:, None] ** np.arange(len(tf.den) - 1, -1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.abs(terms.sum(axis=1))
+        residuals = np.where(value == 0.0, 0.0, value / np.abs(terms).sum(axis=1))
+    worst = int(np.argmax(residuals))  # a NaN residual is the first maximum
+    if not residuals[worst] < residual_tol:
+        raise ValueError(f"pole {roots[worst]} is not accurate: relative residual {residuals[worst]:.3e}")
     return roots
 
 
@@ -183,14 +186,14 @@ def routh_classification(den: Sequence[float]) -> RouthVerdict:
     The sign of the leading coefficient is normalized first.  Any
     nonpositive first-column entry, including a zero pivot caused by
     missing polynomial coefficients, immediately yields ``NOT_HURWITZ``;
-    no epsilon substitution is attempted, since only a strict
-    stable/not-stable verdict is needed.
+    no epsilon substitution is attempted, since only a strict verdict is
+    needed.  Every row is scaled to a largest magnitude of 1: a positive
+    factor keeps its signs, and the products stay finite.
     """
     c = poly_trim(den)
     if len(c) < 2:
         raise ValueError("Routh classification requires degree >= 1")
-    if c[0] < 0:
-        c = -c
+    c = c / (np.sign(c[0]) * np.max(np.abs(c)))
     # Rows of the Routh array, highest two built from alternating coefficients.
     row_hi = c[0::2].astype(float)
     row_lo = c[1::2].astype(float)
@@ -202,10 +205,8 @@ def routh_classification(den: Sequence[float]) -> RouthVerdict:
         pivot = row_lo[0]
         if pivot <= 0.0:
             return RouthVerdict.NOT_HURWITZ
-        nxt = np.zeros_like(row_lo)
-        for i in range(len(row_lo) - 1):
-            nxt[i] = (pivot * row_hi[i + 1] - row_hi[0] * row_lo[i + 1]) / pivot
-        row_hi, row_lo = row_lo, nxt
+        nxt = np.append(pivot * row_hi[1:] - row_hi[0] * row_lo[1:], 0.0)
+        row_hi, row_lo = row_lo, nxt / (np.max(np.abs(nxt)) or 1.0)
     return RouthVerdict.HURWITZ_STABLE
 
 
@@ -235,7 +236,7 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpaceModel:
     """Controllable canonical form of a proper transfer function.
 
     D equals the leading numerator coefficient when deg(num) = deg(den),
-    otherwise 0.
+    otherwise 0.  Raises ``ValueError`` when C = b - a D overflows.
     """
     den = tf.den
     n = len(den) - 1
@@ -251,7 +252,10 @@ def tf_to_state_space(tf: TransferFunction) -> StateSpaceModel:
     A[-1, :] = -a[::-1]
     B = np.zeros((n, 1))
     B[-1, 0] = 1.0
-    C = (b - a * d)[::-1].reshape(1, n)
+    with np.errstate(over="ignore"):
+        C = (b - a * d)[::-1].reshape(1, n)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("the state-space output map C = b - a D overflows")
     return StateSpaceModel(A=A, B=B, C=C, D=d)
 
 

@@ -31,7 +31,7 @@ import yaml
 
 from .faults import DetectorConfig, FaultSpec, SensorModel
 from .loops import LoopSpec, Segment, SetpointProfile
-from .lti import SimConfig, TransferFunction, tf_new
+from .lti import SimConfig, TransferFunction, poles, tf_new, tf_to_state_space
 from .pid import PidGains
 from .plants import (
     KinematicsMode,
@@ -41,7 +41,7 @@ from .plants import (
     power_screw_tf,
     roll_drive_tf,
 )
-from .sizing import ContactModel, SizingInputs, roll_angular_velocity
+from .sizing import ContactModel, SizingInputs, roll_angular_velocity, size_report
 from .tuning import TuneSpec
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "read_scenario"]
@@ -245,7 +245,9 @@ def _resolve_sizing(raw: Any, path: str) -> tuple[dict, tuple[SizingInputs, Cont
     if not math.isfinite(roll_angular_velocity(resolved["line_speed"], resolved["roll_diameter"])[1]):
         raise ScenarioError(f"{path}.line_speed: the roll speed it gives is not finite")
     fields = {_SIZING_FIELDS.get(k, k): v for k, v in resolved.items() if k != "contact_mode"}
-    return resolved, (_build(path, SizingInputs, **fields), ContactModel(resolved["contact_mode"]))
+    payload = _build(path, SizingInputs, **fields), ContactModel(resolved["contact_mode"])
+    _build(path, size_report, *payload)  # finite inputs whose product overflows
+    return resolved, payload
 
 
 # A rational transfer function: the ``tf`` plant and the ``poles`` section.
@@ -277,6 +279,7 @@ def _resolve_plant(raw: Any, path: str) -> tuple[dict, TransferFunction]:
     raw = _require_mapping(raw, path)
     kind = _PLANT_KIND(raw.get("kind", "roll_drive"), f"{path}.kind")
     params, tf = _PLANTS[kind]({k: v for k, v in raw.items() if k != "kind"}, path)
+    _build(path, tf_to_state_space, tf)  # a realization that overflows
     return {"kind": kind, **params}, tf
 
 
@@ -405,6 +408,7 @@ def _resolve_poles(raw: Any, path: str) -> tuple[dict, TransferFunction]:
     resolved, tf = _resolve_tf(raw, path)
     if len(tf.den) < 2:
         raise ScenarioError(f"{path}.den: pole analysis needs degree >= 1 after leading zeros")
+    _build(f"{path}.den", poles, tf)  # a denominator whose roots come out inaccurate
     return resolved, tf
 
 

@@ -48,7 +48,7 @@ class ContactModel(str, Enum):
 
 @dataclass(frozen=True)
 class SizingInputs:
-    """Material, geometry, and drive inputs for the sizing chain."""
+    """Material, geometry, and drive inputs for the sizing chain, all finite."""
 
     sigma_y: float = 150e6        # yield strength, Pa
     width_w: float = 1.0          # sheet width, m
@@ -60,6 +60,9 @@ class SizingInputs:
     motor_poles: int = 4
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.sigma_y > 0:
             raise ValueError("sigma_y must be > 0")
         if not self.width_w > 0:
@@ -76,6 +79,8 @@ class SizingInputs:
             raise ValueError("motor_rpm must be > 0")
         if self.motor_poles < 2 or self.motor_poles % 2:
             raise ValueError("motor_poles must be an even count >= 2")
+        if not math.isfinite(roll_angular_velocity(self.line_speed_v, self.roll_diameter_D)[1]):
+            raise ValueError("the roll speed line_speed_v / (roll_diameter_D / 2) is not finite")
 
     @property
     def draft(self) -> float:
@@ -176,7 +181,8 @@ def vfd_frequency(rpm: float, poles: int) -> float:
 def size_report(
     inputs: SizingInputs, mode: ContactModel = ContactModel.APPROX
 ) -> SizingReport:
-    """Run the full sizing chain with unrounded intermediates."""
+    """Run the full sizing chain with unrounded intermediates; raises
+    ``ValueError`` if the area, force, torque, power or VFD frequency overflows."""
     L = contact_length(inputs.t_initial, inputs.t_final, inputs.roll_diameter_D, mode)
     A = inputs.width_w * L
     F = inputs.sigma_y * A
@@ -191,6 +197,10 @@ def size_report(
         R = math.inf
         R_rounded = math.inf
     f = vfd_frequency(inputs.motor_rpm, inputs.motor_poles)
+    products = (("contact_area_A", A), ("force_F", F), ("torque_T", T), ("power_P", P), ("vfd_frequency", f))
+    for name, value in products:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows: the inputs' product is not finite")
     return SizingReport(
         contact_length_L=L,
         contact_area_A=A,

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rollsim
 import rollsim.cli as cli
 import rollsim.csvfmt as csvfmt
 import rollsim.loops as loops
+import rollsim.scenario as scenario_module
 from rollsim.faults import FaultSpec, SensorModel
 from rollsim.loops import LoopSpec, Segment, SetpointProfile
 from rollsim.lti import SimConfig, TimeSeries
@@ -102,6 +103,7 @@ def test_multibody_with_saturation_withholds_verdicts(tmp_path, capsys):
 
 
 _SPEED_LOOP = (SCENARIOS / "speed_loop_pi.yaml").read_text(encoding="utf-8")
+_SIM = "kind: simulate\nsimulate:\n  "
 
 
 @pytest.mark.parametrize(
@@ -120,10 +122,23 @@ _SPEED_LOOP = (SCENARIOS / "speed_loop_pi.yaml").read_text(encoding="utf-8")
         ("size", "kind: size\nsizing: {width: .inf}\n", [], "sizing.width: must be finite"),
         ("size", "kind: size\nsizing: {motor_rpm: .inf}\n", [], "sizing.motor_rpm: must be finite"),
         ("size", "kind: size\nsizing: {roll_diameter: .inf}\n", [], "sizing.roll_diameter: must be finite"),
+        ("size", "kind: size\nsizing: {sigma_y: 1.0e300, width: 1.0e100}\n", [], "sizing: force_F overflows"),
+        ("size", "kind: size\nsizing: {motor_rpm: 1.0e308}\n", [], "sizing: vfd_frequency overflows"),
+        ("poles", "kind: poles\npoles:\n  den: [1, 1.0e+100, 1.0e-200]\n", [], "poles.den: pole 0.0 is not accurate"),
+        ("poles", "kind: poles\npoles:\n  den: [1.0e-300, 1.0e+300, 1]\n", [],
+         "poles: transfer function coefficients must be finite, also with the denominator made monic"),
+        ("poles", "kind: poles\npoles: {num: [1.0e+300], den: [1.0e-300, 1]}\n", [], "poles: transfer function"),
+        ("simulate", _SIM + "plant: {kind: tf, num: [1], den: [1.0e-300, 1.0e+300, 1]}\n", [],
+         "simulate.plant: transfer function coefficients must be finite"),
+        # Found by the end-to-end fuzz: a RuntimeWarning, then a traceback, in the realization.
+        ("simulate", _SIM + "plant: {kind: tf, num: [-2.2, 1.0e-300], den: [1.0e-300, 2.75]}\n", [],
+         "simulate.plant: the state-space output map C = b - a D overflows"),
     ],
     ids=[
         "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
         "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
+        "force_overflow", "vfd_frequency_overflow", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
+        "plant_den_overflows_monic", "plant_realization_overflows",
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text, extra_args, message):
@@ -136,6 +151,25 @@ def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text,
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
     assert not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize(
+    "den, expected",
+    [
+        ([1, 0, 0, 0, 1.0e300], [(s * 7.0710678118654752e74, t * 7.0710678118654752e74) for s in (-1, 1) for t in (-1, 1)]),
+        ([1, 1.0e200, 1], [(-1.0e200, 0.0), (-1.0e-200, 0.0)]),
+        ([1.0e-300, 1, 1], [(-1.0e300, 0.0), (-1.0, 0.0)]),
+    ],
+    ids=["quartic_1e300", "spread_1e200", "tiny_lead"],
+)
+def test_poles_of_widely_scaled_denominators_are_reported(tmp_path, den, expected):
+    path = tmp_path / "poles.yaml"
+    path.write_text(f"kind: poles\npoles:\n  den: {den}\n", encoding="utf-8")
+    out = tmp_path / "poles"
+    assert cli.main(["poles", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    reported = _valid_report(out.with_suffix(".json"))["results"]["poles"]
+    assert [r["re"] for r in reported] == pytest.approx([re for re, _ in expected], rel=1e-12)
+    assert [r["im"] for r in reported] == pytest.approx([im for _, im in expected], rel=1e-12)
 
 
 def test_overrides_leave_the_parsed_scenario_unchanged(tmp_path):
@@ -177,7 +211,6 @@ def test_an_override_runs_the_file_with_it_written_in(tmp_path, name, sim_path):
 
 
 _HUGE = "9" * 401
-_SIM = "kind: simulate\nsimulate:\n  "
 
 
 @pytest.mark.parametrize(
@@ -292,7 +325,7 @@ def test_series_csv_bytes_match_the_per_value_writer(tmp_path):
         values[i::len(special)][: len(special)] = special
         channels[name] = values
     series = TimeSeries(t=np.arange(rows) * 1e-3, channels=channels)
-    cli._write_series_csv(tmp_path / "chunked.csv", series)
+    cli._write_csv(tmp_path / "chunked.csv", *cli._series_table(series))
     _reference_series_csv(tmp_path / "reference.csv", series)
     written = (tmp_path / "chunked.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
@@ -367,7 +400,7 @@ def test_history_csv_bytes_match_the_fstring_writer(tmp_path, evals):
         (PidGains(kp=kp, ki=ki, kd=kd), cost)
         for kp, ki, kd, cost in zip(*rng.uniform(0.0, 50.0, (3, evals)).tolist(), costs.tolist())
     ]
-    cli._write_history_csv(tmp_path / "history.csv", history)
+    cli._write_csv(tmp_path / "history.csv", *cli._history_table(history))
     _reference_history_csv(tmp_path / "reference.csv", history)
     written = (tmp_path / "history.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
@@ -461,6 +494,32 @@ def test_an_overflowing_step_map_diverges_at_once_without_a_warning(tmp_path):
     assert results["diverged"] and results["divergence_time"] == 1e-3
 
 
+@pytest.mark.parametrize(
+    "body, divergence_time",
+    [
+        ("plant: {kind: tf, num: [-0.13], den: [1.0e-300, 1.0e-300]}\n"
+         "  controller: {ki: 9.0, kd: 1.0e+300, n: 100.0, umax: 9.0}\n", 0.003),
+        ("plant: {kind: tf, num: [1.0e+300, 1.0e+300], den: [4.08, -1.07]}\n"
+         "  controller: {ki: 1.0e+300, n: .inf}\n  fault: {kind: bias_jump, onset_t: 1.23}\n", 0.001),
+        ("plant: {kind: tf, num: [1.0e+300, 1.0e+300], den: [4.08, -1.07]}\n"
+         "  controller: {ki: 1.0e+300, n: .inf}\n", 0.001),
+    ],
+    ids=["clamped", "faulty", "linear"],
+)
+def test_loops_whose_maps_overflow_diverge_without_a_warning(tmp_path, capsys, body, divergence_time):
+    # Found by the end-to-end fuzz: the clamped and faulty loops raised a
+    # RuntimeWarning building their maps (an error under this suite), and
+    # the linear loop's overflowed characteristic polynomial a LinAlgError.
+    path = tmp_path / "overflow.yaml"
+    path.write_text(_SIM + body + "  sim: {dt: 0.001, t_end: 2.0}\n", encoding="utf-8")
+    out = tmp_path / "overflow"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DIVERGED
+    assert "Traceback" not in capsys.readouterr().err
+    results = _valid_report(out.with_suffix(".json"))["results"]
+    assert results["diverged"] and results["divergence_time"] == divergence_time
+    assert results["stability_verdict"] is None
+
+
 def test_jobs_is_accepted_and_runs_no_process_pool(tmp_path, monkeypatch):
     import multiprocessing
 
@@ -472,3 +531,129 @@ def test_jobs_is_accepted_and_runs_no_process_pool(tmp_path, monkeypatch):
     args = ["tune", "--scenario", str(SCENARIOS / "tune_speed_grid.yaml"), "--out", str(out), "--jobs", "3"]
     assert cli.main(args) == cli.EXIT_OK
     assert _valid_report(out.with_suffix(".json"))["results"]["evals"] > 1
+
+
+def test_every_list_of_kinds_holds_the_same_kinds():
+    kinds = list(cli.RESULT_REQUIRED)
+    subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    assert {kind: runner.__name__ for kind, runner in cli._RUNNERS.items()} == {k: f"_run_{k}" for k in kinds}
+    assert cli.REPORT_SCHEMA["properties"]["scenario"]["properties"]["kind"]["enum"] == kinds
+    assert [name for name in subcommands if name != "version"] == kinds
+    assert list(scenario_module._SECTIONS) == kinds
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_run_writes_the_csv_before_the_report(tmp_path, monkeypatch, path):
+    written = []
+
+    def recording(write):
+        def wrapper(path, *args):
+            written.append(path.name)
+            return write(path, *args)
+        return wrapper
+
+    for name in ("_write_csv", "_write_json"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    scenario = parse_scenario_file(str(path))
+    bundle = cli.run(scenario, out_prefix=str(tmp_path / "out"))
+    assert bundle.csv_paths == ([] if scenario.kind in ("size", "poles") else [tmp_path / "out.csv"])
+    assert written == [p.name for p in [*bundle.csv_paths, bundle.json_path]]
+
+
+# End-to-end fuzz: mostly valid scenarios of every kind, now and then with an
+# extreme magnitude, run through ``cli.main`` over at most 2,001 samples.
+_EXTREME = st.sampled_from([1.0e300, -1.0e300, 1.0e-300])
+
+
+def _value(lo, hi):
+    """Mostly a plausible number, a quarter of the time an extreme one."""
+    return st.one_of(st.floats(lo, hi), st.floats(lo, hi), st.floats(lo, hi), _EXTREME)
+
+
+def _some(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_E2E_PLANT = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("roll_drive")}, optional={k: _value(0.01, 10.0) for k in "KJBr"}),
+    st.fixed_dictionaries(
+        {"kind": st.just("power_screw")},
+        optional={"lead": _value(0.001, 0.01), "mode": st.sampled_from(["integrated", "paper_literal"])},
+    ),
+    st.just({"kind": "multibody"}),
+    st.fixed_dictionaries({
+        "kind": st.just("tf"),
+        "num": st.lists(_value(-5.0, 5.0), min_size=1, max_size=2),
+        "den": st.lists(_value(-5.0, 5.0), min_size=2, max_size=4),
+    }),
+)
+_E2E_LOOP = {
+    "plant": _E2E_PLANT,
+    "controller": _some(
+        kp=_value(0.0, 50.0), ki=_value(0.0, 20.0), kd=_value(0.0, 1.0),
+        n=st.sampled_from([0.0, 100.0, math.inf]), umin=_value(-10.0, -0.1), umax=_value(0.1, 10.0),
+    ),
+    "setpoint": st.lists(
+        _some(kind=st.sampled_from(["step", "ramp", "hold"]), value=_value(-2.0, 2.0)), min_size=1, max_size=3
+    ).map(lambda segments: [{"t": 0.5 * i, **segment} for i, segment in enumerate(segments)]),
+    "sim": st.fixed_dictionaries({"dt": st.sampled_from([1e-3, 2e-3, 5e-3])}),
+    "seed": st.integers(-5, 10**6),
+}
+_E2E_SIMULATE = _some(
+    **_E2E_LOOP,
+    sensor=_some(
+        noise_sigma=_value(0.0, 0.01), bias=_value(-0.01, 0.01), quantization_step=_value(0.0, 0.01),
+        sample_dt=st.sampled_from([0.0, 2e-3, 3.5e-3]),
+    ),
+    fault=st.fixed_dictionaries(
+        {"kind": st.sampled_from(["stuck", "bias_jump", "drift", "dropout"]), "onset_t": _value(0.0, 2.0)},
+        optional={"magnitude": _value(-0.1, 0.1), "duration": _value(0.01, 1.0)},
+    ),
+    detector=st.fixed_dictionaries(
+        {"residual_threshold": _value(1e-4, 0.1)}, optional={"consecutive_required": st.integers(1, 5)}
+    ),
+)
+_E2E_BODIES = {
+    "size": _some(
+        sigma_y=_value(1e6, 5e8), width=_value(0.1, 3.0), t_initial=_value(0.002, 0.05),
+        t_final=_value(0.0005, 0.002), roll_diameter=_value(0.1, 1.0), line_speed=_value(0.0, 5.0),
+        motor_rpm=_value(100.0, 3000.0), motor_poles=st.sampled_from([2, 4, 6]),
+        contact_mode=st.sampled_from(["approx", "exact"]),
+    ),
+    "simulate": _E2E_SIMULATE,
+    "tune": _some(
+        loop=_some(**_E2E_LOOP),
+        bounds=_some(**{g: st.tuples(_value(0.0, 5.0), _value(5.0, 50.0)).map(list) for g in ("kp", "ki")}),
+        initial=_some(kp=_value(0.0, 10.0), ki=_value(0.0, 10.0)),
+        cost=st.sampled_from(["itae", "ise", "iae"]),
+        method=st.sampled_from(["nelder_mead", "grid"]),
+        grid_points=st.integers(1, 3),
+        max_evals=st.integers(1, 6),
+    ),
+    "poles": st.fixed_dictionaries(
+        {"den": st.lists(_value(-5.0, 5.0), min_size=2, max_size=6)},
+        optional={"num": st.lists(_value(-5.0, 5.0), min_size=1, max_size=3)},
+    ),
+}
+_E2E_DOCS = st.sampled_from(sorted(_E2E_BODIES)).flatmap(
+    lambda kind: _E2E_BODIES[kind].map(lambda body: {"kind": kind, scenario_module._SECTIONS[kind][0]: body})
+)
+
+
+@given(doc=_E2E_DOCS)
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_scenarios_run_end_to_end(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, out = tmp / "doc.yaml", tmp / "out"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    kind = doc["kind"]
+    horizon = ["--t-end", "2.0"] if kind in ("simulate", "tune") else []
+    code = cli.main([kind, "--scenario", str(path), "--out", str(out), *horizon])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR, cli.EXIT_DIVERGED)
+    if code == cli.EXIT_INPUT_ERROR:
+        assert not out.with_suffix(".json").exists()
+        return
+    results = _valid_report(out.with_suffix(".json"))["results"]
+    rows = {"simulate": "samples", "tune": "evals"}.get(kind)
+    if rows is not None:
+        assert out.with_suffix(".csv").read_bytes().count(b"\n") == results[rows] + 1

@@ -164,6 +164,43 @@ def test_poles_quadratic():
     assert roots == pytest.approx([-2.0, -1.0])
 
 
+@pytest.mark.parametrize(
+    "den, expected",
+    [
+        # r^4 = -1e300: four roots of modulus 1e75 on the diagonals.
+        ([1.0, 0.0, 0.0, 0.0, 1.0e300], [1.0e75 * np.exp(1j * np.pi * k / 4) for k in (1, 3, 5, 7)]),
+        ([1.0, 1.0e200, 1.0], [-1.0e200, -1.0e-200]),
+        ([1.0e-300, 1.0, 1.0], [-1.0e300, -1.0]),
+        ([1.0, 1.0, 0.0], [-1.0, 0.0]),
+    ],
+    ids=["quartic_1e300", "spread_1e200", "tiny_lead", "root_at_zero"],
+)
+def test_poles_pass_a_residual_relative_to_the_coefficients(den, expected):
+    # The absolute residual |den(r)| of the first two reaches 1e285 and 1.
+    roots = poles(tf_new([1], den))
+    assert len(roots) == len(expected)
+    for w in expected:
+        assert np.min(np.abs(roots - w)) <= 1e-12 * abs(w)
+
+
+def test_an_inaccurate_pole_raises():
+    # The computed roots are -1e100 and 0; den(0) = 1e-200 is all of den's size there.
+    with pytest.raises(ValueError, match="is not accurate: relative residual 1.000e"):
+        poles(tf_new([1], [1.0, 1.0e100, 1.0e-200]))
+
+
+@pytest.mark.parametrize("num, den", [([1.0], [1.0e-300, 1.0e300, 1.0]), ([1.0e300], [1.0e-300, 1.0])])
+def test_coefficients_that_overflow_when_made_monic_are_rejected(num, den):
+    with pytest.raises(ValueError, match="also with the denominator made monic"):
+        tf_new(num, den)
+
+
+def test_a_realization_that_overflows_is_rejected():
+    # Monic: (-2.2e300 s + 1) / (s + 2.75e300), so C = 1 - 2.75e300 * -2.2e300.
+    with pytest.raises(ValueError, match="output map C = b - a D overflows"):
+        tf_to_state_space(tf_new([-2.2, 1.0e-300], [1.0e-300, 2.75]))
+
+
 def test_poles_multibody_regression():
     roots = poles(multibody_tf())
     got = sorted((round(r.real, 9), round(r.imag, 9)) for r in roots)
@@ -193,6 +230,20 @@ def test_routh_third_order_with_positive_coefficients_can_fail():
 
 def test_routh_negative_leading_sign_normalized():
     assert routh_classification([-1, -1]) is RouthVerdict.HURWITZ_STABLE
+
+
+@pytest.mark.parametrize(
+    "den, verdict",
+    [
+        ([1.0e-300, 1.0, 1.0], RouthVerdict.HURWITZ_STABLE),  # roots -1e300 and -1
+        ([1.0, 1.0e200, 1.0e200, 1.0e200], RouthVerdict.HURWITZ_STABLE),  # about -1e200, -0.5 +- 0.87j
+        ([1.0, 1.0e200, 1.0e-200, 1.0e200], RouthVerdict.NOT_HURWITZ),  # about -1e200 and 5e-201 +- 1j
+    ],
+    ids=["tiny_lead", "wide_stable", "wide_unstable"],
+)
+def test_routh_keeps_widely_scaled_rows_finite(den, verdict):
+    # The unscaled array overflows on all three (a RuntimeWarning, an error here).
+    assert routh_classification(den) is verdict
 
 
 def test_routh_agrees_with_roots_on_random_polynomials():

@@ -163,6 +163,35 @@ def test_input_invariants():
         SizingInputs(sigma_y=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "minus_inf", "nan"])
+@pytest.mark.parametrize(
+    "field", ["sigma_y", "width_w", "t_initial", "t_final", "roll_diameter_D", "line_speed_v", "motor_rpm"]
+)
+def test_non_finite_inputs_are_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        SizingInputs(**{field: value})
+
+
+def test_a_roll_speed_that_overflows_is_rejected():
+    with pytest.raises(ValueError, match="roll speed"):
+        SizingInputs(line_speed_v=1e308, roll_diameter_D=1e-300, t_initial=1e-301, t_final=1e-302)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"sigma_y": 1e300, "width_w": 1e100}, "force_F"),
+        ({"sigma_y": 1e300, "width_w": 1e5, "roll_diameter_D": 1e10}, "torque_T"),
+        ({"sigma_y": 1e300, "line_speed_v": 1e20}, "power_P"),
+        ({"motor_rpm": 1e308}, "vfd_frequency"),
+    ],
+    ids=["force", "torque", "power", "vfd_frequency"],
+)
+def test_a_product_that_overflows_raises_naming_it(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} overflows"):
+        size_report(SizingInputs(**kwargs))
+
+
 # ---------------------------------------------------------------------------
 # Identities over randomized inputs
 # ---------------------------------------------------------------------------
