@@ -36,7 +36,7 @@ from .csvfmt import format_rows
 from .faults import detect_faults
 from .loops import LoopResult, multibody_demo, simulate_loop
 from .lti import dc_gain, poles, routh_classification
-from .scenario import Scenario, ScenarioError, parse_scenario_file, read_scenario
+from .scenario import Scenario, ScenarioError, _build, parse_scenario_file, read_scenario
 from .sizing import size_report
 from .tuning import tune_pid
 
@@ -164,12 +164,13 @@ def _loop_result_dict(result: LoopResult) -> dict:
 
 # ---------------------------------------------------------------------------
 # Kind runners: each returns (results, CSV table or None, exit code) and
-# writes nothing; run() writes the files.
+# writes nothing; run() writes the files.  An analysis that rejects its
+# input raises a ScenarioError naming the key, so no file is written.
 # ---------------------------------------------------------------------------
 
 def _run_size(scenario: Scenario) -> tuple[dict, _Table | None, int]:
-    inputs, mode = scenario.payload
-    return dataclasses.asdict(size_report(inputs, mode)), None, EXIT_OK
+    report = _build("sizing", size_report, *scenario.payload)  # finite inputs whose product overflows
+    return dataclasses.asdict(report), None, EXIT_OK
 
 
 def _run_simulate(scenario: Scenario) -> tuple[dict, _Table | None, int]:
@@ -213,7 +214,7 @@ def _run_tune(scenario: Scenario) -> tuple[dict, _Table | None, int]:
 
 def _run_poles(scenario: Scenario) -> tuple[dict, _Table | None, int]:
     tf = scenario.payload
-    roots = poles(tf)
+    roots = _build("poles.den", poles, tf)  # a denominator whose roots come out inaccurate
     order = np.lexsort((roots.imag, roots.real))
     try:
         gain: Any = dc_gain(tf)

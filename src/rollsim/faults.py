@@ -7,17 +7,16 @@ healthy reading), bias jump, drift, or dropout (hold-last for a fixed
 duration).
 
 A reading splits in two.  What does not depend on the measured value
-(the sensor ticks, the noise draw of each tick, the bias-jump or drift
-term and the stuck/dropout window) is a function of the time grid alone,
-computed with numpy a chunk of samples at a time by :func:`sensor_terms`.
-What does, adding those terms to the value and quantizing, is
-:func:`apply_sensor`.  The loop calls it on one reading at a time when it
-steps sample by sample, on a whole block of readings at once when it
-verifies a block, and not at all where a stuck or dropout window holds
-its last reading (see :mod:`rollsim.loops`).
+(which samples the sensor reads, each tick's noise draw and the bias-jump
+or drift term) is a function of the time grid alone, computed with numpy
+a chunk of samples at a time by :func:`sensor_terms`; a stuck or dropout
+window is a stretch without ticks.  What does, adding those terms to the
+value and quantizing, is :func:`apply_sensor`.  The loop calls it on one
+reading at a time when it steps, on a block of readings at once when it
+verifies a block, and not at all where nothing ticks.
 
 Randomness is a pure function of (seed, draw counter) via a splitmix64
-bit mixer feeding Box-Muller, and the n-th tick of a run draws counter n,
+bit mixer feeding Box-Muller, and the n-th clock tick of a run draws counter n,
 so a measurement stream is reproducible from its seed alone; no global
 generator is touched.
 Detection works on a residual series (measured minus model-predicted,
@@ -159,16 +158,17 @@ class FaultSpec:
 
 def sensor_terms(
     model: SensorModel, fault: FaultSpec | None, seed: int, t: np.ndarray, chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The value-independent part of every reading over the time grid ``t``.
 
     Yields, per ``chunk`` samples of ``t``, the arrays ``(tick, noise,
-    offset, window)``: whether the sample is a sensor tick, and for
-    :func:`apply_sensor` sigma times the tick's draw, the bias-jump or
-    drift term, and whether a stuck or dropout window is open, where the
-    loop holds its last reading.  Between ticks the last reading holds and
-    the other three are not used.  A tick is the first sample at least
-    ``sample_dt`` after the previous one, and the n-th tick draws counter n.
+    offset)``: whether the sensor reads the sample, and for
+    :func:`apply_sensor` sigma times the tick's draw and the bias-jump or
+    drift term, unused between ticks, where the last reading holds.  The
+    n-th clock tick, the first sample at least ``sample_dt`` after the
+    previous one, draws counter n; a stuck or dropout window then clears
+    the ticks inside it, except the run's first sample, which has no
+    earlier reading to hold.
     """
     spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
     last_tick, drawn = -math.inf, 0
@@ -181,7 +181,6 @@ def sensor_terms(
                 last_tick = ti if tick[i] else last_tick
         # -0.0 is the exact additive identity, so an absent term changes no reading.
         noise, offset = np.full(len(tc), -0.0), np.full(len(tc), -0.0)
-        window = np.zeros(len(tc), dtype=bool)
         if model.noise_sigma > 0.0:
             count = int(np.count_nonzero(tick))
             noise[tick] = model.noise_sigma * counter_gauss(seed, np.arange(drawn, drawn + count))
@@ -193,8 +192,9 @@ def sensor_terms(
             elif fault.kind is FaultKind.DRIFT:
                 offset[active] = fault.magnitude * (tc[active] - fault.onset_t)
             else:
-                window = active
-        yield tick, noise, offset, window
+                active[0] &= start > 0
+                tick &= ~active
+        yield tick, noise, offset
 
 
 def apply_sensor(
@@ -205,8 +205,8 @@ def apply_sensor(
 
     Adds the terms in the order ((true_value + bias) + noise) + offset,
     then quantizes.  ``noise`` and ``offset`` come from
-    :func:`sensor_terms`.  A stuck or dropped-out sensor takes no reading:
-    the loop holds its last one.
+    :func:`sensor_terms`.  A stuck or dropped-out sensor has no ticks, so
+    it is never called for one: the loop keeps its last reading.
     """
     value = true_value + model.bias + noise + offset
     step = model.quantization_step

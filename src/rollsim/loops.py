@@ -17,10 +17,10 @@ maps by one of three routes:
 - closed form: a linear loop (ideal sensor, no fault, no saturation)
   closes them with e = sp - y_true and is propagated by
   :func:`~rollsim.lti.propagate`;
-- verified blocks: a loop whose sensor reads every sample and whose
-  controller has no output limits is propagated a block of up to 1,024
-  samples at a time from a guess of its readings, which one array call
-  of :func:`~rollsim.faults.apply_sensor` then checks and corrects;
+- verified blocks: a loop whose sensor clock ticks every sample and
+  whose controller has no output limits is propagated a block of up to
+  1,024 samples at a time from a guess of its readings, which one array
+  call of :func:`~rollsim.faults.apply_sensor` then checks and corrects;
 - stepped: any other loop (output limits, a slower sensor clock) runs one
   small product per sample, and only the sensor reading and the output
   clamp, which depend on the previous sample, are evaluated in between.
@@ -28,7 +28,7 @@ maps by one of three routes:
   are stepped.
 
 One object, :class:`_NonlinearLoop`, runs the last two routes from one
-run state, and holds the reading of a stuck or dropped-out sensor.
+run state, and keeps the last reading wherever the sensor does not tick.
 
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is linear.
@@ -376,8 +376,8 @@ class _NonlinearLoop:
     [hF, hg]] (the next state and the next ``y_true`` at once), with only
     the sensor reading and the output clamp in Python between.
 
-    A loop whose sensor reads every sample and whose controller has no
-    limits verifies blocks instead.  Only the reading depends on the
+    A loop whose sensor clock ticks every sample and whose controller has
+    no limits verifies blocks instead.  Only the reading depends on the
     measured value, and a reading depends only on earlier errors.  From
     the block's start state, a guess of its readings gives its errors, and
     one apply of a :class:`~rollsim.lti.PropagationPlan` of the open loop
@@ -389,21 +389,20 @@ class _NonlinearLoop:
     the readings stepping would take.
 
     The guess is a plan of the loop closed through an unquantized sensor,
-    so only the quantizer's own error is left to correct.  Without a
-    quantizer that guess is exact, and in an open stuck or dropout window
-    the readings are the held value: both take one pass.  A block that
-    needs more than ``_ROUNDS`` rounds, or whose outputs are not finite,
-    ends at its last verified sample.  If it verified fewer than
+    so only the quantizer's own error is left to correct: without one it is
+    exact, one pass.  A block without ticks (a stuck or dropout window)
+    reads the last reading throughout: one apply of the open-loop plan.  A
+    block that needs more than ``_ROUNDS`` rounds, or whose outputs are not
+    finite, ends at its last verified sample.  If it verified fewer than
     ``_BLOCK // 2``, its rounds cost more than stepping would, so the next
     ``_BLOCK`` samples are stepped before the next block.
 
     The run state: ``cur`` is [z; y_true] of the next sample and ``prev``
     the buffer of the sample before it (its state and error); ``ym`` is the
-    last reading and ``held`` the value a stuck or dropped-out sensor
-    reads, both None until there is one.  Verified blocks do not update
-    ``prev``: their states are all finite, so when stepping next looks one
-    step back for an overflowed state, a stale but finite buffer gives the
-    same answer.
+    last reading, None until the first sample (which always ticks) is
+    read.  Verified blocks do not update ``prev``: their states are all
+    finite, so when stepping next looks one step back for an overflowed
+    state, a stale but finite buffer gives the same answer.
     """
 
     def __init__(self, spec: LoopSpec, maps: tuple, m: np.ndarray, nvec: np.ndarray) -> None:
@@ -430,7 +429,7 @@ class _NonlinearLoop:
             # u[i] is the next state's last entry: F[-1] z[i] + g[-1] e[i].
             self.open = PropagationPlan(f, g, np.array([h, f[-1]]), [0.0, g[-1]], self.length)
         self.cur, self.prev = np.zeros(self.size + 1), np.zeros(self.size + 1)
-        self.ym = self.held = None
+        self.ym = None
 
     def run(self, sp: np.ndarray, terms: tuple | None, out: np.ndarray) -> int:
         """Run the samples of ``sp`` on from the run state, writing their
@@ -438,33 +437,26 @@ class _NonlinearLoop:
         are their :func:`~rollsim.faults.sensor_terms`, None without a
         sensor path.
 
-        The samples are cut at the edges of a stuck or dropout window, and
-        at block starts when the loop verifies blocks.  A stretch inside
-        the window latches the last reading before it opened as the held
-        value; every reading there is that value, so no sample of it ticks.
+        A loop that does not verify blocks steps them all.  One that does
+        cuts them at block starts and where ticking starts or stops, so
+        each block either reads every sample or none.
 
         Returns how many samples hold valid rows: ``len(sp)``, or fewer
         when a plant state or output became non-finite (one fewer than
         stepped, possibly -1, when the state overflowed a step before the
         output did).
         """
-        if terms is None:
-            return self._step(sp, None, out)
-        tick, noise, offset, window = terms
-        if self.ym is None and window[0]:
-            window = np.concatenate([[False], window[1:]])  # no earlier reading to hold: it reads as usual
-        tick = tick & ~window
-        edges = np.flatnonzero(window[1:] != window[:-1]) + 1
-        cuts = sorted({*range(0, len(sp), self.length or len(sp)), *edges.tolist(), len(sp)})
+        if not self.length:
+            return self._step(sp, terms, out)
+        tick, noise, offset = terms
+        edges = np.flatnonzero(tick[1:] != tick[:-1]) + 1
+        cuts = sorted({*range(0, len(sp), self.length), *edges.tolist(), len(sp)})
         for a, b in zip(cuts, cuts[1:]):
-            if window[a] and self.held is None:
-                self.held = self.ym
-            hold = self.held if window[a] else None
             while a < b:
-                done = self._block(sp[a:b], noise[a:b], offset[a:b], hold, out[:, a:b]) if self.length else 0
+                done = self._block(sp[a:b], bool(tick[a]), noise[a:b], offset[a:b], out[:, a:b])
                 a += done
                 if a < b and done < _BLOCK // 2:
-                    stop = min(b, a + _BLOCK) if self.length else b
+                    stop = min(b, a + _BLOCK)
                     stepped = self._step(sp[a:stop], (tick[a:stop], noise[a:stop], offset[a:stop]), out[:, a:stop])
                     if stepped < stop - a:
                         return a + stepped
@@ -515,24 +507,25 @@ class _NonlinearLoop:
         return valid
 
     def _block(
-        self, sp: np.ndarray, noise: np.ndarray, offset: np.ndarray, hold: float | None, out: np.ndarray,
+        self, sp: np.ndarray, ticking: bool, noise: np.ndarray, offset: np.ndarray, out: np.ndarray,
     ) -> int:
-        """Verify one block from the run state; returns how many of its
-        samples are final and written (0 when it must be stepped at once)."""
+        """Verify one block from the run state, whose samples all tick or
+        none does; returns how many of its samples are final and written
+        (0 when it must be stepped at once)."""
         count, size, model = len(sp), self.size, self.model
         z = self.cur[:size]
         with np.errstate(over="ignore", invalid="ignore"):
-            if hold is None:
+            if ticking:
                 guess, end, _ = self.guess.apply(sp - (model.bias + noise + offset), z)
                 if end < count:
                     return 0
                 readings = apply_sensor(guess[:, 0], model, noise, offset)
             else:
-                readings = np.full(count, hold)
+                readings = np.full(count, self.ym)
             errors = sp - readings
             rows, end, z_end = self.open.apply(errors, z)
             final = count
-            if model.quantization_step > 0.0 and hold is None:
+            if model.quantization_step > 0.0 and ticking:
                 for left in range(_ROUNDS - 1, -1, -1):
                     # A sum is non-finite when a term is (or when it overflows:
                     # stepping then decides).

@@ -31,7 +31,7 @@ import yaml
 
 from .faults import DetectorConfig, FaultSpec, SensorModel
 from .loops import LoopSpec, Segment, SetpointProfile
-from .lti import SimConfig, TransferFunction, poles, tf_new, tf_to_state_space
+from .lti import SimConfig, TransferFunction, tf_new, tf_to_state_space
 from .pid import PidGains
 from .plants import (
     KinematicsMode,
@@ -41,7 +41,7 @@ from .plants import (
     power_screw_tf,
     roll_drive_tf,
 )
-from .sizing import ContactModel, SizingInputs, roll_angular_velocity, size_report
+from .sizing import ContactModel, SizingInputs, roll_angular_velocity
 from .tuning import TuneSpec
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "read_scenario"]
@@ -192,7 +192,7 @@ def _fields(raw: Any, path: str, table: dict[str, tuple[Reader, Any]]) -> dict[s
 
 
 def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """Call a constructor, reporting its ``ValueError`` under ``path``."""
+    """Call a constructor or analysis, reporting its ``ValueError`` under ``path``."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
@@ -245,9 +245,7 @@ def _resolve_sizing(raw: Any, path: str) -> tuple[dict, tuple[SizingInputs, Cont
     if not math.isfinite(roll_angular_velocity(resolved["line_speed"], resolved["roll_diameter"])[1]):
         raise ScenarioError(f"{path}.line_speed: the roll speed it gives is not finite")
     fields = {_SIZING_FIELDS.get(k, k): v for k, v in resolved.items() if k != "contact_mode"}
-    payload = _build(path, SizingInputs, **fields), ContactModel(resolved["contact_mode"])
-    _build(path, size_report, *payload)  # finite inputs whose product overflows
-    return resolved, payload
+    return resolved, (_build(path, SizingInputs, **fields), ContactModel(resolved["contact_mode"]))
 
 
 # A rational transfer function: the ``tf`` plant and the ``poles`` section.
@@ -408,7 +406,6 @@ def _resolve_poles(raw: Any, path: str) -> tuple[dict, TransferFunction]:
     resolved, tf = _resolve_tf(raw, path)
     if len(tf.den) < 2:
         raise ScenarioError(f"{path}.den: pole analysis needs degree >= 1 after leading zeros")
-    _build(f"{path}.den", poles, tf)  # a denominator whose roots come out inaccurate
     return resolved, tf
 
 

@@ -61,7 +61,11 @@ class SizingInputs:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{name} is too large for a float") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if not self.sigma_y > 0:
             raise ValueError("sigma_y must be > 0")

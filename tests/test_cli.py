@@ -174,6 +174,26 @@ def test_poles_of_widely_scaled_denominators_are_reported(tmp_path, den, expecte
     assert [r["im"] for r in reported] == pytest.approx([im for _, im in expected], rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind, name, stem", [("poles", "poles", "poles_multibody"), ("size", "size_report", "size_mill")]
+)
+def test_a_run_computes_its_analysis_once(tmp_path, monkeypatch, kind, name, stem):
+    # Wrapped in every rollsim module that binds it, so a call while parsing counts too.
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("rollsim")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    out = tmp_path / kind
+    assert cli.main([kind, "--scenario", str(SCENARIOS / f"{stem}.yaml"), "--out", str(out)]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 def test_overrides_leave_the_parsed_scenario_unchanged(tmp_path):
     scenario = parse_scenario_file(str(SCENARIOS / "speed_loop_pi.yaml"))
     before = copy.deepcopy(scenario.resolved)

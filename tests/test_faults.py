@@ -10,6 +10,7 @@ import rollsim.faults as faults
 import rollsim.loops as loops
 from rollsim.faults import (
     DetectorConfig,
+    FaultKind,
     FaultSpec,
     SensorModel,
     apply_sensor,
@@ -43,11 +44,11 @@ def reference_gauss(seed: int, counter: int) -> float:
 
 def per_sample(chunks) -> list:
     """The chunks of ``sensor_terms`` as one entry per sample: None between
-    ticks, else (noise, offset, window)."""
+    ticks, else (noise, offset)."""
     return [
-        (noise, offset, window) if tick else None
+        (noise, offset) if tick else None
         for arrays in chunks
-        for tick, noise, offset, window in zip(*(a.tolist() for a in arrays))
+        for tick, noise, offset in zip(*(a.tolist() for a in arrays))
     ]
 
 
@@ -104,7 +105,7 @@ def test_the_nth_tick_draws_counter_n_across_chunks():
     terms = per_sample(sensor_terms(model, None, 9, t, 4096))
     ticks = [term for term in terms if term is not None]
     assert len(terms) == len(t)
-    assert [noise for noise, _, _ in ticks] == [0.5 * reference_gauss(9, n) for n in range(len(ticks))]
+    assert [noise for noise, _ in ticks] == [0.5 * reference_gauss(9, n) for n in range(len(ticks))]
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +211,33 @@ def test_fault_terms_act_only_inside_their_window():
     drift = FaultSpec(kind="drift", onset_t=1.0, magnitude=2.0)
     for fault in (bias, drift):
         terms = per_sample(sensor_terms(SensorModel(), fault, 0, t, 512))
-        offsets = np.array([offset for _, offset, _ in terms])
+        assert None not in terms  # clears no tick
+        offsets = np.array([offset for _, offset in terms])
         active = np.array([fault.active(tk) for tk in t.tolist()])
-        assert not any(window for _, _, window in terms)
         assert np.all(offsets[~active] == 0.0)
         if fault is bias:
             assert np.all(offsets[active] == 0.25)
         else:
             assert np.array_equal(offsets[active], 2.0 * (t[active] - 1.0))
+
+
+@pytest.mark.parametrize("onset_t", [0.0, 0.2505], ids=["from_the_first_sample", "across_chunk_edges"])
+@pytest.mark.parametrize("sample_dt", [0.0, 2.5e-3])
+@pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+def test_only_stuck_and_dropout_windows_clear_ticks(kind, sample_dt, onset_t):
+    # Chunks of 300 samples: a window over samples 251-750 spans the chunk
+    # edges at 300 and 600.  The n-th clock tick draws counter n whether or
+    # not a window cleared it, so the noise after a window is unchanged.
+    t = np.arange(2001) * 1e-3
+    fault = FaultSpec(kind=kind, onset_t=onset_t, magnitude=0.1, duration=0.5)
+    terms = per_sample(sensor_terms(SensorModel(noise_sigma=0.5, sample_dt=sample_dt), fault, 9, t, 300))
+    holds = kind in (FaultKind.STUCK, FaultKind.DROPOUT)
+    expected = [None] * len(t)
+    for n, k in enumerate(reference_ticks(t, sample_dt)):
+        if not (holds and k > 0 and fault.active(t[k])):  # the run's first sample always reads
+            expected[k] = 0.5 * reference_gauss(9, n)
+    assert [None if term is None else term[0] for term in terms] == expected
+    assert np.count_nonzero(fault.active(t)) == 500 and terms[0] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -801,6 +801,35 @@ def test_a_sweep_loop_verifies_in_long_blocks(monkeypatch):
     assert np.max(np.abs(y_true - rows[:, 0])) <= 1e-12 * np.max(np.abs(rows[:, 0]))
 
 
+def test_a_block_without_ticks_costs_one_plan_apply(monkeypatch):
+    # A stuck quantized sensor from 5 s: each block of the window reads the
+    # held value, so it needs no guess, no rounds and no stepping.
+    spec = replace(sweep_loop(), fault=FaultSpec(kind="stuck", onset_t=5.0))
+    calls = count_routes(monkeypatch)
+    applies, held = [], []
+    original_apply, original_block = loops.PropagationPlan.apply, loops._NonlinearLoop._block
+
+    def apply(plan, *args):
+        applies.append(plan)
+        return original_apply(plan, *args)
+
+    def block(loop, sp, ticking, *args):
+        before = len(applies)
+        done = original_block(loop, sp, ticking, *args)
+        if not ticking:
+            held.append((len(applies) == before + 1 and applies[-1] is loop.open, done == len(sp)))
+        return done
+
+    monkeypatch.setattr(loops.PropagationPlan, "apply", apply)
+    monkeypatch.setattr(loops._NonlinearLoop, "_block", block)
+    result = simulate_loop(spec)
+    assert len(held) >= 5 and all(one and whole for one, whole in held)
+    assert calls["run"] == 0 and calls["apply_sensor(float)"] == 0
+    onset = int(np.argmax(result.series.t >= 5.0))
+    ym = result.series["y_measured"]
+    assert np.all(ym[onset:] == ym[onset - 1])
+
+
 def test_the_stepper_takes_short_stretches(monkeypatch):
     # Where blocks do not verify, the stepper takes at most _BLOCK samples
     # at a time, and no more in all than 128-sample blocks left it.

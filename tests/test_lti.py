@@ -568,6 +568,24 @@ def test_propagate_is_the_plain_recurrence(order, count):
     np.testing.assert_allclose(rows, expected @ h.T + np.outer(w, j), rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("count", [1001, 5001])
+@pytest.mark.parametrize("order", [3, 12])
+def test_propagate_is_the_plain_recurrence_normwise(order, count, seed):
+    # States to 1e-12 of the largest state and rows to 1e-12 of their
+    # column's largest: a value near zero may carry the rounding of its
+    # large neighbours under any product order, which an elementwise
+    # tolerance can mistake for an error.
+    m, g = decaying(order, 1000 * order + count + seed)
+    rng = np.random.default_rng(seed)
+    w, h, j = rng.normal(size=count), rng.normal(size=(3, order)), rng.normal(size=3)
+    assert_plain_states(m, g, w)
+    expected = plain_recurrence(m, g, w) @ h.T + np.outer(w, j)
+    rows, end = propagate(m, g, w, h, j)
+    assert end == count
+    assert np.all(np.max(np.abs(rows - expected), axis=0) <= 1e-12 * np.max(np.abs(expected), axis=0))
+
+
 @pytest.mark.parametrize("growth", [2.0, 1e30])  # 1e30: m^16 itself overflows
 def test_propagate_stops_at_the_first_nonfinite_state(growth):
     m = np.array([[growth, 1.0], [0.0, 0.5]])

@@ -172,6 +172,12 @@ def test_non_finite_inputs_are_rejected(field, value):
         SizingInputs(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["motor_poles", "sigma_y"])
+def test_an_integer_too_large_for_a_float_is_rejected(field):
+    with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+        SizingInputs(**{field: 10**400})
+
+
 def test_a_roll_speed_that_overflows_is_rejected():
     with pytest.raises(ValueError, match="roll speed"):
         SizingInputs(line_speed_v=1e308, roll_diameter_D=1e-300, t_initial=1e-301, t_final=1e-302)
