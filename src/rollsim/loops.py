@@ -53,7 +53,6 @@ from .lti import (
     ResponseMetrics,
     SimConfig,
     SimulationDiverged,
-    StateSpaceModel,
     TimeSeries,
     TransferFunction,
     poly_trim,
@@ -86,6 +85,7 @@ from .plants import (
 )
 
 __all__ = [
+    "LoopFrame",
     "LoopResult",
     "LoopSpec",
     "MULTIBODY_REFERENCE_GAINS",
@@ -323,30 +323,47 @@ def _analysis(gains: PidGains, plant: TransferFunction) -> tuple:
     return verdict, char, closed
 
 
-def _loop_maps(
-    spec: LoopSpec, ss: StateSpaceModel, m: np.ndarray, nvec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class LoopFrame:
+    """What the loops around one plant, step and setpoint share, whatever
+    their gains: the step map (m, nvec), the read-only time grid ``t`` and
+    setpoint ``sp``, and the gain-free parts of :func:`_loop_maps`' probes."""
+
+    def __init__(self, spec: LoopSpec) -> None:
+        self.key, self.dt = (spec.plant, spec.sim, spec.setpoint), spec.sim.dt
+        self.ss = tf_to_state_space(spec.plant)
+        self.m, self.nvec = zoh_step_matrices(self.ss, self.dt)
+        self.t = np.arange(spec.sim.steps + 1) * self.dt
+        self.sp = spec.setpoint.values(self.t)
+        self.t.flags.writeable = self.sp.flags.writeable = False
+        with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
+            self.plant = np.array([self.m @ z[:self.ss.n] for z in np.eye(self.ss.n + 5)])
+        self.branches: dict = {}  # active branches -> the controller's probed directions
+
+
+def _loop_maps(frame: LoopFrame, gains: PidGains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, g, h) of one unsaturated loop step over z = [x, integral,
     prev_error, prev_derivative, u_prev] with the error as input:
     z[k+1] = F z[k] + g e[k] and y_true[k] = h z[k].
 
-    Each column is one loop step, the plant's step map and
-    :func:`~rollsim.pid.pid_step` with the output limits lifted, applied
-    to a unit state or to a unit error, so the control law stays written
-    once.  Direct feedthrough uses the previous command: the measurement
-    must exist before the current command does.
+    Column j is the plant's step map and :func:`~rollsim.pid.pid_step`,
+    limits lifted, applied to unit state j, or to a unit error.  The
+    controller's next state over the columns, I, E and D, depends only on
+    the active branches (ki > 0; kd > 0 and n > 0; n): it is probed once
+    per frame and branch set.  Summed in ``pid_step``'s order, u = kp E +
+    ki I + kd D and m z + nvec u are then the probed maps bit for bit.
+    Direct feedthrough uses the previous command.
     """
+    ss, key = frame.ss, (gains.ki > 0.0, gains.derivative_filter_n if gains.kd > 0.0 else 0.0)
     n = ss.n
-    gains = replace(spec.gains, output_min=None, output_max=None)
-
-    def step(z: np.ndarray, err: float) -> list:
-        u, pid = pid_step(PidState(*z[n:-1]), err, spec.sim.dt, gains)
-        return [*(m @ z[:n] + nvec * u), pid.integral, pid.prev_error, pid.prev_derivative, u]
-
-    size = n + 4
-    with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
-        columns = np.array([step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]).T
-    return columns[:, :size], columns[:, size], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
+    if key not in frame.branches:
+        probe = replace(gains, output_min=None, output_max=None)
+        states = [pid_step(PidState(*z[n:-2]), z[-1], frame.dt, probe)[1] for z in np.eye(n + 5)]
+        frame.branches[key] = np.array([[s.integral, s.prev_error, s.prev_derivative] for s in states]).T
+    i, e, d = frame.branches[key]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
+        u = gains.kp * e + gains.ki * i + gains.kd * d
+        columns = np.column_stack([frame.plant + np.outer(u, frame.nvec), i, e, d, u]).T
+    return columns[:, :n + 4], columns[:, n + 4], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
 
 
 _CHUNK = 1024  # samples whose sensor terms and channel values are held at once
@@ -549,7 +566,7 @@ class _NonlinearLoop:
         return final
 
 
-def simulate_loop(spec: LoopSpec) -> LoopResult:
+def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     """Run the discrete closed loop described by ``spec``.
 
     Per step: evaluate setpoint, measure the plant output through the
@@ -559,29 +576,27 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
     form through :func:`~rollsim.lti.propagate`, any other through
     :class:`_NonlinearLoop`.  The first sample with a non-finite plant
     state or output flags the result diverged at its time, and the series
-    ends just before it.
+    ends just before it.  ``frame``, built here when not given, is shared
+    by loops that differ in gains only; ``t`` and ``setpoint`` are its views.
     """
-    ss = tf_to_state_space(spec.plant)
-    cfg = spec.sim
-    steps = cfg.steps
-    m, nvec = zoh_step_matrices(ss, cfg.dt)
-    t = np.arange(steps + 1) * cfg.dt
-    sp = spec.setpoint.values(t)
-
-    maps = _loop_maps(spec, ss, m, nvec)
+    frame = frame or LoopFrame(spec)
+    if frame.key != (spec.plant, spec.sim, spec.setpoint):
+        raise ValueError("the loop frame belongs to another plant, step or setpoint")
+    t, sp, steps = frame.t, frame.sp, spec.sim.steps
+    maps = _loop_maps(frame, spec.gains)
     if spec.is_linear:
         f, g, h = maps
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
             closed = f - np.outer(g, h)  # e = sp - h z
         rows, end = propagate(closed, g, sp, np.array([h, -h, closed[-1]]), [0.0, 1.0, g[-1]])
-        y_true, err, u = rows.T.copy()
+        y_true, err, u = rows.T
         bad_output = np.flatnonzero(~np.isfinite(y_true))
         if bad_output.size:
             end = int(bad_output[0])
         y_meas = y_true
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
-            loop = _NonlinearLoop(spec, maps, m, nvec)
+            loop = _NonlinearLoop(spec, maps, frame.m, frame.nvec)
         terms = (
             sensor_terms(loop.model, spec.fault, spec.seed, t, _CHUNK)
             if spec.sensor is not None or spec.fault is not None else itertools.repeat(None)
@@ -596,17 +611,9 @@ def simulate_loop(spec: LoopSpec) -> LoopResult:
                 break
         y_true, y_meas, err, u = channels
 
+    channels = dict(setpoint=sp, y_true=y_true, y_measured=y_meas, error=err, u=u)
+    series = TimeSeries(t=t[:end], channels={name: values[:end] for name, values in channels.items()})
     diverged = end <= steps
-    series = TimeSeries(
-        t=t[:end],
-        channels={
-            "setpoint": sp[:end],
-            "y_true": y_true[:end],
-            "y_measured": y_meas[:end],
-            "error": err[:end],
-            "u": u[:end],
-        },
-    )
     divergence_time = float(t[end]) if diverged else None
     return LoopResult(series=series, spec=spec, diverged=diverged, divergence_time=divergence_time)
 

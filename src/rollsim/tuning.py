@@ -19,11 +19,12 @@ import itertools
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .loops import LoopSpec, simulate_loop
+from .loops import LoopFrame, LoopSpec, simulate_loop
 from .pid import PidGains
 
 __all__ = [
@@ -50,14 +51,14 @@ class TuneMethod(str, Enum):
     GRID = "grid"
 
 
-def loop_cost(spec: LoopSpec, cost_kind: CostKind = CostKind.ITAE) -> float:
-    """Simulate the loop and integrate its tracking error.
+def loop_cost(spec: LoopSpec, cost_kind: CostKind = CostKind.ITAE, frame: LoopFrame | None = None) -> float:
+    """Simulate the loop (through ``frame`` when given) and integrate its tracking error.
 
     The error used is setpoint minus true output, matching how response
     metrics are scored.  A diverged run returns ``DIVERGENCE_PENALTY``,
     which also caps the cost of any other run.
     """
-    result = simulate_loop(spec)
+    result = simulate_loop(spec, frame)
     if result.diverged:
         return DIVERGENCE_PENALTY
     t = result.series.t
@@ -182,7 +183,7 @@ class _BudgetSpent(Exception):
 
 def tune_pid(
     spec: TuneSpec,
-    cost_fn: Callable[[LoopSpec, CostKind], float] = loop_cost,
+    cost_fn: Callable[[LoopSpec, CostKind], float] | None = None,
     jobs: int = 1,
 ) -> TuneResult:
     """Minimize the loop cost over the bounds box.
@@ -197,12 +198,14 @@ def tune_pid(
     drops below 1e-8.  Cost ties are broken toward the lexicographically
     lowest (kp, ki, kd).
 
-    ``cost_fn`` is injectable for testing; the default simulates the loop.
+    ``cost_fn`` is injectable for testing; the default is :func:`loop_cost`
+    through one :class:`~rollsim.loops.LoopFrame`, as candidates differ in gains only.
     ``jobs`` is accepted and ignored: evaluations run in this process,
     because a process pool cost more to start than the evaluations it
     shared out.
     """
     bounds = spec.bounds
+    cost_fn = cost_fn or partial(loop_cost, frame=LoopFrame(spec.loop))
     history: list[tuple[PidGains, float]] = []
 
     def evaluate(triple: tuple[float, float, float]) -> float:

@@ -2,6 +2,7 @@
 stability verdicts, and the multibody demo."""
 
 import collections
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import rollsim.loops as loops
 from rollsim.faults import FaultKind, FaultSpec, SensorModel, counter_gauss
 from rollsim.loops import (
+    LoopFrame,
     LoopResult,
     LoopSpec,
     MULTIBODY_REFERENCE_GAINS,
@@ -29,7 +31,14 @@ from rollsim.loops import (
 )
 from rollsim.lti import RouthVerdict, SimConfig, dc_gain, tf_new, tf_to_state_space, zoh_step_matrices
 from rollsim.pid import PidGains, PidState, pid_step
-from rollsim.plants import KinematicsMode, PowerScrewParams, RollDriveParams, power_screw_tf
+from rollsim.plants import (
+    KinematicsMode,
+    PowerScrewParams,
+    RollDriveParams,
+    multibody_tf,
+    power_screw_tf,
+    roll_drive_tf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +514,55 @@ def test_nonlinear_loop_derives_its_maps_once(monkeypatch):
     )
     simulate_loop(spec)
     assert len(calls) == 2 + 4 + 1  # nz + 1 unit steps, nz = plant order + 4
+
+
+def probed_maps(spec: LoopSpec) -> tuple:
+    """(F, g, h) of one loop step by running the step map and pid_step,
+    limits lifted, on each unit state and on a unit error: the oracle
+    for the maps that LoopFrame sums from its probed directions."""
+    ss = tf_to_state_space(spec.plant)
+    m, nvec = zoh_step_matrices(ss, spec.sim.dt)
+    n, size = ss.n, ss.n + 4
+    gains = replace(spec.gains, output_min=None, output_max=None)
+
+    def step(z, err):
+        u, pid = pid_step(PidState(*z[n:-1]), err, spec.sim.dt, gains)
+        return [*(m @ z[:n] + nvec * u), pid.integral, pid.prev_error, pid.prev_derivative, u]
+
+    with np.errstate(invalid="ignore"):
+        columns = np.array([step(z, 0.0) for z in np.eye(size)] + [step(np.zeros(size), 1.0)]).T
+    return columns[:, :size], columns[:, size], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
+
+
+@pytest.mark.parametrize("plant", [
+    roll_drive_tf(RollDriveParams()),
+    power_screw_tf(PowerScrewParams(), KinematicsMode.INTEGRATED),
+    multibody_tf(),
+    tf_new([2.0, 1.0, 3.0], [1.0, 4.0, 2.0]),  # biproper: D = 2
+])
+def test_summed_maps_equal_the_probed_maps_bit_for_bit(plant):
+    rng = np.random.default_rng(16)
+    spec = LoopSpec(plant=plant, gains=PidGains(), setpoint=SetpointProfile.step(1.0),
+                    sim=SimConfig(dt=1e-3, t_end=0.01))
+    frame = LoopFrame(spec)  # one frame for every gain set: branch sets come and go
+    for ki_on, kd_on, n, _ in itertools.product((False, True), (False, True), (0.0, 40.0, math.inf), range(3)):
+        kp, ki, kd = 10.0 ** rng.uniform(-3, 2, size=3)
+        gains = PidGains(kp=kp, ki=ki if ki_on else 0.0, kd=kd if kd_on else 0.0,
+                         derivative_filter_n=n, output_min=-0.5, output_max=0.5)
+        loop = replace(spec, gains=gains)
+        for summed, probed in zip(loops._loop_maps(frame, gains), probed_maps(loop)):
+            assert summed.shape == probed.shape
+            assert summed.tobytes() == probed.tobytes(), gains
+
+
+def test_a_frame_runs_only_its_own_plant_step_and_setpoint():
+    spec = LoopSpec(plant=tf_new([1.0], [1.0, 1.0]), gains=PidGains(kp=1.0),
+                    setpoint=SetpointProfile.step(1.0), sim=SimConfig(dt=1e-3, t_end=1.0))
+    frame = LoopFrame(spec)
+    for other in (replace(spec, plant=tf_new([2.0], [1.0, 1.0])), replace(spec, sim=SimConfig(dt=2e-3, t_end=1.0)),
+                  replace(spec, setpoint=SetpointProfile.step(2.0))):
+        with pytest.raises(ValueError, match="another plant"):
+            simulate_loop(other, frame)
 
 
 def test_nonlinear_paths_withhold_verdict():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rollsim.loops as loops
-from rollsim.loops import LoopSpec, SetpointProfile
+from rollsim.loops import LoopFrame, LoopSpec, SetpointProfile, simulate_loop
 from rollsim.lti import SimConfig, tf_new
 from rollsim.pid import PidGains
 from rollsim.plants import RollDriveParams, roll_drive_tf
@@ -290,6 +290,48 @@ def test_linear_loop_cost_does_not_step_the_loop(monkeypatch):
     loop_cost(spec)
     states = len(spec.plant.den) - 1 + 4
     assert 0 < len(calls) <= states + 1
+
+
+def test_a_grid_tune_derives_the_step_map_once_and_probes_once_per_branch_set(monkeypatch):
+    maps, probes = [], []
+    zoh, step = loops.zoh_step_matrices, loops.pid_step
+    monkeypatch.setattr(loops, "zoh_step_matrices", lambda *a: maps.append(a) or zoh(*a))
+    monkeypatch.setattr(loops, "pid_step", lambda *a: probes.append(a) or step(*a))
+    # The ki axis starts at 0, so the evaluations run with and without the integral.
+    result = tune_pid(grid_spec(ki_bounds=(0.0, 4.0), grid_points=4, max_evals=10))
+    assert result.evals == 10
+    assert {gains.ki > 0.0 for gains, _ in result.history} == {False, True}
+    assert len(maps) == 1
+    states = len(speed_spec().plant.den) - 1 + 4
+    assert len(probes) == 2 * (states + 1)
+
+
+@pytest.mark.parametrize("spec", [
+    grid_spec(kd_bounds=(0.0, 0.5), loop=replace(speed_spec(), gains=PidGains(derivative_filter_n=50.0))),
+    grid_spec(ki_bounds=(0.0, 4.0), kp_bounds=(0.0, 10.0), grid_points=4),
+    nm_spec(ki_bounds=(0.0, 10.0), kd_bounds=(0.0, 1.0), initial=PidGains(kp=0.5, ki=0.5), max_evals=25),
+], ids=["grid-kd", "grid-ki-from-0", "nelder-mead"])
+def test_a_tunes_costs_are_those_of_each_loop_run_alone(spec):
+    # Every evaluation shares the tune's frame, also where the branch set changes.
+    result = tune_pid(spec)
+    assert len({(g.ki > 0.0, g.kd > 0.0) for g, _ in result.history}) > 1
+    for gains, cost in result.history:
+        assert cost.hex() == loop_cost(replace(spec.loop, gains=gains), spec.cost_kind).hex(), gains
+
+
+def test_shared_time_and_setpoint_are_read_only():
+    spec = speed_spec(2.0)
+    frame = LoopFrame(spec)
+    series = simulate_loop(spec, frame).series
+    for shared in (series.t, series["setpoint"]):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    for name in ("y_true", "error", "u"):
+        series[name][:] = 7.0  # this run's own rows: no other run sees them
+    again, alone = simulate_loop(spec, frame).series, simulate_loop(spec).series
+    assert again.t.tobytes() == alone.t.tobytes()
+    for name in alone.channels:
+        assert again[name].tobytes() == alone[name].tobytes(), name
 
 
 def full_axis(lo, hi, points):
