@@ -336,7 +336,7 @@ class LoopFrame:
         self.sp = spec.setpoint.values(self.t)
         self.t.flags.writeable = self.sp.flags.writeable = False
         with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
-            self.plant = np.array([self.m @ z[:self.ss.n] for z in np.eye(self.ss.n + 5)])
+            self.mz = np.array([self.m @ z[:self.ss.n] for z in np.eye(self.ss.n + 5)])  # per probe
         self.branches: dict = {}  # active branches -> the controller's probed directions
 
 
@@ -362,7 +362,7 @@ def _loop_maps(frame: LoopFrame, gains: PidGains) -> tuple[np.ndarray, np.ndarra
     i, e, d = frame.branches[key]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
         u = gains.kp * e + gains.ki * i + gains.kd * d
-        columns = np.column_stack([frame.plant + np.outer(u, frame.nvec), i, e, d, u]).T
+        columns = np.column_stack([frame.mz + np.outer(u, frame.nvec), i, e, d, u]).T
     return columns[:, :n + 4], columns[:, n + 4], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
 
 
@@ -611,8 +611,8 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
                 break
         y_true, y_meas, err, u = channels
 
-    channels = dict(setpoint=sp, y_true=y_true, y_measured=y_meas, error=err, u=u)
-    series = TimeSeries(t=t[:end], channels={name: values[:end] for name, values in channels.items()})
+    named = dict(setpoint=sp, y_true=y_true, y_measured=y_meas, error=err, u=u)
+    series = TimeSeries(t=t[:end], channels={name: values[:end] for name, values in named.items()})
     diverged = end <= steps
     divergence_time = float(t[end]) if diverged else None
     return LoopResult(series=series, spec=spec, diverged=diverged, divergence_time=divergence_time)
