@@ -159,7 +159,7 @@ class FaultSpec:
 def sensor_terms(
     model: SensorModel, fault: FaultSpec | None, seed: int, t: np.ndarray, chunk: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The value-independent part of every reading over the increasing grid ``t``.
+    """The value-independent part of every reading over the time grid ``t``.
 
     Yields, per ``chunk`` samples of ``t``, the arrays ``(tick, noise,
     offset)``: whether the sensor reads the sample, and for
@@ -171,10 +171,14 @@ def sensor_terms(
     earlier reading to hold.
     """
     spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
-    ticks = _clock_ticks(t, spacing) if model.sample_dt > 0.0 else np.ones(len(t), dtype=bool)
-    drawn = 0
+    last_tick, drawn = -math.inf, 0
     for start in range(0, len(t), chunk):
-        tc, tick = t[start:start + chunk], ticks[start:start + chunk]
+        tc = t[start:start + chunk]
+        tick = np.ones(len(tc), dtype=bool)
+        if model.sample_dt > 0.0:
+            for i, ti in enumerate(tc.tolist()):
+                tick[i] = ti - last_tick >= spacing
+                last_tick = ti if tick[i] else last_tick
         # -0.0 is the exact additive identity, so an absent term changes no reading.
         noise, offset = np.full(len(tc), -0.0), np.full(len(tc), -0.0)
         if model.noise_sigma > 0.0:
@@ -191,25 +195,6 @@ def sensor_terms(
                 active[0] &= start > 0
                 tick &= ~active
         yield tick, noise, offset
-
-
-def _clock_ticks(t: np.ndarray, spacing: float) -> np.ndarray:
-    """Which samples of the increasing grid ``t`` a clock of ``spacing``
-    reads: sample 0, then after tick i the first j with t[j] - t[i] >=
-    spacing.  That difference grows with j, so a search finds each sample's
-    successor, and doubling its jumps the chain of them from sample 0."""
-    size, index, ends = len(t), np.arange(len(t)), np.append(t, np.inf)  # sample ``size`` ends every chain
-    jump = np.append(np.searchsorted(t, t + spacing), size)
-    after = jump[:-1]
-    while True:  # the search rounds t + spacing: a step or two meets the exact test
-        move = (ends[after] - t < spacing).astype(int) - ((after > index + 1) & (ends[after - 1] - t >= spacing))
-        if not move.any():
-            break
-        after += move
-    chain = np.zeros(1, dtype=np.intp)  # chain[k]: the k-th tick, or ``size`` past the last
-    while chain[-1] < size:
-        chain, jump = np.append(chain, jump[chain]), jump[jump]
-    return np.bincount(chain, minlength=size + 1)[:size] > 0
 
 
 def apply_sensor(

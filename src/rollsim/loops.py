@@ -329,14 +329,17 @@ class LoopFrame:
     setpoint ``sp``, and the gain-free parts of :func:`_loop_maps`' probes."""
 
     def __init__(self, spec: LoopSpec) -> None:
-        self.key, self.dt = (spec.plant, spec.sim, spec.setpoint), spec.sim.dt
+        self.key = (spec.plant, spec.sim, spec.setpoint)
+        self.dt = spec.sim.dt
         self.ss = tf_to_state_space(spec.plant)
         self.m, self.nvec = zoh_step_matrices(self.ss, self.dt)
         self.t = np.arange(spec.sim.steps + 1) * self.dt
         self.sp = spec.setpoint.values(self.t)
-        self.t.flags.writeable = self.sp.flags.writeable = False
+        self.t.flags.writeable = False
+        self.sp.flags.writeable = False
+        n = self.ss.n
         with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
-            self.mz = np.array([self.m @ z[:self.ss.n] for z in np.eye(self.ss.n + 5)])  # per probe
+            self.mz = np.array([self.m @ z[:n] for z in np.eye(n + 5)])
         self.branches: dict = {}  # active branches -> the controller's probed directions
 
 
@@ -353,8 +356,9 @@ def _loop_maps(frame: LoopFrame, gains: PidGains) -> tuple[np.ndarray, np.ndarra
     ki I + kd D and m z + nvec u are then the probed maps bit for bit.
     Direct feedthrough uses the previous command.
     """
-    ss, key = frame.ss, (gains.ki > 0.0, gains.derivative_filter_n if gains.kd > 0.0 else 0.0)
+    ss = frame.ss
     n = ss.n
+    key = (gains.ki > 0.0, gains.derivative_filter_n if gains.kd > 0.0 else 0.0)
     if key not in frame.branches:
         probe = replace(gains, output_min=None, output_max=None)
         states = [pid_step(PidState(*z[n:-2]), z[-1], frame.dt, probe)[1] for z in np.eye(n + 5)]
@@ -363,7 +367,8 @@ def _loop_maps(frame: LoopFrame, gains: PidGains) -> tuple[np.ndarray, np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
         u = gains.kp * e + gains.ki * i + gains.kd * d
         columns = np.column_stack([frame.mz + np.outer(u, frame.nvec), i, e, d, u]).T
-    return columns[:, :n + 4], columns[:, n + 4], np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
+    h = np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
+    return columns[:, :n + 4], columns[:, n + 4], h
 
 
 _CHUNK = 1024  # samples whose sensor terms and channel values are held at once
@@ -582,7 +587,9 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     frame = frame or LoopFrame(spec)
     if frame.key != (spec.plant, spec.sim, spec.setpoint):
         raise ValueError("the loop frame belongs to another plant, step or setpoint")
-    t, sp, steps = frame.t, frame.sp, spec.sim.steps
+    t = frame.t
+    sp = frame.sp
+    steps = spec.sim.steps
     maps = _loop_maps(frame, spec.gains)
     if spec.is_linear:
         f, g, h = maps
@@ -611,9 +618,17 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
                 break
         y_true, y_meas, err, u = channels
 
-    named = dict(setpoint=sp, y_true=y_true, y_measured=y_meas, error=err, u=u)
-    series = TimeSeries(t=t[:end], channels={name: values[:end] for name, values in named.items()})
     diverged = end <= steps
+    series = TimeSeries(
+        t=t[:end],
+        channels={
+            "setpoint": sp[:end],
+            "y_true": y_true[:end],
+            "y_measured": y_meas[:end],
+            "error": err[:end],
+            "u": u[:end],
+        },
+    )
     divergence_time = float(t[end]) if diverged else None
     return LoopResult(series=series, spec=spec, diverged=diverged, divergence_time=divergence_time)
 

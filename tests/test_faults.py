@@ -130,58 +130,6 @@ def test_sample_ticks_follow_the_spacing_rule(dt, sample_dt):
     assert [k for k, term in enumerate(terms) if term is not None] == reference_ticks(t, sample_dt)
 
 
-def loop_ticks(model: SensorModel, fault: FaultSpec | None, t: np.ndarray, chunk: int) -> list[bool]:
-    """The ticks of ``sensor_terms`` as its former per-sample loop found
-    them, a chunk at a time with the last tick carried over, then cleared
-    inside a stuck or dropout window: the oracle of the vectorised search."""
-    spacing = model.sample_dt * (1.0 - 1e-9)
-    last_tick, ticks = -math.inf, []
-    for start in range(0, len(t), chunk):
-        tc = t[start:start + chunk]
-        tick = np.ones(len(tc), dtype=bool)
-        if model.sample_dt > 0.0:
-            for i, ti in enumerate(tc.tolist()):
-                tick[i] = ti - last_tick >= spacing
-                last_tick = ti if tick[i] else last_tick
-        if fault is not None and fault.kind in (FaultKind.STUCK, FaultKind.DROPOUT):
-            active = fault.active(tc)
-            active[0] &= start > 0
-            tick &= ~active
-        ticks += tick.tolist()
-    return ticks
-
-
-# Its spacing is 3 ms give or take an ulp, where the differences of a 1 ms
-# grid fall on both sides of it: the slack meets float error.
-AT_THE_SLACK = 3e-3 / (1.0 - 1e-9)
-
-
-@pytest.mark.parametrize("t0, dt, sample_dt", [
-    (0.0, 1e-3, 2e-3),
-    (0.0, 1e-3, 1e-2),
-    (0.0, 1e-3, 2.5e-3),
-    (0.0, 1e-3, 7e-3 / 3),
-    (0.0, 1e-3, 4e-4),
-    (0.0, 0.1, 0.3),
-    (0.0, 1e-3, AT_THE_SLACK),
-    (0.0, 1e-3, math.nextafter(AT_THE_SLACK, 0.0)),
-    (0.0, 1e-3, math.nextafter(AT_THE_SLACK, 1.0)),
-    (1e3, 1e-3, AT_THE_SLACK),
-], ids=["ratio2", "ratio10", "ratio2.5", "ratio7/3", "faster", "coarse", "slack", "slack-", "slack+", "slack-far"])
-@pytest.mark.parametrize("window", [None, FaultKind.STUCK, FaultKind.DROPOUT], ids=["none", "stuck", "dropout"])
-def test_clock_ticks_equal_the_per_sample_loop(t0, dt, sample_dt, window):
-    # 5,001 samples in chunks of 1,024; the dropout window spans the edge at 2,048.
-    t = t0 + np.arange(5001) * dt
-    fault = None
-    if window is FaultKind.STUCK:
-        fault = FaultSpec(kind=window, onset_t=float(t[3000]))
-    elif window is FaultKind.DROPOUT:
-        fault = FaultSpec(kind=window, onset_t=float(t[1500]) + dt / 2, duration=1000 * dt)
-    model = SensorModel(sample_dt=sample_dt)
-    ticks = np.concatenate([tick for tick, _, _ in sensor_terms(model, fault, 0, t, 1024)])
-    assert ticks.tolist() == loop_ticks(model, fault, t, 1024)
-
-
 @pytest.mark.parametrize("field", ["noise_sigma", "bias", "quantization_step", "sample_dt"])
 def test_sensor_model_rejects_nan(field):
     # A NaN sample_dt compares False against 0 and would read every sample.
