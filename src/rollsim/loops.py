@@ -711,10 +711,12 @@ def multibody_demo(gains: PidGains = MULTIBODY_REFERENCE_GAINS, sim: SimConfig =
         n = gains.derivative_filter_n
         ideal_gains = replace(gains, derivative_filter_n=math.inf)
         filtered_gains = replace(gains, derivative_filter_n=n if 0.0 < n < math.inf else _FILTER_N)
-    closed = {
-        g: simulate_loop(LoopSpec(plant=plant, gains=g, setpoint=setpoint, sim=sim))
+    specs = [
+        LoopSpec(plant=plant, gains=g, setpoint=setpoint, sim=sim)
         for g in dict.fromkeys((ideal_gains, filtered_gains))
-    }
+    ]
+    frame = LoopFrame(specs[0])  # the loops differ in gains only
+    closed = {spec.gains: simulate_loop(spec, frame) for spec in specs}
     closed_ideal, closed_filtered = closed[ideal_gains], closed[filtered_gains]
     ideal_verdict, ideal_char, _ = _analysis(ideal_gains, plant)
     return MultibodyDemo(

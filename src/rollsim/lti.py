@@ -365,15 +365,16 @@ _BLOCK = 16
 _SERIAL_PRODUCT = 4 * 65536
 
 
-def _finite_chain(first: np.ndarray, advance: Callable, length: int) -> np.ndarray:
-    """[first, advance(first), ...] stacked, ``length`` long but cut before
-    the first non-finite item after ``first``, with one finiteness test."""
-    chain = [first]
-    for _ in range(length - 1):
-        chain.append(advance(chain[-1]))
-    chain = np.array(chain)
+def _finite_chain(chain: np.ndarray, left: np.ndarray | None = None) -> int:
+    """Fill ``chain[1:]`` in place, item i = ``left`` @ item i-1 (item i-1
+    squared when ``left`` is None), and return how many leading items are
+    kept: all, or those before the first non-finite one after ``chain[0]``,
+    found with one finiteness test."""
+    for i in range(1, len(chain)):
+        previous = chain[i - 1]
+        np.dot(previous if left is None else left, previous, out=chain[i])
     bad = np.flatnonzero(~np.all(np.isfinite(chain[1:]), axis=(1, 2)))
-    return chain[:1 + bad[0]] if bad.size else chain
+    return 1 + int(bad[0]) if bad.size else len(chain)
 
 
 class PropagationPlan:
@@ -387,7 +388,10 @@ class PropagationPlan:
         j = np.ravel(np.asarray(j, dtype=float))
         n, outputs = len(g), len(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.concatenate([np.eye(n)[None], _finite_chain(m, lambda p: m @ p, _BLOCK)])
+            powers = np.empty((_BLOCK + 1, n, n))  # m^0 .. m^16
+            powers[0] = np.eye(n)
+            powers[1] = m
+            powers = powers[:1 + _finite_chain(powers[1:], m)]
             size = len(powers) - 1
             markov = np.concatenate([powers[:size] @ g, np.zeros((size, n))])  # m^i g
             offsets = np.arange(size)
@@ -407,6 +411,9 @@ class PropagationPlan:
                 size = max(1, int(np.argmin(finite))) if not np.all(finite) else size
                 block_map, row_map = block_map[:n + size, :size * n], row_map[:n + size, :size]
             self.block_map, self.row_map = block_map, row_map.reshape(n + size, -1)
+            # A block's states are its operands times the block map, so none
+            # exceeds its largest operand times the map's largest column sum.
+            self.state_gain = float(np.abs(block_map).sum(axis=0).max(initial=0.0))
             self.carry = markov[size - 1::-1]  # carries a block's inputs to its end
 
             # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
@@ -414,7 +421,9 @@ class PropagationPlan:
             blocks = -(-longest // size)
             span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
             depth = max(1, (min(blocks, span) - 1).bit_length())
-            doubling = _finite_chain(powers[size], lambda p: p @ p, depth)  # M^(2^k)
+            doubling = np.empty((depth, n, n))  # M^(2^k)
+            doubling[0] = powers[size]
+            doubling = doubling[:_finite_chain(doubling)]
             self.leap = doubling[0]
             self.transposed = doubling.transpose(0, 2, 1).copy()  # contiguous: faster products
             self.span = min(span, 2 ** len(doubling))
@@ -425,7 +434,7 @@ class PropagationPlan:
         """:func:`propagate` from the start state ``z0`` (zero when None),
         returning also z[len(w)], the state after the last sample: None when
         ``end`` < ``len(w)``, and not tested for finiteness.  A non-finite
-        input shows as non-finite states after it."""
+        input shows as non-finite states from the start of its block."""
         w = np.asarray(w, dtype=float)
         n, size, count = self.n, self.size, len(w)
         blocks, full = -(-count // size), count // size
@@ -446,11 +455,24 @@ class PropagationPlan:
                 start = ends[-1]
 
             rows = np.empty((blocks * size, self.outputs))
-            buffer = np.empty((min(blocks, self.per_chunk), size * n))
+            # No state exceeds its block's largest operand times the state
+            # gain, and rounding adds at most a factor 1 + (n + L)u to that
+            # (N. Higham, *Accuracy and Stability of Numerical Algorithms*,
+            # 2002, section 3.5).  Below 1e300 the search would find nothing,
+            # so states are computed only for the end state, from the last
+            # chunk; a NaN or inf operand fails the test.  An apply of one
+            # chunk, such as a verified block, is searched without the test,
+            # which would cost it more than it saves.
+            last = (blocks - 1) // self.per_chunk * self.per_chunk  # the last chunk's first block
+            bounded = last > 0 and max(operands.max(), -operands.min()) * self.state_gain < 1e300
+            searched = last if bounded else 0  # the first block whose states are computed
+            buffer = np.empty((min(blocks - searched, self.per_chunk), size * n))
             for first in range(0, blocks, self.per_chunk):
                 chunk = operands[first:first + self.per_chunk]
                 offset = first * size
                 np.dot(chunk, self.row_map, out=rows[offset:offset + len(chunk) * size].reshape(len(chunk), -1))
+                if first < searched or bounded and not count % size:
+                    continue
                 states = np.dot(chunk, self.block_map, out=buffer[:len(chunk)])
                 if not np.isfinite(states.sum()):
                     finite = np.all(np.isfinite(states.reshape(-1, n)), axis=1)
@@ -500,6 +522,10 @@ def propagate(
     carrying on from the last end of the one before.  A chunk's states are
     searched one by one only when their sum is not finite.  The first
     non-finite state is then the one the step-by-step recurrence meets.
+    No state of a block exceeds its largest operand (start or input) times
+    the block map's largest column sum, so when that product is far from
+    overflow for every block of an apply of several chunks, no chunk is
+    searched, and states are computed only for the end state.
     """
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):

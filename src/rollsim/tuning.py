@@ -15,6 +15,7 @@ scaling anywhere.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -125,8 +126,13 @@ def _project(triple: tuple[float, float, float], bounds) -> tuple[float, float, 
 
 
 def _with_gains(spec: TuneSpec, triple: tuple[float, float, float]) -> LoopSpec:
+    """``replace(spec.loop, gains=...)`` without re-running ``LoopSpec``'s
+    setpoint check: the template passed it, and its setpoint and horizon
+    are every candidate's.  ``PidGains`` still checks each triple."""
     gains = replace(spec.loop.gains, kp=triple[0], ki=triple[1], kd=triple[2])
-    return replace(spec.loop, gains=gains)
+    loop = copy.copy(spec.loop)
+    object.__setattr__(loop, "gains", gains)
+    return loop
 
 
 def _grid_axis(lo: float, hi: float, points: int, count: int) -> list[float]:

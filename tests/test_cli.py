@@ -76,9 +76,9 @@ def test_multibody_scenario_simulates_each_loop_once(tmp_path, monkeypatch, chan
     simulated = []
     original = loops.simulate_loop
 
-    def counting(spec):
+    def counting(spec, *frame):
         simulated.append(spec)
-        return original(spec)
+        return original(spec, *frame)
 
     monkeypatch.setattr(loops, "simulate_loop", counting)
     monkeypatch.setattr(cli, "simulate_loop", counting)

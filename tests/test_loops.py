@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollsim.loops as loops
+import rollsim.lti as lti
 from rollsim.faults import FaultKind, FaultSpec, SensorModel, counter_gauss
 from rollsim.loops import (
     LoopFrame,
@@ -660,6 +661,18 @@ def test_multibody_demo_verdicts_and_consistency():
     for result in (demo.closed_ideal, demo.closed_filtered):
         unstable = result.stability_verdict is StabilityVerdict.POLES_UNSTABLE
         assert unstable == (not result.bounded)
+
+
+def test_the_shipped_multibody_demo_derives_two_step_maps(monkeypatch):
+    # One for the open loop and one frame for both closed loops, which
+    # differ in gains only.
+    maps = []
+    for module in (loops, lti):
+        zoh = module.zoh_step_matrices
+        monkeypatch.setattr(module, "zoh_step_matrices", lambda *a, _zoh=zoh: maps.append(a) or _zoh(*a))
+    demo = multibody_demo(sim=SimConfig(dt=2e-3, t_end=100.0))
+    assert len(maps) == 2
+    assert demo.closed_ideal.spec.gains != demo.closed_filtered.spec.gains
 
 
 def test_multibody_demo_ideal_uses_raw_derivative():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rollsim.lti import (
+    _finite_chain,
     PropagationPlan,
     RouthVerdict,
     SimConfig,
@@ -859,6 +860,118 @@ def test_an_overflowing_row_map_cuts_the_block():
     assert end == len(w)
     np.testing.assert_allclose(rows[:11], expected[:11], rtol=1e-12)
     assert rows[11, 0] == expected[11, 0]
+
+
+# An apply of several chunks whose operands times the plan's state gain stay
+# below 1e300 cannot overflow a state, so it computes states only for the
+# end state; any other apply searches every chunk's states.
+
+def block_products(monkeypatch, plan):
+    """A list that gets one entry per state product of ``plan`` from now on."""
+    products = []
+    dot = np.dot
+
+    def counting(a, b, *args, **kwargs):
+        if b is plan.block_map:
+            products.append(len(a))
+        return dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", counting)
+    return products
+
+
+def searching(plan):
+    """A copy of ``plan`` whose bound never holds, so it searches every chunk."""
+    copy = PropagationPlan.__new__(PropagationPlan)
+    copy.__dict__.update(plan.__dict__, state_gain=math.inf)
+    return copy
+
+
+@pytest.mark.parametrize("count", [16 * 1000, 16 * 1000 + 5, 16 * 3000 - 1])
+@pytest.mark.parametrize("order", [2, 6])
+def test_a_bounded_apply_computes_states_for_the_end_state_only(monkeypatch, order, count):
+    m, g = decaying(order, 40 + order)
+    rng = np.random.default_rng(count)
+    w, h, j, z0 = rng.normal(size=count), rng.normal(size=(3, order)), rng.normal(size=3), rng.normal(size=order)
+    plan = PropagationPlan(m, g, h, j, count)
+    assert count > plan.per_chunk * plan.size  # more than one chunk
+    expected = searching(plan).apply(w, z0)
+
+    products = block_products(monkeypatch, plan)
+    rows, end, z_end = plan.apply(w, z0)
+    monkeypatch.undo()
+    assert len(products) == (1 if count % plan.size else 0)
+    assert end == expected[1] == count
+    np.testing.assert_array_equal(rows, expected[0])
+    np.testing.assert_array_equal(z_end, expected[2])
+
+
+def nan_input():
+    m, g = decaying(2, 41)
+    w = np.ones(16 * 1000)
+    w[9000] = math.nan
+    return m, g, w
+
+
+def growing_by_1e30_per_block():
+    return np.array([[10 ** (30 / 16), 0.0], [1.0, 0.5]]), np.array([1.0, 0.0]), np.ones(16 * 3000)
+
+
+def finite_states_past_the_bound():
+    return 0.5 * np.eye(2), np.ones(2), np.full(16 * 1000, 1e300)
+
+
+@pytest.mark.parametrize("case", [nan_input, growing_by_1e30_per_block, finite_states_past_the_bound])
+def test_an_apply_that_fails_the_bound_ends_at_the_first_nonfinite_state(monkeypatch, case):
+    m, g, w = case()
+    expected = plain_recurrence(m, g, w)
+    finite = np.all(np.isfinite(expected), axis=1)
+    first = len(w) if np.all(finite) else int(np.argmin(finite))
+    plan = PropagationPlan(m, g, np.eye(2), np.zeros(2), len(w))
+    assert len(w) > plan.per_chunk * plan.size
+    # A non-finite input times a zero entry of the block map is NaN, so the
+    # block product reads it as non-finite states from its block's start.
+    bad_input = np.flatnonzero(~np.isfinite(w))
+    if bad_input.size:
+        assert first == bad_input[0] + 1
+        first = bad_input[0] // plan.size * plan.size
+
+    products = block_products(monkeypatch, plan)
+    states, end, z_end = plan.apply(w)
+    monkeypatch.undo()
+    assert end == first and len(states) == first and (z_end is None) == (first < len(w))
+    # Every chunk is searched, up to the one holding the first non-finite state.
+    assert len(products) == min(first, len(w) - 1) // plan.size // plan.per_chunk + 1
+    assert np.max(np.abs(states - expected[:first])) <= 1e-12 * np.max(np.abs(expected[:first]))
+
+
+def list_chain(first, advance, length):
+    """The power chains as plans built them before they were written in
+    place: a list of products, cut before the first non-finite one."""
+    chain = [first]
+    for _ in range(length - 1):
+        chain.append(advance(chain[-1]))
+    chain = np.array(chain)
+    bad = np.flatnonzero(~np.all(np.isfinite(chain[1:]), axis=(1, 2)))
+    return chain[:1 + bad[0]] if bad.size else chain
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_power_chains_written_in_place_are_the_list_built_ones(seed):
+    rng = np.random.default_rng(5000 + seed)
+    order = 1 + seed % 12
+    m = rng.normal(size=(order, order)) * 10 ** rng.uniform(-3.0, 25.0)  # large ones overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = list_chain(m, lambda p: m @ p, 16)
+        doubling = list_chain(powers[-1], lambda p: p @ p, 10)
+        stack = np.empty((16, order, order))
+        stack[0] = m
+        in_place = stack[:_finite_chain(stack, m)]
+        stack = np.empty((10, order, order))
+        stack[0] = powers[-1]
+        squares = stack[:_finite_chain(stack)]
+    assert in_place.shape == powers.shape and squares.shape == doubling.shape
+    assert in_place.tobytes() == powers.tobytes() and squares.tobytes() == doubling.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,24 @@
+"""tools/passes.py: in-process passes of a benchmark workload."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "passes.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("passes", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_tune_passes_print_their_times_and_page_faults(capsys):
+    assert load_tool().main(["tune", "--passes", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:2]] == [["pass", "1"], ["pass", "2"]]
+    assert all(line.endswith("minor faults") for line in lines[:2])
+    assert lines[2].startswith("median") and lines[2].endswith("minor faults per pass over 2 passes")
+    for line in lines:
+        seconds = float(line.split()[2 if line.startswith("pass") else 1])
+        assert 0.0 < seconds < 60.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rollsim.loops as loops
+import rollsim.tuning as tuning
 from rollsim.loops import LoopFrame, LoopSpec, SetpointProfile, simulate_loop
 from rollsim.lti import SimConfig, tf_new
 from rollsim.pid import PidGains
@@ -304,6 +305,21 @@ def test_a_grid_tune_derives_the_step_map_once_and_probes_once_per_branch_set(mo
     assert len(maps) == 1
     states = len(speed_spec().plant.den) - 1 + 4
     assert len(probes) == 2 * (states + 1)
+
+
+def test_a_tune_checks_its_setpoint_once(monkeypatch):
+    checks = []
+    check = SetpointProfile.first_nonfinite
+    monkeypatch.setattr(SetpointProfile, "first_nonfinite", lambda *a: checks.append(a) or check(*a))
+    spec = grid_spec(ki_bounds=(0.0, 4.0), kd_bounds=(0.0, 0.5), grid_points=3, max_evals=12)
+    assert len(checks) == 1  # the template loop's
+    loops_run = []
+    cost = tuning.loop_cost
+    monkeypatch.setattr(tuning, "loop_cost", lambda loop, *a, **k: loops_run.append(loop) or cost(loop, *a, **k))
+    result = tune_pid(spec)
+    assert result.evals == 12 and len(checks) == 1
+    for loop, (gains, _) in zip(loops_run, result.history):
+        assert loop == replace(spec.loop, gains=gains) and loop.gains is gains
 
 
 @pytest.mark.parametrize("spec", [
