@@ -946,8 +946,8 @@ def test_an_apply_that_fails_the_bound_ends_at_the_first_nonfinite_state(monkeyp
 
 
 def list_chain(first, advance, length):
-    """The power chains as plans built them before they were written in
-    place: a list of products, cut before the first non-finite one."""
+    """A power chain built as a list of products and cut before its first
+    non-finite item: the reference for the chains written in place."""
     chain = [first]
     for _ in range(length - 1):
         chain.append(advance(chain[-1]))
