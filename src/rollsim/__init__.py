@@ -32,8 +32,6 @@ from .loops import (
     multibody_demo,
     series_is_bounded,
     simulate_loop,
-    speed_loop,
-    thickness_loop,
 )
 from .lti import (
     ResponseMetrics,

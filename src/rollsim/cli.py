@@ -36,7 +36,7 @@ from .csvfmt import format_rows
 from .faults import detect_faults
 from .loops import LoopResult, multibody_demo, simulate_loop
 from .lti import dc_gain, poles, routh_classification
-from .scenario import Scenario, ScenarioError, _build, parse_scenario_file, read_scenario
+from .scenario import INFINITIES, Scenario, ScenarioError, _build, parse_scenario_file, read_scenario
 from .sizing import size_report
 from .tuning import tune_pid
 
@@ -48,6 +48,7 @@ EXIT_DIVERGED = 2
 
 _CSV_CHUNK = 1024  # rows formatted per write
 _Table = tuple[list[str], list[np.ndarray]]  # a CSV table: header, columns
+_SPELLINGS = {value: text for text, value in INFINITIES.items()}  # the reader's spellings
 
 # Scenario kind -> the result fields every report of that kind has.
 RESULT_REQUIRED = {
@@ -94,7 +95,8 @@ class OutputBundle:
 
 
 def _json_safe(value: Any) -> Any:
-    """Make a value JSON-serializable; non-finite floats become strings."""
+    """Make a value JSON-serializable; an infinity becomes the spelling the
+    scenario reader takes back (``INFINITIES``), NaN the string ``"nan"``."""
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -104,7 +106,7 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
-        return "infinite" if value > 0 else ("-infinite" if value < 0 else "nan")
+        return _SPELLINGS.get(value, "nan")
     return value
 
 

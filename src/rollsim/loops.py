@@ -32,8 +32,9 @@ run state, and keeps the last reading wherever the sensor does not tick.
 
 Alongside the time series, the loop reports a stability verdict from the
 closed-loop characteristic polynomial whenever the loop is linear.
-Convenience wrappers build the sheet-speed loop, the gap/thickness loop,
-and the multibody demo that contrasts open-loop behavior with PID control
+The sheet-speed and gap/thickness loops are specs around
+:func:`~rollsim.plants.roll_drive_tf` and :func:`~rollsim.plants.power_screw_tf`;
+:func:`multibody_demo` contrasts open-loop behavior with PID control
 under both the ideal and the filtered derivative.
 """
 
@@ -75,14 +76,7 @@ from .pid import (
     pid_step,
     saturate,
 )
-from .plants import (
-    KinematicsMode,
-    PowerScrewParams,
-    RollDriveParams,
-    multibody_tf,
-    power_screw_tf,
-    roll_drive_tf,
-)
+from .plants import multibody_tf
 
 __all__ = [
     "LoopFrame",
@@ -97,8 +91,6 @@ __all__ = [
     "multibody_demo",
     "series_is_bounded",
     "simulate_loop",
-    "speed_loop",
-    "thickness_loop",
 ]
 
 # Tuning reported for the multibody stand model; origin undocumented, kept
@@ -192,13 +184,15 @@ class StabilityVerdict(str, Enum):
     POLES_MARGINAL = "poles_marginal"
 
 
-def classify_polynomial_stability(
-    coeffs: Sequence[float], tol: float = 1e-9
-) -> StabilityVerdict:
+_MARGIN = 1e-9  # real parts within this of the imaginary axis are marginal
+
+
+def classify_polynomial_stability(coeffs: Sequence[float]) -> StabilityVerdict:
     """Verdict from the real parts of a polynomial's roots.
 
-    Max real part below -tol is stable, above +tol unstable, otherwise
-    marginal (roots on or numerically indistinguishable from the axis).
+    Max real part below -``_MARGIN`` is stable, above +``_MARGIN``
+    unstable, otherwise marginal (roots on or numerically
+    indistinguishable from the axis).
     A nonzero constant has no roots and is stable; the zero polynomial
     has no verdict and raises ``ValueError``.
     """
@@ -209,9 +203,9 @@ def classify_polynomial_stability(
         return StabilityVerdict.POLES_STABLE
     roots = polynomial_roots(c)
     max_re = float(np.max(roots.real))
-    if max_re < -tol:
+    if max_re < -_MARGIN:
         return StabilityVerdict.POLES_STABLE
-    if max_re > tol:
+    if max_re > _MARGIN:
         return StabilityVerdict.POLES_UNSTABLE
     return StabilityVerdict.POLES_MARGINAL
 
@@ -634,35 +628,8 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
 
 
 # ---------------------------------------------------------------------------
-# Named loops
+# The multibody demo
 # ---------------------------------------------------------------------------
-
-def speed_loop(
-    p: RollDriveParams,
-    gains: PidGains,
-    setpoint: SetpointProfile,
-    sim: SimConfig = SimConfig(),
-    **kwargs,
-) -> LoopResult:
-    """Sheet-speed loop around the roll-drive plant."""
-    return simulate_loop(
-        LoopSpec(plant=roll_drive_tf(p), gains=gains, setpoint=setpoint, sim=sim, **kwargs)
-    )
-
-
-def thickness_loop(
-    p: PowerScrewParams,
-    mode: KinematicsMode,
-    gains: PidGains,
-    setpoint: SetpointProfile,
-    sim: SimConfig = SimConfig(),
-    **kwargs,
-) -> LoopResult:
-    """Gap/thickness loop around the power-screw plant."""
-    return simulate_loop(
-        LoopSpec(plant=power_screw_tf(p, mode), gains=gains, setpoint=setpoint, sim=sim, **kwargs)
-    )
-
 
 @dataclass
 class MultibodyDemo:

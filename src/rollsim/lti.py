@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,11 +153,14 @@ def dc_gain(tf: TransferFunction) -> float:
     return n0 / d0
 
 
-def poles(tf: TransferFunction, residual_tol: float = 1e-8) -> np.ndarray:
+_RESIDUAL_TOL = 1e-8  # largest relative residual of an accepted pole
+
+
+def poles(tf: TransferFunction) -> np.ndarray:
     """Denominator roots, each checked by its relative residual.
 
     A root r of the monic denominator c_0 s^n + ... + c_n passes when
-    |den(r)| / sum_i |c_i| |r|^(n-i) < residual_tol, a test that does not
+    |den(r)| / sum_i |c_i| |r|^(n-i) < ``_RESIDUAL_TOL``, a test that does not
     scale with the coefficients.  For |r| > 1 both sums are divided by |r|^n
     and evaluated in 1/r, so no term overflows.  A root that fails is not
     accurate; that raises ``ValueError`` naming the worst one.
@@ -170,7 +173,7 @@ def poles(tf: TransferFunction, residual_tol: float = 1e-8) -> np.ndarray:
         value = np.abs(terms.sum(axis=1))
         residuals = np.where(value == 0.0, 0.0, value / np.abs(terms).sum(axis=1))
     worst = int(np.argmax(residuals))  # a NaN residual is the first maximum
-    if not residuals[worst] < residual_tol:
+    if not residuals[worst] < _RESIDUAL_TOL:
         raise ValueError(f"pole {roots[worst]} is not accurate: relative residual {residuals[worst]:.3e}")
     return roots
 
@@ -533,29 +536,21 @@ def propagate(
     return PropagationPlan(m, g, h, j, len(w)).apply(w)[:2]
 
 
-def simulate_lti(
-    ss: StateSpaceModel,
-    input_fn: Callable[[float], float] | np.ndarray,
-    cfg: SimConfig,
-) -> TimeSeries:
+def simulate_lti(ss: StateSpaceModel, u: np.ndarray, cfg: SimConfig) -> TimeSeries:
     """Run a state-space model from zero initial state.
 
-    ``input_fn`` is sampled once at each step start and held over the
-    step, and must return finite values; an array gives those samples
-    directly, one per step start (``cfg.steps + 1``).  The state advances
-    by the exact hold map of :func:`zoh_step_matrices`, evaluated by
-    :func:`propagate`.  Returns channels ``u`` and ``y``.  Raises
-    :class:`SimulationDiverged` at the first sample whose state or output
-    is not finite, with the finite prefix attached.
+    ``u`` holds one finite input sample per step start (``cfg.steps + 1``),
+    each held over its step.  The state advances by the exact hold map of
+    :func:`zoh_step_matrices`, evaluated by :func:`propagate`.  Returns
+    channels ``u`` and ``y``.  Raises :class:`SimulationDiverged` at the
+    first sample whose state or output is not finite, with the finite
+    prefix attached.
     """
     steps = cfg.steps
     t = np.arange(steps + 1) * cfg.dt
-    if callable(input_fn):
-        u = np.array([float(input_fn(tk)) for tk in t])
-    else:
-        u = np.array(input_fn, dtype=float)
-        if u.shape != t.shape:
-            raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
+    u = np.array(u, dtype=float)
+    if u.shape != t.shape:
+        raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
     m, nvec = zoh_step_matrices(ss, cfg.dt)
     rows, end = propagate(m, nvec, u, ss.C, [ss.D])
     finite = np.isfinite(rows[:, 0])

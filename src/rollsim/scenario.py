@@ -11,13 +11,13 @@ result carries both the typed payload and a fully resolved plain-data
 echo of the inputs (defaults filled in), which the JSON report embeds and
 which :func:`read_scenario` reads back to an equivalent scenario; the
 command line's ``dt``/``t_end`` overrides are written into a copy of the
-echo and read back, so they are checked like any other input.  YAML is
-1.1, but ``1e-3`` and other plain numbers with an exponent are floats.
+echo and read back, so they are checked like any other input.  A report
+spells an infinite number ``infinite`` or ``-infinite`` (``INFINITIES``),
+and so may a scenario.  YAML is 1.1, but ``1e-3`` and other plain numbers
+with an exponent are floats.
 
 The section tables below are the schema: each maps a scenario key to its
 reader and default (``_SIZING``, ``_CONTROLLER``, ``_SIMULATE``, ...).
-The ``sim.integrator`` key (``rk4`` or ``euler``) is accepted for
-compatibility and ignored: every run uses the exact zero-order-hold map.
 """
 
 from __future__ import annotations
@@ -99,8 +99,15 @@ def _require_mapping(value: Any, path: str) -> dict:
     return value
 
 
+# How a report spells the infinities, which JSON lacks; wherever an
+# infinite number is read, its spelling reads too.
+INFINITIES = {"infinite": math.inf, "-infinite": -math.inf}
+
+
 def _float(value: Any, path: str) -> float:
     """Any float, NaN included, for fields whose constructor rejects it."""
+    if isinstance(value, str) and value in INFINITIES:
+        return INFINITIES[value]
     if isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got a boolean")
     if not isinstance(value, (int, float)):
@@ -125,6 +132,8 @@ def _quantity(value: Any, path: str) -> float:
 
 
 def _unit_value(raw: str, path: str) -> float:
+    if raw in INFINITIES:
+        return INFINITIES[raw]
     text = raw.strip()
     split = len(text)
     while split > 0 and not (text[split - 1].isdigit() or text[split - 1] == "."):
@@ -339,7 +348,6 @@ _DETECTOR = {
 _SIM = {
     "dt": (_float, SimConfig.dt),
     "t_end": (_float, SimConfig.t_end),
-    "integrator": (_choice("rk4", "euler"), "rk4"),
 }
 
 
@@ -352,7 +360,7 @@ _SIMULATE = {
     "sensor": (_record(_SENSOR, SensorModel), None),
     "fault": (_record(_FAULT, FaultSpec), None),
     "detector": (_record(_DETECTOR, DetectorConfig), None),
-    "sim": (_record(_SIM, lambda dt, t_end, integrator: SimConfig(dt=dt, t_end=t_end)), {}),
+    "sim": (_record(_SIM, SimConfig), {}),
     "seed": (_integer, 0),
 }
 

@@ -244,11 +244,12 @@ def tune_pid(
     )
 
 
-def _nelder_mead(
-    evaluate, start: tuple[float, float, float], bounds, spread_tol: float = 1e-8
-) -> None:
+_SPREAD_TOL = 1e-8  # simplex spread at which Nelder-Mead stops
+
+
+def _nelder_mead(evaluate, start: tuple[float, float, float], bounds) -> None:
     """Bounded Nelder-Mead on the free gain dimensions; it runs until the
-    simplex spread drops below ``spread_tol`` or ``evaluate`` raises."""
+    simplex spread drops below ``_SPREAD_TOL`` or ``evaluate`` raises."""
     free = [i for i, (lo, hi) in enumerate(bounds) if lo < hi]
     full = list(start)
 
@@ -287,7 +288,7 @@ def _nelder_mead(
         values = [values[i] for i in order]
 
         spread = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
-        if spread < spread_tol:
+        if spread < _SPREAD_TOL:
             return
 
         centroid = np.mean(simplex[:-1], axis=0)

@@ -133,12 +133,16 @@ _SIM = "kind: simulate\nsimulate:\n  "
         # Found by the end-to-end fuzz: a RuntimeWarning, then a traceback, in the realization.
         ("simulate", _SIM + "plant: {kind: tf, num: [-2.2, 1.0e-300], den: [1.0e-300, 2.75]}\n", [],
          "simulate.plant: the state-space output map C = b - a D overflows"),
+        # Every run uses the exact hold map; the former step-map option is no key.
+        ("simulate", _SIM + "sim: {dt: 0.01, integrator: rk4}\n", [], "unknown key(s): simulate.sim.integrator"),
+        ("tune", "kind: tune\ntune:\n  loop: {sim: {integrator: euler}}\n", [],
+         "unknown key(s): tune.loop.sim.integrator"),
     ],
     ids=[
         "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
         "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
         "force_overflow", "vfd_frequency_overflow", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
-        "plant_den_overflows_monic", "plant_realization_overflows",
+        "plant_den_overflows_monic", "plant_realization_overflows", "simulate_integrator", "tune_integrator",
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text, extra_args, message):
@@ -679,3 +683,41 @@ def test_fuzzed_scenarios_run_end_to_end(tmp_path_factory, doc):
     rows = {"simulate": "samples", "tune": "evals"}.get(kind)
     if rows is not None:
         assert out.with_suffix(".csv").read_bytes().count(b"\n") == results[rows] + 1
+
+
+# A report's scenario echo reads back: the writer spells infinities as the
+# reader takes them.
+_INFINITE_GAINS = {
+    "n_and_umax_inf": "kind: simulate\nsimulate:\n  controller: {kp: 1.0, kd: 0.5, n: .inf, umax: .inf}\n",
+    "umin_minus_inf": "kind: tune\ntune:\n  loop:\n    controller: {kp: 1.0, umin: -.inf}\n",
+}
+_ECHOED = {
+    **{p.stem: p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.yaml"))},
+    **_INFINITE_GAINS,
+}
+
+
+def _assert_echo_reads_back(tmp_path: Path, scenario) -> str:
+    path = tmp_path / "echo.json"
+    cli._write_json(path, scenario, {}, 0.0)
+    text = path.read_text(encoding="utf-8")
+    again = scenario_module.read_scenario(json.loads(text)["scenario"])
+    assert again.resolved == scenario.resolved
+    assert again.payload == scenario.payload
+    return text
+
+
+@pytest.mark.parametrize("text", _ECHOED.values(), ids=_ECHOED.keys())
+def test_report_echo_reads_back_to_the_same_scenario(tmp_path, text):
+    report = _assert_echo_reads_back(tmp_path, scenario_module.parse_scenario(text))
+    assert ('"infinite"' in report or '"-infinite"' in report) == (text in _INFINITE_GAINS.values())
+
+
+@given(doc=_E2E_DOCS)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_report_echoes_read_back(tmp_path_factory, doc):
+    try:
+        scenario = scenario_module.parse_scenario(yaml.safe_dump(doc))
+    except scenario_module.ScenarioError:
+        return
+    _assert_echo_reads_back(tmp_path_factory.mktemp("echo"), scenario)

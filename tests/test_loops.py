@@ -27,8 +27,6 @@ from rollsim.loops import (
     multibody_demo,
     series_is_bounded,
     simulate_loop,
-    speed_loop,
-    thickness_loop,
 )
 from rollsim.lti import RouthVerdict, SimConfig, dc_gain, tf_new, tf_to_state_space, zoh_step_matrices
 from rollsim.pid import PidGains, PidState, pid_step
@@ -127,10 +125,10 @@ def test_profile_values_follow_the_segment_law_bit_for_bit(profile):
 # ---------------------------------------------------------------------------
 
 def test_zero_setpoint_all_channels_zero():
-    r = speed_loop(
-        RollDriveParams(), PidGains(kp=8.0, ki=2.0),
-        SetpointProfile.step(0.0), SimConfig(dt=1e-3, t_end=2.0),
-    )
+    r = simulate_loop(LoopSpec(
+        plant=roll_drive_tf(RollDriveParams()), gains=PidGains(kp=8.0, ki=2.0),
+        setpoint=SetpointProfile.step(0.0), sim=SimConfig(dt=1e-3, t_end=2.0),
+    ))
     for name in ("setpoint", "y_true", "y_measured", "error", "u"):
         assert np.all(r.series[name] == 0.0)
 
@@ -138,20 +136,20 @@ def test_zero_setpoint_all_channels_zero():
 def test_p_only_speed_loop_static_error():
     # Type-0 loop: e_ss = sp / (1 + kp * r * K / B).
     kp = 8.0
-    r = speed_loop(
-        RollDriveParams(), PidGains(kp=kp), SetpointProfile.step(1.0),
-        SimConfig(dt=1e-3, t_end=20.0),
-    )
+    r = simulate_loop(LoopSpec(
+        plant=roll_drive_tf(RollDriveParams()), gains=PidGains(kp=kp), setpoint=SetpointProfile.step(1.0),
+        sim=SimConfig(dt=1e-3, t_end=20.0),
+    ))
     expected = 1.0 / (1.0 + kp * 0.125)
     assert r.metrics.steady_state_error == pytest.approx(expected, rel=5e-3)
     assert r.stability_verdict is StabilityVerdict.POLES_STABLE
 
 
 def test_pi_speed_loop_zero_error():
-    r = speed_loop(
-        RollDriveParams(), PidGains(kp=8.0, ki=8.0), SetpointProfile.step(0.5),
-        SimConfig(dt=1e-3, t_end=20.0),
-    )
+    r = simulate_loop(LoopSpec(
+        plant=roll_drive_tf(RollDriveParams()), gains=PidGains(kp=8.0, ki=8.0),
+        setpoint=SetpointProfile.step(0.5), sim=SimConfig(dt=1e-3, t_end=20.0),
+    ))
     assert abs(r.metrics.steady_state_error) < 0.005 * 0.5
 
 
@@ -159,8 +157,10 @@ def test_doubling_radius_halves_error_ratio():
     kp = 4.0
     sp = SetpointProfile.step(1.0)
     cfg = SimConfig(dt=1e-3, t_end=20.0)
-    base = speed_loop(RollDriveParams(r=0.125), PidGains(kp=kp), sp, cfg)
-    wide = speed_loop(RollDriveParams(r=0.25), PidGains(kp=kp), sp, cfg)
+    base, wide = (
+        simulate_loop(LoopSpec(plant=roll_drive_tf(RollDriveParams(r=r)), gains=PidGains(kp=kp), setpoint=sp, sim=cfg))
+        for r in (0.125, 0.25)
+    )
     expect_base = 1.0 / (1.0 + kp * 0.125)
     expect_wide = 1.0 / (1.0 + kp * 0.25)
     assert base.metrics.steady_state_error == pytest.approx(expect_base, rel=5e-3)
@@ -171,20 +171,20 @@ def test_thickness_literal_static_error():
     kp = 500.0
     p = PowerScrewParams()
     x_ref = 0.002
-    r = thickness_loop(
-        p, KinematicsMode.PAPER_LITERAL, PidGains(kp=kp),
-        SetpointProfile.step(x_ref), SimConfig(dt=1e-3, t_end=30.0),
-    )
+    r = simulate_loop(LoopSpec(
+        plant=power_screw_tf(p, KinematicsMode.PAPER_LITERAL), gains=PidGains(kp=kp),
+        setpoint=SetpointProfile.step(x_ref), sim=SimConfig(dt=1e-3, t_end=30.0),
+    ))
     gain = p.lead * p.K_ps / (2.0 * math.pi * p.B_ps)
     expected = x_ref / (1.0 + kp * gain)
     assert r.metrics.steady_state_error == pytest.approx(expected, rel=5e-3)
 
 
 def test_thickness_integrated_type1_zero_error():
-    r = thickness_loop(
-        PowerScrewParams(), KinematicsMode.INTEGRATED, PidGains(kp=5000.0),
-        SetpointProfile.step(0.002), SimConfig(dt=1e-3, t_end=20.0),
-    )
+    r = simulate_loop(LoopSpec(
+        plant=power_screw_tf(PowerScrewParams(), KinematicsMode.INTEGRATED), gains=PidGains(kp=5000.0),
+        setpoint=SetpointProfile.step(0.002), sim=SimConfig(dt=1e-3, t_end=20.0),
+    ))
     assert abs(r.metrics.steady_state_error) < 0.005 * 0.002
 
 
@@ -193,7 +193,8 @@ def test_ki_strictly_reduces_steady_state_error():
     cfg = SimConfig(dt=1e-3, t_end=10.0)
     errors = []
     for ki in (0.0, 0.25, 0.5, 1.0):
-        r = speed_loop(RollDriveParams(), PidGains(kp=4.0, ki=ki), sp, cfg)
+        spec = LoopSpec(plant=roll_drive_tf(RollDriveParams()), gains=PidGains(kp=4.0, ki=ki), setpoint=sp, sim=cfg)
+        r = simulate_loop(spec)
         errors.append(abs(r.metrics.steady_state_error))
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -201,10 +202,10 @@ def test_ki_strictly_reduces_steady_state_error():
 def test_final_value_tracks_closed_loop_dc_gain():
     # Linear stable loops must land on the closed-loop DC gain.
     for kp, ki in ((2.0, 0.0), (8.0, 0.0), (3.0, 2.0)):
-        r = speed_loop(
-            RollDriveParams(), PidGains(kp=kp, ki=ki), SetpointProfile.step(1.0),
-            SimConfig(dt=1e-3, t_end=25.0),
-        )
+        r = simulate_loop(LoopSpec(
+            plant=roll_drive_tf(RollDriveParams()), gains=PidGains(kp=kp, ki=ki),
+            setpoint=SetpointProfile.step(1.0), sim=SimConfig(dt=1e-3, t_end=25.0),
+        ))
         assert r.stability_verdict is StabilityVerdict.POLES_STABLE
         assert r.closed_loop is not None
         assert r.metrics.final_value == pytest.approx(dc_gain(r.closed_loop), rel=5e-3)
@@ -684,6 +685,10 @@ def test_classify_polynomial_stability_bands():
     assert classify_polynomial_stability([1, 2, 1]) is StabilityVerdict.POLES_STABLE
     assert classify_polynomial_stability([1, -2, 1]) is StabilityVerdict.POLES_UNSTABLE
     assert classify_polynomial_stability([1, 0, 1]) is StabilityVerdict.POLES_MARGINAL
+    # The margin is 1e-9 on the largest real part: s + 2e-9 has its root at -2e-9.
+    assert classify_polynomial_stability([1, 2e-9]) is StabilityVerdict.POLES_STABLE
+    assert classify_polynomial_stability([1, -2e-9]) is StabilityVerdict.POLES_UNSTABLE
+    assert classify_polynomial_stability([1, -5e-10]) is StabilityVerdict.POLES_MARGINAL
 
 
 def test_series_is_bounded_on_growth():

@@ -308,7 +308,8 @@ def test_dc_gain_indeterminate():
 
 def test_zero_input_stays_zero():
     ss = tf_to_state_space(tf_new([1, 2], [1, 3, 2]))
-    ts = simulate_lti(ss, lambda t: 0.0, SimConfig(dt=1e-3, t_end=1.0))
+    cfg = SimConfig(dt=1e-3, t_end=1.0)
+    ts = simulate_lti(ss, np.zeros(cfg.steps + 1), cfg)
     assert np.all(ts["y"] == 0.0)
 
 
@@ -332,7 +333,7 @@ def test_pure_gain_step():
 
 
 @pytest.mark.parametrize("den", [[1, 3, 2], [1, -60]], ids=["stable", "diverging"])
-def test_sampled_input_equals_the_callable_bit_for_bit(den):
+def test_sampled_input_equals_the_step_response_bit_for_bit(den):
     tf = tf_new([1, 2], den)
     ss = tf_to_state_space(tf)
     cfg = SimConfig(dt=1e-3, t_end=20.0)
@@ -344,18 +345,11 @@ def test_sampled_input_equals_the_callable_bit_for_bit(den):
         except SimulationDiverged as exc:
             return exc.partial
 
-    runs = [
-        run(step_response, tf, cfg),
-        run(simulate_lti, ss, lambda _t: 1.0, cfg),
-        run(simulate_lti, ss, np.ones(len(t)), cfg),
-    ]
-    for ts in runs[1:]:
-        assert len(ts) == len(runs[0])
-        for name in ("u", "y"):
-            np.testing.assert_array_equal(ts[name].view(np.int64), runs[0][name].view(np.int64))
-    assert (len(runs[0]) < len(t)) == (den[1] < 0)
-    wave = run(simulate_lti, ss, np.sin(3 * t), cfg)
-    np.testing.assert_array_equal(wave["y"], run(simulate_lti, ss, lambda tk: np.sin(3 * tk), cfg)["y"])
+    step, sampled = run(step_response, tf, cfg), run(simulate_lti, ss, np.ones(len(t)), cfg)
+    assert len(sampled) == len(step)
+    for name in ("u", "y"):
+        np.testing.assert_array_equal(sampled[name].view(np.int64), step[name].view(np.int64))
+    assert (len(step) < len(t)) == (den[1] < 0)
 
 
 def test_sampled_input_needs_one_sample_per_step_start():
@@ -367,8 +361,9 @@ def test_sampled_input_needs_one_sample_per_step_start():
 def test_linearity_of_response():
     ss = tf_to_state_space(tf_new([1, 2], [1, 3, 2]))
     cfg = SimConfig(dt=1e-3, t_end=2.0)
-    base = simulate_lti(ss, lambda t: np.sin(3 * t), cfg)
-    scaled = simulate_lti(ss, lambda t: 7.5 * np.sin(3 * t), cfg)
+    wave = np.sin(3 * np.arange(cfg.steps + 1) * cfg.dt)
+    base = simulate_lti(ss, wave, cfg)
+    scaled = simulate_lti(ss, 7.5 * wave, cfg)
     mask = np.abs(base["y"]) > 1e-12
     rel = np.abs(scaled["y"][mask] - 7.5 * base["y"][mask]) / np.abs(7.5 * base["y"][mask])
     assert np.max(rel) < 1e-9
@@ -399,8 +394,9 @@ def test_final_value_matches_dc_gain_on_random_stable_systems():
 
 def test_divergence_reports_time_and_prefix():
     ss = tf_to_state_space(tf_new([1], [1, -80.0]))  # pole at +80
+    cfg = SimConfig(dt=0.1, t_end=50.0)
     with pytest.raises(SimulationDiverged) as info:
-        simulate_lti(ss, lambda t: 1.0, SimConfig(dt=0.1, t_end=50.0))
+        simulate_lti(ss, np.ones(cfg.steps + 1), cfg)
     assert info.value.time > 0
     assert np.all(np.isfinite(info.value.partial["y"]))
 
@@ -437,21 +433,18 @@ def test_simulate_lti_is_the_zoh_recurrence(num, den, dt):
     ss = tf_to_state_space(tf_new(num, den))
     cfg = SimConfig(dt=dt, t_end=2.0)
 
-    def input_fn(t):
-        return 1.0 if t < 0.5 else (-2.0 if t < 1.25 else 0.5)
-
-    ts = simulate_lti(ss, input_fn, cfg)
+    t = np.arange(cfg.steps + 1) * cfg.dt
+    u = np.where(t < 0.5, 1.0, np.where(t < 1.25, -2.0, 0.5))
+    ts = simulate_lti(ss, u, cfg)
 
     m, nvec = zoh_step_matrices(ss, cfg.dt)
     c = ss.C.ravel()
     x = np.zeros(ss.n)
-    u_ref, y_ref = [], []
-    for tk in np.arange(cfg.steps + 1) * cfg.dt:
-        uk = input_fn(tk)
-        u_ref.append(uk)
+    y_ref = []
+    for uk in u.tolist():
         y_ref.append(float(c @ x) + ss.D * uk)
         x = m @ x + nvec * uk
-    assert ts["u"].tolist() == u_ref
+    assert ts["u"].tolist() == u.tolist()
     # Only the output projection's summation order may differ.
     np.testing.assert_allclose(ts["y"], y_ref, rtol=1e-13, atol=1e-15)
 

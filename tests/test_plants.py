@@ -69,7 +69,8 @@ def test_power_screw_literal_pole():
 def test_integrated_ramp_asymptote():
     # Type-1 plant under constant input: steady slope lead*K*V/(2 pi B).
     tf = power_screw_tf(PowerScrewParams(), KinematicsMode.INTEGRATED)
-    ts = simulate_lti(tf_to_state_space(tf), lambda t: 1.0, SimConfig(dt=1e-3, t_end=20.0))
+    cfg = SimConfig(dt=1e-3, t_end=20.0)
+    ts = simulate_lti(tf_to_state_space(tf), np.ones(cfg.steps + 1), cfg)
     slope = (ts["y"][-1] - ts["y"][-1001]) / (ts.t[-1] - ts.t[-1001])
     assert slope == pytest.approx(SCREW_GAIN, rel=1e-6)
 
@@ -87,6 +88,6 @@ def test_plant_linearity_in_input():
     tf = roll_drive_tf(RollDriveParams())
     cfg = SimConfig(dt=1e-3, t_end=2.0)
     ss = tf_to_state_space(tf)
-    one = simulate_lti(ss, lambda t: 1.0, cfg)
-    three = simulate_lti(ss, lambda t: 3.0, cfg)
+    one = simulate_lti(ss, np.ones(cfg.steps + 1), cfg)
+    three = simulate_lti(ss, np.full(cfg.steps + 1, 3.0), cfg)
     assert np.allclose(three["y"], 3.0 * one["y"], rtol=1e-12, atol=1e-15)

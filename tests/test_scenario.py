@@ -1,6 +1,7 @@
 """Scenario parsing: the resolved echo round-trips, malformed input names
 its key path, and no input raises anything but ScenarioError."""
 
+import copy
 import math
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rollsim import scenario as sc
-from rollsim.loops import simulate_loop
 from rollsim.lti import MAX_STEPS
 from rollsim.scenario import ScenarioError, parse_scenario
 
@@ -46,20 +46,94 @@ def test_defaults_fill_every_key():
     assert resolved["plant"] == {"kind": "roll_drive", "K": 1.0, "J": 1.0, "B": 1.0, "r": 0.125}
     assert resolved["controller"]["umin"] is None
     assert resolved["sensor"] is None and resolved["fault"] is None
-    assert resolved["sim"] == {"dt": 1e-3, "t_end": 20.0, "integrator": "rk4"}
+    assert resolved["sim"] == {"dt": 1e-3, "t_end": 20.0}
     null_sim = parse_scenario("kind: simulate\nsimulate: {sim: null}\n")
     assert null_sim.resolved == parse_scenario("kind: simulate\n").resolved
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "euler"])
-def test_the_integrator_key_is_accepted_and_ignored(integrator):
-    text = "kind: simulate\nsimulate:\n  controller: {kp: 8.0, ki: 8.0}\n  sim: {dt: 0.01, t_end: 5.0%s}\n"
-    plain, keyed = parse_scenario(text % ""), parse_scenario(text % f", integrator: {integrator}")
-    assert keyed.resolved["simulate"]["sim"]["integrator"] == integrator
-    assert keyed.payload == plain.payload
-    a, b = (simulate_loop(s.payload[0]).series for s in (plain, keyed))
-    for name in ("y_true", "u"):
-        assert a[name].tobytes() == b[name].tobytes()
+# Guard: every key of every section table reaches the payload.  Each section
+# gives its table's keys, a document holding it, where it sits there, and one
+# valid non-default value per key; a key without one fails.
+_SIMULATE_DOC = {
+    "kind": "simulate",
+    "simulate": {
+        "controller": {},
+        "sim": {},
+        "sensor": {},
+        "fault": {"kind": "stuck", "onset_t": 1.0},
+        "detector": {"residual_threshold": 0.1},
+        "setpoint": [{}],
+    },
+}
+
+
+def _with_plant(**plant):
+    return {"kind": "simulate", "simulate": {**_SIMULATE_DOC["simulate"], "plant": plant}}
+
+
+def _plant_keys(**plant):
+    """The keys of a plant kind's table: those of its echo but ``kind``."""
+    resolved = sc.read_scenario(_with_plant(**plant)).resolved["simulate"]["plant"]
+    return [key for key in resolved if key != "kind"]
+
+
+_TF = {"kind": "tf", "den": [1.0, 1.0]}
+_TUNE_DOC = {"kind": "tune", "tune": {"bounds": {}, "initial": {}}}
+_GUARD = {
+    "simulate": (sc._SIMULATE, _SIMULATE_DOC, ("simulate",), {
+        "plant": {"kind": "multibody"}, "controller": {"kp": 2.0}, "setpoint": [{"value": 2.0}],
+        "sensor": {"bias": 0.1}, "fault": {"kind": "drift", "onset_t": 1.0},
+        "detector": {"residual_threshold": 0.5}, "sim": {"dt": 0.002}, "seed": 7,
+    }),
+    "sim": (sc._SIM, _SIMULATE_DOC, ("simulate", "sim"), {"dt": 0.002, "t_end": 10.0}),
+    "sensor": (sc._SENSOR, _SIMULATE_DOC, ("simulate", "sensor"), {
+        "noise_sigma": 0.01, "bias": 0.1, "quantization_step": 0.01, "sample_dt": 0.002,
+    }),
+    "fault": (sc._FAULT, _SIMULATE_DOC, ("simulate", "fault"), {
+        "kind": "drift", "onset_t": 2.0, "magnitude": 0.1, "duration": 1.0,
+    }),
+    "detector": (sc._DETECTOR, _SIMULATE_DOC, ("simulate", "detector"), {
+        "residual_threshold": 0.2, "rate_threshold": 1.0, "consecutive_required": 2, "window": 5,
+    }),
+    "controller": (sc._CONTROLLER, _SIMULATE_DOC, ("simulate", "controller"), {
+        "kp": 1.0, "ki": 1.0, "kd": 1.0, "n": 100.0, "umin": -1.0, "umax": 1.0,
+    }),
+    "segment": (sc._SEGMENT, _SIMULATE_DOC, ("simulate", "setpoint", 0), {"kind": "ramp", "t": 0.5, "value": 2.0}),
+    "roll_drive": (_plant_keys(kind="roll_drive"), _with_plant(kind="roll_drive"), ("simulate", "plant"), {
+        "K": 2.0, "J": 2.0, "B": 2.0, "r": 0.25,
+    }),
+    "power_screw": (_plant_keys(kind="power_screw"), _with_plant(kind="power_screw"), ("simulate", "plant"), {
+        "K_ps": 2.0, "J_ps": 2.0, "B_ps": 2.0, "lead": "10 mm", "mode": "paper_literal",
+    }),
+    "tf": (_plant_keys(**_TF), _with_plant(**_TF), ("simulate", "plant"), {"num": [2.0], "den": [1.0, 2.0]}),
+    "multibody": (_plant_keys(kind="multibody"), _with_plant(kind="multibody"), ("simulate", "plant"), {}),
+    "sizing": (sc._SIZING, {"kind": "size", "sizing": {}}, ("sizing",), {
+        "sigma_y": "200 MPa", "width": 1.5, "t_initial": "6 mm", "t_final": "2 mm", "roll_diameter": 0.3,
+        "line_speed": 1.0, "motor_rpm": 1000.0, "motor_poles": 6, "contact_mode": "exact",
+    }),
+    "tune": (sc._TUNE, _TUNE_DOC, ("tune",), {
+        "loop": {"seed": 7}, "bounds": {"kp": [0.0, 1.0]}, "initial": {"kp": 1.0}, "cost": "ise",
+        "method": "grid", "grid_points": 3, "max_evals": 10,
+    }),
+    "bounds": (sc._BOUNDS, _TUNE_DOC, ("tune", "bounds"), {"kp": [0.0, 1.0], "ki": [0.0, 1.0], "kd": [0.0, 1.0]}),
+    "gains": (sc._GAINS, _TUNE_DOC, ("tune", "initial"), {"kp": 1.0, "ki": 1.0, "kd": 1.0}),
+}
+
+
+@pytest.mark.parametrize(
+    "section, key", [(section, key) for section, (keys, *_) in _GUARD.items() for key in keys], ids=str
+)
+def test_no_key_is_accepted_and_ignored(section, key):
+    _, doc, path, values = _GUARD[section]
+    assert key in values, f"{section}.{key}: give the guard a valid non-default value"
+    doc = copy.deepcopy(doc)
+    base = sc.read_scenario(copy.deepcopy(doc))
+    mapping = doc
+    for step in path:
+        mapping = mapping[step]
+    assert mapping.get(key) != values[key]
+    mapping[key] = values[key]
+    assert sc.read_scenario(doc).payload != base.payload
 
 
 def test_units_convert_to_si():
@@ -71,6 +145,15 @@ def test_units_convert_to_si():
 def test_ideal_derivative_infinity_still_parses():
     spec, _ = parse_scenario("kind: simulate\nsimulate:\n  controller: {kd: 1.0, n: .inf}\n").payload
     assert spec.gains.derivative_filter_n == math.inf
+
+
+def test_a_report_spelled_infinity_reads_as_the_number():
+    text = "kind: simulate\nsimulate:\n  controller: {kd: 1.0, n: %s, umin: %s}\n"
+    spelled, plain = parse_scenario(text % ("infinite", "'-infinite'")), parse_scenario(text % (".inf", "-.inf"))
+    assert spelled.payload == plain.payload and spelled.payload[0].gains.output_min == -math.inf
+    for other in ("inf", "Infinite", "nan"):
+        with pytest.raises(ScenarioError, match="simulate.controller.n: expected a number, got str"):
+            parse_scenario(text % (other, -1.0))
 
 
 _S = "kind: simulate\nsimulate:\n  "
