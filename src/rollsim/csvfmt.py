@@ -8,11 +8,12 @@ A value takes the fast path when it is finite and ``|v|`` lies in
 [1e-280, 1e280], or is zero.  With x = floor(log10 |v|), the scaled
 value s = |v| * 10**(11 - x) holds the 12 significant digits in its
 integer part.  Its error is a few ulps of s, at most about 3e-4, so when
-s lies in [1e11, 1e12) and its fraction is more than 2e-3 away from one
-half, round(s) is the correctly rounded 12-digit mantissa that
-``'%.12g'`` prints.  Every other value (non-finite, subnormal or huge,
-near a rounding tie, or with a misestimated x) is formatted by ``'%.12g'``
-itself, over its own field.
+s is at least 1e11, round(s) is below 1e12 and the fraction of s is more
+than 2e-3 away from one half, round(s) is the correctly rounded 12-digit
+mantissa that ``'%.12g'`` prints.  Every other value (non-finite,
+subnormal or huge, near a rounding tie, with a misestimated x, or rounding
+up to 1e12, which carries into the next power of ten, as 9.999999999995
+does) is formatted by ``'%.12g'`` itself, over its own field.
 
 Each field is laid out in five 8-byte words, 0 marking an absent byte:
 
@@ -28,6 +29,15 @@ word   bytes
 Each word is assembled with whole-word table lookups, ``&`` and ``|``,
 and one ``bytes.translate`` drops the absent bytes.  The tables are built
 as bytes and viewed as words, so the layout holds in either byte order.
+
+A chunk takes these passes, each over one array of a word per value and
+most of them in place: the exponent, mantissa and fast-path test
+(:func:`_decompose`); word 0 by exponent and sign; the mantissa's three
+4-digit groups, split by floor division by 10**4; their trailing zeros,
+counted from the low group up through every all-zero group and turned
+into the key of the shown-byte masks; each group's digits, masked, written
+straight into its word; word 4; then the ``'%.12g'`` fields of the values
+off the fast path over words 0-3.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ class _Tables(NamedTuple):
     lead: np.ndarray     # by x - _X_MIN: digits before the decimal point
     head: np.ndarray     # by 2 * (x - _X_MIN) + sign bit: word 0
     tail: np.ndarray     # by x - _X_MIN: word 4 without the separator
-    shown: np.ndarray    # by 13 * kept + lead: masks of the bytes of words 1-3 shown
+    shown: np.ndarray    # per word 1-3, by 13 * trailing zeros + lead: masks of its bytes shown
     ends: np.ndarray     # the separator of word 4: ",", then "\n"
 
 
@@ -89,7 +99,8 @@ def _tables() -> _Tables:
 
     # A digit is shown up to the last nonzero one and through the integer
     # part; the point follows the integer part when a digit comes after it.
-    kept, lead = np.divmod(np.arange(13 * 13), 13)
+    dropped, lead = np.divmod(np.arange(13 * 13), 13)
+    kept = 12 - dropped
     digit = np.arange(12)
     shown = np.zeros((len(kept), 12, 2), np.uint8)
     shown[:, :, 0] = np.where(np.maximum(kept, lead)[:, None] > digit, 0xFF, 0)
@@ -104,7 +115,7 @@ def _tables() -> _Tables:
         lead=np.where(scientific, 1, np.maximum(x + 1, 0)),
         head=_words(head).ravel(),
         tail=_words(tail)[:, 0],
-        shown=_words(shown.reshape(len(kept), 24)),
+        shown=np.ascontiguousarray(_words(shown.reshape(len(kept), 24)).T),
         ends=_words(ends)[:, 0],
     )
     for table in tables:
@@ -120,16 +131,19 @@ def _decompose(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gives m = 0 and x = 0 and is formatted by ``'%.12g'`` itself."""
     a = np.abs(values)
     fast = (a >= _SMALLEST) & (a <= _LARGEST)
-    a = np.where(fast, a, 1.0)
-    x = np.floor(np.log10(a)).astype(np.int64)
-    s = a * _tables().pow10[x - _X_MIN]
-    exact = fast & (s >= 1e11) & (s < 1e12) & (np.abs(s - np.floor(s) - 0.5) > _TIE_MARGIN)
-    m = np.where(exact, np.rint(s), 0.0).astype(np.int64)
-    carry = m == 10**12
-    m[carry] = 10**11
-    x += carry
-    x[~exact] = 0
-    return m, x, exact | (values == 0.0)
+    np.copyto(a, 1.0, where=~fast)
+    x = np.log10(a)
+    x = np.floor(x, out=x).astype(np.int64)
+    s = np.take(_tables().pow10, x - _X_MIN)
+    s *= a
+    m = np.rint(s)
+    exact = fast & (s >= 1e11) & (m < 1e12)
+    s -= m  # more than the margin from a tie: |s - round(s)| < 1/2 - margin
+    exact &= np.abs(s, out=s) < 0.5 - _TIE_MARGIN
+    inexact = ~exact
+    np.copyto(m, 0.0, where=inexact)
+    np.copyto(x, 0, where=inexact)
+    return m.astype(np.int64), x, exact | (values == 0.0)
 
 
 def format_rows(columns: Sequence[np.ndarray]) -> bytes:
@@ -139,18 +153,27 @@ def format_rows(columns: Sequence[np.ndarray]) -> bytes:
     if not len(values):
         return b""
     tables = _tables()
-    m, x, fast = _decompose(values)
-    row = x - _X_MIN
+    m, row, fast = _decompose(values)
+    row -= _X_MIN  # x - _X_MIN, the tables' index
     out = np.empty((len(values), _WORDS), np.uint64)
     np.take(tables.head, 2 * row + np.signbit(values), out=out[:, 0])
 
-    high, low = np.divmod(m, 10_000)
-    top, middle = np.divmod(high, 10_000)
-    zeros = tables.zeros
-    kept = 12 - (zeros[low] + (low == 0) * (zeros[middle] + (middle == 0) * zeros[top]))
-    key = 13 * kept + np.take(tables.lead, row)
-    np.bitwise_and(np.take(tables.digits, np.stack([top, middle, low], axis=1)),
-                   np.take(tables.shown, key, axis=0), out=out[:, 1:4])
+    middle = m // 10_000
+    top = middle // 10_000
+    low = m
+    low -= middle * 10_000
+    middle -= top * 10_000
+    # The key of the shown-byte masks, 13 * trailing zeros + lead; the zeros
+    # are counted from the low group up, through every all-zero group.
+    key = np.take(tables.zeros, top)
+    key *= middle == 0
+    key += np.take(tables.zeros, middle)
+    key *= low == 0
+    key += np.take(tables.zeros, low)
+    key *= 13
+    key += np.take(tables.lead, row)
+    for word, group in enumerate((top, middle, low)):
+        np.bitwise_and(np.take(tables.digits, group), np.take(tables.shown[word], key), out=out[:, 1 + word])
 
     separators = np.full(len(columns), tables.ends[0])
     separators[-1] = tables.ends[1]

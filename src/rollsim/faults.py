@@ -16,9 +16,9 @@ reading at a time when it steps, on a block of readings at once when it
 verifies a block, and not at all where nothing ticks.
 
 Randomness is a pure function of (seed, draw counter) via a splitmix64
-bit mixer feeding Box-Muller, and the n-th clock tick of a run draws counter n,
-so a measurement stream is reproducible from its seed alone; no global
-generator is touched.
+bit mixer feeding Box-Muller, and the n-th clock tick of a run owns counter n,
+drawn only when the sensor reads at that tick, so a measurement stream is
+reproducible from its seed alone; no global generator is touched.
 Detection works on a residual series (measured minus model-predicted,
 supplied by the caller) with run-length-confirmed threshold and rate
 tests.
@@ -67,10 +67,13 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
 
     ``counter`` is an int, giving a float, or an integer array, giving an
     array of draws of the same shape.  The bit mixing runs in numpy
-    ``uint64``.  ``log`` and ``cos`` stay ``math`` calls mapped over the
-    elements, because numpy's differ from them in the last ulp on some
-    inputs; the scaling, ``sqrt`` and product are correctly rounded IEEE
-    operations, so numpy gives the same bits for them.
+    ``uint64``.  ``cos`` is numpy's, whose float64 results equal
+    ``math.cos`` bit for bit on the angles 2*pi*u2 in [0, 2*pi) (pinned
+    by the tests against a plain-``math`` reference).  ``log`` stays a
+    ``math`` call mapped over the elements, because numpy's float64
+    ``log`` differs from libm's in the last ulp on about 0.35 % of the
+    arguments u1 in (0, 1).  The scaling, ``sqrt`` and product are correctly rounded
+    IEEE operations, so numpy gives the same bits for them.
     """
     scalar = np.ndim(counter) == 0
     counters = np.atleast_1d(
@@ -81,8 +84,7 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     u2 = (_splitmix64(base + np.uint64(1)) >> np.uint64(11)).astype(float) / _TWO53
     u1[u1 <= 0.0] = 5e-324
     log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
-    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, len(u2))
-    draws = np.sqrt(-2.0 * log_u1) * cos_u2
+    draws = np.sqrt(-2.0 * log_u1) * np.cos(2.0 * math.pi * u2)
     return float(draws[0]) if scalar else draws.reshape(counters.shape)
 
 
@@ -166,9 +168,10 @@ def sensor_terms(
     :func:`apply_sensor` sigma times the tick's draw and the bias-jump or
     drift term, unused between ticks, where the last reading holds.  The
     n-th clock tick, the first sample at least ``sample_dt`` after the
-    previous one, draws counter n; a stuck or dropout window then clears
-    the ticks inside it, except the run's first sample, which has no
-    earlier reading to hold.
+    previous one, owns counter n.  A stuck or dropout window clears the
+    ticks inside it, except the run's first sample, which has no earlier
+    reading to hold; its ticks keep their counter numbers, so the noise
+    after the window is unchanged, but they are not drawn.
     """
     spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
     last_tick, drawn = -math.inf, 0
@@ -181,10 +184,7 @@ def sensor_terms(
                 last_tick = ti if tick[i] else last_tick
         # -0.0 is the exact additive identity, so an absent term changes no reading.
         noise, offset = np.full(len(tc), -0.0), np.full(len(tc), -0.0)
-        if model.noise_sigma > 0.0:
-            count = int(np.count_nonzero(tick))
-            noise[tick] = model.noise_sigma * counter_gauss(seed, np.arange(drawn, drawn + count))
-            drawn += count
+        reading = tick
         if fault is not None:
             active = fault.active(tc)
             if fault.kind is FaultKind.BIAS_JUMP:
@@ -193,8 +193,13 @@ def sensor_terms(
                 offset[active] = fault.magnitude * (tc[active] - fault.onset_t)
             else:
                 active[0] &= start > 0
-                tick &= ~active
-        yield tick, noise, offset
+                reading = tick & ~active
+        if model.noise_sigma > 0.0:
+            numbers = np.cumsum(tick) + (drawn - 1)  # each clock tick's counter
+            drawn = int(numbers[-1]) + 1
+            if reading.any():
+                noise[reading] = model.noise_sigma * counter_gauss(seed, numbers[reading])
+        yield reading, noise, offset
 
 
 def apply_sensor(

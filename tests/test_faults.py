@@ -240,6 +240,26 @@ def test_only_stuck_and_dropout_windows_clear_ticks(kind, sample_dt, onset_t):
     assert np.count_nonzero(fault.active(t)) == 500 and terms[0] is not None
 
 
+@pytest.mark.parametrize("sample_dt", [0.0, 2e-3])
+@pytest.mark.parametrize("kind", [FaultKind.STUCK, FaultKind.DROPOUT], ids=lambda k: k.value)
+def test_a_window_draws_only_the_ticks_that_read(monkeypatch, kind, sample_dt):
+    # Chunks of 300 samples: the window over samples 251-750 crosses the
+    # chunk edges at 300 and 600 and covers chunk 300-599, which draws nothing.
+    t = np.arange(2001) * 1e-3
+    fault = FaultSpec(kind=kind, onset_t=0.2505, duration=0.5)
+    passed = []
+    original = faults.counter_gauss
+    monkeypatch.setattr(faults, "counter_gauss", lambda seed, c: passed.append(np.array(c)) or original(seed, c))
+    terms = per_sample(sensor_terms(SensorModel(noise_sigma=0.5, sample_dt=sample_dt), fault, 9, t, 300))
+
+    # (clock-tick number, sample) of every tick outside the window
+    reading = [(n, k) for n, k in enumerate(reference_ticks(t, sample_dt)) if not fault.active(t[k])]
+    assert len(passed) == 6 and sum(len(c) for c in passed) == len(reading)
+    assert np.concatenate(passed).tolist() == [n for n, _ in reading]
+    assert [k for k, term in enumerate(terms) if term is not None] == [k for _, k in reading]
+    assert [terms[k][0] for _, k in reading] == [0.5 * reference_gauss(9, n) for n, _ in reading]
+
+
 # ---------------------------------------------------------------------------
 # Stuck and dropout holds
 # ---------------------------------------------------------------------------

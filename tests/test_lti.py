@@ -337,7 +337,14 @@ def test_sampled_input_equals_the_step_response_bit_for_bit(den):
     tf = tf_new([1, 2], den)
     ss = tf_to_state_space(tf)
     cfg = SimConfig(dt=1e-3, t_end=20.0)
-    t = np.arange(cfg.steps + 1) * cfg.dt
+    u = np.ones(cfg.steps + 1)
+    # The oracle: the plain recurrence over the hold map, y = C x + D u.
+    m, nvec = zoh_step_matrices(ss, cfg.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (plain_recurrence(m, nvec, u) @ ss.C.T).ravel() + ss.D * u
+    finite = np.isfinite(y)
+    first = len(u) if finite.all() else int(np.argmin(finite))
+    assert (first < len(u)) == (den[1] < 0)
 
     def run(sim, *args):
         try:
@@ -345,11 +352,13 @@ def test_sampled_input_equals_the_step_response_bit_for_bit(den):
         except SimulationDiverged as exc:
             return exc.partial
 
-    step, sampled = run(step_response, tf, cfg), run(simulate_lti, ss, np.ones(len(t)), cfg)
-    assert len(sampled) == len(step)
+    step, sampled = run(step_response, tf, cfg), run(simulate_lti, ss, u, cfg)
+    # A diverging run's partial series ends at the oracle's first non-finite output.
+    assert len(sampled) == len(step) == first
     for name in ("u", "y"):
         np.testing.assert_array_equal(sampled[name].view(np.int64), step[name].view(np.int64))
-    assert (len(step) < len(t)) == (den[1] < 0)
+    assert step["u"].tolist() == u[:first].tolist()
+    np.testing.assert_allclose(step["y"], y[:first], rtol=1e-12)
 
 
 def test_sampled_input_needs_one_sample_per_step_start():

@@ -1,0 +1,131 @@
+"""Compare the output files of a commit and of the working tree.
+
+Usage, from the repository root:
+
+    python3 tools/outputs.py 3eaf5cd
+
+Every job of every benchmark workload (``perfbench/workloads.py``) for
+seeds 1-3, and every shipped ``scenarios/*.yaml``, runs through
+``rollsim.cli.run`` twice: in a ``git archive`` copy of the named commit
+(the parent) and in the working tree (the change), each side in a fresh
+interpreter importing its own ``src/``.  The scenario texts are built
+once, from the working tree, so both sides read the same inputs.  A job's
+exit code, or the exception it raised, is written beside its outputs as
+``<job>.exit``.
+
+Every file written is then compared: JSON reports as parsed data without
+``tool.runtime_s``, every other file byte for byte.  The tool prints each
+file that differs or that only one side wrote, and exits 1 if there is
+any, else 0.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from pairs import ROOT, SIDES, copy_commit
+
+SEEDS = (1, 2, 3)
+
+# Runs in each tree: argv[1] is the JSON list of (name, scenario text),
+# argv[2] the directory the outputs go to.
+DRIVER = """\
+import json, sys
+from pathlib import Path
+sys.path.insert(0, str(Path.cwd() / "src"))
+import rollsim.cli, rollsim.scenario
+out = Path(sys.argv[2])
+for name, text in json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")):
+    prefix = out / name
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        scenario = rollsim.scenario.parse_scenario(text)
+        status = str(rollsim.cli.run(scenario, out_prefix=str(prefix), jobs=1).exit_code)
+    except Exception as exc:
+        status = f"{type(exc).__name__}: {exc}"
+    (out / f"{name}.exit").write_text(status + "\\n", encoding="utf-8")
+"""
+
+
+def build_jobs(repo: Path) -> list[tuple[str, str]]:
+    """(output name, scenario text) of every workload job for each seed and
+    of every shipped scenario, from ``repo``'s ``perfbench`` and ``scenarios``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", repo / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    jobs = [
+        (f"{workload}_seed{seed}/{job.name}", job.text)
+        for workload in workloads.WORKLOADS
+        for seed in SEEDS
+        for job in workloads.build_jobs(workload, seed, repo / "scenarios")
+    ]
+    jobs += [(f"scenarios/{path.stem}", path.read_text(encoding="utf-8"))
+             for path in sorted((repo / "scenarios").glob("*.yaml"))]
+    return jobs
+
+
+def run_jobs(tree: Path, jobs_file: Path, out: Path) -> None:
+    done = subprocess.run([sys.executable, "-c", DRIVER, str(jobs_file), str(out)],
+                          cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"the jobs in {tree} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
+
+
+def same(parent: Path, change: Path) -> bool:
+    """Whether two output files agree: JSON without ``tool.runtime_s``,
+    anything else byte for byte."""
+    if parent.suffix != ".json":
+        return parent.read_bytes() == change.read_bytes()
+    reports = []
+    for path in (parent, change):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(report.get("tool"), dict):
+            report["tool"].pop("runtime_s", None)
+        reports.append(json.dumps(report, sort_keys=True))
+    return reports[0] == reports[1]
+
+
+def compare(repo: Path, commit: str, log=print) -> tuple[int, list[str]]:
+    """Run the jobs on both sides; returns how many files were compared
+    and a line for each that differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "parent").mkdir()
+        sha = copy_commit(repo, commit, tmp / "parent")
+        trees = {"parent": tmp / "parent", "change": repo}
+        jobs_file = tmp / "jobs.json"
+        jobs_file.write_text(json.dumps(build_jobs(repo)), encoding="utf-8")
+        files = {}
+        for side in SIDES:
+            out = tmp / "out" / side
+            run_jobs(trees[side], jobs_file, out)
+            files[side] = {path.relative_to(out) for path in out.rglob("*") if path.is_file()}
+            log(f"{side} {sha[:12] if side == 'parent' else repo}: {len(files[side])} files")
+        parent, change = files["parent"], files["change"]
+        shared = sorted(parent & change)
+        differences = [f"only in parent: {path}" for path in sorted(parent - change)]
+        differences += [f"only in change: {path}" for path in sorted(change - parent)]
+        differences += [f"differs: {path}" for path in shared
+                        if not same(tmp / "out" / "parent" / path, tmp / "out" / "change" / path)]
+    return len(shared), differences
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("commit", help="the parent commit, any name git accepts")
+    parser.add_argument("--repo", type=Path, default=ROOT, help="the working tree (default: this checkout)")
+    args = parser.parse_args(argv)
+    compared, differences = compare(args.repo.resolve(), args.commit,
+                                    log=lambda line: print(line, file=sys.stderr, flush=True))
+    print("\n".join(differences + [f"{compared} files compared, {len(differences)} differences"]))
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
