@@ -13,8 +13,8 @@ measured output, error, controller output) or per tuner evaluation (tune:
 would write it; :func:`rollsim.csvfmt.format_rows` produces those bytes
 with numpy, a chunk of rows per write, and the file is written in binary mode.
 
-Exit codes: 0 success, 1 input error, 2 simulation divergence (partial
-outputs are still written).
+Exit codes: 0 success, 1 input error (a usage error too), 2 simulation
+divergence (partial outputs are still written).
 """
 
 from __future__ import annotations
@@ -284,8 +284,17 @@ def _apply_overrides(scenario: Scenario, dt: float | None, t_end: float | None) 
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits ``EXIT_INPUT_ERROR`` on a usage error, not argparse's 2, the code
+    of a divergence here; subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rollsim",
         description="Hot-mill drive sizing, loop simulation, PID tuning, and pole analysis",
     )

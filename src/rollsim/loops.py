@@ -543,9 +543,7 @@ class _NonlinearLoop:
             final = count
             if model.quantization_step > 0.0 and ticking:
                 for left in range(_ROUNDS - 1, -1, -1):
-                    # A sum is non-finite when a term is (or when it overflows:
-                    # stepping then decides).
-                    if end < count or not math.isfinite(rows.sum()):
+                    if end < count:
                         return 0
                     again = apply_sensor(rows[:, 0], model, noise, offset)
                     changed = np.flatnonzero(again != readings)
@@ -556,7 +554,7 @@ class _NonlinearLoop:
                     errors = sp - readings
                     # The last round keeps only its final samples.
                     rows, end, z_end = self.open.apply(errors if left else errors[:final], z)
-            if final == 0 or end < final or not math.isfinite(rows[:final].sum() + z_end.sum()):
+            if final == 0 or z_end is None:
                 return 0
         out[:, :final] = rows[:final, 0], readings[:final], errors[:final], rows[:final, 1]
         self.cur[:size] = z_end
@@ -591,9 +589,6 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
             closed = f - np.outer(g, h)  # e = sp - h z
         rows, end = propagate(closed, g, sp, np.array([h, -h, closed[-1]]), [0.0, 1.0, g[-1]])
         y_true, err, u = rows.T
-        bad_output = np.flatnonzero(~np.isfinite(y_true))
-        if bad_output.size:
-            end = int(bad_output[0])
         y_meas = y_true
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once

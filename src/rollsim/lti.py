@@ -15,9 +15,8 @@ zero-order hold).  Open-loop runs here and the closed loops in
 recurrence is evaluated in closed form, a block of steps at a time, by
 :func:`propagate`: open-loop runs and linear closed loops over their
 whole horizon, and a nonlinear loop's verified blocks through one reused
-:class:`PropagationPlan`.  Rows come straight from the block products,
-and block starts from a doubling scan over finite powers of the step map
-only, so an overflow shows where the step-by-step recurrence meets it.
+:class:`PropagationPlan`, the one place that decides where a run stops:
+at the first sample whose state or output is not finite.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -368,21 +367,36 @@ _BLOCK = 16
 _SERIAL_PRODUCT = 4 * 65536
 
 
-def _finite_chain(chain: np.ndarray, left: np.ndarray | None = None) -> int:
-    """Fill ``chain[1:]`` in place, item i = ``left`` @ item i-1 (item i-1
-    squared when ``left`` is None), and return how many leading items are
-    kept: all, or those before the first non-finite one after ``chain[0]``,
-    found with one finiteness test."""
+def _finite_chain(chain: np.ndarray) -> int:
+    """Fill ``chain[1:]`` in place, item i = item i-1 squared, and return
+    how many leading items are kept: all, or those before the first
+    non-finite one after ``chain[0]``, found with one finiteness test."""
     for i in range(1, len(chain)):
-        previous = chain[i - 1]
-        np.dot(previous if left is None else left, previous, out=chain[i])
+        np.dot(chain[i - 1], chain[i - 1], out=chain[i])
     bad = np.flatnonzero(~np.all(np.isfinite(chain[1:]), axis=(1, 2)))
     return 1 + int(bad[0]) if bad.size else len(chain)
 
 
 class PropagationPlan:
     """The block maps and doubling powers of :func:`propagate`, built once
-    for inputs of up to ``longest`` samples and applied from any start."""
+    for inputs of up to ``longest`` samples and applied from any start.
+
+    The plan alone decides where a run stops: at ``end``, the first sample
+    whose state or first row (the output) is not finite.  Overflow is how
+    divergence shows, but an overflowed map entry times a zero state or
+    input is NaN, which would flag finite samples; so every map is finite.
+    The block length L is the first offset i whose m^(i+1), m^i g or row
+    map column overflowed (at least 1), found by one test of the maps'
+    sum, and one scan covers at most 2^K blocks for K finite doubling
+    powers.  No state or row of a block exceeds its largest operand (start
+    or input) times ``state_gain``, the largest column sum of the block
+    and row maps, and rounding adds at most a factor 1 + (n + L)u to that
+    (N. Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    section 3.5).  So an apply whose bound is below 1e300 computes states
+    only for an end state inside its last block; any other tests each
+    chunk's states and first row by their sum, and one by one only when
+    that is not finite.
+    """
 
     def __init__(self, m: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray, longest: int) -> None:
         m = np.asarray(m, dtype=float)
@@ -392,31 +406,30 @@ class PropagationPlan:
         n, outputs = len(g), len(h)
         with np.errstate(over="ignore", invalid="ignore"):
             powers = np.empty((_BLOCK + 1, n, n))  # m^0 .. m^16
-            powers[0] = np.eye(n)
-            powers[1] = m
-            powers = powers[:1 + _finite_chain(powers[1:], m)]
-            size = len(powers) - 1
-            markov = np.concatenate([powers[:size] @ g, np.zeros((size, n))])  # m^i g
-            offsets = np.arange(size)
+            powers[0], powers[1] = np.eye(n), m
+            for i in range(2, _BLOCK + 1):
+                np.dot(m, powers[i - 1], out=powers[i])
+            markov = np.concatenate([powers[:_BLOCK] @ g, np.zeros((_BLOCK, n))])  # m^i g
+            offsets = np.arange(_BLOCK)
             lags = offsets - offsets[:, None] - 1  # i - 1 - l; below 0 reads a zero
             # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
             # feeds input w[b+l] to offsets i > l.
             block_map = np.concatenate([
-                powers[:size].transpose(2, 0, 1).reshape(n, size * n),
-                markov[lags].reshape(size, size * n),
+                powers[:_BLOCK].transpose(2, 0, 1).reshape(n, _BLOCK * n),
+                markov[lags].reshape(_BLOCK, _BLOCK * n),
             ])
-            row_map = block_map.reshape(n + size, size, n) @ h.T
+            row_map = block_map.reshape(n + _BLOCK, _BLOCK, n) @ h.T
             row_map[n + offsets, offsets] += j
-            if not np.isfinite(markov.sum() + row_map.sum()):
-                # Offset i of a block needs h m^i and h m^(i-1-l) g, its end m^(L-1) g:
-                # a shorter block's maps are the top-left corner of these.
-                finite = np.all(np.isfinite(markov[:size]), axis=1) & np.all(np.isfinite(row_map), axis=(0, 2))
-                size = max(1, int(np.argmin(finite))) if not np.all(finite) else size
-                block_map, row_map = block_map[:n + size, :size * n], row_map[:n + size, :size]
-            self.block_map, self.row_map = block_map, row_map.reshape(n + size, -1)
-            # A block's states are its operands times the block map, so none
-            # exceeds its largest operand times the map's largest column sum.
-            self.state_gain = float(np.abs(block_map).sum(axis=0).max(initial=0.0))
+            size = _BLOCK
+            if not np.isfinite(powers[1:].sum() + markov.sum() + row_map.sum()):
+                # Offset i needs m^(i+1), m^i g and row map column i; a shorter
+                # block's maps are the top-left corner of these.
+                finite = np.all(np.isfinite(powers[1:]), axis=(1, 2)) & np.all(np.isfinite(markov[:_BLOCK]), axis=1)
+                finite &= np.all(np.isfinite(row_map), axis=(0, 2))
+                size = max(1, int(np.argmin(np.append(finite, False))))
+            self.block_map = block_map[:n + size, :size * n]
+            self.row_map = row_map[:n + size, :size].reshape(n + size, -1)
+            self.state_gain = max(float(np.abs(a).sum(axis=0).max(initial=0.0)) for a in (self.block_map, self.row_map))
             self.carry = markov[size - 1::-1]  # carries a block's inputs to its end
 
             # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
@@ -435,9 +448,9 @@ class PropagationPlan:
 
     def apply(self, w: np.ndarray, z0: np.ndarray | None = None) -> tuple[np.ndarray, int, np.ndarray | None]:
         """:func:`propagate` from the start state ``z0`` (zero when None),
-        returning also z[len(w)], the state after the last sample: None when
-        ``end`` < ``len(w)``, and not tested for finiteness.  A non-finite
-        input shows as non-finite states from the start of its block."""
+        returning also ``z_end``, the state after the last sample: None
+        unless it is finite and ``end`` is ``len(w)``.  A non-finite input
+        shows as non-finite samples from the start of its block."""
         w = np.asarray(w, dtype=float)
         n, size, count = self.n, self.size, len(w)
         blocks, full = -(-count // size), count // size
@@ -458,34 +471,23 @@ class PropagationPlan:
                 start = ends[-1]
 
             rows = np.empty((blocks * size, self.outputs))
-            # No state exceeds its block's largest operand times the state
-            # gain, and rounding adds at most a factor 1 + (n + L)u to that
-            # (N. Higham, *Accuracy and Stability of Numerical Algorithms*,
-            # 2002, section 3.5).  Below 1e300 the search would find nothing,
-            # so states are computed only for the end state, from the last
-            # chunk; a NaN or inf operand fails the test.  An apply of one
-            # chunk, such as a verified block, is searched without the test,
-            # which would cost it more than it saves.
+            bounded = max(operands.max(initial=0.0), -operands.min(initial=0.0)) * self.state_gain < 1e300
             last = (blocks - 1) // self.per_chunk * self.per_chunk  # the last chunk's first block
-            bounded = last > 0 and max(operands.max(), -operands.min()) * self.state_gain < 1e300
-            searched = last if bounded else 0  # the first block whose states are computed
-            buffer = np.empty((min(blocks - searched, self.per_chunk), size * n))
             for first in range(0, blocks, self.per_chunk):
                 chunk = operands[first:first + self.per_chunk]
-                offset = first * size
-                np.dot(chunk, self.row_map, out=rows[offset:offset + len(chunk) * size].reshape(len(chunk), -1))
-                if first < searched or bounded and not count % size:
+                chunk_rows = rows[first * size:(first + len(chunk)) * size]
+                np.dot(chunk, self.row_map, out=chunk_rows.reshape(len(chunk), -1))
+                if bounded and (first < last or not count % size):
                     continue
-                states = np.dot(chunk, self.block_map, out=buffer[:len(chunk)])
-                if not np.isfinite(states.sum()):
-                    finite = np.all(np.isfinite(states.reshape(-1, n)), axis=1)
-                    if not np.all(finite):
-                        end = min(count, offset + int(np.argmin(finite)))
-                        if end < count:
-                            return rows[:end], end, None
-        if count % size:  # the last block's state at offset count % size
-            start = states[-1, (count % size) * n:(count % size + 1) * n].copy()
-        return rows[:count], count, start
+                states = np.dot(chunk, self.block_map).reshape(len(chunk_rows), n)
+                if not bounded and not np.isfinite(states.sum() + chunk_rows[:, 0].sum()):
+                    finite = np.all(np.isfinite(states), axis=1) & np.isfinite(chunk_rows[:, 0])
+                    end = first * size + int(np.argmin(finite)) if not np.all(finite) else count
+                    if end < count:
+                        return rows[:end], end, None
+            if count % size:  # the end state, inside the last block
+                start = states[count - last * size].copy()
+            return rows[:count], count, start if np.all(np.isfinite(start)) else None
 
 
 def propagate(
@@ -497,13 +499,13 @@ def propagate(
 ) -> tuple[np.ndarray, int]:
     """States of z[k+1] = m z[k] + g w[k] from z[0] = 0, for k < len(w).
 
-    Returns ``(rows, end)``.  ``end`` is the index of the first non-finite
-    state, or ``len(w)`` when all are finite; ``rows[k]`` for k < end is
-    the projection h z[k] + j w[k], with ``h`` p x n and ``j`` of length p.
-    The inputs must be finite.  This is one :class:`PropagationPlan`
-    applied from z0 = 0; a caller that runs the same maps over many
-    stretches builds the plan once and starts each apply from the state
-    the one before ended on.
+    Returns ``(rows, end)``.  ``end`` is the index of the first sample
+    whose state or first row is not finite, or ``len(w)`` when all are
+    finite; ``rows[k]`` for k < end is the projection h z[k] + j w[k],
+    with ``h`` p x n and ``j`` of length p.  The inputs must be finite.
+    This is one :class:`PropagationPlan` applied from z0 = 0; a caller
+    that runs the same maps over many stretches builds the plan once and
+    starts each apply from the state the one before ended on.
 
     The recurrence is evaluated in blocks of L = ``_BLOCK`` steps (G.
     Blelloch, *Prefix sums and their applications*, 1990).  Within a block
@@ -517,18 +519,9 @@ def propagate(
     P_k^T with P_k = M^(2^k), so Python never steps once per block; the
     first start is z0.
 
-    Overflow is how divergence shows, but an overflowed map entry times a
-    zero state or input is NaN, which would flag finite states.  So only
-    finite maps are used, each stack tested once: L stops before the first
-    power m^i, m^i g or row map entry h m^i, h m^i g that overflows, and
-    one scan covers at most 2^K blocks for K finite P_k, the next scan
-    carrying on from the last end of the one before.  A chunk's states are
-    searched one by one only when their sum is not finite.  The first
-    non-finite state is then the one the step-by-step recurrence meets.
-    No state of a block exceeds its largest operand (start or input) times
-    the block map's largest column sum, so when that product is far from
-    overflow for every block of an apply of several chunks, no chunk is
-    searched, and states are computed only for the end state.
+    Only finite maps are used, so ``end`` is where the step-by-step
+    recurrence meets its first non-finite sample (see
+    :class:`PropagationPlan`).
     """
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -553,9 +546,7 @@ def simulate_lti(ss: StateSpaceModel, u: np.ndarray, cfg: SimConfig) -> TimeSeri
         raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
     m, nvec = zoh_step_matrices(ss, cfg.dt)
     rows, end = propagate(m, nvec, u, ss.C, [ss.D])
-    finite = np.isfinite(rows[:, 0])
-    end = end if np.all(finite) else int(np.argmin(finite))  # first non-finite output
-    y = rows[:end, 0]
+    y = rows[:, 0]
     if end <= steps:
         partial = TimeSeries(t=t[:end], channels={"u": u[:end].copy(), "y": y})
         raise SimulationDiverged(time=float(t[end]), partial=partial)

@@ -363,10 +363,14 @@ _SIMULATE = {
     "sim": (_record(_SIM, SimConfig), {}),
     "seed": (_integer, 0),
 }
+# A tuned loop runs no detector.
+_TUNE_LOOP = {key: entry for key, entry in _SIMULATE.items() if key != "detector"}
 
 
-def _resolve_simulate(raw: Any, path: str) -> tuple[dict, tuple[LoopSpec, DetectorConfig | None]]:
-    parts = _fields(raw, path, _SIMULATE)
+def _resolve_simulate(
+    raw: Any, path: str, table: dict = _SIMULATE,
+) -> tuple[dict, tuple[LoopSpec, DetectorConfig | None]]:
+    parts = _fields(raw, path, table)
     resolved, made = {"seed": parts.pop("seed")}, {}
     for key, part in parts.items():
         resolved[key], made[key] = part or (None, None)
@@ -377,14 +381,14 @@ def _resolve_simulate(raw: Any, path: str) -> tuple[dict, tuple[LoopSpec, Detect
         )
     except ValueError as exc:  # LoopSpec names the field: setpoint[i].value
         raise ScenarioError(f"{path}.{exc}") from exc
-    return resolved, (spec, made["detector"])
+    return resolved, (spec, made.get("detector"))
 
 
 _GAINS = {gain: (_number, 0.0) for gain in ("kp", "ki", "kd")}
 _BOUNDS = {gain: (_interval, [0.0, 0.0]) for gain in ("kp", "ki", "kd")}
 
 _TUNE = {
-    "loop": (_resolve_simulate, {}),
+    "loop": (lambda raw, path: _resolve_simulate(raw, path, _TUNE_LOOP), {}),
     "bounds": (lambda raw, path: _fields(raw, path, _BOUNDS), {}),
     "initial": (lambda raw, path: _fields(raw, path, _GAINS), {}),
     "cost": (_choice("itae", "ise", "iae"), "itae"),
@@ -396,8 +400,7 @@ _TUNE = {
 
 def _resolve_tune(raw: Any, path: str) -> tuple[dict, TuneSpec]:
     resolved = _fields(raw, path, _TUNE)
-    loop_resolved, (loop, _detector) = resolved["loop"]
-    resolved["loop"] = loop_resolved
+    resolved["loop"], (loop, _) = resolved["loop"]
     spec = _build(
         path,
         TuneSpec,

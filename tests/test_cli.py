@@ -157,6 +157,48 @@ def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text,
     assert not out.with_suffix(".json").exists()
 
 
+def test_a_tune_loop_detector_exits_1_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "tune.yaml"
+    path.write_text("kind: tune\ntune:\n  loop: {detector: {residual_threshold: 0.5}}\n", encoding="utf-8")
+    code = cli.main(["tune", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: unknown key(s): tune.loop.detector\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+# A usage error exits 1, like any input error: 2 means a divergence.
+_USAGE_ERRORS = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "no_scenario": ["simulate"],
+    "dt_not_a_number": ["simulate", "--scenario", "x.yaml", "--dt", "abc"],
+}
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_INPUT_ERROR
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--help"])
+    assert info.value.code == cli.EXIT_OK
+    assert "--scenario" in capsys.readouterr().out
+
+
+def test_a_usage_error_exits_1_from_a_fresh_interpreter():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["simulate"], ["simulate", "--scenario", "x.yaml", "--dt", "abc"]):
+        proc = subprocess.run([sys.executable, "-m", "rollsim", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_INPUT_ERROR, proc.stderr
+        assert "rollsim simulate: error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "den, expected",
     [

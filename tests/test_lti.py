@@ -851,7 +851,7 @@ def test_an_overflowing_impulse_term_cuts_the_block():
 def test_an_overflowing_row_map_cuts_the_block():
     # h m^9 overflows, but every state is finite and so is every row
     # before the last: an overflowed map entry times a zero start would
-    # read rows[9] as NaN.
+    # read rows[9] as NaN.  The overflowed output rows[11] ends the run.
     m, g, h = np.array([[1e30, 1.0], [0.0, 0.5]]), np.array([1.0, 1.0]), np.array([[1e40, 0.0]])
     w = np.ones(12)
     w[0] = 0.0
@@ -859,9 +859,8 @@ def test_an_overflowing_row_map_cuts_the_block():
         expected = plain_recurrence(m, g, w) @ h.T
     assert np.all(np.isfinite(expected[:11])) and np.isinf(expected[11, 0])
     rows, end = propagate(m, g, w, h, np.zeros(1))
-    assert end == len(w)
+    assert end == 11
     np.testing.assert_allclose(rows[:11], expected[:11], rtol=1e-12)
-    assert rows[11, 0] == expected[11, 0]
 
 
 # An apply of several chunks whose operands times the plan's state gain stay
@@ -947,6 +946,78 @@ def test_an_apply_that_fails_the_bound_ends_at_the_first_nonfinite_state(monkeyp
     assert np.max(np.abs(states - expected[:first])) <= 1e-12 * np.max(np.abs(expected[:first]))
 
 
+@pytest.mark.parametrize("count", [1024, 1000])
+def test_a_bounded_apply_of_one_chunk_computes_states_only_for_an_end_state_inside_a_block(monkeypatch, count):
+    # A verified block of a noisy loop: 1,024 samples or fewer, one chunk.
+    m, g = decaying(6, 42)
+    rng = np.random.default_rng(43)
+    w, h, j, z0 = rng.normal(size=count), rng.normal(size=(2, 6)), rng.normal(size=2), rng.normal(size=6)
+    plan = PropagationPlan(m, g, h, j, 1024)
+    assert count <= plan.per_chunk * plan.size  # one chunk
+    expected = searching(plan).apply(w, z0)
+
+    products = block_products(monkeypatch, plan)
+    rows, end, z_end = plan.apply(w, z0)
+    monkeypatch.undo()
+    assert len(products) == (1 if count % plan.size else 0)
+    assert end == expected[1] == count
+    np.testing.assert_array_equal(rows, expected[0])
+    np.testing.assert_array_equal(z_end, expected[2])
+
+
+def growing(order, seed, radius):
+    """A loop of nonnegative maps, inputs and start growing by ``radius``
+    per step: no sum cancels, so the block products and the step-by-step
+    recurrence overflow at the same sample."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(size=(order, order))
+    m *= radius / np.max(np.abs(np.linalg.eigvals(m)))
+    return m, rng.uniform(size=order), rng.uniform(size=(2, order)), rng.uniform(size=2), rng.uniform(size=order)
+
+
+REGIMES = ("one_chunk", "several_chunks", "overflowing_maps")
+
+
+@pytest.mark.parametrize("overflows", ["state", "output"])
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("order", range(1, 13))
+def test_an_apply_ends_at_the_first_nonfinite_state_or_output(order, regime, overflows):
+    # The overflowing maps grow by 1e25 per step, so m^16 overflows and
+    # the block is cut.  A small output map leaves the state to overflow
+    # first, a large one the output.
+    probe = PropagationPlan(*growing(order, 0, 1.0)[:4], 1)
+    chunk = probe.per_chunk * probe.size
+    count, radius = {
+        "one_chunk": (min(1024, chunk), 10 ** (308 / (0.6 * min(1024, chunk)))),
+        "several_chunks": (3 * chunk, 10 ** (308 / (1.5 * chunk))),
+        "overflowing_maps": (64, 1e25),
+    }[regime]
+    m, g, h, j, z0 = growing(order, 100 * order + REGIMES.index(regime), radius)
+    h[0] *= 1e150 if overflows == "output" else 1e-10
+    w = np.random.default_rng(order).uniform(size=count)
+    z = plain_recurrence(m, g, np.append(w, 0.0), z0)  # z[0 .. count]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = z[:-1] @ h[0] + w * j[0]
+    first_state = first_nonfinite(z)
+    assert 0 < first_state < count
+    assert regime != "several_chunks" or first_state > chunk
+    plan = PropagationPlan(m, g, h, j, count)
+    assert plan.size < 16 if regime == "overflowing_maps" else plan.size == 16
+
+    # The whole run, the run whose z[len(w)] is the first non-finite
+    # state, and the one a sample shorter.
+    for stop in (count, first_state, first_state - 1):
+        finite = np.all(np.isfinite(z[:stop]), axis=1) & np.isfinite(outputs[:stop])
+        first = stop if np.all(finite) else int(np.argmin(finite))
+        rows, end, z_end = plan.apply(w[:stop], z0)
+        assert end == first and len(rows) == first
+        assert (z_end is None) == (end < stop or not np.all(np.isfinite(z[stop])))
+        assert (z_end is None) == (stop != first_state - 1 or overflows == "output")
+        np.testing.assert_allclose(rows[:, 0], outputs[:first], rtol=1e-10)
+        if z_end is not None:
+            np.testing.assert_allclose(z_end, z[stop], rtol=1e-10)
+
+
 def list_chain(first, advance, length):
     """A power chain built as a list of products and cut before its first
     non-finite item: the reference for the chains written in place."""
@@ -960,20 +1031,25 @@ def list_chain(first, advance, length):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_power_chains_written_in_place_are_the_list_built_ones(seed):
+    # With a unit g and h every m^i g and row map column is part of m^i,
+    # so the block is cut where the powers overflow: the plan's block map
+    # holds m^0 .. m^(L-1) and its leap is m^L.
     rng = np.random.default_rng(5000 + seed)
     order = 1 + seed % 12
     m = rng.normal(size=(order, order)) * 10 ** rng.uniform(-3.0, 25.0)  # large ones overflow
+    unit = np.eye(order)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         powers = list_chain(m, lambda p: m @ p, 16)
         doubling = list_chain(powers[-1], lambda p: p @ p, 10)
-        stack = np.empty((16, order, order))
-        stack[0] = m
-        in_place = stack[:_finite_chain(stack, m)]
+        plan = PropagationPlan(m, unit, unit, [0.0], 16)
         stack = np.empty((10, order, order))
         stack[0] = powers[-1]
         squares = stack[:_finite_chain(stack)]
-    assert in_place.shape == powers.shape and squares.shape == doubling.shape
-    assert in_place.tobytes() == powers.tobytes() and squares.tobytes() == doubling.tobytes()
+    size = len(powers)
+    assert plan.size == size and plan.leap.tobytes() == powers[-1].tobytes()
+    in_place = plan.block_map[:order].reshape(order, size, order).transpose(1, 2, 0)
+    assert in_place[1:].tobytes() == powers[:-1].tobytes()
+    assert squares.shape == doubling.shape and squares.tobytes() == doubling.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """tools/outputs.py: the output files of a commit against the working tree."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -100,3 +101,20 @@ def test_json_reports_compare_without_their_runtime(tool, tmp_path):
     c = write("c.json", '{"results": {"x": 1.25}, "tool": {"name": "rollsim", "runtime_s": 0.1}}')
     assert same(a, b) and not same(a, c)
     assert not same(write("d.csv", "1\n"), write("e.csv", "1.0\n"))
+
+
+def test_a_differing_report_names_its_first_differing_key(tool, tmp_path):
+    def write(name, report):
+        (tmp_path / name).write_text(json.dumps(report), encoding="utf-8")
+        return tmp_path / name
+
+    loop = {"detector": None, "seed": 0}
+    parent = write("a.json", {"results": {"x": [1.0, 2.0]}, "scenario": {"tune": {"loop": loop}},
+                              "tool": {"runtime_s": 0.1}})
+    echo = write("b.json", {"results": {"x": [1.0, 2.0]}, "scenario": {"tune": {"loop": {"seed": 0}}},
+                            "tool": {"runtime_s": 0.2}})
+    result = write("c.json", {"results": {"x": [1.0, 2.5]}, "scenario": {"tune": {"loop": {"seed": 1}}}})
+    assert tool.difference(parent, echo) == "scenario.tune.loop.detector"
+    assert tool.difference(parent, result) == "results.x[1]"  # the first in sorted key order
+    assert tool.difference(parent, parent) is None
+    assert tool.difference(write("d.csv", "1\n"), write("e.csv", "2\n")) == ""

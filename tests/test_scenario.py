@@ -79,6 +79,9 @@ def _plant_keys(**plant):
 
 _TF = {"kind": "tf", "den": [1.0, 1.0]}
 _TUNE_DOC = {"kind": "tune", "tune": {"bounds": {}, "initial": {}}}
+# The tuned loop's keys are those of its echo.
+_TUNE_LOOP_DOC = {"kind": "tune", "tune": {"loop": {}}}
+_TUNE_LOOP_KEYS = list(sc.read_scenario(_TUNE_LOOP_DOC).resolved["tune"]["loop"])
 _GUARD = {
     "simulate": (sc._SIMULATE, _SIMULATE_DOC, ("simulate",), {
         "plant": {"kind": "multibody"}, "controller": {"kp": 2.0}, "setpoint": [{"value": 2.0}],
@@ -114,6 +117,10 @@ _GUARD = {
     "tune": (sc._TUNE, _TUNE_DOC, ("tune",), {
         "loop": {"seed": 7}, "bounds": {"kp": [0.0, 1.0]}, "initial": {"kp": 1.0}, "cost": "ise",
         "method": "grid", "grid_points": 3, "max_evals": 10,
+    }),
+    "tune.loop": (_TUNE_LOOP_KEYS, _TUNE_LOOP_DOC, ("tune", "loop"), {
+        "plant": {"kind": "multibody"}, "controller": {"kp": 2.0}, "setpoint": [{"value": 2.0}],
+        "sensor": {"bias": 0.1}, "fault": {"kind": "drift", "onset_t": 1.0}, "sim": {"dt": 0.002}, "seed": 7,
     }),
     "bounds": (sc._BOUNDS, _TUNE_DOC, ("tune", "bounds"), {"kp": [0.0, 1.0], "ki": [0.0, 1.0], "kd": [0.0, 1.0]}),
     "gains": (sc._GAINS, _TUNE_DOC, ("tune", "initial"), {"kp": 1.0, "ki": 1.0, "kd": 1.0}),

@@ -15,8 +15,9 @@ exit code, or the exception it raised, is written beside its outputs as
 
 Every file written is then compared: JSON reports as parsed data without
 ``tool.runtime_s``, every other file byte for byte.  The tool prints each
-file that differs or that only one side wrote, and exits 1 if there is
-any, else 0.  Only the standard library is used.
+file that differs, with the key path of a report's first difference, or
+that only one side wrote, and exits 1 if there is any, else 0.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -77,18 +78,48 @@ def run_jobs(tree: Path, jobs_file: Path, out: Path) -> None:
         raise RuntimeError(f"the jobs in {tree} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
 
 
-def same(parent: Path, change: Path) -> bool:
-    """Whether two output files agree: JSON without ``tool.runtime_s``,
-    anything else byte for byte."""
+def first_difference(parent, change, path: str = "") -> str | None:
+    """The key path (``scenario.tune.loop``, ``results.poles[0].re``) of
+    the first place, in sorted key order, where two parsed JSON values
+    differ; ``path`` itself for values of another kind or length, None
+    when they agree."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        for key in sorted(parent.keys() | change.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in parent or key not in change:
+                return where
+            found = first_difference(parent[key], change[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        for i, (a, b) in enumerate(zip(parent, change)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None
+    return None if json.dumps(parent) == json.dumps(change) else path
+
+
+def difference(parent: Path, change: Path) -> str | None:
+    """Where two output files disagree: None when they agree, else the key
+    path of the first difference of two JSON reports, compared without
+    ``tool.runtime_s``, and "" for any other file, compared byte for byte."""
     if parent.suffix != ".json":
-        return parent.read_bytes() == change.read_bytes()
+        return None if parent.read_bytes() == change.read_bytes() else ""
     reports = []
     for path in (parent, change):
         report = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(report.get("tool"), dict):
             report["tool"].pop("runtime_s", None)
-        reports.append(json.dumps(report, sort_keys=True))
-    return reports[0] == reports[1]
+        reports.append(report)
+    found = first_difference(*reports)
+    return "(the whole report)" if found == "" else found
+
+
+def same(parent: Path, change: Path) -> bool:
+    """Whether two output files agree (see :func:`difference`)."""
+    return difference(parent, change) is None
 
 
 def compare(repo: Path, commit: str, log=print) -> tuple[int, list[str]]:
@@ -111,8 +142,10 @@ def compare(repo: Path, commit: str, log=print) -> tuple[int, list[str]]:
         shared = sorted(parent & change)
         differences = [f"only in parent: {path}" for path in sorted(parent - change)]
         differences += [f"only in change: {path}" for path in sorted(change - parent)]
-        differences += [f"differs: {path}" for path in shared
-                        if not same(tmp / "out" / "parent" / path, tmp / "out" / "change" / path)]
+        for path in shared:
+            where = difference(tmp / "out" / "parent" / path, tmp / "out" / "change" / path)
+            if where is not None:
+                differences.append(f"differs: {path}" + (f" at {where}" if where else ""))
     return len(shared), differences
 
 
