@@ -54,12 +54,19 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO53 = 9007199254740992.0  # 2**53
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps modulo 2**64, which is the 64-bit mask.
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Mix every word of ``z`` in place by SplitMix64's output function;
+    ``scratch`` is a buffer of z's shape.  uint64 arithmetic wraps modulo
+    2**64, which is the 64-bit mask."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
@@ -67,25 +74,33 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
 
     ``counter`` is an int, giving a float, or an integer array, giving an
     array of draws of the same shape.  The bit mixing runs in numpy
-    ``uint64``.  ``cos`` is numpy's, whose float64 results equal
-    ``math.cos`` bit for bit on the angles 2*pi*u2 in [0, 2*pi) (pinned
-    by the tests against a plain-``math`` reference).  ``log`` stays a
-    ``math`` call mapped over the elements, because numpy's float64
-    ``log`` differs from libm's in the last ulp on about 0.35 % of the
-    arguments u1 in (0, 1).  The scaling, ``sqrt`` and product are correctly rounded
-    IEEE operations, so numpy gives the same bits for them.
+    ``uint64``, in place on two buffers: the counters are mixed, xored
+    with the seed's word and mixed again into the base, and one call
+    mixes the stacked [base, base + 1] that give both uniforms.  ``cos``
+    is numpy's, whose float64 results equal ``math.cos`` bit for bit on
+    the angles 2*pi*u2 in [0, 2*pi) (pinned by the tests against a
+    plain-``math`` reference).  ``log`` stays a ``math`` call mapped over
+    the elements, because numpy's float64 ``log`` differs from libm's in
+    the last ulp on about 0.35 % of the arguments u1 in (0, 1).  The
+    scaling, ``sqrt`` and product are correctly rounded IEEE operations,
+    so numpy gives the same bits for them.
     """
     scalar = np.ndim(counter) == 0
-    counters = np.atleast_1d(
-        np.uint64(int(counter) & _MASK64) if scalar else np.asarray(counter).astype(np.uint64)
-    )
-    base = _splitmix64(np.uint64(((seed & _MASK64) << 1) & _MASK64) ^ _splitmix64(counters.ravel()))
-    u1 = (_splitmix64(base) >> np.uint64(11)).astype(float) / _TWO53
-    u2 = (_splitmix64(base + np.uint64(1)) >> np.uint64(11)).astype(float) / _TWO53
+    pair = np.empty((2, 1 if scalar else np.size(counter)), dtype=np.uint64)  # [base, base + 1]
+    scratch = np.empty_like(pair)
+    base = pair[0]
+    base[:] = np.uint64(int(counter) & _MASK64) if scalar else np.asarray(counter).astype(np.uint64).ravel()
+    _splitmix64(base, scratch[0])
+    base ^= np.uint64(((seed & _MASK64) << 1) & _MASK64)
+    _splitmix64(base, scratch[0])
+    np.add(base, np.uint64(1), out=pair[1])
+    _splitmix64(pair, scratch)
+    pair >>= np.uint64(11)
+    u1, u2 = pair.astype(float) / _TWO53
     u1[u1 <= 0.0] = 5e-324
     log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
     draws = np.sqrt(-2.0 * log_u1) * np.cos(2.0 * math.pi * u2)
-    return float(draws[0]) if scalar else draws.reshape(counters.shape)
+    return float(draws[0]) if scalar else draws.reshape(np.shape(counter))
 
 
 # ---------------------------------------------------------------------------

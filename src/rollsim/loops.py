@@ -59,7 +59,7 @@ from .lti import (
     poly_trim,
     polynomial_roots,
     PropagationPlan,
-    propagate,
+    batch_size,
     response_metrics,
     routh_classification,
     RouthVerdict,
@@ -320,7 +320,13 @@ def _analysis(gains: PidGains, plant: TransferFunction) -> tuple:
 class LoopFrame:
     """What the loops around one plant, step and setpoint share, whatever
     their gains: the step map (m, nvec), the read-only time grid ``t`` and
-    setpoint ``sp``, and the gain-free parts of :func:`_loop_maps`' probes."""
+    setpoint ``sp``, and the gain-free parts of :func:`_loop_maps`' probes.
+
+    Linear loops that differ in gains run as one batch: :meth:`batches`
+    scans each batch's block starts through one stacked
+    :class:`~rollsim.lti.PropagationPlan`, and :func:`simulate_loop` then
+    forms each loop's rows from its own starts.  A loop that was not
+    prepared is a batch of one."""
 
     def __init__(self, spec: LoopSpec) -> None:
         self.key = (spec.plant, spec.sim, spec.setpoint)
@@ -335,12 +341,47 @@ class LoopFrame:
         with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
             self.mz = np.array([self.m @ z[:n] for z in np.eye(n + 5)])
         self.branches: dict = {}  # active branches -> the controller's probed directions
+        self.batch = batch_size(n + 4, len(self.t))  # loops per batch
+        self.prepared: dict = {}  # id(gains) -> (gains, the rows of its loop)
+
+    def batches(self, specs: Sequence[LoopSpec]):
+        """Yield ``specs`` in runs of at most ``batch``, each run's linear
+        loops prepared as one batch just before it is yielded; a batch
+        replaces the one before."""
+        for first in range(0, len(specs), self.batch):
+            run = specs[first:first + self.batch]
+            gains = [spec.gains for spec in run if spec.is_linear]
+            self.prepared = {id(g): (g, rows) for g, rows in zip(gains, self._scan(gains))} if gains else {}
+            yield run
+
+    def _scan(self, gains: Sequence[PidGains]) -> list:
+        """One plan of the linear loops of ``gains``, scanned over the
+        setpoint: a callable per loop giving its (rows, end, z_end), the
+        rows being y_true, error and u.  One loop is planned without the
+        member axis, which takes fewer numpy calls."""
+        f, g, h = _loop_maps(self, gains[0] if len(gains) == 1 else gains)
+        lead = g.shape[:-1]
+        outputs, through = np.empty((*lead, 3, len(h))), np.empty((*lead, 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
+            closed = f - g[..., None] * h  # e = sp - h z
+        outputs[..., 0, :], outputs[..., 1, :], outputs[..., 2, :] = h, -h, closed[..., -1, :]
+        through[..., 0], through[..., 1], through[..., 2] = 0.0, 1.0, g[..., -1]
+        return PropagationPlan(closed, g, outputs, through, len(self.sp)).scan(self.sp)
+
+    def linear_rows(self, gains: PidGains) -> tuple[np.ndarray, int]:
+        """(rows, end) of the linear loop of ``gains``: from its prepared
+        starts, which it uses up, or as a batch of one."""
+        prepared, rows = self.prepared.pop(id(gains), (None, None))
+        if prepared is not gains:
+            rows = self._scan([gains])[0]
+        return rows()[:2]
 
 
-def _loop_maps(frame: LoopFrame, gains: PidGains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loop_maps(frame: LoopFrame, gains: PidGains | Sequence[PidGains]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, g, h) of one unsaturated loop step over z = [x, integral,
     prev_error, prev_derivative, u_prev] with the error as input:
-    z[k+1] = F z[k] + g e[k] and y_true[k] = h z[k].
+    z[k+1] = F z[k] + g e[k] and y_true[k] = h z[k].  For a sequence of
+    gains F and g are stacked, one loop each, and h is shared.
 
     Column j is the plant's step map and :func:`~rollsim.pid.pid_step`,
     limits lifted, applied to unit state j, or to a unit error.  The
@@ -350,19 +391,29 @@ def _loop_maps(frame: LoopFrame, gains: PidGains) -> tuple[np.ndarray, np.ndarra
     ki I + kd D and m z + nvec u are then the probed maps bit for bit.
     Direct feedthrough uses the previous command.
     """
+    single = isinstance(gains, PidGains)
+    batch = [gains] if single else list(gains)
     ss = frame.ss
     n = ss.n
-    key = (gains.ki > 0.0, gains.derivative_filter_n if gains.kd > 0.0 else 0.0)
-    if key not in frame.branches:
-        probe = replace(gains, output_min=None, output_max=None)
-        states = [pid_step(PidState(*z[n:-2]), z[-1], frame.dt, probe)[1] for z in np.eye(n + 5)]
-        frame.branches[key] = np.array([[s.integral, s.prev_error, s.prev_derivative] for s in states]).T
-    i, e, d = frame.branches[key]
+    keys = [(g.ki > 0.0, g.derivative_filter_n if g.kd > 0.0 else 0.0) for g in batch]
+    for key, g in zip(keys, batch):
+        if key not in frame.branches:
+            probe = replace(g, output_min=None, output_max=None)
+            states = [pid_step(PidState(*z[n:-2]), z[-1], frame.dt, probe)[1] for z in np.eye(n + 5)]
+            frame.branches[key] = np.array([[s.integral, s.prev_error, s.prev_derivative] for s in states]).T
+    if single:
+        (i, e, d), kp, ki, kd = frame.branches[keys[0]], gains.kp, gains.ki, gains.kd
+    else:
+        i, e, d = np.array([frame.branches[key] for key in keys]).transpose(1, 0, 2)
+        kp, ki, kd = np.array([(g.kp, g.ki, g.kd) for g in batch]).T[..., None]
+    columns = np.empty((*i.shape[:-1], n + 5, n + 4))  # one row per unit state or error
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
-        u = gains.kp * e + gains.ki * i + gains.kd * d
-        columns = np.column_stack([frame.mz + np.outer(u, frame.nvec), i, e, d, u]).T
+        u = kp * e + ki * i + kd * d
+        columns[..., :n] = frame.mz + u[..., None] * frame.nvec
+    columns[..., n], columns[..., n + 1], columns[..., n + 2], columns[..., n + 3] = i, e, d, u
+    maps = columns.swapaxes(-1, -2)
     h = np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
-    return columns[:, :n + 4], columns[:, n + 4], h
+    return maps[..., :n + 4], maps[..., n + 4], h
 
 
 _CHUNK = 1024  # samples whose sensor terms and channel values are held at once
@@ -582,17 +633,13 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     t = frame.t
     sp = frame.sp
     steps = spec.sim.steps
-    maps = _loop_maps(frame, spec.gains)
     if spec.is_linear:
-        f, g, h = maps
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
-            closed = f - np.outer(g, h)  # e = sp - h z
-        rows, end = propagate(closed, g, sp, np.array([h, -h, closed[-1]]), [0.0, 1.0, g[-1]])
+        rows, end = frame.linear_rows(spec.gains)
         y_true, err, u = rows.T
         y_meas = y_true
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
-            loop = _NonlinearLoop(spec, maps, frame.m, frame.nvec)
+            loop = _NonlinearLoop(spec, _loop_maps(frame, spec.gains), frame.m, frame.nvec)
         terms = (
             sensor_terms(loop.model, spec.fault, spec.seed, t, _CHUNK)
             if spec.sensor is not None or spec.fault is not None else itertools.repeat(None)
@@ -677,8 +724,8 @@ def multibody_demo(gains: PidGains = MULTIBODY_REFERENCE_GAINS, sim: SimConfig =
         LoopSpec(plant=plant, gains=g, setpoint=setpoint, sim=sim)
         for g in dict.fromkeys((ideal_gains, filtered_gains))
     ]
-    frame = LoopFrame(specs[0])  # the loops differ in gains only
-    closed = {spec.gains: simulate_loop(spec, frame) for spec in specs}
+    frame = LoopFrame(specs[0])  # the loops differ in gains only: one batch
+    closed = {spec.gains: simulate_loop(spec, frame) for run in frame.batches(specs) for spec in run}
     closed_ideal, closed_filtered = closed[ideal_gains], closed[filtered_gains]
     ideal_verdict, ideal_char, _ = _analysis(ideal_gains, plant)
     return MultibodyDemo(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "StateSpaceModel",
     "TimeSeries",
     "TransferFunction",
+    "batch_size",
     "dc_gain",
     "poly_trim",
     "polynomial_roots",
@@ -365,21 +367,55 @@ _BLOCK = 16
 # bigger products on several threads, and on a loaded two-core machine
 # waking them cost up to 8 ms per product against 0.1 ms on one thread.
 _SERIAL_PRODUCT = 4 * 65536
+# Most bytes of block starts that one batched scan holds (members x blocks
+# x states doubles): ten 6-state loops over 10,001 samples take 0.3 MB,
+# the multibody demo's two 12-state loops over 50,001 samples 0.6 MB.
+_BATCH_BYTES = 1 << 20
+# The offsets of a block, and where block map row n + l reads m^(i-1-l) g
+# for offset i: below 0 it reads one of the zero rows after m^15 g.
+_OFFSETS = np.arange(_BLOCK)
+_LAGS = _OFFSETS - _OFFSETS[:, None] - 1
 
 
-def _finite_chain(chain: np.ndarray) -> int:
+def batch_size(states: int, longest: int) -> int:
+    """How many loops of ``states`` states one :class:`PropagationPlan`
+    over ``longest`` samples batches within ``_BATCH_BYTES``."""
+    return max(1, _BATCH_BYTES // (8 * max(1, states) * (longest // _BLOCK + 1)))
+
+
+def _finite_chain(chain: np.ndarray) -> np.ndarray:
     """Fill ``chain[1:]`` in place, item i = item i-1 squared, and return
-    how many leading items are kept: all, or those before the first
-    non-finite one after ``chain[0]``, found with one finiteness test."""
+    how many leading items each member keeps: all, or those before its
+    first non-finite one after ``chain[0]``, found with one finiteness
+    test.  Items are n x n matrices, or stacks of them."""
+    product = np.dot if chain.ndim == 3 else np.matmul  # np.dot calls cost less
     for i in range(1, len(chain)):
-        np.dot(chain[i - 1], chain[i - 1], out=chain[i])
-    bad = np.flatnonzero(~np.all(np.isfinite(chain[1:]), axis=(1, 2)))
-    return 1 + int(bad[0]) if bad.size else len(chain)
+        product(chain[i - 1], chain[i - 1], out=chain[i])
+    finite = np.all(np.isfinite(chain[1:]), axis=(-2, -1))
+    return 1 + np.logical_and.accumulate(finite).sum(axis=0)
+
+
+def _most_common(values: np.ndarray) -> tuple[int, object]:
+    """The most frequent of the members' ``values`` (a tie goes to the one
+    met first) and which members hold it: ``...`` for the one value of a
+    plan without a member axis, a full slice when all do, else indices."""
+    if values.ndim == 0:
+        return int(values), ...
+    listed = values.tolist()
+    value = max(listed, key=listed.count)
+    return value, slice(None) if listed.count(value) == len(listed) else np.flatnonzero(values == value)
 
 
 class PropagationPlan:
-    """The block maps and doubling powers of :func:`propagate`, built once
-    for inputs of up to ``longest`` samples and applied from any start.
+    """The block maps and doubling powers of :func:`propagate` for a batch
+    of loops, built once for inputs of up to ``longest`` samples and
+    applied from any start.
+
+    Maps with a leading axis, m (B, n, n), g (B, n), h (B, p, n) and
+    j (B, p), stack B members; without it they are one loop, and the
+    plan's arrays lack it too.  Each member's products keep the shapes of
+    a plan of that member alone (a stacked product runs one per member),
+    so its rows are those of its batch of one, bit for bit.
 
     The plan alone decides where a run stops: at ``end``, the first sample
     whose state or first row (the output) is not finite.  Overflow is how
@@ -388,106 +424,157 @@ class PropagationPlan:
     The block length L is the first offset i whose m^(i+1), m^i g or row
     map column overflowed (at least 1), found by one test of the maps'
     sum, and one scan covers at most 2^K blocks for K finite doubling
-    powers.  No state or row of a block exceeds its largest operand (start
-    or input) times ``state_gain``, the largest column sum of the block
-    and row maps, and rounding adds at most a factor 1 + (n + L)u to that
-    (N. Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    section 3.5).  So an apply whose bound is below 1e300 computes states
-    only for an end state inside its last block; any other tests each
-    chunk's states and first row by their sum, and one by one only when
-    that is not finite.
+    powers.  Members share L and that span; a member whose maps give
+    another (they overflow) is planned alone.  No state or row of a block
+    exceeds its largest operand (start or input) times ``state_gain``, the
+    largest column sum of the block and row maps, and rounding adds at
+    most a factor 1 + (n + L)u to that (N. Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, section 3.5).  So an apply whose bound
+    is below 1e300 computes states only for an end state inside its last
+    block; any other tests each chunk's states and first row by their sum,
+    and one by one only when that is not finite.
     """
 
     def __init__(self, m: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray, longest: int) -> None:
         m = np.asarray(m, dtype=float)
-        g = np.asarray(g, dtype=float).ravel()
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        j = np.ravel(np.asarray(j, dtype=float))
-        n, outputs = len(g), len(h)
+        n, batch = m.shape[-1], m.shape[:-2]  # batch: () or (B,)
+        g = np.asarray(g, dtype=float).reshape(*batch, n)
+        j = np.asarray(j, dtype=float).reshape(*batch, -1)
+        outputs = j.shape[-1]
+        h = np.asarray(h, dtype=float).reshape(*batch, outputs, n)
+        product = np.matmul if batch else np.dot  # np.dot calls cost less
+        k = len(batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.empty((_BLOCK + 1, n, n))  # m^0 .. m^16
+            powers = np.empty((_BLOCK + 1, *batch, n, n))  # m^0 .. m^16
             powers[0], powers[1] = np.eye(n), m
             for i in range(2, _BLOCK + 1):
-                np.dot(m, powers[i - 1], out=powers[i])
-            markov = np.concatenate([powers[:_BLOCK] @ g, np.zeros((_BLOCK, n))])  # m^i g
-            offsets = np.arange(_BLOCK)
-            lags = offsets - offsets[:, None] - 1  # i - 1 - l; below 0 reads a zero
+                product(m, powers[i - 1], out=powers[i])
+            markov = np.zeros((2 * _BLOCK, *batch, n))  # m^i g, then zeros
+            markov[:_BLOCK] = (powers[:_BLOCK] @ g[..., None])[..., 0]
             # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
             # feeds input w[b+l] to offsets i > l.
             block_map = np.concatenate([
-                powers[:_BLOCK].transpose(2, 0, 1).reshape(n, _BLOCK * n),
-                markov[lags].reshape(_BLOCK, _BLOCK * n),
-            ])
-            row_map = block_map.reshape(n + _BLOCK, _BLOCK, n) @ h.T
-            row_map[n + offsets, offsets] += j
-            size = _BLOCK
+                powers[:_BLOCK].transpose(*range(1, k + 1), k + 2, 0, k + 1).reshape(*batch, n, _BLOCK * n),
+                markov[_LAGS].transpose(*range(2, k + 2), 0, 1, k + 2).reshape(*batch, _BLOCK, _BLOCK * n),
+            ], axis=-2)
+            row_map = block_map.reshape(*batch, n + _BLOCK, _BLOCK, n) @ h.swapaxes(-1, -2)[..., None, :, :]
+            row_map[..., n + _OFFSETS, _OFFSETS, :] += j[..., None, :]  # input l at offset l
+            size, same = _BLOCK, slice(None) if batch else ...  # L and its members
             if not np.isfinite(powers[1:].sum() + markov.sum() + row_map.sum()):
                 # Offset i needs m^(i+1), m^i g and row map column i; a shorter
                 # block's maps are the top-left corner of these.
-                finite = np.all(np.isfinite(powers[1:]), axis=(1, 2)) & np.all(np.isfinite(markov[:_BLOCK]), axis=1)
-                finite &= np.all(np.isfinite(row_map), axis=(0, 2))
-                size = max(1, int(np.argmin(np.append(finite, False))))
-            self.block_map = block_map[:n + size, :size * n]
-            self.row_map = row_map[:n + size, :size].reshape(n + size, -1)
-            self.state_gain = max(float(np.abs(a).sum(axis=0).max(initial=0.0)) for a in (self.block_map, self.row_map))
-            self.carry = markov[size - 1::-1]  # carries a block's inputs to its end
+                finite = np.all(np.isfinite(powers[1:]), axis=(-2, -1)) & np.all(np.isfinite(markov[:_BLOCK]), axis=-1)
+                finite &= np.moveaxis(np.all(np.isfinite(row_map), axis=(-3, -1)), -1, 0)
+                size, same = _most_common(np.maximum(1, np.logical_and.accumulate(finite).sum(axis=0)))
 
             # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
             # needs P_k for 2^k < len(ends).
             blocks = -(-longest // size)
             span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
             depth = max(1, (min(blocks, span) - 1).bit_length())
-            doubling = np.empty((depth, n, n))  # M^(2^k)
-            doubling[0] = powers[size]
-            doubling = doubling[:_finite_chain(doubling)]
-            self.leap = doubling[0]
-            self.transposed = doubling.transpose(0, 2, 1).copy()  # contiguous: faster products
-            self.span = min(span, 2 ** len(doubling))
+            first = powers[size][same]
+            doubling = np.empty((depth, *first.shape))  # M^(2^k)
+            doubling[0] = first
+            finite = _finite_chain(doubling)
+            span, kept = _most_common(np.minimum(span, 2 ** finite))
+            finite = int(finite[kept].min())
+            # Members of the most common L and span share the plan, any other
+            # is planned alone.  The row maps of one loop lack the member axis
+            # (``pick``); the scan's keep it (``lead``, ``kept``), also for one loop.
+            pick, lead, self.alone, self.members = ..., None, {}, None
+            if batch:
+                members = np.arange(len(m))[same][kept]
+                pick = lead = same if isinstance(kept, slice) else members
+                self.members = members.tolist()
+                self.alone = {  # member -> its own plan
+                    b: PropagationPlan(m[b], g[b], h[b], j[b], longest) for b in sorted({*range(len(m))} - {*self.members})
+                }
+            else:
+                kept = None
+            self.block_map = block_map[pick][..., :n + size, :size * n]
+            self.row_map = row_map[pick][..., :n + size, :size, :].reshape(*self.block_map.shape[:-2], n + size, -1)
+            self.state_gain = np.maximum(  # the largest column sum of both maps
+                np.abs(self.block_map).sum(axis=-2).max(axis=-1, initial=0.0),
+                np.abs(self.row_map).sum(axis=-2).max(axis=-1, initial=0.0),
+            ).tolist()
+            # Carries a block's inputs to its end: m^(L-1-l) g, read backwards.
+            self.carry = markov[:, lead][size - 1::-1].swapaxes(0, 1)
+            self.leap = doubling[0][kept]
+            self.transposed = doubling[:finite][:, kept].swapaxes(-1, -2).copy()  # contiguous: faster products
+            self.span = span
         self.n, self.size, self.outputs = n, size, outputs
         self.per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, outputs)))
 
-    def apply(self, w: np.ndarray, z0: np.ndarray | None = None) -> tuple[np.ndarray, int, np.ndarray | None]:
-        """:func:`propagate` from the start state ``z0`` (zero when None),
-        returning also ``z_end``, the state after the last sample: None
-        unless it is finite and ``end`` is ``len(w)``.  A non-finite input
-        shows as non-finite samples from the start of its block."""
+    def scan(self, w: np.ndarray, z0: np.ndarray | None = None) -> list:
+        """The block starts of every member from the start state ``z0``
+        (zero when None; one row per member for a stacked plan), one scan
+        for all of them.  Returns one callable per member, in batch order,
+        that forms that member's rows from its starts: see :meth:`apply`.
+        Members share the block inputs, so only one member's rows and
+        operands exist at a time."""
         w = np.asarray(w, dtype=float)
         n, size, count = self.n, self.size, len(w)
         blocks, full = -(-count // size), count // size
-        operands = np.zeros((blocks, n + size))  # each block's [start | inputs]
+        operands = np.zeros((blocks, n + size))  # a block's [start | inputs]
         inputs = operands[:, n:]
         inputs[:full] = w[:full * size].reshape(full, size)
         inputs[full:, :count - full * size] = w[full * size:]
-
+        starts = np.empty((len(self.leap), blocks + 1, n))  # each member's z[b * L], b <= blocks
+        starts[:, 0] = 0.0 if z0 is None else z0 if self.members is None else np.asarray(z0)[self.members]
         with np.errstate(over="ignore", invalid="ignore"):
-            start = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float)
             for first in range(0, blocks, self.span):
-                ends = inputs[first:first + self.span] @ self.carry
-                ends[0] += self.leap @ start
-                for k, power in enumerate(self.transposed[:(len(ends) - 1).bit_length()]):
-                    ends[2 ** k:] += ends[:-2 ** k] @ power
-                operands[first, :n] = start
-                operands[first + 1:first + len(ends), :n] = ends[:-1]
-                start = ends[-1]
+                ends = starts[:, first + 1:first + 1 + self.span]
+                length = ends.shape[1]
+                np.matmul(inputs[first:first + length], self.carry, out=ends)
+                ends[:, 0] += (self.leap @ starts[:, first, :, None])[:, :, 0]
+                for k, power in enumerate(self.transposed[:(length - 1).bit_length()]):
+                    ends[:, 2 ** k:] += ends[:, :-2 ** k] @ power
+        if self.members is None:
+            return [partial(self._rows, None, operands, starts[0], count)]
+        scanned = [None] * (len(self.members) + len(self.alone))
+        for i, b in enumerate(self.members):
+            scanned[b] = partial(self._rows, i, operands, starts[i], count)
+        for b, plan in self.alone.items():
+            scanned[b] = plan.scan(w, None if z0 is None else z0[b])[0]
+        return scanned
 
-            rows = np.empty((blocks * size, self.outputs))
-            bounded = max(operands.max(initial=0.0), -operands.min(initial=0.0)) * self.state_gain < 1e300
+    def _rows(
+        self, member: int | None, operands: np.ndarray, starts: np.ndarray, count: int,
+    ) -> tuple[np.ndarray, int, np.ndarray | None]:
+        """Rows, ``end`` and ``z_end`` of one member (None: the plan is one
+        loop) from its block starts; ``operands`` holds the inputs."""
+        maps = (self.block_map, self.row_map, self.state_gain)
+        block_map, row_map, state_gain = maps if member is None else (a[member] for a in maps)
+        n, size, blocks = self.n, self.size, len(operands)
+        operands[:, :n] = starts[:blocks]
+        rows = np.empty((blocks * size, self.outputs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounded = max(operands.max(initial=0.0), -operands.min(initial=0.0)) * state_gain < 1e300
             last = (blocks - 1) // self.per_chunk * self.per_chunk  # the last chunk's first block
             for first in range(0, blocks, self.per_chunk):
                 chunk = operands[first:first + self.per_chunk]
                 chunk_rows = rows[first * size:(first + len(chunk)) * size]
-                np.dot(chunk, self.row_map, out=chunk_rows.reshape(len(chunk), -1))
+                np.dot(chunk, row_map, out=chunk_rows.reshape(len(chunk), -1))
                 if bounded and (first < last or not count % size):
                     continue
-                states = np.dot(chunk, self.block_map).reshape(len(chunk_rows), n)
+                states = np.dot(chunk, block_map).reshape(len(chunk_rows), n)
                 if not bounded and not np.isfinite(states.sum() + chunk_rows[:, 0].sum()):
                     finite = np.all(np.isfinite(states), axis=1) & np.isfinite(chunk_rows[:, 0])
                     end = first * size + int(np.argmin(finite)) if not np.all(finite) else count
                     if end < count:
                         return rows[:end], end, None
-            if count % size:  # the end state, inside the last block
-                start = states[count - last * size].copy()
+            # The end state: inside the last block, or the last block start.
+            start = states[count - last * size].copy() if count % size else starts[blocks]
             return rows[:count], count, start if np.all(np.isfinite(start)) else None
+
+    def apply(self, w: np.ndarray, z0: np.ndarray | None = None):
+        """:func:`propagate` from the start state ``z0`` (zero when None),
+        returning also ``z_end``, the state after the last sample: None
+        unless it is finite and ``end`` is ``len(w)``.  A non-finite input
+        shows as non-finite samples from the start of its block.  A stacked
+        plan returns a list of these (rows, end, z_end), one per member."""
+        results = [member() for member in self.scan(w, z0)]
+        return results if self.members is not None else results[0]
 
 
 def propagate(

@@ -298,12 +298,16 @@ _CONTROLLER = {
     "umin": (_number, None),
     "umax": (_number, None),
 }
-_resolve_controller = _record(
-    _CONTROLLER,
-    lambda kp, ki, kd, n, umin, umax: PidGains(
-        kp=kp, ki=ki, kd=kd, derivative_filter_n=n, output_min=umin, output_max=umax
-    ),
-)
+
+
+def _pid_gains(
+    kp: float = 0.0, ki: float = 0.0, kd: float = 0.0, n: float = 0.0,
+    umin: float | None = None, umax: float | None = None,
+) -> PidGains:
+    return PidGains(kp=kp, ki=ki, kd=kd, derivative_filter_n=n, output_min=umin, output_max=umax)
+
+
+_resolve_controller = _record(_CONTROLLER, _pid_gains)
 
 _SEGMENT = {
     "kind": (_choice("step", "ramp", "hold"), "step"),
@@ -363,8 +367,13 @@ _SIMULATE = {
     "sim": (_record(_SIM, SimConfig), {}),
     "seed": (_integer, 0),
 }
-# A tuned loop runs no detector.
-_TUNE_LOOP = {key: entry for key, entry in _SIMULATE.items() if key != "detector"}
+# A tuned loop runs no detector, and the tuner sets its gains: its
+# controller keeps only the derivative filter and the output limits.
+_TUNE_CONTROLLER = {key: _CONTROLLER[key] for key in ("n", "umin", "umax")}
+_TUNE_LOOP = {
+    **{key: entry for key, entry in _SIMULATE.items() if key != "detector"},
+    "controller": (_record(_TUNE_CONTROLLER, _pid_gains), {}),
+}
 
 
 def _resolve_simulate(
@@ -400,6 +409,10 @@ _TUNE = {
 
 def _resolve_tune(raw: Any, path: str) -> tuple[dict, TuneSpec]:
     resolved = _fields(raw, path, _TUNE)
+    if resolved["method"] != "grid":  # only the grid reads grid_points
+        if "grid_points" in _require_mapping(raw, path):
+            raise ScenarioError(f"{path}.grid_points: read only with method: grid")
+        del resolved["grid_points"]
     resolved["loop"], (loop, _) = resolved["loop"]
     spec = _build(
         path,
@@ -408,7 +421,7 @@ def _resolve_tune(raw: Any, path: str) -> tuple[dict, TuneSpec]:
         cost_kind=resolved["cost"],
         initial=_build(path, PidGains, **resolved["initial"]),
         **{f"{gain}_bounds": tuple(pair) for gain, pair in resolved["bounds"].items()},
-        **{key: resolved[key] for key in ("method", "grid_points", "max_evals")},
+        **{key: resolved[key] for key in ("method", "grid_points", "max_evals") if key in resolved},
     )
     return resolved, spec
 

@@ -205,22 +205,31 @@ def tune_pid(
     lowest (kp, ki, kd).
 
     ``cost_fn`` is injectable for testing; the default is :func:`loop_cost`
-    through one :class:`~rollsim.loops.LoopFrame`, as candidates differ in gains only.
-    ``jobs`` is accepted and ignored: evaluations run in this process,
-    because a process pool cost more to start than the evaluations it
-    shared out.
+    through one :class:`~rollsim.loops.LoopFrame`, as candidates differ in
+    gains only.  With it, candidates known together (the grid's lattice
+    prefix, Nelder-Mead's initial simplex and each shrink) are scanned as
+    one batch by :meth:`~rollsim.loops.LoopFrame.batches` before each is
+    costed in turn.  ``jobs`` is accepted and ignored: evaluations run in
+    this process, because a process pool cost more to start than the
+    evaluations it shared out.
     """
     bounds = spec.bounds
-    cost_fn = cost_fn or partial(loop_cost, frame=LoopFrame(spec.loop))
+    frame = LoopFrame(spec.loop)
+    batched = cost_fn is None
+    cost_fn = cost_fn or partial(loop_cost, frame=frame)
     history: list[tuple[PidGains, float]] = []
 
-    def evaluate(triple: tuple[float, float, float]) -> float:
-        if len(history) >= spec.max_evals:
+    def evaluate(triples: list[tuple[float, float, float]]) -> list[float]:
+        """The costs of ``triples``, in order; past ``max_evals`` the search ends."""
+        loops = [_with_gains(spec, triple) for triple in triples[:spec.max_evals - len(history)]]
+        costs = []
+        for run in frame.batches(loops) if batched else [loops]:
+            for loop in run:
+                costs.append(cost_fn(loop, spec.cost_kind))
+                history.append((loop.gains, costs[-1]))
+        if len(loops) < len(triples):
             raise _BudgetSpent
-        loop = _with_gains(spec, triple)
-        cost = cost_fn(loop, spec.cost_kind)
-        history.append((loop.gains, cost))
-        return cost
+        return costs
 
     start = _project((spec.initial.kp, spec.initial.ki, spec.initial.kd), bounds)
 
@@ -231,8 +240,7 @@ def tune_pid(
             # the max_evals-th: the full lattice can be far larger than the budget.
             axes = [_grid_axis(lo, hi, spec.grid_points, spec.max_evals) for lo, hi in bounds]
             lattice = (point for point in itertools.product(*axes) if point != start)
-            for point in itertools.chain([start], lattice):
-                evaluate(point)
+            evaluate(list(itertools.islice(itertools.chain([start], lattice), spec.max_evals)))
         else:
             _nelder_mead(evaluate, start, bounds)
 
@@ -249,7 +257,8 @@ _SPREAD_TOL = 1e-8  # simplex spread at which Nelder-Mead stops
 
 def _nelder_mead(evaluate, start: tuple[float, float, float], bounds) -> None:
     """Bounded Nelder-Mead on the free gain dimensions; it runs until the
-    simplex spread drops below ``_SPREAD_TOL`` or ``evaluate`` raises."""
+    simplex spread drops below ``_SPREAD_TOL`` or ``evaluate``, which costs
+    a list of triples at once, raises."""
     free = [i for i, (lo, hi) in enumerate(bounds) if lo < hi]
     full = list(start)
 
@@ -260,11 +269,11 @@ def _nelder_mead(evaluate, start: tuple[float, float, float], bounds) -> None:
             triple[i] = min(max(float(xf[j]), lo), hi)
         return tuple(triple)
 
-    def f(xf: np.ndarray) -> float:
-        return evaluate(assemble(xf))
+    def f(*vertices: np.ndarray) -> list[float]:
+        return evaluate([assemble(xf) for xf in vertices])
 
     if not free:
-        evaluate(tuple(full))
+        evaluate([tuple(full)])
         return
 
     dim = len(free)
@@ -279,7 +288,7 @@ def _nelder_mead(evaluate, start: tuple[float, float, float], bounds) -> None:
             vertex[j] = max(x0[j] - step, lo)
         simplex.append(vertex)
 
-    values = [f(v) for v in simplex]
+    values = f(*simplex)
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     while True:
@@ -295,10 +304,10 @@ def _nelder_mead(evaluate, start: tuple[float, float, float], bounds) -> None:
         worst = simplex[-1]
 
         reflected = centroid + alpha * (centroid - worst)
-        fr = f(reflected)
+        fr, = f(reflected)
         if fr < values[0]:
             expanded = centroid + gamma * (centroid - worst)
-            fe = f(expanded)
+            fe, = f(expanded)
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
@@ -308,11 +317,10 @@ def _nelder_mead(evaluate, start: tuple[float, float, float], bounds) -> None:
             simplex[-1], values[-1] = reflected, fr
             continue
         contracted = centroid + rho * (worst - centroid)
-        fc = f(contracted)
+        fc, = f(contracted)
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         # Shrink toward the best vertex.
-        for i in range(1, dim + 1):
-            simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-            values[i] = f(simplex[i])
+        simplex[1:] = [simplex[0] + sigma * (vertex - simplex[0]) for vertex in simplex[1:]]
+        values[1:] = f(*simplex[1:])

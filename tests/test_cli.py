@@ -137,12 +137,19 @@ _SIM = "kind: simulate\nsimulate:\n  "
         ("simulate", _SIM + "sim: {dt: 0.01, integrator: rk4}\n", [], "unknown key(s): simulate.sim.integrator"),
         ("tune", "kind: tune\ntune:\n  loop: {sim: {integrator: euler}}\n", [],
          "unknown key(s): tune.loop.sim.integrator"),
+        # The tuner sets every candidate's gains; the loop keeps n, umin and umax.
+        ("tune", "kind: tune\ntune:\n  loop: {controller: {kp: 5.0, ki: 2.0, kd: 0.1, n: 50.0}}\n", [],
+         "unknown key(s): tune.loop.controller.kd, tune.loop.controller.ki, tune.loop.controller.kp"),
+        ("tune", "kind: tune\ntune:\n  grid_points: 3\n", [], "tune.grid_points: read only with method: grid"),
+        ("tune", "kind: tune\ntune:\n  method: nelder_mead\n  grid_points: 9\n", [],
+         "tune.grid_points: read only with method: grid"),
     ],
     ids=[
         "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
         "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
         "force_overflow", "vfd_frequency_overflow", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
         "plant_den_overflows_monic", "plant_realization_overflows", "simulate_integrator", "tune_integrator",
+        "tune_loop_gains", "tune_grid_points_default_method", "tune_grid_points_nelder_mead",
     ],
 )
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text, extra_args, message):
@@ -731,7 +738,7 @@ def test_fuzzed_scenarios_run_end_to_end(tmp_path_factory, doc):
 # reader takes them.
 _INFINITE_GAINS = {
     "n_and_umax_inf": "kind: simulate\nsimulate:\n  controller: {kp: 1.0, kd: 0.5, n: .inf, umax: .inf}\n",
-    "umin_minus_inf": "kind: tune\ntune:\n  loop:\n    controller: {kp: 1.0, umin: -.inf}\n",
+    "umin_minus_inf": "kind: tune\ntune:\n  loop:\n    controller: {umin: -.inf}\n",
 }
 _ECHOED = {
     **{p.stem: p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.yaml"))},

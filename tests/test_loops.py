@@ -964,3 +964,71 @@ def test_fuzzed_loops_match_the_reference_stepper(
         sensor=SensorModel(noise_sigma=noise, quantization_step=step), fault=fault, seed=seed,
         sim=SimConfig(dt=1e-3, t_end=samples * 1e-3),
     ))
+
+
+# ---------------------------------------------------------------------------
+# Batches: linear loops that differ in gains scanned through one plan
+# ---------------------------------------------------------------------------
+
+BRANCH_SETS = {  # ki = 0 or > 0; no kd, kd with a finite n, kd with the ideal n
+    "p": lambda rng: PidGains(kp=rng.uniform(0.5, 5.0)),
+    "pi": lambda rng: PidGains(kp=rng.uniform(0.5, 5.0), ki=rng.uniform(0.5, 5.0)),
+    "pd_filtered": lambda rng: PidGains(kp=rng.uniform(0.5, 5.0), kd=rng.uniform(0.01, 0.1),
+                                        derivative_filter_n=rng.uniform(20.0, 200.0)),
+    "pid_ideal": lambda rng: PidGains(kp=rng.uniform(0.5, 5.0), ki=rng.uniform(0.5, 5.0),
+                                      kd=rng.uniform(1e-4, 1e-3), derivative_filter_n=math.inf),
+}
+
+
+def diverging_gains(template: LoopSpec) -> PidGains:
+    """The first proportional gain of a decade ladder whose loop diverges
+    after its first block, or failing that the first that diverges."""
+    diverging = []
+    for exponent in range(2, 60):
+        gains = PidGains(kp=10.0 ** exponent)
+        result = simulate_loop(replace(template, gains=gains))
+        if result.diverged and len(result.series) > 16:
+            return gains
+        if result.diverged:
+            diverging.append(gains)
+    return diverging[0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_batch_runs_each_loop_as_it_runs_alone_bit_for_bit(seed):
+    rng = np.random.default_rng(9000 + seed)
+    order = 1 + seed % 8  # 5 to 12 loop states
+    plant = tf_new([rng.uniform(0.5, 2.0)], np.poly(-rng.uniform(0.5, 5.0, size=order)))
+    template = LoopSpec(plant=plant, gains=PidGains(), setpoint=PROFILES["ramp_hold"],
+                        sim=SimConfig(dt=1e-3, t_end=float(rng.uniform(0.5, 2.0))))
+    size = 1 + int(rng.integers(12))
+    gains = [BRANCH_SETS[kind](rng) for kind in rng.choice(list(BRANCH_SETS), size=size)]
+    # One loop that diverges and, where the batch has room, one whose step
+    # map's powers overflow before m^16, so it is planned with a shorter block.
+    for extra, where in zip((diverging_gains(template), PidGains(kp=1e150)), rng.permutation(size)):
+        gains[where] = extra
+    specs = [replace(template, gains=g) for g in gains]
+    frame = LoopFrame(template)
+    batched = [simulate_loop(spec, frame) for run in frame.batches(specs) for spec in run]
+    assert not frame.prepared  # every prepared loop used its starts
+    for spec, result in zip(specs, batched):
+        alone = simulate_loop(spec)
+        assert result.diverged == alone.diverged and result.divergence_time == alone.divergence_time
+        for name in CHANNELS:
+            assert result.series[name].tobytes() == alone.series[name].tobytes(), (spec.gains, name)
+        assert result.diverged == (spec.gains.kp >= 100.0), spec.gains
+
+
+def test_the_multibody_demo_scans_its_two_loops_as_one_batch(monkeypatch):
+    plans = []
+    original = loops.PropagationPlan.__init__
+
+    def counting(self, m, *args):
+        plans.append(np.shape(m))
+        original(self, m, *args)
+
+    monkeypatch.setattr(loops.PropagationPlan, "__init__", counting)
+    demo = multibody_demo(sim=SimConfig(dt=2e-3, t_end=20.0))
+    # The open loop's 8 states, then the ideal and filtered loops, 12 states each.
+    assert plans == [(8, 8), (2, 12, 12)]
+    assert demo.closed_ideal.spec.gains != demo.closed_filtered.spec.gains

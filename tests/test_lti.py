@@ -1052,6 +1052,88 @@ def test_power_chains_written_in_place_are_the_list_built_ones(seed):
     assert squares.shape == doubling.shape and squares.tobytes() == doubling.tobytes()
 
 
+# A stacked plan scans B members at once; each member's rows, end and end
+# state are those of the member planned alone, bit for bit.
+
+MEMBER_KINDS = ("decaying", "diverging", "overflowing")
+
+
+def member(kind, order, count, seed):
+    """(m, g, h, j, z0) of one member: a decaying loop, one that grows to
+    overflow late in a run of ``count`` samples, or one growing by 1e25
+    per step, whose m^16 overflows.  The growing ones are nonnegative,
+    so no sum cancels and the recurrence overflows where the plan does."""
+    if kind == "decaying":
+        rng = np.random.default_rng(seed)
+        m, g = decaying(order, seed, radius=rng.uniform(0.5, 0.999))
+        return m, g, rng.normal(size=(2, order)), rng.normal(size=2), rng.normal(scale=3.0, size=order)
+    radius = 10 ** (308 / (0.6 * count)) if kind == "diverging" else 1e25
+    return growing(order, seed, radius)
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_a_stacked_plan_gives_each_member_its_plan_alone_bit_for_bit(seed):
+    rng = np.random.default_rng(8000 + seed)
+    order, size, count = 1 + seed % 12, 1 + int(rng.integers(12)), int(rng.integers(40, 3000))
+    kinds = ["decaying"] * size
+    for kind, where in zip(MEMBER_KINDS[1:], rng.permutation(size)):
+        kinds[where] = kind  # one diverging and one overflowing member where the batch has room
+    maps = [member(kind, order, count, 100 * seed + b) for b, kind in enumerate(kinds)]
+    w = rng.uniform(size=count)
+    plan = PropagationPlan(*(np.array([mp[i] for mp in maps]) for i in range(4)), count)
+    results = plan.apply(w, np.array([mp[4] for mp in maps]))
+    assert len(results) == size and sorted(plan.members + list(plan.alone)) == list(range(size))
+    for b, ((m, g, h, j, z0), kind, (rows, end, z_end)) in enumerate(zip(maps, kinds, results)):
+        alone = PropagationPlan(m, g, h, j, count)
+        # Members of the plan's block length and span share its scan; any other is planned alone.
+        assert (b in plan.members) == ((alone.size, alone.span) == (plan.size, plan.span))
+        expected_rows, expected_end, expected_z_end = alone.apply(w, z0)
+        assert rows.tobytes() == expected_rows.tobytes() and end == expected_end, kind
+        assert (z_end is None) == (expected_z_end is None)
+        assert z_end is None or z_end.tobytes() == expected_z_end.tobytes()
+        assert (alone.size < 16) == (kind == "overflowing")
+        # The plain recurrence: the same end, and rows within today's tolerances.
+        z = plain_recurrence(m, g, np.append(w, 0.0), z0)  # z[0 .. count]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs = z[:-1] @ h.T + np.outer(w, j)
+        finite = np.all(np.isfinite(z[:-1]), axis=1) & np.isfinite(outputs[:, 0])
+        assert end == (count if np.all(finite) else int(np.argmin(finite))), kind
+        assert (end < count) == (kind != "decaying")
+        if kind == "decaying":
+            assert np.max(np.abs(rows - outputs)) <= 1e-12 * np.max(np.abs(outputs))
+            assert np.max(np.abs(z_end - z[-1])) <= 1e-12 * np.max(np.abs(z))
+        else:
+            np.testing.assert_allclose(rows, outputs[:end], rtol=1e-10)
+
+
+def test_members_planned_together_share_one_scan():
+    # Decaying members of six states: one doubling scan for all of them,
+    # so the scan runs the same lines for ten members as for one, but for
+    # handing each member its starts.
+    def scan_lines(members):
+        maps = [member("decaying", 6, 5000, seed) for seed in range(members)]
+        plan = PropagationPlan(*(np.array([mp[i] for mp in maps]) for i in range(4)), 5000)
+        assert plan.members == list(range(members)) and not plan.alone
+        lines = 0
+
+        def tracer(frame, event, arg):
+            nonlocal lines
+            if frame.f_code is PropagationPlan.scan.__code__:
+                lines += event == "line"
+                return tracer
+            return None
+
+        sys.settrace(tracer)
+        try:
+            scanned = plan.scan(np.ones(5000))
+        finally:
+            sys.settrace(None)
+        assert len(scanned) == members
+        return lines
+
+    assert scan_lines(10) - scan_lines(1) == 2 * 9
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

@@ -22,3 +22,14 @@ def test_two_tune_passes_print_their_times_and_page_faults(capsys):
     for line in lines:
         seconds = float(line.split()[2 if line.startswith("pass") else 1])
         assert 0.0 < seconds < 60.0
+
+
+def test_each_jobs_median_follows_the_pass_median(capsys):
+    assert load_tool().main(["tune", "--passes", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("median")
+    jobs = lines[4:]
+    assert [line.split()[-1] for line in jobs] == ["tune_grid_thickness", "tune_nm_speed"]
+    seconds = [float(line.split()[1]) for line in jobs]
+    assert all(line.startswith("job") and " s  median of " in line for line in jobs)
+    assert 0.0 < sum(seconds) <= float(lines[3].split()[1]) * 1.5

@@ -114,12 +114,12 @@ _GUARD = {
         "sigma_y": "200 MPa", "width": 1.5, "t_initial": "6 mm", "t_final": "2 mm", "roll_diameter": 0.3,
         "line_speed": 1.0, "motor_rpm": 1000.0, "motor_poles": 6, "contact_mode": "exact",
     }),
-    "tune": (sc._TUNE, _TUNE_DOC, ("tune",), {
+    "tune": (sc._TUNE, {"kind": "tune", "tune": {"bounds": {}, "initial": {}, "method": "grid"}}, ("tune",), {
         "loop": {"seed": 7}, "bounds": {"kp": [0.0, 1.0]}, "initial": {"kp": 1.0}, "cost": "ise",
-        "method": "grid", "grid_points": 3, "max_evals": 10,
+        "method": "nelder_mead", "grid_points": 3, "max_evals": 10,
     }),
     "tune.loop": (_TUNE_LOOP_KEYS, _TUNE_LOOP_DOC, ("tune", "loop"), {
-        "plant": {"kind": "multibody"}, "controller": {"kp": 2.0}, "setpoint": [{"value": 2.0}],
+        "plant": {"kind": "multibody"}, "controller": {"n": 50.0}, "setpoint": [{"value": 2.0}],
         "sensor": {"bias": 0.1}, "fault": {"kind": "drift", "onset_t": 1.0}, "sim": {"dt": 0.002}, "seed": 7,
     }),
     "bounds": (sc._BOUNDS, _TUNE_DOC, ("tune", "bounds"), {"kp": [0.0, 1.0], "ki": [0.0, 1.0], "kd": [0.0, 1.0]}),

@@ -414,3 +414,52 @@ def test_huge_grid_builds_only_the_budgeted_prefix():
     assert result.evals == 5
     assert peak < 1_000_000  # one full axis would be 8 GB
     assert [(g.kp, g.ki) for g, _ in result.history][:2] == [(0.1, 0.0), (0.1, 5.0 / (10**9 - 1))]
+
+
+def test_a_ten_candidate_grid_tune_builds_one_stacked_plan(monkeypatch):
+    plans = []
+    original = loops.PropagationPlan.__init__
+
+    def counting(self, m, *args):
+        plans.append(np.shape(m))
+        original(self, m, *args)
+
+    monkeypatch.setattr(loops.PropagationPlan, "__init__", counting)
+    result = tune_pid(grid_spec(ki_bounds=(0.0, 4.0), grid_points=4, max_evals=10))
+    assert result.evals == 10
+    states = len(speed_spec().plant.den) - 1 + 4
+    assert plans == [(10, states, states)]  # not ten plans of one loop
+
+
+def test_a_tunes_batches_hold_its_loops_in_history_order(monkeypatch):
+    batched = []
+    original = LoopFrame.batches
+
+    def recording(self, specs):
+        batched.extend(specs)
+        return original(self, specs)
+
+    monkeypatch.setattr(LoopFrame, "batches", recording)
+    for spec in (grid_spec(ki_bounds=(0.0, 4.0), kd_bounds=(0.0, 0.5), grid_points=3, max_evals=12),
+                 nm_spec(ki_bounds=(0.0, 10.0), initial=PidGains(kp=0.5, ki=0.5), max_evals=25)):
+        batched.clear()
+        result = tune_pid(spec)
+        assert len(batched) == result.evals
+        for loop, (gains, _) in zip(batched, result.history):
+            assert loop == replace(spec.loop, gains=gains) and loop.gains is gains
+
+
+def test_nelder_mead_costs_its_initial_simplex_and_each_shrink_as_one_batch():
+    # Every point but the start costs 1, so reflection and contraction fail
+    # and the simplex shrinks toward the start.
+    start, sizes = (0.5, 0.5, 0.0), []
+
+    def evaluate(triples):
+        sizes.append(len(triples))
+        if sum(sizes) > 30:
+            raise tuning._BudgetSpent
+        return [0.0 if triple == start else 1.0 for triple in triples]
+
+    with pytest.raises(tuning._BudgetSpent):
+        tuning._nelder_mead(evaluate, start, ((0.1, 10.0), (0.0, 10.0), (0.0, 0.0)))
+    assert sizes[:8] == [3, 1, 1, 2, 1, 1, 2, 1]  # simplex; reflect, contract, shrink; ...
