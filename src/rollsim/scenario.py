@@ -14,7 +14,8 @@ command line's ``dt``/``t_end`` overrides are written into a copy of the
 echo and read back, so they are checked like any other input.  A report
 spells an infinite number ``infinite`` or ``-infinite`` (``INFINITIES``),
 and so may a scenario.  YAML is 1.1, but ``1e-3`` and other plain numbers
-with an exponent are floats.
+with an exponent are floats, and a document nests at most ``MAX_DEPTH``
+collections deep.
 
 The section tables below are the schema: each maps a scenario key to its
 reader and default (``_SIZING``, ``_CONTROLLER``, ``_SIMULATE``, ...).
@@ -44,7 +45,10 @@ from .plants import (
 from .sizing import ContactModel, SizingInputs, roll_angular_velocity
 from .tuning import TuneSpec
 
-__all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "read_scenario"]
+__all__ = [
+    "MAX_DEPTH", "Scenario", "ScenarioError", "dump_scenario", "parse_scenario", "parse_scenario_file",
+    "read_scenario",
+]
 
 _UNIT_FACTORS = {
     "m": 1.0,
@@ -200,6 +204,15 @@ def _fields(raw: Any, path: str, table: dict[str, tuple[Reader, Any]]) -> dict[s
     return resolved
 
 
+def _drop_unread(raw: Any, path: str, resolved: dict, key: str, read: bool, when: str) -> None:
+    """Drop ``key`` from ``resolved`` unless it is ``read``; an unread key
+    given in ``raw`` would change nothing, so it is an error."""
+    if not read:
+        if key in _require_mapping(raw, path):
+            raise ScenarioError(f"{path}.{key}: read only {when}")
+        del resolved[key]
+
+
 def _build(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """Call a constructor or analysis, reporting its ``ValueError`` under ``path``."""
     try:
@@ -341,6 +354,16 @@ _FAULT = {
     "duration": (_number, None),
 }
 
+
+def _resolve_fault(raw: Any, path: str) -> tuple[dict, FaultSpec]:
+    resolved = _fields(raw, path, _FAULT)
+    # The jump of a bias jump and the slope of a drift; the other kinds hold
+    # or clear the reading.
+    reads = resolved["kind"] in ("bias_jump", "drift")
+    _drop_unread(raw, path, resolved, "magnitude", reads, "with kind: bias_jump or drift")
+    return resolved, _build(path, FaultSpec, **resolved)
+
+
 _DETECTOR = {
     "residual_threshold": (_number, _REQUIRED),
     "rate_threshold": (_number, 0.0),
@@ -362,7 +385,7 @@ _SIMULATE = {
     "controller": (_resolve_controller, {}),
     "setpoint": (_resolve_setpoint, [{"t": 0.0, "kind": "step", "value": 1.0}]),
     "sensor": (_record(_SENSOR, SensorModel), None),
-    "fault": (_record(_FAULT, FaultSpec), None),
+    "fault": (_resolve_fault, None),
     "detector": (_record(_DETECTOR, DetectorConfig), None),
     "sim": (_record(_SIM, SimConfig), {}),
     "seed": (_integer, 0),
@@ -409,10 +432,7 @@ _TUNE = {
 
 def _resolve_tune(raw: Any, path: str) -> tuple[dict, TuneSpec]:
     resolved = _fields(raw, path, _TUNE)
-    if resolved["method"] != "grid":  # only the grid reads grid_points
-        if "grid_points" in _require_mapping(raw, path):
-            raise ScenarioError(f"{path}.grid_points: read only with method: grid")
-        del resolved["grid_points"]
+    _drop_unread(raw, path, resolved, "grid_points", resolved["method"] == "grid", "with method: grid")
     resolved["loop"], (loop, _) = resolved["loop"]
     spec = _build(
         path,
@@ -446,25 +466,56 @@ _SECTIONS = {
 # Entry points
 # ---------------------------------------------------------------------------
 
-class _Loader(yaml.SafeLoader):
+# libyaml's C code scans, parses and composes where PyYAML was built with it;
+# the resolvers and constructors stay PyYAML's Python, so the data are the same.
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader, also reading plain numbers with an exponent but no
     dot or no exponent sign (``1e-3``, ``1.5e3``) as floats, not strings."""
 
 
-_Loader.add_implicit_resolver(
+class _Dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    """The safe dumper, quoting the strings that :class:`_Loader` reads as floats."""
+
+
+yaml.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
     list("-+0123456789"),
+    Loader=_Loader,
+    Dumper=_Dumper,
 )
+
+# Deepest nesting of collections a scenario may have; the shipped ones nest
+# at most 5.  Composing recurses (libyaml's composer on the C stack), so a
+# deeper document is rejected from its event stream, which is produced
+# iteratively, before anything composes it.
+MAX_DEPTH = 100
+
+
+def _load(text: str) -> Any:
+    """The data of the YAML document ``text``."""
+    try:
+        depth = 0
+        for event in yaml.parse(text, Loader=_Loader):
+            depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+            if depth > MAX_DEPTH:
+                break
+        else:
+            return yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past str->int limits
+        raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
+    line, column = event.start_mark.line + 1, event.start_mark.column + 1
+    raise ScenarioError(f"scenario nests deeper than {MAX_DEPTH} levels at line {line}, column {column}")
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario YAML text: :func:`read_scenario` on the loaded mapping."""
-    try:
-        raw = yaml.load(text, Loader=_Loader)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past str->int limits
-        raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
-    return read_scenario(raw)
+    return read_scenario(_load(text))
+
+
+def dump_scenario(resolved: dict[str, Any]) -> str:
+    """YAML text of a resolved echo that :func:`parse_scenario` reads back to it."""
+    return yaml.dump(resolved, Dumper=_Dumper)
 
 
 def read_scenario(raw: Any) -> Scenario:

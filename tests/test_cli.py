@@ -106,52 +106,68 @@ _SPEED_LOOP = (SCENARIOS / "speed_loop_pi.yaml").read_text(encoding="utf-8")
 _SIM = "kind: simulate\nsimulate:\n  "
 
 
-@pytest.mark.parametrize(
-    "command, text, extra_args, message",
-    [
-        ("simulate", "kind: simulate\nsimulate:\n  sim: {t_end: .nan}\n", [], "simulate.sim: t_end"),
-        ("simulate", "kind: simulate\nsimulate:\n  sim: {t_end: .inf}\n", [], "simulate.sim: t_end"),
-        ("simulate", "kind: simulate\nsimulate:\n  sim: {dt: .inf, t_end: .inf}\n", [], "simulate.sim: dt"),
-        ("poles", "kind: poles\npoles:\n  den: [0.0, 2.0]\n", [], "poles.den"),
-        ("simulate", _SPEED_LOOP, ["--t-end", "inf"], "sim override: simulate.sim: t_end"),
-        ("simulate", "kind: simulate\nsimulate:\n  controller: {kp: 1, umin: .inf}\n", [], "simulate.controller: output_min"),
-        ("size", "kind: size\nsizing: {line_speed: .inf}\n", [], "sizing.line_speed: must be finite"),
-        ("size", "kind: size\nsizing: {line_speed: 1.0e308, roll_diameter: 1.0e-300, t_initial: 1.0e-301,"
-         " t_final: 1.0e-302}\n", [], "sizing.line_speed: the roll speed"),
-        ("size", "kind: size\nsizing: {sigma_y: .inf}\n", [], "sizing.sigma_y: must be finite"),
-        ("size", "kind: size\nsizing: {width: .inf}\n", [], "sizing.width: must be finite"),
-        ("size", "kind: size\nsizing: {motor_rpm: .inf}\n", [], "sizing.motor_rpm: must be finite"),
-        ("size", "kind: size\nsizing: {roll_diameter: .inf}\n", [], "sizing.roll_diameter: must be finite"),
-        ("size", "kind: size\nsizing: {sigma_y: 1.0e300, width: 1.0e100}\n", [], "sizing: force_F overflows"),
-        ("size", "kind: size\nsizing: {motor_rpm: 1.0e308}\n", [], "sizing: vfd_frequency overflows"),
-        ("poles", "kind: poles\npoles:\n  den: [1, 1.0e+100, 1.0e-200]\n", [], "poles.den: pole 0.0 is not accurate"),
-        ("poles", "kind: poles\npoles:\n  den: [1.0e-300, 1.0e+300, 1]\n", [],
-         "poles: transfer function coefficients must be finite, also with the denominator made monic"),
-        ("poles", "kind: poles\npoles: {num: [1.0e+300], den: [1.0e-300, 1]}\n", [], "poles: transfer function"),
-        ("simulate", _SIM + "plant: {kind: tf, num: [1], den: [1.0e-300, 1.0e+300, 1]}\n", [],
-         "simulate.plant: transfer function coefficients must be finite"),
-        # Found by the end-to-end fuzz: a RuntimeWarning, then a traceback, in the realization.
-        ("simulate", _SIM + "plant: {kind: tf, num: [-2.2, 1.0e-300], den: [1.0e-300, 2.75]}\n", [],
-         "simulate.plant: the state-space output map C = b - a D overflows"),
-        # Every run uses the exact hold map; the former step-map option is no key.
-        ("simulate", _SIM + "sim: {dt: 0.01, integrator: rk4}\n", [], "unknown key(s): simulate.sim.integrator"),
-        ("tune", "kind: tune\ntune:\n  loop: {sim: {integrator: euler}}\n", [],
-         "unknown key(s): tune.loop.sim.integrator"),
-        # The tuner sets every candidate's gains; the loop keeps n, umin and umax.
-        ("tune", "kind: tune\ntune:\n  loop: {controller: {kp: 5.0, ki: 2.0, kd: 0.1, n: 50.0}}\n", [],
-         "unknown key(s): tune.loop.controller.kd, tune.loop.controller.ki, tune.loop.controller.kp"),
-        ("tune", "kind: tune\ntune:\n  grid_points: 3\n", [], "tune.grid_points: read only with method: grid"),
-        ("tune", "kind: tune\ntune:\n  method: nelder_mead\n  grid_points: 9\n", [],
-         "tune.grid_points: read only with method: grid"),
-    ],
-    ids=[
-        "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
-        "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
-        "force_overflow", "vfd_frequency_overflow", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
-        "plant_den_overflows_monic", "plant_realization_overflows", "simulate_integrator", "tune_integrator",
-        "tune_loop_gains", "tune_grid_points_default_method", "tune_grid_points_nelder_mead",
-    ],
-)
+def _nested(depth: int) -> str:
+    """A poles scenario whose collections nest ``depth`` deep: the document's
+    mapping, the ``poles`` section, and ``den`` as lists in lists."""
+    return "kind: poles\npoles: {den: " + "[" * (depth - 2) + "]" * (depth - 2) + "}\n"
+
+
+_MALFORMED = [
+    ("simulate", "kind: simulate\nsimulate:\n  sim: {t_end: .nan}\n", [], "simulate.sim: t_end"),
+    ("simulate", "kind: simulate\nsimulate:\n  sim: {t_end: .inf}\n", [], "simulate.sim: t_end"),
+    ("simulate", "kind: simulate\nsimulate:\n  sim: {dt: .inf, t_end: .inf}\n", [], "simulate.sim: dt"),
+    ("poles", "kind: poles\npoles:\n  den: [0.0, 2.0]\n", [], "poles.den"),
+    ("simulate", _SPEED_LOOP, ["--t-end", "inf"], "sim override: simulate.sim: t_end"),
+    ("simulate", "kind: simulate\nsimulate:\n  controller: {kp: 1, umin: .inf}\n", [], "simulate.controller: output_min"),
+    ("size", "kind: size\nsizing: {line_speed: .inf}\n", [], "sizing.line_speed: must be finite"),
+    ("size", "kind: size\nsizing: {line_speed: 1.0e308, roll_diameter: 1.0e-300, t_initial: 1.0e-301,"
+     " t_final: 1.0e-302}\n", [], "sizing.line_speed: the roll speed"),
+    ("size", "kind: size\nsizing: {sigma_y: .inf}\n", [], "sizing.sigma_y: must be finite"),
+    ("size", "kind: size\nsizing: {width: .inf}\n", [], "sizing.width: must be finite"),
+    ("size", "kind: size\nsizing: {motor_rpm: .inf}\n", [], "sizing.motor_rpm: must be finite"),
+    ("size", "kind: size\nsizing: {roll_diameter: .inf}\n", [], "sizing.roll_diameter: must be finite"),
+    ("size", "kind: size\nsizing: {sigma_y: 1.0e300, width: 1.0e100}\n", [], "sizing: force_F overflows"),
+    ("size", "kind: size\nsizing: {motor_rpm: 1.0e308}\n", [], "sizing: vfd_frequency overflows"),
+    ("poles", "kind: poles\npoles:\n  den: [1, 1.0e+100, 1.0e-200]\n", [], "poles.den: pole 0.0 is not accurate"),
+    ("poles", "kind: poles\npoles:\n  den: [1.0e-300, 1.0e+300, 1]\n", [],
+     "poles: transfer function coefficients must be finite, also with the denominator made monic"),
+    ("poles", "kind: poles\npoles: {num: [1.0e+300], den: [1.0e-300, 1]}\n", [], "poles: transfer function"),
+    ("simulate", _SIM + "plant: {kind: tf, num: [1], den: [1.0e-300, 1.0e+300, 1]}\n", [],
+     "simulate.plant: transfer function coefficients must be finite"),
+    # Found by the end-to-end fuzz: a RuntimeWarning, then a traceback, in the realization.
+    ("simulate", _SIM + "plant: {kind: tf, num: [-2.2, 1.0e-300], den: [1.0e-300, 2.75]}\n", [],
+     "simulate.plant: the state-space output map C = b - a D overflows"),
+    # Every run uses the exact hold map; the former step-map option is no key.
+    ("simulate", _SIM + "sim: {dt: 0.01, integrator: rk4}\n", [], "unknown key(s): simulate.sim.integrator"),
+    ("tune", "kind: tune\ntune:\n  loop: {sim: {integrator: euler}}\n", [],
+     "unknown key(s): tune.loop.sim.integrator"),
+    # The tuner sets every candidate's gains; the loop keeps n, umin and umax.
+    ("tune", "kind: tune\ntune:\n  loop: {controller: {kp: 5.0, ki: 2.0, kd: 0.1, n: 50.0}}\n", [],
+     "unknown key(s): tune.loop.controller.kd, tune.loop.controller.ki, tune.loop.controller.kp"),
+    ("tune", "kind: tune\ntune:\n  grid_points: 3\n", [], "tune.grid_points: read only with method: grid"),
+    ("tune", "kind: tune\ntune:\n  method: nelder_mead\n  grid_points: 9\n", [],
+     "tune.grid_points: read only with method: grid"),
+    # Only a bias jump and a drift read a magnitude.
+    ("simulate", _SIM + "fault: {kind: stuck, onset_t: 1.0, magnitude: 0.7}\n", [],
+     "simulate.fault.magnitude: read only with kind: bias_jump or drift"),
+    ("simulate", _SIM + "fault: {kind: dropout, onset_t: 1.0, duration: 2.0, magnitude: 0.7}\n", [],
+     "simulate.fault.magnitude: read only with kind: bias_jump or drift"),
+    # Composing recurses, so nesting is bounded before anything composes;
+    # a document at the bound loads and reaches the reader.
+    ("poles", _nested(1000), [], f"scenario nests deeper than {scenario_module.MAX_DEPTH} levels at line 2"),
+    ("poles", _nested(scenario_module.MAX_DEPTH), [], "poles.den[0]: expected a number, got list"),
+]
+_MALFORMED_IDS = [
+    "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
+    "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
+    "force_overflow", "vfd_frequency_overflow", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
+    "plant_den_overflows_monic", "plant_realization_overflows", "simulate_integrator", "tune_integrator",
+    "tune_loop_gains", "tune_grid_points_default_method", "tune_grid_points_nelder_mead",
+    "stuck_magnitude", "dropout_magnitude", "nested_1000_deep", "nested_at_the_bound",
+]
+
+
+@pytest.mark.parametrize("command, text, extra_args, message", _MALFORMED, ids=_MALFORMED_IDS)
 def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text, extra_args, message):
     path = tmp_path / "bad.yaml"
     path.write_text(text, encoding="utf-8")
@@ -162,6 +178,30 @@ def test_malformed_input_exits_1_naming_the_key(tmp_path, capsys, command, text,
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
     assert not out.with_suffix(".json").exists()
+
+
+# ``python -m rollsim`` with the scenario loader swapped for its twin on
+# PyYAML's pure-Python parser.
+_PURE_PYTHON_MAIN = """\
+import runpy, yaml
+import rollsim.scenario as sc
+sc._Loader = type("Twin", (yaml.SafeLoader,), {"yaml_implicit_resolvers": sc._Loader.yaml_implicit_resolvers})
+runpy.run_module("rollsim", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("main", [["-m", "rollsim"], ["-c", _PURE_PYTHON_MAIN]], ids=["loader", "pure_python_twin"])
+def test_a_document_nested_40000_deep_exits_1_from_a_fresh_interpreter(tmp_path, main):
+    # Composing 40,000 levels overflows the C stack; in a child process a
+    # broken guard fails this assertion instead of killing the test run.
+    path = tmp_path / "deep.yaml"
+    path.write_text(_nested(40_000), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["poles", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, *main, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_INPUT_ERROR, proc.stderr
+    assert proc.stderr.startswith(f"error: scenario nests deeper than {scenario_module.MAX_DEPTH} levels")
+    assert "Traceback" not in proc.stderr
 
 
 def test_a_tune_loop_detector_exits_1_naming_the_key(tmp_path, capsys):
@@ -288,40 +328,40 @@ def test_an_override_runs_the_file_with_it_written_in(tmp_path, name, sim_path):
 _HUGE = "9" * 401
 
 
-@pytest.mark.parametrize(
-    "command, text, message",
-    [
-        ("simulate", _SIM + "controller: {kp: .nan}\n", "simulate.controller.kp"),
-        ("simulate", _SIM + "controller: {n: .nan}\n", "simulate.controller.n"),
-        ("simulate", _SIM + "controller: {kp: " + _HUGE + "}\n", "simulate.controller.kp"),
-        ("simulate", _SIM + "sensor: {noise_sigma: .nan}\n", "simulate.sensor.noise_sigma"),
-        ("simulate", _SIM + "fault: {kind: stuck, onset_t: .nan}\n", "simulate.fault.onset_t"),
-        ("simulate", _SIM + "setpoint: [{t: .nan}]\n", "simulate.setpoint[0].t"),
-        ("simulate", _SIM + "sim: {t_end: 1.0e+15}\n", "simulate.sim: t_end / dt"),
-        ("simulate", _SIM + "sim: {dt: 1.0e-300, t_end: 1.0e+300}\n", "simulate.sim: t_end / dt"),
-        ("tune", "kind: tune\ntune:\n  bounds: {kp: [.nan, 1.0]}\n", "tune.bounds.kp[0]"),
-        ("size", "kind: size\nsizing: {width: " + _HUGE + "}\n", "sizing.width"),
-        ("simulate", _SIM + "fault: {kind: drift, onset_t: 0.5, magnitude: .inf}\n",
-         "simulate.fault: magnitude must be finite"),
-        ("simulate", _SIM + "fault: {kind: bias_jump, onset_t: 0.5, magnitude: -.inf}\n",
-         "simulate.fault: magnitude must be finite"),
-        ("simulate", _SIM + "sensor: {bias: .inf}\n", "simulate.sensor: bias must be finite"),
-        ("simulate", _SIM + "sensor: {noise_sigma: .inf}\n", "simulate.sensor: noise_sigma must be finite"),
-        ("simulate", _SIM + "sensor: {quantization_step: .inf}\n",
-         "simulate.sensor: quantization_step must be finite"),
-        ("simulate", _SIM + "controller: {kp: .inf}\n", "simulate.controller: PID gains must be >= 0 and finite: kp"),
-        ("simulate", _SIM + "controller: {ki: .inf}\n", "simulate.controller: PID gains must be >= 0 and finite: ki"),
-        ("simulate", _SIM + "controller: {kd: .inf, n: 100}\n",
-         "simulate.controller: PID gains must be >= 0 and finite: kd"),
-        ("tune", "kind: tune\ntune:\n  bounds: {kp: [0, .inf]}\n", "tune: kp_bounds must be finite"),
-    ],
-    ids=[
-        "kp_nan", "n_nan", "kp_huge", "noise_nan", "onset_nan", "setpoint_t_nan",
-        "t_end_1e15", "dt_1e-300", "bounds_nan", "width_huge",
-        "drift_inf", "bias_jump_minus_inf", "bias_inf", "noise_inf", "quantization_inf",
-        "kp_inf", "ki_inf", "kd_inf", "bounds_inf",
-    ],
-)
+_AT_PARSE_TIME = [
+    ("simulate", _SIM + "controller: {kp: .nan}\n", "simulate.controller.kp"),
+    ("simulate", _SIM + "controller: {n: .nan}\n", "simulate.controller.n"),
+    ("simulate", _SIM + "controller: {kp: " + _HUGE + "}\n", "simulate.controller.kp"),
+    ("simulate", _SIM + "sensor: {noise_sigma: .nan}\n", "simulate.sensor.noise_sigma"),
+    ("simulate", _SIM + "fault: {kind: stuck, onset_t: .nan}\n", "simulate.fault.onset_t"),
+    ("simulate", _SIM + "setpoint: [{t: .nan}]\n", "simulate.setpoint[0].t"),
+    ("simulate", _SIM + "sim: {t_end: 1.0e+15}\n", "simulate.sim: t_end / dt"),
+    ("simulate", _SIM + "sim: {dt: 1.0e-300, t_end: 1.0e+300}\n", "simulate.sim: t_end / dt"),
+    ("tune", "kind: tune\ntune:\n  bounds: {kp: [.nan, 1.0]}\n", "tune.bounds.kp[0]"),
+    ("size", "kind: size\nsizing: {width: " + _HUGE + "}\n", "sizing.width"),
+    ("simulate", _SIM + "fault: {kind: drift, onset_t: 0.5, magnitude: .inf}\n",
+     "simulate.fault: magnitude must be finite"),
+    ("simulate", _SIM + "fault: {kind: bias_jump, onset_t: 0.5, magnitude: -.inf}\n",
+     "simulate.fault: magnitude must be finite"),
+    ("simulate", _SIM + "sensor: {bias: .inf}\n", "simulate.sensor: bias must be finite"),
+    ("simulate", _SIM + "sensor: {noise_sigma: .inf}\n", "simulate.sensor: noise_sigma must be finite"),
+    ("simulate", _SIM + "sensor: {quantization_step: .inf}\n",
+     "simulate.sensor: quantization_step must be finite"),
+    ("simulate", _SIM + "controller: {kp: .inf}\n", "simulate.controller: PID gains must be >= 0 and finite: kp"),
+    ("simulate", _SIM + "controller: {ki: .inf}\n", "simulate.controller: PID gains must be >= 0 and finite: ki"),
+    ("simulate", _SIM + "controller: {kd: .inf, n: 100}\n",
+     "simulate.controller: PID gains must be >= 0 and finite: kd"),
+    ("tune", "kind: tune\ntune:\n  bounds: {kp: [0, .inf]}\n", "tune: kp_bounds must be finite"),
+]
+_AT_PARSE_TIME_IDS = [
+    "kp_nan", "n_nan", "kp_huge", "noise_nan", "onset_nan", "setpoint_t_nan",
+    "t_end_1e15", "dt_1e-300", "bounds_nan", "width_huge",
+    "drift_inf", "bias_jump_minus_inf", "bias_inf", "noise_inf", "quantization_inf",
+    "kp_inf", "ki_inf", "kd_inf", "bounds_inf",
+]
+
+
+@pytest.mark.parametrize("command, text, message", _AT_PARSE_TIME, ids=_AT_PARSE_TIME_IDS)
 def test_nan_huge_and_long_inputs_exit_1_at_parse_time(
     tmp_path, capsys, monkeypatch, command, text, message
 ):

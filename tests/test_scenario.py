@@ -2,12 +2,14 @@
 its key path, and no input raises anything but ScenarioError."""
 
 import copy
+import importlib.util
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rollsim import scenario as sc
@@ -41,6 +43,12 @@ def test_resolved_echo_reparses_to_the_same_scenario(text):
     assert again.payload == first.payload
 
 
+def test_only_faults_that_read_a_magnitude_echo_one():
+    fault = "kind: simulate\nsimulate:\n  fault: {kind: %s, onset_t: 1.0}\n"
+    for kind, echoes in [("stuck", False), ("dropout", False), ("bias_jump", True), ("drift", True)]:
+        assert ("magnitude" in parse_scenario(fault % kind).resolved["simulate"]["fault"]) == echoes
+
+
 def test_defaults_fill_every_key():
     resolved = parse_scenario("kind: simulate\n").resolved["simulate"]
     assert resolved["plant"] == {"kind": "roll_drive", "K": 1.0, "J": 1.0, "B": 1.0, "r": 0.125}
@@ -60,7 +68,7 @@ _SIMULATE_DOC = {
         "controller": {},
         "sim": {},
         "sensor": {},
-        "fault": {"kind": "stuck", "onset_t": 1.0},
+        "fault": {"kind": "bias_jump", "onset_t": 1.0},
         "detector": {"residual_threshold": 0.1},
         "setpoint": [{}],
     },
@@ -341,3 +349,70 @@ def test_fuzzed_mappings_raise_only_scenario_errors(doc):
         parse_scenario(yaml.safe_dump(doc))
     except ScenarioError:
         pass
+
+
+# Differential test of the libyaml-backed loader against its twin on
+# PyYAML's pure-Python parser and composer, which shares its resolvers.
+class _PurePython(yaml.SafeLoader):
+    yaml_implicit_resolvers = sc._Loader.yaml_implicit_resolvers
+
+
+def test_the_loader_and_dumper_run_on_libyaml_where_pyyaml_has_it():
+    libyaml = yaml.__with_libyaml__
+    assert issubclass(sc._Loader, yaml.CSafeLoader if libyaml else yaml.SafeLoader)
+    assert issubclass(sc._Dumper, yaml.CSafeDumper if libyaml else yaml.SafeDumper)
+
+
+def _loaded(text: str, loader: type) -> str:
+    """The repr of what ``text`` loads to through ``loader`` (exact for NaN
+    and for each number's type), or "ScenarioError"."""
+    with mock.patch.object(sc, "_Loader", loader):
+        try:
+            return repr(sc._load(text))
+        except ScenarioError:
+            return "ScenarioError"
+
+
+def _assert_loaded_alike(text: str) -> None:
+    assert _loaded(text, sc._Loader) == _loaded(text, _PurePython)
+
+
+def _cli_tests():
+    """tests/test_cli.py, loaded from its file whatever pytest's import mode."""
+    spec = importlib.util.spec_from_file_location("cli_tests", Path(__file__).with_name("test_cli.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CLI_TESTS = _cli_tests()
+# The mappings fuzzed here and the mostly valid documents of the end-to-end fuzz.
+_ANY_DOC = st.one_of(_DOCS, _CLI_TESTS._E2E_DOCS)
+_TEXTS = {
+    **{f"shipped_{p.stem}": p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.yaml"))},
+    **{f"malformed_{i}": text for i, (text, _) in enumerate(MALFORMED)},
+    **{f"cli_{name}": row[1] for name, row in zip(_CLI_TESTS._MALFORMED_IDS, _CLI_TESTS._MALFORMED)},
+    **{f"cli_{name}": row[1] for name, row in zip(_CLI_TESTS._AT_PARSE_TIME_IDS, _CLI_TESTS._AT_PARSE_TIME)},
+}
+
+
+@pytest.mark.parametrize("text", _TEXTS.values(), ids=_TEXTS.keys())
+def test_each_table_text_loads_alike_on_both_parsers(text):
+    _assert_loaded_alike(text)
+
+
+@given(doc=_ANY_DOC)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_documents_load_alike_on_both_parsers(doc):
+    _assert_loaded_alike(yaml.safe_dump(doc))
+
+
+@given(text=_ANY_DOC.map(yaml.safe_dump))
+@example(text="kind: size\noutput_prefix: '1e5'\n")
+@settings(max_examples=200, deadline=None)
+def test_the_dumped_echo_reads_back_to_the_same_echo(text):
+    try:
+        first = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert parse_scenario(sc.dump_scenario(first.resolved)).resolved == first.resolved
