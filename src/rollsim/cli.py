@@ -121,9 +121,8 @@ def _write_json(path: Path, scenario: Scenario, results: dict, started: float) -
         },
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # One write: json.dump would write each token of its encoder on its own.
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:

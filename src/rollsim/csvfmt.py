@@ -2,7 +2,10 @@
 
 :func:`format_rows` returns exactly the bytes of ``",".join("%.12g" % v
 for v in row) + "\\n"`` over the rows of a set of columns, without a
-Python call per value.
+Python call per value.  Fewer than ``_SMALL`` values take one ``%`` over
+that row template instead: the numpy passes below cost a fixed 50-60 us
+per call, and their tables take about 180 KB to build, which a table of a
+few dozen values never repays.
 
 A value takes the fast path when it is finite and ``|v|`` lies in
 [1e-280, 1e280], or is zero.  With x = floor(log10 |v|), the scaled
@@ -53,6 +56,9 @@ _WORDS = 5
 _X_MIN = -290    # the tables cover x in [_X_MIN, -_X_MIN], where 10**(11 - x) is finite
 _TIE_MARGIN = 2e-3
 _SMALLEST, _LARGEST = 1e-280, 1e280
+# Values below which the '%' template is faster: it measured so up to about
+# 350 values of a loop's series and 600 of a tune's history (Python 3.11).
+_SMALL = 256
 
 
 def _words(octets: np.ndarray) -> np.ndarray:
@@ -150,8 +156,9 @@ def format_rows(columns: Sequence[np.ndarray]) -> bytes:
     """The CSV rows of equal-length float ``columns``: every value written
     as ``'%.12g' % value``, separated by commas, each row ending in a newline."""
     values = np.column_stack([np.asarray(c, dtype=float) for c in columns]).ravel()
-    if not len(values):
-        return b""
+    if len(values) < _SMALL:
+        row = b",".join([b"%.12g"] * len(columns)) + b"\n"
+        return row * (len(values) // len(columns)) % tuple(values.tolist())
     tables = _tables()
     m, row, fast = _decompose(values)
     row -= _X_MIN  # x - _X_MIN, the tables' index

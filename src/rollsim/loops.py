@@ -317,6 +317,9 @@ def _analysis(gains: PidGains, plant: TransferFunction) -> tuple:
     return verdict, char, closed
 
 
+_LINEAR_CHANNELS = ("y_true", "error", "u")  # the rows a linear loop can form
+
+
 class LoopFrame:
     """What the loops around one plant, step and setpoint share, whatever
     their gains: the step map (m, nvec), the read-only time grid ``t`` and
@@ -326,9 +329,17 @@ class LoopFrame:
     scans each batch's block starts through one stacked
     :class:`~rollsim.lti.PropagationPlan`, and :func:`simulate_loop` then
     forms each loop's rows from its own starts.  A loop that was not
-    prepared is a batch of one."""
+    prepared is a batch of one.
 
-    def __init__(self, spec: LoopSpec) -> None:
+    ``channels`` names the rows a linear loop forms, ``y_true`` first (the
+    plan stops a run at its first non-finite output row), then any of
+    ``error`` and ``u``.  A frame of ``("y_true",)`` serves costs only:
+    its linear results carry ``setpoint``, ``y_true`` and ``y_measured``
+    and lack ``error`` and ``u``.  Its ``y_true`` is that of a full frame
+    bit for bit; a loop with a sensor path or limits forms every channel."""
+
+    def __init__(self, spec: LoopSpec, channels: Sequence[str] = _LINEAR_CHANNELS) -> None:
+        self.channels = tuple(channels)
         self.key = (spec.plant, spec.sim, spec.setpoint)
         self.dt = spec.sim.dt
         self.ss = tf_to_state_space(spec.plant)
@@ -356,16 +367,18 @@ class LoopFrame:
 
     def _scan(self, gains: Sequence[PidGains]) -> list:
         """One plan of the linear loops of ``gains``, scanned over the
-        setpoint: a callable per loop giving its (rows, end, z_end), the
-        rows being y_true, error and u.  One loop is planned without the
+        setpoint: a callable per loop giving its (rows, end, z_end), one
+        row per channel of the frame.  One loop is planned without the
         member axis, which takes fewer numpy calls."""
         f, g, h = _loop_maps(self, gains[0] if len(gains) == 1 else gains)
         lead = g.shape[:-1]
-        outputs, through = np.empty((*lead, 3, len(h))), np.empty((*lead, 3))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
             closed = f - g[..., None] * h  # e = sp - h z
-        outputs[..., 0, :], outputs[..., 1, :], outputs[..., 2, :] = h, -h, closed[..., -1, :]
-        through[..., 0], through[..., 1], through[..., 2] = 0.0, 1.0, g[..., -1]
+        maps = {"y_true": (h, 0.0), "error": (-h, 1.0), "u": (closed[..., -1, :], g[..., -1])}
+        outputs = np.empty((*lead, len(self.channels), len(h)))
+        through = np.empty((*lead, len(self.channels)))
+        for i, name in enumerate(self.channels):
+            outputs[..., i, :], through[..., i] = maps[name]
         return PropagationPlan(closed, g, outputs, through, len(self.sp)).scan(self.sp)
 
     def linear_rows(self, gains: PidGains) -> tuple[np.ndarray, int]:
@@ -625,7 +638,8 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     :class:`_NonlinearLoop`.  The first sample with a non-finite plant
     state or output flags the result diverged at its time, and the series
     ends just before it.  ``frame``, built here when not given, is shared
-    by loops that differ in gains only; ``t`` and ``setpoint`` are its views.
+    by loops that differ in gains only; ``t`` and ``setpoint`` are its views,
+    and a linear loop's series holds the channels it forms.
     """
     frame = frame or LoopFrame(spec)
     if frame.key != (spec.plant, spec.sim, spec.setpoint):
@@ -635,8 +649,8 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     steps = spec.sim.steps
     if spec.is_linear:
         rows, end = frame.linear_rows(spec.gains)
-        y_true, err, u = rows.T
-        y_meas = y_true
+        y_true, *others = rows.T
+        formed = dict(zip(("y_true", "y_measured", *frame.channels[1:]), (y_true, y_true, *others)))
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
             loop = _NonlinearLoop(spec, _loop_maps(frame, spec.gains), frame.m, frame.nvec)
@@ -652,17 +666,14 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
             if valid < len(chunk):
                 end = start + valid
                 break
-        y_true, y_meas, err, u = channels
+        formed = dict(zip(("y_true", "y_measured", "error", "u"), channels))
 
     diverged = end <= steps
     series = TimeSeries(
         t=t[:end],
         channels={
             "setpoint": sp[:end],
-            "y_true": y_true[:end],
-            "y_measured": y_meas[:end],
-            "error": err[:end],
-            "u": u[:end],
+            **{name: values[:end] for name, values in formed.items()},
         },
     )
     divergence_time = float(t[end]) if diverged else None

@@ -56,8 +56,11 @@ def loop_cost(spec: LoopSpec, cost_kind: CostKind = CostKind.ITAE, frame: LoopFr
     """Simulate the loop (through ``frame`` when given) and integrate its tracking error.
 
     The error used is setpoint minus true output, matching how response
-    metrics are scored.  A diverged run returns ``DIVERGENCE_PENALTY``,
-    which also caps the cost of any other run.
+    metrics are scored, so the run's ``t``, ``setpoint`` and ``y_true``
+    are all it reads: a frame that forms only ``y_true`` (see
+    :class:`~rollsim.loops.LoopFrame`) gives the same cost.  A diverged
+    run returns ``DIVERGENCE_PENALTY``, which also caps the cost of any
+    other run.
     """
     result = simulate_loop(spec, frame)
     if result.diverged:
@@ -206,15 +209,16 @@ def tune_pid(
 
     ``cost_fn`` is injectable for testing; the default is :func:`loop_cost`
     through one :class:`~rollsim.loops.LoopFrame`, as candidates differ in
-    gains only.  With it, candidates known together (the grid's lattice
-    prefix, Nelder-Mead's initial simplex and each shrink) are scanned as
-    one batch by :meth:`~rollsim.loops.LoopFrame.batches` before each is
+    gains only, and the frame forms only the ``y_true`` row the cost reads.
+    With it, candidates known together (the grid's lattice prefix,
+    Nelder-Mead's initial simplex and each shrink) are scanned as one
+    batch by :meth:`~rollsim.loops.LoopFrame.batches` before each is
     costed in turn.  ``jobs`` is accepted and ignored: evaluations run in
     this process, because a process pool cost more to start than the
     evaluations it shared out.
     """
     bounds = spec.bounds
-    frame = LoopFrame(spec.loop)
+    frame = LoopFrame(spec.loop, ("y_true",))
     batched = cost_fn is None
     cost_fn = cost_fn or partial(loop_cost, frame=frame)
     history: list[tuple[PidGains, float]] = []

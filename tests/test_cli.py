@@ -490,12 +490,40 @@ def test_formatted_values_match_percent_g_at_every_boundary():
     assert csvfmt.format_rows([values]) == _per_value_rows(values)
 
 
+def _per_row(data: np.ndarray) -> bytes:
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in data.T.tolist()).encode()
+
+
 @given(values=st.lists(st.floats(), min_size=1, max_size=120), columns=st.integers(1, 6))
 def test_formatted_rows_match_percent_g(values, columns):
     rows = max(len(values) // columns, 1)
-    data = np.resize(np.array(values), (columns, rows))
-    expected = "".join(",".join("%.12g" % v for v in row) + "\n" for row in data.T.tolist()).encode()
-    assert csvfmt.format_rows(list(data)) == expected
+    # Tiled to at least _SMALL values, so the numpy path formats them.
+    data = np.tile(np.resize(np.array(values), (columns, rows)), -(-csvfmt._SMALL // (columns * rows)))
+    assert data.size >= csvfmt._SMALL
+    assert csvfmt.format_rows(list(data)) == _per_row(data)
+
+
+@pytest.mark.parametrize("columns", [1, 5, 6])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_rows_either_side_of_the_small_table_crossover_match_percent_g(columns, offset):
+    # The fewest rows that reach _SMALL values, and a row fewer or more.
+    rows = -(-csvfmt._SMALL // columns) + offset
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(columns * rows) * 10.0 ** rng.integers(-30, 30, columns * rows)
+    values[:8] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 9.999999999995e-5, 1e12]
+    data = values.reshape(columns, rows)
+    assert csvfmt.format_rows(list(data)) == _per_row(data)
+
+
+def test_a_small_table_builds_no_word_tables(monkeypatch):
+    def fail():
+        raise AssertionError("the word tables were built")
+
+    monkeypatch.setattr(csvfmt, "_tables", fail)
+    rows = (csvfmt._SMALL - 1) // 5
+    data = np.arange(5 * rows, dtype=float).reshape(5, rows) / 7.0
+    assert csvfmt.format_rows(list(data)) == _per_row(data)
+    assert csvfmt.format_rows([np.empty(0)] * 5) == b""
 
 
 def _reference_history_csv(path: Path, history) -> None:

@@ -97,10 +97,27 @@ def test_json_reports_compare_without_their_runtime(tool, tmp_path):
 
     same = tool.same
     a = write("a.json", '{"results": {"x": 1.5}, "tool": {"name": "rollsim", "runtime_s": 0.1}}')
-    b = write("b.json", '{"tool": {"runtime_s": 0.7, "name": "rollsim"}, "results": {"x": 1.5}}')
+    b = write("b.json", '{"results": {"x": 1.5}, "tool": {"name": "rollsim", "runtime_s": 7.25e-05}}')
     c = write("c.json", '{"results": {"x": 1.25}, "tool": {"name": "rollsim", "runtime_s": 0.1}}')
     assert same(a, b) and not same(a, c)
     assert not same(write("d.csv", "1\n"), write("e.csv", "1.0\n"))
+
+
+def test_json_reports_compare_their_bytes(tool, tmp_path):
+    def write(name, text):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return tmp_path / name
+
+    a = write("a.json", '{"results": {"x": 1.5}, "tool": {"name": "rollsim", "runtime_s": 0.1}}\n')
+    layouts = [
+        '{"tool": {"runtime_s": 0.7, "name": "rollsim"}, "results": {"x": 1.5}}\n',  # key order
+        '{"results": {"x": 1.5},\n "tool": {"name": "rollsim", "runtime_s": 0.1}}\n',  # whitespace
+        '{"results": {"x": 1.5}, "tool": {"name": "rollsim", "runtime_s": 0.1}}',  # no newline
+    ]
+    for i, text in enumerate(layouts):
+        assert tool.difference(a, write(f"{i}.json", text)) == "(the layout; the content agrees)", text
+    changed = write("c.json", '{"results": {"x": 1.5}, "tool": {"name": "rollsim", "runtime_s": 0.1, "v": 2}}\n')
+    assert tool.difference(a, changed) == "tool.v"
 
 
 def test_a_differing_report_names_its_first_differing_key(tool, tmp_path):

@@ -431,6 +431,34 @@ def test_a_ten_candidate_grid_tune_builds_one_stacked_plan(monkeypatch):
     assert plans == [(10, states, states)]  # not ten plans of one loop
 
 
+def test_a_tune_plans_its_loops_one_output_row_and_a_loop_run_three(monkeypatch):
+    rows = []
+    original = loops.PropagationPlan.__init__
+
+    def counting(self, m, g, h, j, longest):
+        rows.append(np.shape(j)[-1])
+        original(self, m, g, h, j, longest)
+
+    monkeypatch.setattr(loops.PropagationPlan, "__init__", counting)
+    for spec in (grid_spec(ki_bounds=(0.0, 4.0), grid_points=4, max_evals=10),
+                 nm_spec(ki_bounds=(0.0, 10.0), initial=PidGains(kp=0.5, ki=0.5), max_evals=25)):
+        rows.clear()
+        tune_pid(spec)
+        assert rows and set(rows) == {1}  # y_true: all that loop_cost reads
+    rows.clear()
+    series = simulate_loop(speed_spec()).series
+    assert rows == [3] and list(series.channels) == ["setpoint", "y_true", "y_measured", "error", "u"]
+
+
+def test_a_cost_only_frame_runs_carry_what_the_cost_reads():
+    spec = speed_spec(2.0)
+    full = simulate_loop(spec).series
+    costs_only = simulate_loop(spec, LoopFrame(spec, ("y_true",))).series
+    assert list(costs_only.channels) == ["setpoint", "y_true", "y_measured"]
+    for name in costs_only.channels:
+        assert costs_only[name].tobytes() == full[name].tobytes(), name
+
+
 def test_a_tunes_batches_hold_its_loops_in_history_order(monkeypatch):
     batched = []
     original = LoopFrame.batches

@@ -13,11 +13,11 @@ once, from the working tree, so both sides read the same inputs.  A job's
 exit code, or the exception it raised, is written beside its outputs as
 ``<job>.exit``.
 
-Every file written is then compared: JSON reports as parsed data without
-``tool.runtime_s``, every other file byte for byte.  The tool prints each
-file that differs, with the key path of a report's first difference, or
-that only one side wrote, and exits 1 if there is any, else 0.  Only the
-standard library is used.
+Every file written is then compared byte for byte, JSON reports with the
+number of their ``"runtime_s"`` key masked.  The tool prints each file
+that differs, with the key path of a report's first difference in content
+(or a note that only its layout differs), or that only one side wrote,
+and exits 1 if there is any, else 0.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +34,9 @@ from pathlib import Path
 from pairs import ROOT, SIDES, copy_commit
 
 SEEDS = (1, 2, 3)
+
+# The number a report's run time is written as, which differs on every run.
+RUNTIME = re.compile(rb'("runtime_s": *)-?[0-9][0-9.eE+-]*')
 
 # Runs in each tree: argv[1] is the JSON list of (name, scenario text),
 # argv[2] the directory the outputs go to.
@@ -102,19 +106,24 @@ def first_difference(parent, change, path: str = "") -> str | None:
 
 
 def difference(parent: Path, change: Path) -> str | None:
-    """Where two output files disagree: None when they agree, else the key
-    path of the first difference of two JSON reports, compared without
-    ``tool.runtime_s``, and "" for any other file, compared byte for byte."""
+    """Where two output files disagree, compared byte for byte, a JSON
+    report with its ``runtime_s`` number masked: None when they agree, ""
+    for any other file, and for reports the key path of the first
+    difference in content, without ``tool.runtime_s``, or a note that
+    the same content is written in another layout."""
+    texts = [path.read_bytes() for path in (parent, change)]
     if parent.suffix != ".json":
-        return None if parent.read_bytes() == change.read_bytes() else ""
+        return None if texts[0] == texts[1] else ""
+    if RUNTIME.sub(rb"\1?", texts[0]) == RUNTIME.sub(rb"\1?", texts[1]):
+        return None
     reports = []
-    for path in (parent, change):
-        report = json.loads(path.read_text(encoding="utf-8"))
+    for text in texts:
+        report = json.loads(text)
         if isinstance(report.get("tool"), dict):
             report["tool"].pop("runtime_s", None)
         reports.append(report)
     found = first_difference(*reports)
-    return "(the whole report)" if found == "" else found
+    return "(the whole report)" if found == "" else found or "(the layout; the content agrees)"
 
 
 def same(parent: Path, change: Path) -> bool:
