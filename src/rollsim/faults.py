@@ -9,7 +9,7 @@ duration).
 A reading splits in two.  What does not depend on the measured value
 (which samples the sensor reads, each tick's noise draw and the bias-jump
 or drift term) is a function of the time grid alone, computed with numpy
-a chunk of samples at a time by :func:`sensor_terms`; a stuck or dropout
+for the whole run at once by :func:`sensor_terms`; a stuck or dropout
 window is a stretch without ticks.  What does, adding those terms to the
 value and quantizing, is :func:`apply_sensor`.  The loop calls it on one
 reading at a time when it steps, on a block of readings at once when it
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -76,30 +75,36 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     array of draws of the same shape.  The bit mixing runs in numpy
     ``uint64``, in place on two buffers: the counters are mixed, xored
     with the seed's word and mixed again into the base, and one call
-    mixes the stacked [base, base + 1] that give both uniforms.  ``cos``
-    is numpy's, whose float64 results equal ``math.cos`` bit for bit on
-    the angles 2*pi*u2 in [0, 2*pi) (pinned by the tests against a
-    plain-``math`` reference).  ``log`` stays a ``math`` call mapped over
-    the elements, because numpy's float64 ``log`` differs from libm's in
-    the last ulp on about 0.35 % of the arguments u1 in (0, 1).  The
-    scaling, ``sqrt`` and product are correctly rounded IEEE operations,
-    so numpy gives the same bits for them.
+    mixes the stacked [base, base + 1] that give both uniforms.  They are
+    scaled into the second buffer, and the float stage runs in place on
+    them and on the logs.  ``cos`` is numpy's, whose float64 results
+    equal ``math.cos`` bit for bit on the angles 2*pi*u2 in [0, 2*pi)
+    (pinned by the tests against a plain-``math`` reference).  ``log``
+    stays a ``math`` call mapped over the elements (a ``memoryview``
+    yields them as floats without a list), because numpy's float64
+    ``log`` differs from libm's in the last ulp on about 0.35 % of the
+    arguments u1 in (0, 1).  The scaling, ``sqrt`` and product are
+    correctly rounded IEEE operations, so numpy gives the same bits for
+    them.
     """
     scalar = np.ndim(counter) == 0
     pair = np.empty((2, 1 if scalar else np.size(counter)), dtype=np.uint64)  # [base, base + 1]
     scratch = np.empty_like(pair)
     base = pair[0]
-    base[:] = np.uint64(int(counter) & _MASK64) if scalar else np.asarray(counter).astype(np.uint64).ravel()
+    base[:] = np.uint64(int(counter) & _MASK64) if scalar else np.ravel(counter)  # wraps as uint64
     _splitmix64(base, scratch[0])
     base ^= np.uint64(((seed & _MASK64) << 1) & _MASK64)
     _splitmix64(base, scratch[0])
     np.add(base, np.uint64(1), out=pair[1])
     _splitmix64(pair, scratch)
     pair >>= np.uint64(11)
-    u1, u2 = pair.astype(float) / _TWO53
+    u1, u2 = np.divide(pair, _TWO53, out=scratch.view(float))
     u1[u1 <= 0.0] = 5e-324
-    log_u1 = np.fromiter(map(math.log, u1.tolist()), float, len(u1))
-    draws = np.sqrt(-2.0 * log_u1) * np.cos(2.0 * math.pi * u2)
+    draws = np.fromiter(map(math.log, memoryview(u1)), float, len(u1))  # log u1, then the draws
+    draws *= -2.0
+    np.sqrt(draws, out=draws)
+    u2 *= 2.0 * math.pi
+    draws *= np.cos(u2, out=u2)
     return float(draws[0]) if scalar else draws.reshape(np.shape(counter))
 
 
@@ -174,47 +179,45 @@ class FaultSpec:
 
 
 def sensor_terms(
-    model: SensorModel, fault: FaultSpec | None, seed: int, t: np.ndarray, chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The value-independent part of every reading over the time grid ``t``.
+    model: SensorModel, fault: FaultSpec | None, seed: int, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The value-independent part of every reading over the whole time grid ``t``.
 
-    Yields, per ``chunk`` samples of ``t``, the arrays ``(tick, noise,
-    offset)``: whether the sensor reads the sample, and for
+    Returns the arrays ``(tick, noise, offset)``, one entry per sample of
+    ``t``: whether the sensor reads the sample, and for
     :func:`apply_sensor` sigma times the tick's draw and the bias-jump or
-    drift term, unused between ticks, where the last reading holds.  The
-    n-th clock tick, the first sample at least ``sample_dt`` after the
-    previous one, owns counter n.  A stuck or dropout window clears the
-    ticks inside it, except the run's first sample, which has no earlier
-    reading to hold; its ticks keep their counter numbers, so the noise
-    after the window is unchanged, but they are not drawn.
+    drift term, unused between ticks, where the last reading holds.  They
+    scale with the run's horizon, as its series does, and the draws take
+    one :func:`counter_gauss` call.  The n-th clock tick, the first sample
+    at least ``sample_dt`` after the previous one, owns counter n.  A
+    stuck or dropout window clears the ticks inside it, except the run's
+    first sample, which has no earlier reading to hold; its ticks keep
+    their counter numbers, so the noise after the window is unchanged,
+    but they are not drawn.
     """
     spacing = model.sample_dt * (1.0 - 1e-9)  # slack: float error must not skip a tick
-    last_tick, drawn = -math.inf, 0
-    for start in range(0, len(t), chunk):
-        tc = t[start:start + chunk]
-        tick = np.ones(len(tc), dtype=bool)
-        if model.sample_dt > 0.0:
-            for i, ti in enumerate(tc.tolist()):
-                tick[i] = ti - last_tick >= spacing
-                last_tick = ti if tick[i] else last_tick
-        # -0.0 is the exact additive identity, so an absent term changes no reading.
-        noise, offset = np.full(len(tc), -0.0), np.full(len(tc), -0.0)
-        reading = tick
-        if fault is not None:
-            active = fault.active(tc)
-            if fault.kind is FaultKind.BIAS_JUMP:
-                offset[active] = fault.magnitude
-            elif fault.kind is FaultKind.DRIFT:
-                offset[active] = fault.magnitude * (tc[active] - fault.onset_t)
-            else:
-                active[0] &= start > 0
-                reading = tick & ~active
-        if model.noise_sigma > 0.0:
-            numbers = np.cumsum(tick) + (drawn - 1)  # each clock tick's counter
-            drawn = int(numbers[-1]) + 1
-            if reading.any():
-                noise[reading] = model.noise_sigma * counter_gauss(seed, numbers[reading])
-        yield reading, noise, offset
+    tick = np.ones(len(t), dtype=bool)
+    if model.sample_dt > 0.0:
+        last_tick = -math.inf
+        for i, ti in enumerate(t.tolist()):
+            tick[i] = ti - last_tick >= spacing
+            last_tick = ti if tick[i] else last_tick
+    # -0.0 is the exact additive identity, so an absent term changes no reading.
+    noise, offset = np.full(len(t), -0.0), np.full(len(t), -0.0)
+    reading = tick
+    if fault is not None:
+        active = fault.active(t)
+        if fault.kind is FaultKind.BIAS_JUMP:
+            offset[active] = fault.magnitude
+        elif fault.kind is FaultKind.DRIFT:
+            offset[active] = fault.magnitude * (t[active] - fault.onset_t)
+        else:
+            active[:1] = False
+            reading = tick & ~active
+    if model.noise_sigma > 0.0 and reading.any():
+        counters = np.cumsum(tick)[reading] - 1  # the clock-tick numbers of the readings
+        noise[reading] = model.noise_sigma * counter_gauss(seed, counters)
+    return reading, noise, offset
 
 
 def apply_sensor(

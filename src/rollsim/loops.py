@@ -429,7 +429,7 @@ def _loop_maps(frame: LoopFrame, gains: PidGains | Sequence[PidGains]) -> tuple[
     return maps[..., :n + 4], maps[..., n + 4], h
 
 
-_CHUNK = 1024  # samples whose sensor terms and channel values are held at once
+_LONGEST_BLOCK = 1024  # longest verified block, in samples
 _BLOCK = 128  # shortest verified block, and the most a failed block hands the stepper
 _ROUNDS = 4  # verification rounds before the stepper takes over
 # Largest open-loop growth over a block: the closed form sums terms that
@@ -449,8 +449,8 @@ def _radius(f: np.ndarray) -> float:
 
 
 class _NonlinearLoop:
-    """A loop with a sensor path or output limits, run a chunk of samples
-    at a time from one run state.
+    """A loop with a sensor path or output limits, run over its whole
+    horizon in one :meth:`run` call from one run state.
 
     It steps one sample at a time: one product per sample of [[F, g],
     [hF, hg]] (the next state and the next ``y_true`` at once), with only
@@ -491,7 +491,7 @@ class _NonlinearLoop:
         self.step_map = np.vstack([np.column_stack([f, g]), np.append(h @ f, h @ g)])
         self.h, self.m, self.nvec, self.gains = h, m, nvec, spec.gains
         self.model = spec.sensor if spec.sensor is not None else SensorModel()
-        # Samples per verified block: the longest power of two up to _CHUNK
+        # Samples per verified block: the longest power of two up to _LONGEST_BLOCK
         # over which neither the open loop nor the loop closed through an
         # unquantized sensor grows by more than _GROWTH, or 0 (it is stepped)
         # when that is under _BLOCK.  Open-loop growth costs the closed form
@@ -502,7 +502,7 @@ class _NonlinearLoop:
             radius = max(_radius(f), _radius(f - np.outer(g, h)))
             # Compared as a root: radius ** length may overflow, and NaN (an
             # overflowed estimate) fails every test.
-            lengths = (_BLOCK << k for k in range((_CHUNK // _BLOCK).bit_length()))
+            lengths = (_BLOCK << k for k in range((_LONGEST_BLOCK // _BLOCK).bit_length()))
             self.length = max((n for n in lengths if radius <= _GROWTH ** (1.0 / n)), default=0)
         if self.length:
             self.guess = PropagationPlan(f - np.outer(g, h), g, h, [0.0], self.length)
@@ -512,14 +512,15 @@ class _NonlinearLoop:
         self.ym = None
 
     def run(self, sp: np.ndarray, terms: tuple | None, out: np.ndarray) -> int:
-        """Run the samples of ``sp`` on from the run state, writing their
-        y_true, y_measured, error and u to the rows of ``out``; ``terms``
-        are their :func:`~rollsim.faults.sensor_terms`, None without a
-        sensor path.
+        """Run the samples of ``sp``, a whole run, on from the run state,
+        writing their y_true, y_measured, error and u to the rows of
+        ``out``; ``terms`` are their :func:`~rollsim.faults.sensor_terms`,
+        None without a sensor path.
 
-        A loop that does not verify blocks steps them all.  One that does
-        cuts them at block starts and where ticking starts or stops, so
-        each block either reads every sample or none.
+        A loop that does not verify blocks steps them all, a longest block
+        at a time to bound the Python floats that hold its rows.  One that
+        does cuts them at multiples of the block length and where ticking
+        starts or stops, so each block reads every sample or none.
 
         Returns how many samples hold valid rows: ``len(sp)``, or fewer
         when a plant state or output became non-finite (one fewer than
@@ -527,7 +528,12 @@ class _NonlinearLoop:
         output did).
         """
         if not self.length:
-            return self._step(sp, terms, out)
+            for a in range(0, len(sp), _LONGEST_BLOCK):
+                b = min(len(sp), a + _LONGEST_BLOCK)
+                stepped = self._step(sp[a:b], None if terms is None else [x[a:b] for x in terms], out[:, a:b])
+                if stepped < b - a:
+                    return a + stepped
+            return len(sp)
         tick, noise, offset = terms
         edges = np.flatnonzero(tick[1:] != tick[:-1]) + 1
         cuts = sorted({*range(0, len(sp), self.length), *edges.tolist(), len(sp)})
@@ -620,7 +626,8 @@ class _NonlinearLoop:
                     rows, end, z_end = self.open.apply(errors if left else errors[:final], z)
             if final == 0 or z_end is None:
                 return 0
-        out[:, :final] = rows[:final, 0], readings[:final], errors[:final], rows[:final, 1]
+        for row, values in zip(out, (rows[:, 0], readings, errors, rows[:, 1])):
+            row[:final] = values[:final]
         self.cur[:size] = z_end
         self.cur[size] = self.h @ z_end
         self.ym = readings.item(final - 1)
@@ -654,18 +661,10 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
             loop = _NonlinearLoop(spec, _loop_maps(frame, spec.gains), frame.m, frame.nvec)
-        terms = (
-            sensor_terms(loop.model, spec.fault, spec.seed, t, _CHUNK)
-            if spec.sensor is not None or spec.fault is not None else itertools.repeat(None)
-        )
+        measured = spec.sensor is not None or spec.fault is not None
+        terms = sensor_terms(loop.model, spec.fault, spec.seed, t) if measured else None
         channels = np.empty((4, len(t)))  # y_true, y_measured, error, u
-        end = len(t)
-        for start in range(0, len(t), _CHUNK):
-            chunk = sp[start:start + _CHUNK]
-            valid = loop.run(chunk, next(terms), channels[:, start:start + _CHUNK])
-            if valid < len(chunk):
-                end = start + valid
-                break
+        end = loop.run(sp, terms, channels)
         formed = dict(zip(("y_true", "y_measured", "error", "u"), channels))
 
     diverged = end <= steps

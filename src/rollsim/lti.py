@@ -479,9 +479,9 @@ class PropagationPlan:
             span, kept = _most_common(np.minimum(span, 2 ** finite))
             finite = int(finite[kept].min())
             # Members of the most common L and span share the plan, any other
-            # is planned alone.  The row maps of one loop lack the member axis
-            # (``pick``); the scan's keep it (``lead``, ``kept``), also for one loop.
-            pick, lead, self.alone, self.members = ..., None, {}, None
+            # is planned alone.  ``pick`` and ``lead`` select them from the maps,
+            # ``kept`` from the powers; for one loop each is ``...``: no member axis.
+            pick, lead, self.alone, self.members = ..., ..., {}, None
             if batch:
                 members = np.arange(len(m))[same][kept]
                 pick = lead = same if isinstance(kept, slice) else members
@@ -489,8 +489,6 @@ class PropagationPlan:
                 self.alone = {  # member -> its own plan
                     b: PropagationPlan(m[b], g[b], h[b], j[b], longest) for b in sorted({*range(len(m))} - {*self.members})
                 }
-            else:
-                kept = None
             self.block_map = block_map[pick][..., :n + size, :size * n]
             self.row_map = row_map[pick][..., :n + size, :size, :].reshape(*self.block_map.shape[:-2], n + size, -1)
             self.state_gain = np.maximum(  # the largest column sum of both maps
@@ -498,7 +496,7 @@ class PropagationPlan:
                 np.abs(self.row_map).sum(axis=-2).max(axis=-1, initial=0.0),
             ).tolist()
             # Carries a block's inputs to its end: m^(L-1-l) g, read backwards.
-            self.carry = markov[:, lead][size - 1::-1].swapaxes(0, 1)
+            self.carry = np.moveaxis(markov[:, lead][size - 1::-1], 0, -2)
             self.leap = doubling[0][kept]
             self.transposed = doubling[:finite][:, kept].swapaxes(-1, -2).copy()  # contiguous: faster products
             self.span = span
@@ -519,18 +517,18 @@ class PropagationPlan:
         inputs = operands[:, n:]
         inputs[:full] = w[:full * size].reshape(full, size)
         inputs[full:, :count - full * size] = w[full * size:]
-        starts = np.empty((len(self.leap), blocks + 1, n))  # each member's z[b * L], b <= blocks
-        starts[:, 0] = 0.0 if z0 is None else z0 if self.members is None else np.asarray(z0)[self.members]
+        starts = np.empty((*self.leap.shape[:-2], blocks + 1, n))  # each member's z[b * L], b <= blocks
+        starts[..., 0, :] = 0.0 if z0 is None else z0 if self.members is None else np.asarray(z0)[self.members]
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, blocks, self.span):
-                ends = starts[:, first + 1:first + 1 + self.span]
-                length = ends.shape[1]
+                ends = starts[..., first + 1:first + 1 + self.span, :]
+                length = ends.shape[-2]
                 np.matmul(inputs[first:first + length], self.carry, out=ends)
-                ends[:, 0] += (self.leap @ starts[:, first, :, None])[:, :, 0]
+                ends[..., 0, :] += (self.leap @ starts[..., first, :, None])[..., 0]
                 for k, power in enumerate(self.transposed[:(length - 1).bit_length()]):
-                    ends[:, 2 ** k:] += ends[:, :-2 ** k] @ power
+                    ends[..., 2 ** k:, :] += ends[..., :-2 ** k, :] @ power
         if self.members is None:
-            return [partial(self._rows, None, operands, starts[0], count)]
+            return [partial(self._rows, None, operands, starts, count)]
         scanned = [None] * (len(self.members) + len(self.alone))
         for i, b in enumerate(self.members):
             scanned[b] = partial(self._rows, i, operands, starts[i], count)

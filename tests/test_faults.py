@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import rollsim.faults as faults
-import rollsim.loops as loops
 from rollsim.faults import (
     DetectorConfig,
     FaultKind,
@@ -42,14 +41,10 @@ def reference_gauss(seed: int, counter: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def per_sample(chunks) -> list:
-    """The chunks of ``sensor_terms`` as one entry per sample: None between
+def per_sample(arrays) -> list:
+    """The arrays of ``sensor_terms`` as one entry per sample: None between
     ticks, else (noise, offset)."""
-    return [
-        (noise, offset) if tick else None
-        for arrays in chunks
-        for tick, noise, offset in zip(*(a.tolist() for a in arrays))
-    ]
+    return [(noise, offset) if tick else None for tick, noise, offset in zip(*(a.tolist() for a in arrays))]
 
 
 def loop(sensor=None, fault=None, seed=0, t_end=2.0, dt=1e-3) -> LoopSpec:
@@ -99,10 +94,10 @@ def test_same_seed_same_stream_other_seed_other_stream():
     assert not np.array_equal(first, other)
 
 
-def test_the_nth_tick_draws_counter_n_across_chunks():
+def test_the_nth_tick_draws_counter_n():
     t = np.arange(10_001) * 1e-3
     model = SensorModel(noise_sigma=0.5, sample_dt=2e-3)
-    terms = per_sample(sensor_terms(model, None, 9, t, 4096))
+    terms = per_sample(sensor_terms(model, None, 9, t))
     ticks = [term for term in terms if term is not None]
     assert len(terms) == len(t)
     assert [noise for noise, _ in ticks] == [0.5 * reference_gauss(9, n) for n in range(len(ticks))]
@@ -126,7 +121,7 @@ def reference_ticks(t: np.ndarray, sample_dt: float) -> list[int]:
 @pytest.mark.parametrize("dt, sample_dt", [(1e-3, 1e-2), (1e-3, 2.5e-3), (1e-3, 1e-3), (3e-3, 1e-3), (0.1, 0.3)])
 def test_sample_ticks_follow_the_spacing_rule(dt, sample_dt):
     t = np.arange(9001) * dt
-    terms = per_sample(sensor_terms(SensorModel(sample_dt=sample_dt), None, 0, t, 4096))
+    terms = per_sample(sensor_terms(SensorModel(sample_dt=sample_dt), None, 0, t))
     assert [k for k, term in enumerate(terms) if term is not None] == reference_ticks(t, sample_dt)
 
 
@@ -210,7 +205,7 @@ def test_fault_terms_act_only_inside_their_window():
     bias = FaultSpec(kind="bias_jump", onset_t=0.5, magnitude=0.25, duration=0.5)
     drift = FaultSpec(kind="drift", onset_t=1.0, magnitude=2.0)
     for fault in (bias, drift):
-        terms = per_sample(sensor_terms(SensorModel(), fault, 0, t, 512))
+        terms = per_sample(sensor_terms(SensorModel(), fault, 0, t))
         assert None not in terms  # clears no tick
         offsets = np.array([offset for _, offset in terms])
         active = np.array([fault.active(tk) for tk in t.tolist()])
@@ -225,12 +220,12 @@ def test_fault_terms_act_only_inside_their_window():
 @pytest.mark.parametrize("sample_dt", [0.0, 2.5e-3])
 @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
 def test_only_stuck_and_dropout_windows_clear_ticks(kind, sample_dt, onset_t):
-    # Chunks of 300 samples: a window over samples 251-750 spans the chunk
-    # edges at 300 and 600.  The n-th clock tick draws counter n whether or
-    # not a window cleared it, so the noise after a window is unchanged.
+    # A window over samples 251-750, or from the first sample.  The n-th
+    # clock tick draws counter n whether or not a window cleared it, so the
+    # noise after a window is unchanged.
     t = np.arange(2001) * 1e-3
     fault = FaultSpec(kind=kind, onset_t=onset_t, magnitude=0.1, duration=0.5)
-    terms = per_sample(sensor_terms(SensorModel(noise_sigma=0.5, sample_dt=sample_dt), fault, 9, t, 300))
+    terms = per_sample(sensor_terms(SensorModel(noise_sigma=0.5, sample_dt=sample_dt), fault, 9, t))
     holds = kind in (FaultKind.STUCK, FaultKind.DROPOUT)
     expected = [None] * len(t)
     for n, k in enumerate(reference_ticks(t, sample_dt)):
@@ -243,18 +238,17 @@ def test_only_stuck_and_dropout_windows_clear_ticks(kind, sample_dt, onset_t):
 @pytest.mark.parametrize("sample_dt", [0.0, 2e-3])
 @pytest.mark.parametrize("kind", [FaultKind.STUCK, FaultKind.DROPOUT], ids=lambda k: k.value)
 def test_a_window_draws_only_the_ticks_that_read(monkeypatch, kind, sample_dt):
-    # Chunks of 300 samples: the window over samples 251-750 crosses the
-    # chunk edges at 300 and 600 and covers chunk 300-599, which draws nothing.
+    # The window over samples 251-750: one call draws the ticks on both sides.
     t = np.arange(2001) * 1e-3
     fault = FaultSpec(kind=kind, onset_t=0.2505, duration=0.5)
     passed = []
     original = faults.counter_gauss
     monkeypatch.setattr(faults, "counter_gauss", lambda seed, c: passed.append(np.array(c)) or original(seed, c))
-    terms = per_sample(sensor_terms(SensorModel(noise_sigma=0.5, sample_dt=sample_dt), fault, 9, t, 300))
+    terms = per_sample(sensor_terms(SensorModel(noise_sigma=0.5, sample_dt=sample_dt), fault, 9, t))
 
     # (clock-tick number, sample) of every tick outside the window
     reading = [(n, k) for n, k in enumerate(reference_ticks(t, sample_dt)) if not fault.active(t[k])]
-    assert len(passed) == 6 and sum(len(c) for c in passed) == len(reading)
+    assert len(passed) == 1 and sum(len(c) for c in passed) == len(reading)
     assert np.concatenate(passed).tolist() == [n for n, _ in reading]
     assert [k for k, term in enumerate(terms) if term is not None] == [k for _, k in reading]
     assert [terms[k][0] for _, k in reading] == [0.5 * reference_gauss(9, n) for n, _ in reading]
@@ -351,9 +345,9 @@ def test_window_baseline_calibrates_out_a_constant_offset():
 # Work per run
 # ---------------------------------------------------------------------------
 
-def test_noise_is_drawn_once_per_chunk(monkeypatch):
+def test_noise_is_drawn_once_per_run(monkeypatch):
     calls = []
     original = faults.counter_gauss
     monkeypatch.setattr(faults, "counter_gauss", lambda *a: calls.append(a) or original(*a))
     simulate_loop(loop(SensorModel(noise_sigma=0.01), t_end=10.0))  # 10,001 samples
-    assert len(calls) == math.ceil(10_001 / loops._CHUNK) < 20
+    assert len(calls) == 1 and len(calls[0][1]) == 10_001

@@ -877,6 +877,28 @@ def test_a_sweep_loop_verifies_in_long_blocks(monkeypatch):
     assert np.max(np.abs(y_true - rows[:, 0])) <= 1e-12 * np.max(np.abs(rows[:, 0]))
 
 
+@pytest.mark.parametrize("fault, edge", [
+    (FaultSpec(kind="stuck", onset_t=1.0225), 1023),  # the first stuck sample
+    (FaultSpec(kind="dropout", onset_t=1.5, duration=0.5485), 2049),  # the first reading after the window
+], ids=["stuck_from_sample_1023", "dropout_to_sample_2049"])
+def test_a_window_beside_a_multiple_of_the_longest_block_reads_as_the_stepper(fault, edge, monkeypatch):
+    # Noise and quantizer as a fault-sweep job's.  The run takes one pass;
+    # its blocks are cut at the window's edge, one sample off 1,024 or 2,048.
+    spec = replace(sweep_loop(3.0), fault=fault)
+    active = fault.active(np.arange(spec.sim.steps + 1) * spec.sim.dt)
+    assert np.flatnonzero(np.diff(active)).tolist()[-1 if fault.duration else 0] + 1 == edge
+    calls = collections.Counter()
+    original_run = loops._NonlinearLoop.run
+
+    def run(*args):
+        calls["run"] += 1
+        return original_run(*args)
+
+    monkeypatch.setattr(loops._NonlinearLoop, "run", run)
+    result = assert_block_route_matches(spec, monkeypatch)  # readings bit for bit, divergence_time equal
+    assert calls["run"] == 1 and not result.diverged
+
+
 def test_a_block_without_ticks_costs_one_plan_apply(monkeypatch):
     # A stuck quantized sensor from 5 s: each block of the window reads the
     # held value, so it needs no guess, no rounds and no stepping.
@@ -922,6 +944,26 @@ def test_the_stepper_takes_short_stretches(monkeypatch):
     assert stretches and max(stretches) <= loops._BLOCK == 128
     assert sum(stretches) <= 6014
     assert_same_bits(result.series["y_measured"], reference_loop(spec)[1][:, 1])
+
+
+def test_a_stepped_loop_steps_a_longest_block_at_a_time(monkeypatch):
+    # A stepped stretch holds its rows as Python floats until it writes
+    # them, so a long run that does not verify blocks is stepped in pieces.
+    stretches = []
+    original = loops._NonlinearLoop._step
+
+    def step(self, sp, *args):
+        stretches.append(len(sp))
+        return original(self, sp, *args)
+
+    monkeypatch.setattr(loops._NonlinearLoop, "_step", step)
+    spec = LoopSpec(
+        plant=tf_new([1.0], [1.0, 3.0, 2.0]), gains=PidGains(kp=4.0, ki=2.0, output_min=-1.5, output_max=1.5),
+        setpoint=SetpointProfile.step(1.0), sensor=SensorModel(noise_sigma=1e-3, quantization_step=2e-3),
+        seed=11, sim=SimConfig(dt=1e-3, t_end=2.5),
+    )
+    result = assert_matches_reference(spec)
+    assert stretches == [loops._LONGEST_BLOCK, loops._LONGEST_BLOCK, 453] and np.any(result.series["u"] == 1.5)
 
 
 @pytest.mark.parametrize("fault", [

@@ -33,3 +33,19 @@ def test_each_jobs_median_follows_the_pass_median(capsys):
     seconds = [float(line.split()[1]) for line in jobs]
     assert all(line.startswith("job") and " s  median of " in line for line in jobs)
     assert 0.0 < sum(seconds) <= float(lines[3].split()[1]) * 1.5
+
+
+def test_every_phase_is_reported_and_none_exceeds_its_pass(capsys):
+    tool = load_tool()
+    assert tool.main(["fault_sweep", "--passes", "2", "--phases"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    phases = [line.split() for line in lines if line.startswith("phase")]
+    assert [words[-1] for words in phases] == list(tool.PHASES)
+    assert all(words[2:6] == ["ms", "median", "per", "pass"] for words in phases)
+    median = float(next(line for line in lines if line.startswith("median")).split()[1])
+    assert all(0.0 < float(words[1]) <= median * 1e3 for words in phases)
+    # The wrappers are gone afterwards.
+    import rollsim.faults
+    import rollsim.loops
+    assert rollsim.loops.apply_sensor is rollsim.faults.apply_sensor
+    assert not hasattr(rollsim.faults.apply_sensor, "__wrapped__")

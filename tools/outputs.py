@@ -75,9 +75,12 @@ def build_jobs(repo: Path) -> list[tuple[str, str]]:
     return jobs
 
 
-def run_jobs(tree: Path, jobs_file: Path, out: Path) -> None:
+def run_jobs(tree: Path, jobs_file: Path, out: Path, env: dict[str, str] | None = None) -> None:
+    """Run the jobs of ``jobs_file`` in ``tree``'s ``src/``, writing their
+    outputs under ``out``, in a fresh interpreter with the environment
+    ``env`` (this process's when None)."""
     done = subprocess.run([sys.executable, "-c", DRIVER, str(jobs_file), str(out)],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"the jobs in {tree} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
 

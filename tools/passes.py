@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/passes.py tune --passes 20 --seed 1
+    python3 tools/passes.py fault_sweep --phases
 
 A pass runs every job of the workload, the scenario texts that
 ``perfbench/workloads.py`` builds from the seed, through
@@ -13,6 +14,15 @@ The tool prints each pass's wall seconds and the minor page faults
 each job's median seconds (for ``tune``, the grid job against the
 Nelder-Mead job).
 
+``--phases`` also prints, for each function of ``PHASES``, the median
+milliseconds per pass spent inside it.  Each is wrapped from outside
+wherever a ``rollsim`` module holds it, only its outermost call is timed
+(a plan builds and scans its lone members through the same methods), and
+the originals are restored after the passes.  A phase's time includes the
+phases it calls: ``loops.simulate_loop`` holds the draws, sensor calls and
+plan calls of nonlinear loops.  Unlike cProfile, this costs one wrapper
+per call of the listed functions only, so small calls are not inflated.
+
 Page faults show the allocator returning freed pages to the system and
 faulting them in again, which ``perfbench`` does not report.  Unlike
 ``perfbench`` it neither normalises for host speed nor checks outputs: run
@@ -22,6 +32,9 @@ it on two trees in turn, several times, and compare.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import importlib
 import resource
 import statistics
 import sys
@@ -31,6 +44,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The functions --phases times, by their path in the rollsim package.
+PHASES = (
+    "cli._write_csv",
+    "cli._write_json",
+    "loops.simulate_loop",
+    "faults.counter_gauss",
+    "faults.apply_sensor",
+    "lti.PropagationPlan.__init__",
+    "lti.PropagationPlan.scan",
+    "lti.PropagationPlan._rows",
+)
+
 
 def _import_paths() -> None:
     """Let this checkout's ``rollsim`` and ``perfbench`` modules be imported."""
@@ -39,9 +64,57 @@ def _import_paths() -> None:
             sys.path.insert(0, str(path))
 
 
-def run_passes(workload: str, passes: int, seed: int = 1) -> list[tuple[float, int, dict[str, float]]]:
-    """(wall seconds, minor page faults, seconds per job name) of each of
-    ``passes`` passes of ``workload``, after one warm-up pass."""
+def _timed(function, name: str, spent: dict[str, float]):
+    """``function``, adding the seconds of each outermost call to ``spent[name]``."""
+    depth = 0
+
+    @functools.wraps(function)
+    def timed(*args, **kwargs):
+        nonlocal depth
+        if depth:
+            return function(*args, **kwargs)
+        depth += 1
+        start = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+            depth -= 1
+
+    return timed
+
+
+@contextlib.contextmanager
+def timed_phases(spent: dict[str, float]):
+    """Wrap each function of ``PHASES`` wherever a loaded ``rollsim``
+    module holds it (a method, on its class), adding its time to
+    ``spent``; the originals are back on exit."""
+    modules = [module for key, module in list(sys.modules.items()) if key.split(".")[0] == "rollsim"]
+    patched = []
+    try:
+        for name in PHASES:
+            module, *owners, attribute = name.split(".")
+            owner = importlib.import_module(f"rollsim.{module}")
+            for part in owners:
+                owner = getattr(owner, part)
+            original = owner.__dict__[attribute]
+            holders = [owner] if owners else [m for m in modules if m.__dict__.get(attribute) is original]
+            wrapper = _timed(original, name, spent)
+            for holder in holders:
+                setattr(holder, attribute, wrapper)
+                patched.append((holder, attribute, original))
+        yield
+    finally:
+        for holder, attribute, original in reversed(patched):
+            setattr(holder, attribute, original)
+
+
+def run_passes(
+    workload: str, passes: int, seed: int = 1, phases: bool = False,
+) -> list[tuple[float, int, dict[str, float], dict[str, float]]]:
+    """(wall seconds, minor page faults, seconds per job name, seconds per
+    phase, empty unless ``phases``) of each of ``passes`` passes of
+    ``workload``, after one warm-up pass."""
     _import_paths()
     import rollsim.cli
     import rollsim.scenario
@@ -50,9 +123,11 @@ def run_passes(workload: str, passes: int, seed: int = 1) -> list[tuple[float, i
     jobs = build_jobs(workload, seed, ROOT / "scenarios")
     scenarios = [rollsim.scenario.parse_scenario(job.text) for job in jobs]
     results = []
-    with tempfile.TemporaryDirectory() as tmp:
+    spent: dict[str, float] = {}
+    with tempfile.TemporaryDirectory() as tmp, timed_phases(spent) if phases else contextlib.nullcontext():
         for index in range(passes + 1):
             outdir = Path(tmp) / f"pass{index}"
+            spent.update(dict.fromkeys(PHASES if phases else (), 0.0))
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             times = {}
             start = time.perf_counter()
@@ -63,7 +138,7 @@ def run_passes(workload: str, passes: int, seed: int = 1) -> list[tuple[float, i
             elapsed = time.perf_counter() - start
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             if index:  # the first pass warms up
-                results.append((elapsed, faults, times))
+                results.append((elapsed, faults, times, dict(spent)))
     return results
 
 
@@ -75,17 +150,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("--passes", type=int, default=10, help="timed passes after the warm-up")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--phases", action="store_true", help="also time the functions of PHASES")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    results = run_passes(args.workload, args.passes, args.seed)
-    for index, (seconds, faults, _) in enumerate(results, 1):
+    results = run_passes(args.workload, args.passes, args.seed, args.phases)
+    for index, (seconds, faults, _, _) in enumerate(results, 1):
         print(f"pass {index:3d}  {seconds:.6f} s  {faults:6d} minor faults")
-    seconds = statistics.median(s for s, _, _ in results)
-    faults = statistics.median(f for _, f, _ in results)
+    seconds = statistics.median(result[0] for result in results)
+    faults = statistics.median(result[1] for result in results)
     print(f"median  {seconds:.6f} s  {faults:g} minor faults per pass over {len(results)} passes")
     for name in results[0][2]:
-        print(f"job  {statistics.median(times[name] for _, _, times in results):.6f} s  median of {name}")
+        print(f"job  {statistics.median(result[2][name] for result in results):.6f} s  median of {name}")
+    for name in results[0][3]:
+        print(f"phase  {statistics.median(result[3][name] for result in results) * 1e3:.3f} ms  median per pass in {name}")
     return 0
 
 
