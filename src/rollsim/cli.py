@@ -250,7 +250,7 @@ def run(
     read again by :func:`~rollsim.scenario.read_scenario`, so the report
     echoes them and an invalid value is a :class:`ScenarioError` naming its
     key path.  The prefix is ``out_prefix``, else the scenario's
-    ``output_prefix``, else the kind.  ``jobs`` is ignored, like ``tune_pid``'s.
+    ``output_prefix``, else the kind.  ``jobs`` is accepted and ignored.
     """
     started = time.perf_counter()
     scenario = _apply_overrides(scenario, dt, t_end)

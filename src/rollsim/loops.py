@@ -15,8 +15,9 @@ with maps built by applying the step to unit states.  A loop runs those
 maps by one of three routes:
 
 - closed form: a linear loop (ideal sensor, no fault, no saturation)
-  closes them with e = sp - y_true and is propagated by
-  :func:`~rollsim.lti.propagate`;
+  closes them with e = sp - y_true and is propagated by its
+  :class:`LoopFrame`'s :class:`~rollsim.lti.PropagationPlan`, one plan
+  for each batch of loops that differ in gains only;
 - verified blocks: a loop whose sensor clock ticks every sample and
   whose controller has no output limits is propagated a block of up to
   1,024 samples at a time from a guess of its readings, which one array
@@ -641,10 +642,10 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
     sensor/fault path, form the error, run :func:`~rollsim.pid.pid_step`,
     and hold the command over the next integration step.  Every route runs
     that step as the maps of :func:`_loop_maps`: a linear spec in closed
-    form through :func:`~rollsim.lti.propagate`, any other through
-    :class:`_NonlinearLoop`.  The first sample with a non-finite plant
-    state or output flags the result diverged at its time, and the series
-    ends just before it.  ``frame``, built here when not given, is shared
+    form through its frame's plan (:meth:`LoopFrame.linear_rows`), any
+    other through :class:`_NonlinearLoop`.  The first sample with a
+    non-finite plant state or output flags the result diverged at its
+    time, and the series ends just before it.  ``frame``, built here when not given, is shared
     by loops that differ in gains only; ``t`` and ``setpoint`` are its views,
     and a linear loop's series holds the channels it forms.
     """

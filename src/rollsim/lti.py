@@ -12,11 +12,13 @@ There is one discretisation: :func:`zoh_step_matrices` gives the exact
 step map x+ = M x + N u for an input held constant over the step (the
 zero-order hold).  Open-loop runs here and the closed loops in
 :mod:`rollsim.loops` both advance plant states with it.  A linear
-recurrence is evaluated in closed form, a block of steps at a time, by
-:func:`propagate`: open-loop runs and linear closed loops over their
-whole horizon, and a nonlinear loop's verified blocks through one reused
+recurrence is evaluated in closed form, a block of steps at a time, by a
 :class:`PropagationPlan`, the one place that decides where a run stops:
-at the first sample whose state or output is not finite.
+at the first sample whose state or output is not finite.  Open-loop runs
+plan theirs through :func:`propagate`, a nonlinear loop reuses one for
+its verified blocks, and linear closed loops that differ in gains only
+are the members of one stacked plan: they share its maps when all agree
+on its block length and scan span, and are each planned alone if not.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -395,17 +397,6 @@ def _finite_chain(chain: np.ndarray) -> np.ndarray:
     return 1 + np.logical_and.accumulate(finite).sum(axis=0)
 
 
-def _most_common(values: np.ndarray) -> tuple[int, object]:
-    """The most frequent of the members' ``values`` (a tie goes to the one
-    met first) and which members hold it: ``...`` for the one value of a
-    plan without a member axis, a full slice when all do, else indices."""
-    if values.ndim == 0:
-        return int(values), ...
-    listed = values.tolist()
-    value = max(listed, key=listed.count)
-    return value, slice(None) if listed.count(value) == len(listed) else np.flatnonzero(values == value)
-
-
 class PropagationPlan:
     """The block maps and doubling powers of :func:`propagate` for a batch
     of loops, built once for inputs of up to ``longest`` samples and
@@ -424,15 +415,16 @@ class PropagationPlan:
     The block length L is the first offset i whose m^(i+1), m^i g or row
     map column overflowed (at least 1), found by one test of the maps'
     sum, and one scan covers at most 2^K blocks for K finite doubling
-    powers.  Members share L and that span; a member whose maps give
-    another (they overflow) is planned alone.  No state or row of a block
-    exceeds its largest operand (start or input) times ``state_gain``, the
-    largest column sum of the block and row maps, and rounding adds at
-    most a factor 1 + (n + L)u to that (N. Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2002, section 3.5).  So an apply whose bound
-    is below 1e300 computes states only for an end state inside its last
-    block; any other tests each chunk's states and first row by their sum,
-    and one by one only when that is not finite.
+    powers.  Members share L and that span when all of them agree on both;
+    when any member's maps give another (they overflow), the plan holds
+    one plan per member, ``alone``, in batch order.  No state or row of a
+    block exceeds its largest operand (start or input) times
+    ``state_gain``, the largest column sum of the block and row maps, and
+    rounding adds at most a factor 1 + (n + L)u to that (N. Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.5).
+    So an apply whose bound is below 1e300 computes states only for an end
+    state inside its last block; any other tests each chunk's states and
+    first row by their sum, and one by one only when that is not finite.
     """
 
     def __init__(self, m: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray, longest: int) -> None:
@@ -459,46 +451,41 @@ class PropagationPlan:
             ], axis=-2)
             row_map = block_map.reshape(*batch, n + _BLOCK, _BLOCK, n) @ h.swapaxes(-1, -2)[..., None, :, :]
             row_map[..., n + _OFFSETS, _OFFSETS, :] += j[..., None, :]  # input l at offset l
-            size, same = _BLOCK, slice(None) if batch else ...  # L and its members
+            size = sizes = _BLOCK
             if not np.isfinite(powers[1:].sum() + markov.sum() + row_map.sum()):
                 # Offset i needs m^(i+1), m^i g and row map column i; a shorter
                 # block's maps are the top-left corner of these.
                 finite = np.all(np.isfinite(powers[1:]), axis=(-2, -1)) & np.all(np.isfinite(markov[:_BLOCK]), axis=-1)
                 finite &= np.moveaxis(np.all(np.isfinite(row_map), axis=(-3, -1)), -1, 0)
-                size, same = _most_common(np.maximum(1, np.logical_and.accumulate(finite).sum(axis=0)))
+                sizes = np.maximum(1, np.logical_and.accumulate(finite).sum(axis=0))
+                size = int(sizes.min())
 
             # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
             # needs P_k for 2^k < len(ends).
             blocks = -(-longest // size)
             span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
             depth = max(1, (min(blocks, span) - 1).bit_length())
-            first = powers[size][same]
-            doubling = np.empty((depth, *first.shape))  # M^(2^k)
-            doubling[0] = first
+            doubling = np.empty((depth, *powers[size].shape))  # M^(2^k)
+            doubling[0] = powers[size]
             finite = _finite_chain(doubling)
-            span, kept = _most_common(np.minimum(span, 2 ** finite))
-            finite = int(finite[kept].min())
-            # Members of the most common L and span share the plan, any other
-            # is planned alone.  ``pick`` and ``lead`` select them from the maps,
-            # ``kept`` from the powers; for one loop each is ``...``: no member axis.
-            pick, lead, self.alone, self.members = ..., ..., {}, None
-            if batch:
-                members = np.arange(len(m))[same][kept]
-                pick = lead = same if isinstance(kept, slice) else members
-                self.members = members.tolist()
-                self.alone = {  # member -> its own plan
-                    b: PropagationPlan(m[b], g[b], h[b], j[b], longest) for b in sorted({*range(len(m))} - {*self.members})
-                }
-            self.block_map = block_map[pick][..., :n + size, :size * n]
-            self.row_map = row_map[pick][..., :n + size, :size, :].reshape(*self.block_map.shape[:-2], n + size, -1)
+            spans = np.minimum(span, 2 ** finite)
+            span, finite = int(spans.min()), int(finite.min())
+            # Members share the plan when they agree on L and span; else each
+            # is planned alone.  A plan of one loop has no member axis.
+            self.alone = [] if batch else None
+            if batch and np.any((sizes != size) | (spans != span)):
+                self.alone = [PropagationPlan(m[b], g[b], h[b], j[b], longest) for b in range(len(m))]
+                return
+            self.block_map = block_map[..., :n + size, :size * n]
+            self.row_map = row_map[..., :n + size, :size, :].reshape(*self.block_map.shape[:-2], n + size, -1)
             self.state_gain = np.maximum(  # the largest column sum of both maps
                 np.abs(self.block_map).sum(axis=-2).max(axis=-1, initial=0.0),
                 np.abs(self.row_map).sum(axis=-2).max(axis=-1, initial=0.0),
             ).tolist()
             # Carries a block's inputs to its end: m^(L-1-l) g, read backwards.
-            self.carry = np.moveaxis(markov[:, lead][size - 1::-1], 0, -2)
-            self.leap = doubling[0][kept]
-            self.transposed = doubling[:finite][:, kept].swapaxes(-1, -2).copy()  # contiguous: faster products
+            self.carry = np.moveaxis(markov[size - 1::-1], 0, -2)
+            self.leap = doubling[0]
+            self.transposed = doubling[:finite].swapaxes(-1, -2).copy()  # contiguous: faster products
             self.span = span
         self.n, self.size, self.outputs = n, size, outputs
         self.per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, outputs)))
@@ -510,6 +497,8 @@ class PropagationPlan:
         that forms that member's rows from its starts: see :meth:`apply`.
         Members share the block inputs, so only one member's rows and
         operands exist at a time."""
+        if self.alone:
+            return [plan.scan(w, None if z0 is None else z0[b])[0] for b, plan in enumerate(self.alone)]
         w = np.asarray(w, dtype=float)
         n, size, count = self.n, self.size, len(w)
         blocks, full = -(-count // size), count // size
@@ -518,7 +507,7 @@ class PropagationPlan:
         inputs[:full] = w[:full * size].reshape(full, size)
         inputs[full:, :count - full * size] = w[full * size:]
         starts = np.empty((*self.leap.shape[:-2], blocks + 1, n))  # each member's z[b * L], b <= blocks
-        starts[..., 0, :] = 0.0 if z0 is None else z0 if self.members is None else np.asarray(z0)[self.members]
+        starts[..., 0, :] = 0.0 if z0 is None else z0
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, blocks, self.span):
                 ends = starts[..., first + 1:first + 1 + self.span, :]
@@ -527,14 +516,9 @@ class PropagationPlan:
                 ends[..., 0, :] += (self.leap @ starts[..., first, :, None])[..., 0]
                 for k, power in enumerate(self.transposed[:(length - 1).bit_length()]):
                     ends[..., 2 ** k:, :] += ends[..., :-2 ** k, :] @ power
-        if self.members is None:
+        if self.alone is None:
             return [partial(self._rows, None, operands, starts, count)]
-        scanned = [None] * (len(self.members) + len(self.alone))
-        for i, b in enumerate(self.members):
-            scanned[b] = partial(self._rows, i, operands, starts[i], count)
-        for b, plan in self.alone.items():
-            scanned[b] = plan.scan(w, None if z0 is None else z0[b])[0]
-        return scanned
+        return [partial(self._rows, b, operands, starts[b], count) for b in range(len(starts))]
 
     def _rows(
         self, member: int | None, operands: np.ndarray, starts: np.ndarray, count: int,
@@ -572,7 +556,7 @@ class PropagationPlan:
         shows as non-finite samples from the start of its block.  A stacked
         plan returns a list of these (rows, end, z_end), one per member."""
         results = [member() for member in self.scan(w, z0)]
-        return results if self.members is not None else results[0]
+        return results if self.alone is not None else results[0]
 
 
 def propagate(

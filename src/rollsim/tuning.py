@@ -190,11 +190,7 @@ class _BudgetSpent(Exception):
     """An evaluation was asked for after ``max_evals``: the search ends."""
 
 
-def tune_pid(
-    spec: TuneSpec,
-    cost_fn: Callable[[LoopSpec, CostKind], float] | None = None,
-    jobs: int = 1,
-) -> TuneResult:
+def tune_pid(spec: TuneSpec, cost_fn: Callable[[LoopSpec, CostKind], float] | None = None) -> TuneResult:
     """Minimize the loop cost over the bounds box.
 
     Grid: the projected initial triple plus an exhaustive lattice of
@@ -210,16 +206,13 @@ def tune_pid(
     ``cost_fn`` is injectable for testing; the default is :func:`loop_cost`
     through one :class:`~rollsim.loops.LoopFrame`, as candidates differ in
     gains only, and the frame forms only the ``y_true`` row the cost reads.
-    With it, candidates known together (the grid's lattice prefix,
-    Nelder-Mead's initial simplex and each shrink) are scanned as one
-    batch by :meth:`~rollsim.loops.LoopFrame.batches` before each is
-    costed in turn.  ``jobs`` is accepted and ignored: evaluations run in
-    this process, because a process pool cost more to start than the
-    evaluations it shared out.
+    Candidates known together (the grid's lattice prefix, Nelder-Mead's
+    initial simplex and each shrink) are scanned as one batch by
+    :meth:`~rollsim.loops.LoopFrame.batches` before each is costed in turn,
+    whatever ``cost_fn``.
     """
     bounds = spec.bounds
     frame = LoopFrame(spec.loop, ("y_true",))
-    batched = cost_fn is None
     cost_fn = cost_fn or partial(loop_cost, frame=frame)
     history: list[tuple[PidGains, float]] = []
 
@@ -227,7 +220,7 @@ def tune_pid(
         """The costs of ``triples``, in order; past ``max_evals`` the search ends."""
         loops = [_with_gains(spec, triple) for triple in triples[:spec.max_evals - len(history)]]
         costs = []
-        for run in frame.batches(loops) if batched else [loops]:
+        for run in frame.batches(loops):
             for loop in run:
                 costs.append(cost_fn(loop, spec.cost_kind))
                 history.append((loop.gains, costs[-1]))

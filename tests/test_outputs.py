@@ -22,7 +22,7 @@ class Bundle:
     exit_code = 0
 
 
-def run(scenario, out_prefix, jobs=1):
+def run(scenario, out_prefix):
     prefix = Path(out_prefix)
     csv = VALUE if scenario == "demo" else "same"
     prefix.with_suffix(".csv").write_text(csv + "\\n")

@@ -157,13 +157,6 @@ def test_grid_respects_max_evals():
     assert result.evals == 4
 
 
-def test_grid_parallel_matches_serial():
-    spec = grid_spec()
-    serial = tune_pid(spec)
-    parallel = tune_pid(spec, jobs=2)
-    assert [(g, c) for g, c in serial.history] == [(g, c) for g, c in parallel.history]
-
-
 # ---------------------------------------------------------------------------
 # Nelder-Mead
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ for name, text in json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")):
     prefix.parent.mkdir(parents=True, exist_ok=True)
     try:
         scenario = rollsim.scenario.parse_scenario(text)
-        status = str(rollsim.cli.run(scenario, out_prefix=str(prefix), jobs=1).exit_code)
+        status = str(rollsim.cli.run(scenario, out_prefix=str(prefix)).exit_code)
     except Exception as exc:
         status = f"{type(exc).__name__}: {exc}"
     (out / f"{name}.exit").write_text(status + "\\n", encoding="utf-8")

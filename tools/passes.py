@@ -133,7 +133,7 @@ def run_passes(
             start = time.perf_counter()
             for job, scenario in zip(jobs, scenarios):
                 times[job.name] = time.perf_counter()
-                rollsim.cli.run(scenario, out_prefix=str(outdir / job.name), jobs=1)
+                rollsim.cli.run(scenario, out_prefix=str(outdir / job.name))
                 times[job.name] = time.perf_counter() - times[job.name]
             elapsed = time.perf_counter() - start
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
