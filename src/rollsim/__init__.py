@@ -6,89 +6,28 @@ roll-gap control paths, PID closed-loop simulation with stability
 analysis, deterministic gain tuning, and sensor fault injection and
 detection.  Scenario-driven runs are available through the ``rollsim``
 command-line tool.
+
+What is promised is the command line, the scenario format and the names
+in ``__all__`` (with ``__version__``): the entry points that the command
+line's four scenario kinds run, and the types they take and return.
+This list alone decides what is public; any other name, in this package
+or in a module, may change without notice.
 """
 
 __version__ = "0.1.0"
 
-from .faults import (
-    DetectorConfig,
-    FaultEvent,
-    FaultKind,
-    FaultSpec,
-    SensorModel,
-    apply_sensor,
-    detect_faults,
-    sensor_terms,
-)
-from .loops import (
-    LoopResult,
-    LoopSpec,
-    MULTIBODY_REFERENCE_GAINS,
-    MultibodyDemo,
-    Segment,
-    SetpointProfile,
-    StabilityVerdict,
-    classify_polynomial_stability,
-    multibody_demo,
-    series_is_bounded,
-    simulate_loop,
-)
-from .lti import (
-    ResponseMetrics,
-    RouthVerdict,
-    SimConfig,
-    SimulationDiverged,
-    StateSpaceModel,
-    TimeSeries,
-    TransferFunction,
-    dc_gain,
-    poles,
-    polynomial_roots,
-    response_metrics,
-    routh_classification,
-    simulate_lti,
-    step_response,
-    tf_new,
-    tf_to_state_space,
-)
-from .pid import (
-    PidGains,
-    PidState,
-    characteristic_polynomial,
-    closed_loop_tf,
-    pid_rational_terms,
-    pid_step,
-    pid_tf,
-)
-from .plants import (
-    KinematicsMode,
-    MULTIBODY_DEN,
-    PowerScrewParams,
-    RollDriveParams,
-    multibody_tf,
-    power_screw_tf,
-    roll_drive_tf,
-)
+from .faults import DetectorConfig, FaultEvent, detect_faults
+from .loops import LoopResult, LoopSpec, MultibodyDemo, SetpointProfile, multibody_demo, simulate_loop
+from .lti import SimConfig, dc_gain, poles, routh_classification, tf_new
+from .pid import PidGains
 from .scenario import Scenario, ScenarioError, parse_scenario, parse_scenario_file
-from .sizing import (
-    ContactModel,
-    SizingInputs,
-    SizingReport,
-    compression_force,
-    contact_length,
-    gear_ratio,
-    motor_power,
-    roll_angular_velocity,
-    roll_torque,
-    size_report,
-    vfd_frequency,
-)
-from .tuning import (
-    CostKind,
-    DIVERGENCE_PENALTY,
-    TuneMethod,
-    TuneResult,
-    TuneSpec,
-    loop_cost,
-    tune_pid,
-)
+from .sizing import ContactModel, SizingInputs, SizingReport, size_report
+from .tuning import TuneResult, TuneSpec, tune_pid
+
+__all__ = [
+    "ContactModel", "DetectorConfig", "FaultEvent", "LoopResult", "LoopSpec", "MultibodyDemo", "PidGains",
+    "Scenario", "ScenarioError", "SetpointProfile", "SimConfig", "SizingInputs", "SizingReport",
+    "TuneResult", "TuneSpec", "dc_gain", "detect_faults", "multibody_demo", "parse_scenario",
+    "parse_scenario_file", "poles", "routh_classification", "simulate_loop", "size_report", "tf_new",
+    "tune_pid",
+]

@@ -40,8 +40,6 @@ from .scenario import INFINITIES, Scenario, ScenarioError, _build, parse_scenari
 from .sizing import size_report
 from .tuning import tune_pid
 
-__all__ = ["OutputBundle", "main", "run"]
-
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DIVERGED = 2
@@ -250,7 +248,9 @@ def run(
     read again by :func:`~rollsim.scenario.read_scenario`, so the report
     echoes them and an invalid value is a :class:`ScenarioError` naming its
     key path.  The prefix is ``out_prefix``, else the scenario's
-    ``output_prefix``, else the kind.  ``jobs`` is accepted and ignored.
+    ``output_prefix``, else the kind.  ``jobs`` is ignored: every run is one
+    process.  It stays only because the benchmark's harness, its reference
+    maker and its tests pass ``jobs=1``.
     """
     started = time.perf_counter()
     scenario = _apply_overrides(scenario, dt, t_end)
@@ -302,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a '{name}' scenario")
         p.add_argument("--scenario", required=True, help="path to the scenario YAML file")
         p.add_argument("--out", default=None, help="output path prefix")
-        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; ignored")
         p.add_argument("--dt", type=float, default=None, help="override simulation step, s")
         p.add_argument("--t-end", type=float, default=None, help="override simulation horizon, s")
     sub.add_parser("version", help="print the tool version")

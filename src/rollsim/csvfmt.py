@@ -50,8 +50,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["format_rows"]
-
 _WORDS = 5
 _X_MIN = -290    # the tables cover x in [_X_MIN, -_X_MIN], where 10**(11 - x) is finite
 _TIE_MARGIN = 2e-3

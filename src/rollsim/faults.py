@@ -32,18 +32,6 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "DetectorConfig",
-    "FaultEvent",
-    "FaultKind",
-    "FaultSpec",
-    "SensorModel",
-    "apply_sensor",
-    "counter_gauss",
-    "detect_faults",
-    "sensor_terms",
-]
-
 
 # ---------------------------------------------------------------------------
 # Counter-based Gaussian draws

@@ -14,11 +14,12 @@ zero-order hold).  Open-loop runs here and the closed loops in
 :mod:`rollsim.loops` both advance plant states with it.  A linear
 recurrence is evaluated in closed form, a block of steps at a time, by a
 :class:`PropagationPlan`, the one place that decides where a run stops:
-at the first sample whose state or output is not finite.  Open-loop runs
-plan theirs through :func:`propagate`, a nonlinear loop reuses one for
-its verified blocks, and linear closed loops that differ in gains only
-are the members of one stacked plan: they share its maps when all agree
-on its block length and scan span, and are each planned alone if not.
+at the first sample whose state or output is not finite.
+:func:`simulate_lti` applies one to an open-loop run and returns the
+samples before that point, a nonlinear loop reuses one for its verified
+blocks, and linear closed loops that differ in gains only are the
+members of one stacked plan: they share its maps when all agree on its
+block length and scan span, and are each planned alone if not.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -33,30 +34,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-
-__all__ = [
-    "MAX_STEPS",
-    "ResponseMetrics",
-    "RouthVerdict",
-    "SimConfig",
-    "SimulationDiverged",
-    "StateSpaceModel",
-    "TimeSeries",
-    "TransferFunction",
-    "batch_size",
-    "dc_gain",
-    "poly_trim",
-    "polynomial_roots",
-    "poles",
-    "PropagationPlan",
-    "propagate",
-    "response_metrics",
-    "routh_classification",
-    "simulate_lti",
-    "step_response",
-    "tf_new",
-    "zoh_step_matrices",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +298,8 @@ class TimeSeries:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.channels
-
     def __len__(self) -> int:
         return len(self.t)
-
-
-class SimulationDiverged(RuntimeError):
-    """State became non-finite; carries the divergence time and the finite prefix."""
-
-    def __init__(self, time: float, partial: TimeSeries):
-        super().__init__(f"simulation diverged at t = {time:.6g} s")
-        self.time = time
-        self.partial = partial
 
 
 def zoh_step_matrices(ss: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -361,13 +326,13 @@ def zoh_step_matrices(ss: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.nd
     return e[:n, :n].copy(), e[:n, n].copy()
 
 
-# Steps per block in :func:`propagate`.  16 measured fastest for up to 12
-# states (a closed loop around the 8th-order multibody plant); longer
-# blocks spend more on the in-block products than they save in Python.
+# Steps per block of a :class:`PropagationPlan`.  16 measured fastest for
+# up to 12 states (a closed loop around the 8th-order multibody plant);
+# longer blocks spend more on the in-block products than they save in Python.
 _BLOCK = 16
-# Largest m*n*k of one matrix product in :func:`propagate`.  OpenBLAS runs
-# bigger products on several threads, and on a loaded two-core machine
-# waking them cost up to 8 ms per product against 0.1 ms on one thread.
+# Largest m*n*k of one matrix product of a plan.  OpenBLAS runs bigger
+# products on several threads, and on a loaded two-core machine waking
+# them cost up to 8 ms per product against 0.1 ms on one thread.
 _SERIAL_PRODUCT = 4 * 65536
 # Most bytes of block starts that one batched scan holds (members x blocks
 # x states doubles): ten 6-state loops over 10,001 samples take 0.3 MB,
@@ -398,9 +363,24 @@ def _finite_chain(chain: np.ndarray) -> np.ndarray:
 
 
 class PropagationPlan:
-    """The block maps and doubling powers of :func:`propagate` for a batch
-    of loops, built once for inputs of up to ``longest`` samples and
-    applied from any start.
+    """The recurrence z[k+1] = m z[k] + g w[k] with rows h z[k] + j w[k]
+    (``h`` p x n, ``j`` of length p) for a batch of loops: its block maps
+    and doubling powers, built once for inputs of up to ``longest``
+    samples and applied from any start.  A caller that runs the same maps
+    over many stretches starts each apply from the state the one before
+    ended on.
+
+    The recurrence is evaluated in blocks of L <= ``_BLOCK`` steps (G.
+    Blelloch, *Prefix sums and their applications*, 1990).  Within a block
+    starting at b, z[b+i] = m^i z[b] + sum_{l<i} m^(i-1-l) g w[b+l], one
+    matrix product for a chunk of blocks; that map projected through ``h``,
+    plus ``j`` where input l meets offset l, writes their rows in one more.
+    The block starts obey s[b+1] = M s[b] + c[b], with M = m^L and c[b] the
+    block's inputs carried to its end.  A doubling scan (P. Kogge & H.
+    Stone, IEEE Trans. Computers, 1973) solves that first-order recurrence
+    for B blocks in ceil(log2 B) array steps, ends[2^k:] += ends[:-2^k]
+    P_k^T with P_k = M^(2^k), so Python never steps once per block; the
+    first start is z0.
 
     Maps with a leading axis, m (B, n, n), g (B, n), h (B, p, n) and
     j (B, p), stack B members; without it they are one loop, and the
@@ -550,76 +530,38 @@ class PropagationPlan:
             return rows[:count], count, start if np.all(np.isfinite(start)) else None
 
     def apply(self, w: np.ndarray, z0: np.ndarray | None = None):
-        """:func:`propagate` from the start state ``z0`` (zero when None),
-        returning also ``z_end``, the state after the last sample: None
-        unless it is finite and ``end`` is ``len(w)``.  A non-finite input
-        shows as non-finite samples from the start of its block.  A stacked
-        plan returns a list of these (rows, end, z_end), one per member."""
+        """``(rows, end, z_end)`` over the inputs ``w`` from the start state
+        ``z0`` (zero when None).  ``end`` is the index of the first sample
+        whose state or first row is not finite, or ``len(w)`` when all are
+        finite; ``rows[k]`` for k < end is h z[k] + j w[k].  ``z_end``, the
+        state after the last sample, is None unless it is finite and
+        ``end`` is ``len(w)``.  A non-finite input shows as non-finite
+        samples from the start of its block.  A stacked plan returns a list
+        of these, one per member."""
         results = [member() for member in self.scan(w, z0)]
         return results if self.alone is not None else results[0]
-
-
-def propagate(
-    m: np.ndarray,
-    g: np.ndarray,
-    w: np.ndarray,
-    h: np.ndarray,
-    j: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """States of z[k+1] = m z[k] + g w[k] from z[0] = 0, for k < len(w).
-
-    Returns ``(rows, end)``.  ``end`` is the index of the first sample
-    whose state or first row is not finite, or ``len(w)`` when all are
-    finite; ``rows[k]`` for k < end is the projection h z[k] + j w[k],
-    with ``h`` p x n and ``j`` of length p.  The inputs must be finite.
-    This is one :class:`PropagationPlan` applied from z0 = 0; a caller
-    that runs the same maps over many stretches builds the plan once and
-    starts each apply from the state the one before ended on.
-
-    The recurrence is evaluated in blocks of L = ``_BLOCK`` steps (G.
-    Blelloch, *Prefix sums and their applications*, 1990).  Within a block
-    starting at b, z[b+i] = m^i z[b] + sum_{l<i} m^(i-1-l) g w[b+l], one
-    matrix product for a chunk of blocks; that map projected through ``h``,
-    plus ``j`` where input l meets offset l, writes their rows in one more.
-    The block starts obey s[b+1] = M s[b] + c[b], with M = m^L and c[b] the
-    block's inputs carried to its end.  A doubling scan (P. Kogge & H.
-    Stone, IEEE Trans. Computers, 1973) solves that first-order recurrence
-    for B blocks in ceil(log2 B) array steps, ends[2^k:] += ends[:-2^k]
-    P_k^T with P_k = M^(2^k), so Python never steps once per block; the
-    first start is z0.
-
-    Only finite maps are used, so ``end`` is where the step-by-step
-    recurrence meets its first non-finite sample (see
-    :class:`PropagationPlan`).
-    """
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("propagate needs finite inputs")
-    return PropagationPlan(m, g, h, j, len(w)).apply(w)[:2]
 
 
 def simulate_lti(ss: StateSpaceModel, u: np.ndarray, cfg: SimConfig) -> TimeSeries:
     """Run a state-space model from zero initial state.
 
     ``u`` holds one finite input sample per step start (``cfg.steps + 1``),
-    each held over its step.  The state advances by the exact hold map of
-    :func:`zoh_step_matrices`, evaluated by :func:`propagate`.  Returns
-    channels ``u`` and ``y``.  Raises :class:`SimulationDiverged` at the
-    first sample whose state or output is not finite, with the finite
-    prefix attached.
+    each held over its step; a non-finite one is a ``ValueError``.  The
+    state advances by the exact hold map of :func:`zoh_step_matrices`,
+    evaluated by a :class:`PropagationPlan`.  Returns channels ``u`` and
+    ``y`` up to the first sample whose state or output is not finite: a
+    series of fewer than ``cfg.steps + 1`` samples diverged at the time
+    its length times ``cfg.dt``, the sample after its last.
     """
-    steps = cfg.steps
-    t = np.arange(steps + 1) * cfg.dt
+    t = np.arange(cfg.steps + 1) * cfg.dt
     u = np.array(u, dtype=float)
     if u.shape != t.shape:
         raise ValueError(f"expected {len(t)} input samples, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("simulate_lti needs finite inputs: u has a non-finite sample")
     m, nvec = zoh_step_matrices(ss, cfg.dt)
-    rows, end = propagate(m, nvec, u, ss.C, [ss.D])
-    y = rows[:, 0]
-    if end <= steps:
-        partial = TimeSeries(t=t[:end], channels={"u": u[:end].copy(), "y": y})
-        raise SimulationDiverged(time=float(t[end]), partial=partial)
-    return TimeSeries(t=t, channels={"u": u, "y": y})
+    rows, end, _ = PropagationPlan(m, nvec, ss.C, [ss.D], len(u)).apply(u)
+    return TimeSeries(t=t[:end], channels={"u": u[:end], "y": rows[:, 0]})
 
 
 def step_response(tf: TransferFunction, cfg: SimConfig) -> TimeSeries:

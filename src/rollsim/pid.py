@@ -1,13 +1,13 @@
-"""PID control law in stepped and transfer-function form.
+"""PID control law in stepped and rational form.
 
 The discrete form (:func:`pid_step`) is what the loop simulator runs:
 trapezoidal integral, first-difference derivative through a first-order
 filter, optional output saturation with conditional-integration
-anti-windup.  The continuous form (:func:`pid_tf`) exists for pole
-analysis and requires a finite derivative filter, since the ideal PID is
-improper.  :func:`pid_rational_terms` additionally exposes the improper
-ideal-derivative numerator/denominator pair for characteristic-polynomial
-work where a realizable transfer function is not needed.
+anti-windup.  The continuous form, for pole analysis, is the raw
+numerator/denominator pair of :func:`pid_rational_terms`; it is improper
+for the ideal (unfiltered) derivative, which characteristic polynomials
+handle all the same.  :func:`rollsim.loops._analysis` composes it with a
+plant into the closed loop.
 
 State is an explicit value threaded in and out of :func:`pid_step`;
 nothing here mutates, so controllers can run in parallel loops freely.
@@ -20,18 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import TransferFunction, tf_new
-
-__all__ = [
-    "PidGains",
-    "PidState",
-    "characteristic_polynomial",
-    "closed_loop_tf",
-    "pid_rational_terms",
-    "pid_step",
-    "pid_tf",
-    "saturate",
-]
+from .lti import TransferFunction
 
 
 @dataclass(frozen=True)
@@ -142,33 +131,6 @@ def pid_rational_terms(gains: PidGains) -> tuple[np.ndarray, np.ndarray]:
     return (
         np.array([kp + kd * n, kp * n + ki, ki * n]),
         np.array([1.0, n, 0.0]),
-    )
-
-
-def pid_tf(gains: PidGains) -> TransferFunction:
-    """Controller as a proper transfer function.
-
-    Requires a finite positive derivative filter when kd > 0; the
-    unfiltered derivative makes the controller improper and is rejected.
-    """
-    if gains.kd > 0.0 and not 0.0 < gains.derivative_filter_n < math.inf:
-        raise ValueError(
-            "kd > 0 needs a finite derivative_filter_n > 0: the ideal PID is improper"
-        )
-    num, den = pid_rational_terms(gains)
-    return tf_new(num, den)
-
-
-def closed_loop_tf(controller: TransferFunction, plant: TransferFunction) -> TransferFunction:
-    """Unity-negative-feedback loop: T = C G / (1 + C G).
-
-    Pure polynomial arithmetic; common factors between the resulting
-    numerator and denominator are deliberately not cancelled, so pole
-    listings retain any controller/plant cancellations.
-    """
-    return tf_new(
-        np.polymul(controller.num, plant.num),
-        characteristic_polynomial(controller.num, controller.den, plant),
     )
 
 

@@ -21,16 +21,6 @@ import numpy as np
 
 from .lti import TransferFunction, tf_new
 
-__all__ = [
-    "KinematicsMode",
-    "MULTIBODY_DEN",
-    "PowerScrewParams",
-    "RollDriveParams",
-    "multibody_tf",
-    "power_screw_tf",
-    "roll_drive_tf",
-]
-
 TWO_PI = 2.0 * np.pi
 
 

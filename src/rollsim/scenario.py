@@ -45,11 +45,6 @@ from .plants import (
 from .sizing import ContactModel, SizingInputs, roll_angular_velocity
 from .tuning import TuneSpec
 
-__all__ = [
-    "MAX_DEPTH", "Scenario", "ScenarioError", "dump_scenario", "parse_scenario", "parse_scenario_file",
-    "read_scenario",
-]
-
 _UNIT_FACTORS = {
     "m": 1.0,
     "mm": 1e-3,

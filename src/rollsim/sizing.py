@@ -18,20 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = [
-    "ContactModel",
-    "SizingInputs",
-    "SizingReport",
-    "compression_force",
-    "contact_length",
-    "gear_ratio",
-    "motor_power",
-    "roll_angular_velocity",
-    "roll_torque",
-    "size_report",
-    "vfd_frequency",
-]
-
 
 class ContactModel(str, Enum):
     """Roll-sheet contact length model.
@@ -86,10 +72,6 @@ class SizingInputs:
         if not math.isfinite(roll_angular_velocity(self.line_speed_v, self.roll_diameter_D)[1]):
             raise ValueError("the roll speed line_speed_v / (roll_diameter_D / 2) is not finite")
 
-    @property
-    def draft(self) -> float:
-        return self.t_initial - self.t_final
-
 
 @dataclass(frozen=True)
 class SizingReport:
@@ -127,14 +109,6 @@ def contact_length(
     if ratio > 1.0:
         raise ValueError(f"draft/D = {ratio:.4g} > 1 is outside the arcsin domain")
     return D * math.asin(ratio)
-
-
-def compression_force(
-    inputs: SizingInputs, mode: ContactModel = ContactModel.APPROX
-) -> float:
-    """F = sigma_y * A with A = width * contact length."""
-    L = contact_length(inputs.t_initial, inputs.t_final, inputs.roll_diameter_D, mode)
-    return inputs.sigma_y * inputs.width_w * L
 
 
 def roll_torque(force: float, D: float) -> float:

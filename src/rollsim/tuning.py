@@ -28,16 +28,6 @@ import numpy as np
 from .loops import LoopFrame, LoopSpec, simulate_loop
 from .pid import PidGains
 
-__all__ = [
-    "CostKind",
-    "DIVERGENCE_PENALTY",
-    "TuneMethod",
-    "TuneResult",
-    "TuneSpec",
-    "loop_cost",
-    "tune_pid",
-]
-
 DIVERGENCE_PENALTY = 1e12
 
 

@@ -663,7 +663,7 @@ def test_loops_whose_maps_overflow_diverge_without_a_warning(tmp_path, capsys, b
     assert results["stability_verdict"] is None
 
 
-def test_jobs_is_accepted_and_runs_no_process_pool(tmp_path, monkeypatch):
+def test_jobs_is_a_usage_error_and_tuning_runs_no_process_pool(tmp_path, monkeypatch, capsys):
     import multiprocessing
 
     def no_pool(*args, **kwargs):
@@ -671,7 +671,12 @@ def test_jobs_is_accepted_and_runs_no_process_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     out = tmp_path / "tune"
-    args = ["tune", "--scenario", str(SCENARIOS / "tune_speed_grid.yaml"), "--out", str(out), "--jobs", "3"]
+    args = ["tune", "--scenario", str(SCENARIOS / "tune_speed_grid.yaml"), "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        cli.main([*args, "--jobs", "3"])
+    assert info.value.code == cli.EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
     assert cli.main(args) == cli.EXIT_OK
     assert _valid_report(out.with_suffix(".json"))["results"]["evals"] > 1
 

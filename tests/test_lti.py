@@ -13,12 +13,10 @@ from rollsim.lti import (
     PropagationPlan,
     RouthVerdict,
     SimConfig,
-    SimulationDiverged,
     StateSpaceModel,
     dc_gain,
     poles,
     polynomial_roots,
-    propagate,
     response_metrics,
     routh_classification,
     simulate_lti,
@@ -346,14 +344,8 @@ def test_sampled_input_equals_the_step_response_bit_for_bit(den):
     first = len(u) if finite.all() else int(np.argmin(finite))
     assert (first < len(u)) == (den[1] < 0)
 
-    def run(sim, *args):
-        try:
-            return sim(*args)
-        except SimulationDiverged as exc:
-            return exc.partial
-
-    step, sampled = run(step_response, tf, cfg), run(simulate_lti, ss, u, cfg)
-    # A diverging run's partial series ends at the oracle's first non-finite output.
+    step, sampled = step_response(tf, cfg), simulate_lti(ss, u, cfg)
+    # A diverging run's series ends at the oracle's first non-finite output.
     assert len(sampled) == len(step) == first
     for name in ("u", "y"):
         np.testing.assert_array_equal(sampled[name].view(np.int64), step[name].view(np.int64))
@@ -404,10 +396,10 @@ def test_final_value_matches_dc_gain_on_random_stable_systems():
 def test_divergence_reports_time_and_prefix():
     ss = tf_to_state_space(tf_new([1], [1, -80.0]))  # pole at +80
     cfg = SimConfig(dt=0.1, t_end=50.0)
-    with pytest.raises(SimulationDiverged) as info:
-        simulate_lti(ss, np.ones(cfg.steps + 1), cfg)
-    assert info.value.time > 0
-    assert np.all(np.isfinite(info.value.partial["y"]))
+    ts = simulate_lti(ss, np.ones(cfg.steps + 1), cfg)
+    assert 0 < len(ts) < cfg.steps + 1  # stopped at t = len(ts) dt > 0
+    assert ts.t[-1] == (len(ts) - 1) * cfg.dt
+    assert np.all(np.isfinite(ts["y"]))
 
 
 def test_open_loop_ends_at_the_first_nonfinite_output():
@@ -422,11 +414,9 @@ def test_open_loop_ends_at_the_first_nonfinite_output():
     first = int(np.argmin(np.isfinite(y)))
     assert 0 < first < cfg.steps
 
-    with pytest.raises(SimulationDiverged) as info:
-        step_response(tf, cfg)
-    partial = info.value.partial
-    assert info.value.time == pytest.approx(first * cfg.dt) and len(partial) == first
-    np.testing.assert_allclose(partial["y"], y[:first], rtol=1e-12)
+    ts = step_response(tf, cfg)
+    assert len(ts) == first and ts.t[-1] == pytest.approx((first - 1) * cfg.dt)
+    np.testing.assert_allclose(ts["y"], y[:first], rtol=1e-12)
 
 
 # The ids are those of the cases from when the step map was selectable;
@@ -531,14 +521,18 @@ def test_a_huge_unstable_pole_diverges_at_the_first_step_without_a_warning():
         warnings.simplefilter("error")
         m, nvec = zoh_step_matrices(tf_to_state_space(tf_new([1.0], [1.0e-300, -1.0])), 1e-3)
         assert not np.all(np.isfinite(m))
-        with pytest.raises(SimulationDiverged) as info:
-            step_response(tf_new([1.0], [1.0e-300, -1.0]), SimConfig(dt=1e-3, t_end=1.0))
-    assert info.value.time == 1e-3 and len(info.value.partial) == 1
+        ts = step_response(tf_new([1.0], [1.0e-300, -1.0]), SimConfig(dt=1e-3, t_end=1.0))
+    assert len(ts) == 1 and ts.t[-1] == 0.0  # stopped at t = 1e-3
 
 
 # ---------------------------------------------------------------------------
 # Block propagation
 # ---------------------------------------------------------------------------
+
+def plan_rows(m, g, w, h, j):
+    """``(rows, end)`` of one plan over ``w``, applied from zero."""
+    return PropagationPlan(m, g, h, j, len(w)).apply(w)[:2]
+
 
 def plain_recurrence(m, g, w, z0=None):
     """States z[0 .. len(w)-1] of z[k+1] = m z[k] + g w[k], one step at a
@@ -563,10 +557,10 @@ def test_propagate_is_the_plain_recurrence(order, count):
     h, j = rng.normal(size=(3, order)), rng.normal(size=3)
     expected = plain_recurrence(m, g, w)
 
-    states, end = propagate(m, g, w, np.eye(order), np.zeros(order))
+    states, end = plan_rows(m, g, w, np.eye(order), np.zeros(order))
     assert end == count and states.shape == (count, order)
     assert_columnwise_close(states, expected)
-    rows, end = propagate(m, g, w, h, j)
+    rows, end = plan_rows(m, g, w, h, j)
     assert end == count and rows.shape == (count, 3)
     assert_columnwise_close(rows, expected @ h.T + np.outer(w, j))
 
@@ -593,7 +587,7 @@ def test_propagate_is_the_plain_recurrence_normwise(order, count, seed):
     w, h, j = rng.normal(size=count), rng.normal(size=(3, order)), rng.normal(size=3)
     assert_plain_states(m, g, w)
     expected = plain_recurrence(m, g, w) @ h.T + np.outer(w, j)
-    rows, end = propagate(m, g, w, h, j)
+    rows, end = plan_rows(m, g, w, h, j)
     assert end == count
     assert np.all(np.max(np.abs(rows - expected), axis=0) <= 1e-12 * np.max(np.abs(expected), axis=0))
 
@@ -606,25 +600,27 @@ def test_propagate_stops_at_the_first_nonfinite_state(growth):
     first = int(np.argmin(np.all(np.isfinite(expected), axis=1)))
     assert 0 < first < len(w)
 
-    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    states, end = plan_rows(m, g, w, np.eye(2), np.zeros(2))
     assert end == first and len(states) == first
     np.testing.assert_allclose(states, expected[:first], rtol=1e-12)
 
 
-def test_propagate_rejects_nonfinite_inputs():
-    with pytest.raises(ValueError):
-        propagate(np.eye(1), [1.0], [0.0, math.inf], np.eye(1), [0.0])
+def test_simulate_lti_rejects_nonfinite_inputs():
+    ss, cfg = tf_to_state_space(tf_new([1], [1, 1])), SimConfig(dt=0.5, t_end=1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite inputs: u"):
+            simulate_lti(ss, np.array([0.0, bad, 0.0]), cfg)
 
 
 # The block starts come from a doubling scan: ends[2^k:] += ends[:-2^k] P_k^T
 # with P_k = m^(16 * 2^k).  These cases sit on its edges.
 
 def assert_plain_states(m, g, w):
-    """propagate's states are the plain recurrence's, to 1e-12 of the
+    """A plan's states are the plain recurrence's, to 1e-12 of the
     largest state (the scan sums in another order, so a state near zero
     may carry the rounding of its large neighbours)."""
     expected = plain_recurrence(m, g, w)
-    states, end = propagate(m, g, w, np.eye(len(g)), np.zeros(len(g)))
+    states, end = plan_rows(m, g, w, np.eye(len(g)), np.zeros(len(g)))
     assert end == len(w) and states.shape == expected.shape
     assert np.max(np.abs(states - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
 
@@ -675,7 +671,7 @@ def test_propagate_finds_divergence_when_deep_doubling_powers_overflow(growth, c
     first = first_nonfinite(expected)
     assert zeros < first < count
 
-    states, end = propagate(m, g, w, np.eye(1), np.zeros(1))
+    states, end = plan_rows(m, g, w, np.eye(1), np.zeros(1))
     assert end == first and len(states) == first
     assert not np.any(states[:zeros + 1])
     np.testing.assert_allclose(states, expected[:first], rtol=1e-12)
@@ -695,14 +691,14 @@ def test_propagate_runs_no_python_line_per_block():
 
     def tracer(frame, event, arg):
         nonlocal lines
-        if frame.f_code in (propagate.__code__, PropagationPlan.__init__.__code__, PropagationPlan.apply.__code__):
+        if frame.f_code in {getattr(PropagationPlan, name).__code__ for name in ("__init__", "apply", "scan", "_rows")}:
             lines += event == "line"
             return tracer
         return None
 
     sys.settrace(tracer)
     try:
-        propagate(m, g, w, np.eye(2), np.zeros(2))
+        plan_rows(m, g, w, np.eye(2), np.zeros(2))
     finally:
         sys.settrace(None)
     assert 0 < lines < 4000 / 10
@@ -712,11 +708,11 @@ def test_propagate_runs_no_python_line_per_block():
 # the input diagonal, and each chunk's states are tested once by their sum.
 
 def assert_plain_rows(m, g, w, h, j, states=None):
-    """propagate's rows are h z + j w of the plain recurrence (``states``
+    """A plan's rows are h z + j w of the plain recurrence (``states``
     when given), to 1e-12 of the largest row."""
     states = plain_recurrence(m, g, w) if states is None else states
     expected = states @ h.T + np.outer(w, j)
-    rows, end = propagate(m, g, w, h, j)
+    rows, end = plan_rows(m, g, w, h, j)
     assert end == len(w) and rows.shape == expected.shape
     assert np.max(np.abs(rows - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
 
@@ -738,7 +734,7 @@ def test_propagate_on_random_decaying_loops(seed):
     w = rng.normal(size=count)
     h, j = rng.normal(size=(outputs, order)), rng.normal(size=outputs)
     expected = plain_recurrence(m, g, w)
-    states, end = propagate(m, g, w, np.eye(order), np.zeros(order))
+    states, end = plan_rows(m, g, w, np.eye(order), np.zeros(order))
     assert end == count and states.shape == expected.shape
     assert np.max(np.abs(states - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
     assert_plain_rows(m, g, w, h, j, expected)
@@ -750,7 +746,7 @@ def test_propagate_runs_past_finite_states_whose_sum_overflows():
     with np.errstate(over="ignore"):
         assert np.all(np.isfinite(expected)) and not np.isfinite(expected.sum())
 
-    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    states, end = plan_rows(m, g, w, np.eye(2), np.zeros(2))
     assert end == len(w)
     np.testing.assert_array_equal(states, expected)
 
@@ -761,15 +757,15 @@ def test_propagate_finds_the_first_overflowing_state_exactly():
     expected = plain_recurrence(m, g, w)
     assert first_nonfinite(expected) == 4
 
-    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    states, end = plan_rows(m, g, w, np.eye(2), np.zeros(2))
     assert end == 4
     np.testing.assert_allclose(states, expected[:4], rtol=1e-15)
 
 
 def test_propagate_tests_finiteness_once_per_array(monkeypatch):
-    # One test of the inputs, one per power stack and one per chunk of
-    # states: never a test per power, and no state tested one by one
-    # while the chunk sums are finite.
+    # One test per power stack and one per chunk of states: never a test
+    # per power, and no state tested one by one while the chunk sums are
+    # finite.  The inputs are simulate_lti's to test, not the plan's.
     m, g = decaying(2, 13)
     w = np.ones(16 * 1000)
     tested = []
@@ -780,13 +776,13 @@ def test_propagate_tests_finiteness_once_per_array(monkeypatch):
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting)
-    propagate(m, g, w, np.eye(2), np.zeros(2))
+    plan_rows(m, g, w, np.eye(2), np.zeros(2))
     monkeypatch.undo()
-    chunks = len(tested) - 3  # the inputs and the two power stacks
+    chunks = len(tested) - 2  # the two power stacks
     assert 1 <= chunks <= 4
-    # The inputs, at most 16 powers m^i and 10 doubling powers of 2 x 2
-    # entries, and one sum per chunk.
-    assert sum(tested) <= len(w) + 16 * 4 + 10 * 4 + chunks
+    # At most 16 powers m^i and 10 doubling powers of 2 x 2 entries, and
+    # one sum per chunk.
+    assert sum(tested) <= 16 * 4 + 10 * 4 + chunks
 
 
 # A plan is built once and applied from any start state; each apply also
@@ -816,8 +812,10 @@ def test_a_plan_is_the_plain_recurrence_from_any_start(order, count):
     plan = PropagationPlan(m, g, h, j, count)
     for z0 in rng.normal(scale=5.0, size=(2, order)):  # one plan, two starts
         assert_plan_from(plan, m, g, w, h, j, z0)
-    # From zero the plan is propagate, bit for bit.
-    np.testing.assert_array_equal(plan.apply(w)[0], propagate(m, g, w, h, j)[0])
+    # Reused from zero, the plan is a fresh plan, bit for bit; no start
+    # is the zero start.
+    np.testing.assert_array_equal(plan.apply(w)[0], plan_rows(m, g, w, h, j)[0])
+    np.testing.assert_array_equal(plan.apply(w)[0], plan.apply(w, np.zeros(order))[0])
 
 
 def test_applies_carry_their_end_state():
@@ -852,7 +850,7 @@ def test_an_overflowing_impulse_term_cuts_the_block():
     w[0] = 0.0
     expected = plain_recurrence(m, g, w)
     assert first_nonfinite(expected) == 11
-    states, end = propagate(m, g, w, np.eye(2), np.zeros(2))
+    states, end = plan_rows(m, g, w, np.eye(2), np.zeros(2))
     assert end == 11
     np.testing.assert_allclose(states, expected[:11], rtol=1e-12)
 
@@ -867,7 +865,7 @@ def test_an_overflowing_row_map_cuts_the_block():
     with np.errstate(over="ignore"):
         expected = plain_recurrence(m, g, w) @ h.T
     assert np.all(np.isfinite(expected[:11])) and np.isinf(expected[11, 0])
-    rows, end = propagate(m, g, w, h, np.zeros(1))
+    rows, end = plan_rows(m, g, w, h, np.zeros(1))
     assert end == 11
     np.testing.assert_allclose(rows[:11], expected[:11], rtol=1e-12)
 

@@ -1,4 +1,4 @@
-"""PID stepping, transfer-function form, and closed-loop composition."""
+"""PID stepping, rational form, and closed-loop composition."""
 
 import math
 
@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rollsim.lti import dc_gain, tf_new
-from rollsim.loops import LoopSpec, SetpointProfile, simulate_loop
+from rollsim.loops import LoopSpec, SetpointProfile, _analysis, simulate_loop
 from rollsim.lti import SimConfig
 from rollsim.pid import (
     PidGains,
     PidState,
     characteristic_polynomial,
-    closed_loop_tf,
     pid_rational_terms,
     pid_step,
-    pid_tf,
 )
 from rollsim.plants import RollDriveParams, roll_drive_tf
 
@@ -164,40 +162,33 @@ def test_unsaturated_output_linear_in_error_history(scale, errors):
 
 
 # ---------------------------------------------------------------------------
-# Transfer-function form
+# Rational form (the controller's transfer function, possibly improper)
 # ---------------------------------------------------------------------------
 
 def test_pid_tf_pure_gain():
-    tf = pid_tf(PidGains(kp=1.0))
-    assert tf.num.tolist() == [1.0]
-    assert tf.den.tolist() == [1.0]
+    num, den = pid_rational_terms(PidGains(kp=1.0))
+    assert num.tolist() == [1.0]
+    assert den.tolist() == [1.0]
 
 
 def test_pid_tf_pure_integrator():
-    tf = pid_tf(PidGains(ki=1.0))
-    assert tf.num.tolist() == [1.0]
-    assert tf.den.tolist() == [1.0, 0.0]
+    num, den = pid_rational_terms(PidGains(ki=1.0))
+    assert num.tolist() == [0.0, 1.0]  # raw terms: kp s + ki with kp = 0
+    assert den.tolist() == [1.0, 0.0]
 
 
 def test_pid_tf_full_coefficients_pinned():
     # Expansion of kp + ki/s + kd N s/(s+N) at N=100, verified beforehand
     # with a symbolic algebra oracle and frozen here.
-    tf = pid_tf(PidGains(**REF, derivative_filter_n=100.0))
-    assert tf.num == pytest.approx([33.90941, 0.9410653, 0.00653], rel=1e-12)
-    assert tf.den == pytest.approx([1.0, 100.0, 0.0], rel=1e-12)
-
-
-def test_pid_tf_rejects_unfiltered_derivative():
-    with pytest.raises(ValueError, match="improper"):
-        pid_tf(PidGains(kd=1.0))
-    with pytest.raises(ValueError, match="improper"):
-        pid_tf(PidGains(kd=1.0, derivative_filter_n=math.inf))
+    num, den = pid_rational_terms(PidGains(**REF, derivative_filter_n=100.0))
+    assert num == pytest.approx([33.90941, 0.9410653, 0.00653], rel=1e-12)
+    assert den == pytest.approx([1.0, 100.0, 0.0], rel=1e-12)
 
 
 def test_pid_tf_pd_form_has_no_origin_pole():
-    tf = pid_tf(PidGains(kp=2.0, kd=0.5, derivative_filter_n=10.0))
-    assert tf.den.tolist() == [1.0, 10.0]
-    assert tf.num == pytest.approx([7.0, 20.0])
+    num, den = pid_rational_terms(PidGains(kp=2.0, kd=0.5, derivative_filter_n=10.0))
+    assert den.tolist() == [1.0, 10.0]
+    assert num == pytest.approx([7.0, 20.0])
 
 
 def test_rational_terms_ideal_derivative():
@@ -211,36 +202,35 @@ def test_rational_terms_ideal_derivative():
 # ---------------------------------------------------------------------------
 
 def test_unity_loop_of_unity_plant():
-    tf = closed_loop_tf(pid_tf(PidGains(kp=1.0)), tf_new([1], [1]))
+    tf = _analysis(PidGains(kp=1.0), tf_new([1], [1]))[2]
     assert dc_gain(tf) == pytest.approx(0.5)
     assert len(tf.den) == 1  # static loop
 
 
 def test_p_control_first_order():
     kp = 3.0
-    tf = closed_loop_tf(pid_tf(PidGains(kp=kp)), tf_new([1], [1, 1]))
+    tf = _analysis(PidGains(kp=kp), tf_new([1], [1, 1]))[2]
     assert tf.den == pytest.approx([1.0, 1.0 + kp])
     assert dc_gain(tf) == pytest.approx(kp / (1.0 + kp))
 
 
 def test_pi_loop_dc_gain_exactly_one():
-    tf = closed_loop_tf(pid_tf(PidGains(kp=2.0, ki=1.5)), tf_new([1], [1, 1]))
+    tf = _analysis(PidGains(kp=2.0, ki=1.5), tf_new([1], [1, 1]))[2]
     assert dc_gain(tf) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_closed_loop_denominator_composition():
-    c = pid_tf(PidGains(kp=2.0, ki=1.5))
-    g = tf_new([1, 2], [1, 3, 2])
-    t = closed_loop_tf(c, g)
-    raw_den = np.polyadd(np.polymul(c.den, g.den), np.polymul(c.num, g.num))
+    gains, g = PidGains(kp=2.0, ki=1.5), tf_new([1, 2], [1, 3, 2])
+    t = _analysis(gains, g)[2]
+    raw_den = np.polyadd(np.polymul([1, 0], g.den), np.polymul([2.0, 1.5], g.num))  # C = (2 s + 1.5)/s
     assert np.allclose(t.den * raw_den[0], raw_den, rtol=1e-12)
 
 
 def test_no_common_factor_cancellation():
     # Controller zero at -1 against plant pole at -1: the factor stays.
-    c = tf_new([1, 1], [1, 0])        # (s+1)/s
+    c = PidGains(kp=1.0, ki=1.0)      # (s+1)/s
     g = tf_new([1], [1, 1])           # 1/(s+1)
-    t = closed_loop_tf(c, g)
+    t = _analysis(c, g)[2]
     assert len(t.den) - 1 == 2        # degree 2, nothing divided out
 
 
@@ -249,7 +239,8 @@ def test_characteristic_polynomial_matches_closed_loop_denominator():
     g = tf_new([0.125], [1, 1])
     num, den = pid_rational_terms(gains)
     char = characteristic_polynomial(num, den, g)
-    t = closed_loop_tf(pid_tf(gains), g)
+    spec = LoopSpec(plant=g, gains=gains, setpoint=SetpointProfile.step(1.0), sim=SimConfig(dt=0.01, t_end=0.1))
+    t = simulate_loop(spec).closed_loop
     assert np.allclose(char / char[0], t.den, rtol=1e-12)
 
 

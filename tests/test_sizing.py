@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rollsim.sizing import (
     ContactModel,
     SizingInputs,
-    compression_force,
     contact_length,
     gear_ratio,
     motor_power,
@@ -57,17 +56,17 @@ def test_contact_length_domain_error():
 
 
 def test_compression_force_golden():
-    assert compression_force(MILL) == pytest.approx(600_000.0, rel=1e-12)
+    assert size_report(MILL).force_F == pytest.approx(600_000.0, rel=1e-12)
 
 
 def test_compression_force_zero_draft():
     flat = SizingInputs(t_initial=0.003, t_final=0.003)
-    assert compression_force(flat) == 0.0
+    assert size_report(flat).force_F == 0.0
 
 
 def test_compression_force_hand_value():
     inputs = SizingInputs(sigma_y=200e6, width_w=0.5, t_initial=0.003, t_final=0.001)
-    assert compression_force(inputs) == pytest.approx(200_000.0)
+    assert size_report(inputs).force_F == pytest.approx(200_000.0)
 
 
 def test_roll_torque():
@@ -223,15 +222,15 @@ def test_power_and_torque_identities(sigma, width, t_f, draft, speed):
 @given(scale=st.floats(0.1, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_force_linear_in_each_factor(scale):
-    base = compression_force(MILL)
+    base = size_report(MILL).force_F
     scaled_sigma = SizingInputs(
         sigma_y=150e6 * scale, width_w=1.0, t_initial=0.005, t_final=0.001
     )
     scaled_width = SizingInputs(
         sigma_y=150e6, width_w=scale, t_initial=0.005, t_final=0.001
     )
-    assert compression_force(scaled_sigma) == pytest.approx(base * scale, rel=1e-12)
-    assert compression_force(scaled_width) == pytest.approx(base * scale, rel=1e-12)
+    assert size_report(scaled_sigma).force_F == pytest.approx(base * scale, rel=1e-12)
+    assert size_report(scaled_width).force_F == pytest.approx(base * scale, rel=1e-12)
 
 
 @given(draft_ratio=st.floats(1e-4, 0.0999))
