@@ -13,13 +13,15 @@ step map x+ = M x + N u for an input held constant over the step (the
 zero-order hold).  Open-loop runs here and the closed loops in
 :mod:`rollsim.loops` both advance plant states with it.  A linear
 recurrence is evaluated in closed form, a block of steps at a time, by a
-:class:`PropagationPlan`, the one place that decides where a run stops:
-at the first sample whose state or output is not finite.
-:func:`simulate_lti` applies one to an open-loop run and returns the
-samples before that point, a nonlinear loop reuses one for its verified
-blocks, and linear closed loops that differ in gains only are the
-members of one stacked plan: they share its maps when all agree on its
-block length and scan span, and are each planned alone if not.
+:class:`PropagationPlan`, which finds where its run stops: at the first
+sample whose state or output is not finite.  :func:`simulate_lti` applies
+one to an open-loop run and returns the samples before that point, and
+linear closed loops that differ in gains only are the members of one
+stacked plan: they share its maps when all agree on its block length and
+scan span, and are each planned alone if not.  A nonlinear loop reuses
+plans for its verified blocks but steps the samples where one stops;
+those stop by the stepping's own test (:mod:`rollsim.loops`): at the
+first non-finite output, or a step before it when a state overflowed.
 
 Everything here is SISO and immutable after construction; all functions
 are pure and safe to call from parallel scenario runs.
@@ -388,8 +390,11 @@ class PropagationPlan:
     a plan of that member alone (a stacked product runs one per member),
     so its rows are those of its batch of one, bit for bit.
 
-    The plan alone decides where a run stops: at ``end``, the first sample
-    whose state or first row (the output) is not finite.  Overflow is how
+    A plan decides where its run stops: at ``end``, the first sample whose
+    state or first row (the output) is not finite.  An open-loop run and a
+    linear closed loop stop there; a nonlinear loop steps the samples where
+    a block's plan stops, and they stop by ``_NonlinearLoop._step``'s own
+    rule (:mod:`rollsim.loops`).  Overflow is how
     divergence shows, but an overflowed map entry times a zero state or
     input is NaN, which would flag finite samples; so every map is finite.
     The block length L is the first offset i whose m^(i+1), m^i g or row

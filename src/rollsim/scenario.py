@@ -42,7 +42,7 @@ from .plants import (
     power_screw_tf,
     roll_drive_tf,
 )
-from .sizing import ContactModel, SizingInputs, roll_angular_velocity
+from .sizing import ContactModel, SizingInputs
 from .tuning import TuneSpec
 
 _UNIT_FACTORS = {
@@ -233,36 +233,24 @@ def _record(table: dict, make: Callable[..., Any]) -> Reader:
 
 _SIZING = {
     "sigma_y": (_quantity, SizingInputs.sigma_y),
-    "width": (_quantity, SizingInputs.width_w),
+    "width": (_quantity, SizingInputs.width),
     "t_initial": (_quantity, SizingInputs.t_initial),
     "t_final": (_quantity, SizingInputs.t_final),
-    "roll_diameter": (_quantity, SizingInputs.roll_diameter_D),
-    "line_speed": (_number, SizingInputs.line_speed_v),
+    "roll_diameter": (_quantity, SizingInputs.roll_diameter),
+    "line_speed": (_number, SizingInputs.line_speed),
     "motor_rpm": (_number, SizingInputs.motor_rpm),
     "motor_poles": (_integer, SizingInputs.motor_poles),
     "contact_mode": (_choice("approx", "exact"), ContactModel.APPROX.value),
 }
-# Sizing keys whose SizingInputs field has another name.
-_SIZING_FIELDS = {"width": "width_w", "roll_diameter": "roll_diameter_D", "line_speed": "line_speed_v"}
 
 
 def _resolve_sizing(raw: Any, path: str) -> tuple[dict, tuple[SizingInputs, ContactModel]]:
     resolved = _fields(raw, path, _SIZING)
-    for key, value in resolved.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(f"{path}.{key}: must be finite")
-    if resolved["t_final"] > resolved["t_initial"]:
-        raise ScenarioError(f"{path}.t_final: must be <= {path}.t_initial")
-    if resolved["t_final"] <= 0:
-        raise ScenarioError(f"{path}.t_final: must be > 0")
-    if resolved["t_initial"] - resolved["t_final"] >= resolved["roll_diameter"]:
-        raise ScenarioError(f"{path}.roll_diameter: must exceed the draft t_initial - t_final")
-    if resolved["motor_poles"] < 2 or resolved["motor_poles"] % 2:
-        raise ScenarioError(f"{path}.motor_poles: must be an even count >= 2")
-    if not math.isfinite(roll_angular_velocity(resolved["line_speed"], resolved["roll_diameter"])[1]):
-        raise ScenarioError(f"{path}.line_speed: the roll speed it gives is not finite")
-    fields = {_SIZING_FIELDS.get(k, k): v for k, v in resolved.items() if k != "contact_mode"}
-    return resolved, (_build(path, SizingInputs, **fields), ContactModel(resolved["contact_mode"]))
+    try:
+        inputs = SizingInputs(**{k: v for k, v in resolved.items() if k != "contact_mode"})
+    except ValueError as exc:  # SizingInputs names the field: t_final: must be <= t_initial
+        raise ScenarioError(f"{path}.{exc}") from exc
+    return resolved, (inputs, ContactModel(resolved["contact_mode"]))
 
 
 # A rational transfer function: the ``tf`` plant and the ``poles`` section.

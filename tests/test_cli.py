@@ -128,6 +128,13 @@ _MALFORMED = [
     ("size", "kind: size\nsizing: {roll_diameter: .inf}\n", [], "sizing.roll_diameter: must be finite"),
     ("size", "kind: size\nsizing: {sigma_y: 1.0e300, width: 1.0e100}\n", [], "sizing: force_F overflows"),
     ("size", "kind: size\nsizing: {motor_rpm: 1.0e308}\n", [], "sizing: vfd_frequency overflows"),
+    ("size", "kind: size\nsizing: {sigma_y: 0}\n", [], "sizing.sigma_y: must be > 0"),
+    ("size", "kind: size\nsizing: {width: -1}\n", [], "sizing.width: must be > 0"),
+    ("size", "kind: size\nsizing: {line_speed: -1}\n", [], "sizing.line_speed: must be >= 0"),
+    ("size", "kind: size\nsizing: {motor_rpm: 0}\n", [], "sizing.motor_rpm: must be > 0"),
+    # Half the least subnormal diameter rounds to zero: no division by it.
+    ("size", "kind: size\nsizing: {roll_diameter: 5.0e-324, t_initial: 1 mm, t_final: 1 mm}\n", [],
+     "sizing.line_speed: the roll speed"),
     ("poles", "kind: poles\npoles:\n  den: [1, 1.0e+100, 1.0e-200]\n", [], "poles.den: pole 0.0 is not accurate"),
     ("poles", "kind: poles\npoles:\n  den: [1.0e-300, 1.0e+300, 1]\n", [],
      "poles: transfer function coefficients must be finite, also with the denominator made monic"),
@@ -160,7 +167,8 @@ _MALFORMED = [
 _MALFORMED_IDS = [
     "t_end_nan", "t_end_inf", "dt_inf", "poles_constant_den", "t_end_override_inf", "umin_inf",
     "line_speed_inf", "roll_speed_overflow", "sigma_y_inf", "width_inf", "motor_rpm_inf", "roll_diameter_inf",
-    "force_overflow", "vfd_frequency_overflow", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
+    "force_overflow", "vfd_frequency_overflow", "sigma_y_zero", "width_negative", "line_speed_negative",
+    "motor_rpm_zero", "roll_diameter_subnormal", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
     "plant_den_overflows_monic", "plant_realization_overflows", "simulate_integrator", "tune_integrator",
     "tune_loop_gains", "tune_grid_points_default_method", "tune_grid_points_nelder_mead",
     "stuck_magnitude", "dropout_magnitude", "nested_1000_deep", "nested_at_the_bound",

@@ -153,7 +153,7 @@ def test_no_key_is_accepted_and_ignored(section, key):
 
 def test_units_convert_to_si():
     inputs, _ = parse_scenario("kind: size\nsizing: {width: 800 mm, sigma_y: 150 MPa}\n").payload
-    assert inputs.width_w == pytest.approx(0.8)
+    assert inputs.width == pytest.approx(0.8)
     assert inputs.sigma_y == pytest.approx(150e6)
 
 
