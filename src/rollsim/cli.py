@@ -2,7 +2,8 @@
 
 Subcommands mirror the scenario kinds, the keys of :data:`RESULT_REQUIRED`
 (``size``, ``simulate``, ``tune``, ``poles``), and each takes ``--scenario
-<path>`` plus optional overrides; ``version`` prints the tool version.  Each
+<path>`` and ``--out <prefix>``, and ``simulate`` and ``tune`` the ``--dt``
+and ``--t-end`` overrides; ``version`` prints the tool version.  Each
 kind's runner returns its results and, for time-domain and tuning runs, a CSV
 table; :func:`run` alone writes them: the CSV file, then the JSON report
 (resolved inputs echoed back, results, tool version, wall-clock runtime).
@@ -24,6 +25,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -243,30 +245,38 @@ def run(
     write its outputs: the CSV table, if any, to ``<prefix>.csv``, then the
     report to ``<prefix>.json``, so ``runtime_s`` covers the CSV write.
 
-    ``dt``/``t_end`` override the scenario's simulation settings (simulate
-    and tune kinds): they are written into a copy of the resolved echo and
-    read again by :func:`~rollsim.scenario.read_scenario`, so the report
-    echoes them and an invalid value is a :class:`ScenarioError` naming its
-    key path.  The prefix is ``out_prefix``, else the scenario's
-    ``output_prefix``, else the kind.  ``jobs`` is ignored: every run is one
-    process.  It stays only because the benchmark's harness, its reference
-    maker and its tests pass ``jobs=1``.
+    ``dt``/``t_end`` override the simulation settings of a simulate or tune
+    scenario, and are a :class:`ScenarioError` for any other kind: they are
+    written into a copy of the resolved echo and read again by
+    :func:`~rollsim.scenario.read_scenario`, so the report echoes them and
+    an invalid value is a :class:`ScenarioError` naming its key path.  The
+    prefix is ``out_prefix``, else the scenario's ``output_prefix``, else
+    the kind, and the file names append ``.csv`` and ``.json`` to it; a
+    prefix whose last part is empty, ``.`` or ``..`` is a
+    :class:`ScenarioError`.  ``jobs`` is ignored: every run is one process.
+    It stays only because the benchmark's harness, its reference maker and
+    its tests pass ``jobs=1``.
     """
     started = time.perf_counter()
     scenario = _apply_overrides(scenario, dt, t_end)
-    prefix = Path(out_prefix or scenario.output_prefix or scenario.kind)
+    key, prefix = ("--out", out_prefix) if out_prefix is not None else ("output_prefix", scenario.output_prefix)
+    if prefix is not None and os.path.basename(prefix) in ("", ".", ".."):
+        raise ScenarioError(f"{key}: the prefix {prefix!r} ends in a directory, not a file name")
+    prefix = prefix or scenario.kind
     results, table, code = _RUNNERS[scenario.kind](scenario)
-    csv_paths = [] if table is None else [prefix.with_suffix(".csv")]
+    csv_paths = [] if table is None else [Path(prefix + ".csv")]
     for path in csv_paths:
         _write_csv(path, *table)
-    json_path = prefix.with_suffix(".json")
+    json_path = Path(prefix + ".json")
     _write_json(json_path, scenario, results, started)
     return OutputBundle(csv_paths=csv_paths, json_path=json_path, exit_code=code)
 
 
 def _apply_overrides(scenario: Scenario, dt: float | None, t_end: float | None) -> Scenario:
-    if (dt is None and t_end is None) or scenario.kind not in ("simulate", "tune"):
+    if dt is None and t_end is None:
         return scenario
+    if scenario.kind not in ("simulate", "tune"):
+        raise ScenarioError(f"sim override: a {scenario.kind} scenario has no dt or t_end")
     resolved = copy.deepcopy(scenario.resolved)
     section = resolved[scenario.kind]
     sim_block = section["sim"] if scenario.kind == "simulate" else section["loop"]["sim"]
@@ -302,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a '{name}' scenario")
         p.add_argument("--scenario", required=True, help="path to the scenario YAML file")
         p.add_argument("--out", default=None, help="output path prefix")
-        p.add_argument("--dt", type=float, default=None, help="override simulation step, s")
-        p.add_argument("--t-end", type=float, default=None, help="override simulation horizon, s")
+        if name in ("simulate", "tune"):
+            p.add_argument("--dt", type=float, default=None, help="override simulation step, s")
+            p.add_argument("--t-end", type=float, default=None, help="override simulation horizon, s")
     sub.add_parser("version", help="print the tool version")
     return parser
 
@@ -317,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = parse_scenario_file(args.scenario)
         if scenario.kind != args.command:
             raise ScenarioError(f"scenario kind '{scenario.kind}' does not match subcommand '{args.command}'")
-        bundle = run(scenario, out_prefix=args.out, dt=args.dt, t_end=args.t_end)
+        bundle = run(scenario, out_prefix=args.out, dt=getattr(args, "dt", None), t_end=getattr(args, "t_end", None))
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -340,7 +340,7 @@ class LoopFrame:
             self.mz = np.array([self.m @ z[:n] for z in np.eye(n + 5)])
         self.branches: dict = {}  # active branches -> the controller's probed directions
         self.batch = batch_size(n + 4, len(self.t))  # loops per batch
-        self.prepared: dict = {}  # id(gains) -> (gains, the rows of its loop)
+        self.prepared: dict = {}  # gains -> the rows of its loop
 
     def batches(self, specs: Sequence[LoopSpec]):
         """Yield ``specs`` in runs of at most ``batch``, each run's linear
@@ -349,39 +349,38 @@ class LoopFrame:
         for first in range(0, len(specs), self.batch):
             run = specs[first:first + self.batch]
             gains = [spec.gains for spec in run if spec.is_linear]
-            self.prepared = {id(g): (g, rows) for g, rows in zip(gains, self._scan(gains))} if gains else {}
+            self.prepared = dict(zip(gains, self._scan(gains))) if gains else {}
             yield run
 
     def _scan(self, gains: Sequence[PidGains]) -> list:
-        """One plan of the linear loops of ``gains``, scanned over the
-        setpoint: a callable per loop giving its (rows, end, z_end), one
-        row per channel of the frame.  One loop is planned without the
-        member axis, which takes fewer numpy calls."""
-        f, g, h = _loop_maps(self, gains[0] if len(gains) == 1 else gains)
-        lead = g.shape[:-1]
+        """One plan of the linear loops of ``gains``, its members in that
+        order, scanned over the setpoint: a callable per loop giving its
+        (rows, end, z_end), one row per channel of the frame.  A loop run
+        alone is a batch of one."""
+        f, g, h = _loop_maps(self, gains)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
             closed = f - g[..., None] * h  # e = sp - h z
-        maps = {"y_true": (h, 0.0), "error": (-h, 1.0), "u": (closed[..., -1, :], g[..., -1])}
-        outputs = np.empty((*lead, len(self.channels), len(h)))
-        through = np.empty((*lead, len(self.channels)))
+        maps = {"y_true": (h, 0.0), "error": (-h, 1.0), "u": (closed[:, -1], g[:, -1])}
+        outputs = np.empty((len(gains), len(self.channels), len(h)))
+        through = np.empty((len(gains), len(self.channels)))
         for i, name in enumerate(self.channels):
-            outputs[..., i, :], through[..., i] = maps[name]
+            outputs[:, i], through[:, i] = maps[name]
         return PropagationPlan(closed, g, outputs, through, len(self.sp)).scan(self.sp)
 
     def linear_rows(self, gains: PidGains) -> tuple[np.ndarray, int]:
         """(rows, end) of the linear loop of ``gains``: from its prepared
-        starts, which it uses up, or as a batch of one."""
-        prepared, rows = self.prepared.pop(id(gains), (None, None))
-        if prepared is not gains:
-            rows = self._scan([gains])[0]
+        starts, which it uses up, or as a batch of one.  Equal gains give
+        the same rows, as each member's rows are its batch of one's."""
+        rows = self.prepared.pop(gains, None) or self._scan([gains])[0]
         return rows()[:2]
 
 
-def _loop_maps(frame: LoopFrame, gains: PidGains | Sequence[PidGains]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loop_maps(frame: LoopFrame, gains: Sequence[PidGains]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, g, h) of one unsaturated loop step over z = [x, integral,
     prev_error, prev_derivative, u_prev] with the error as input:
-    z[k+1] = F z[k] + g e[k] and y_true[k] = h z[k].  For a sequence of
-    gains F and g are stacked, one loop each, and h is shared.
+    z[k+1] = F z[k] + g e[k] and y_true[k] = h z[k].  F (B, n + 4, n + 4)
+    and g (B, n + 4) stack one loop per gain set of ``gains``, a batch of
+    B; h is shared.
 
     Column j is the plant's step map and :func:`~rollsim.pid.pid_step`,
     limits lifted, applied to unit state j, or to a unit error.  The
@@ -391,22 +390,17 @@ def _loop_maps(frame: LoopFrame, gains: PidGains | Sequence[PidGains]) -> tuple[
     ki I + kd D and m z + nvec u are then the probed maps bit for bit.
     Direct feedthrough uses the previous command.
     """
-    single = isinstance(gains, PidGains)
-    batch = [gains] if single else list(gains)
     ss = frame.ss
     n = ss.n
-    keys = [(g.ki > 0.0, g.derivative_filter_n if g.kd > 0.0 else 0.0) for g in batch]
-    for key, g in zip(keys, batch):
+    keys = [(g.ki > 0.0, g.derivative_filter_n if g.kd > 0.0 else 0.0) for g in gains]
+    for key, g in zip(keys, gains):
         if key not in frame.branches:
             probe = replace(g, output_min=None, output_max=None)
             states = [pid_step(PidState(*z[n:-2]), z[-1], frame.dt, probe)[1] for z in np.eye(n + 5)]
             frame.branches[key] = np.array([[s.integral, s.prev_error, s.prev_derivative] for s in states]).T
-    if single:
-        (i, e, d), kp, ki, kd = frame.branches[keys[0]], gains.kp, gains.ki, gains.kd
-    else:
-        i, e, d = np.array([frame.branches[key] for key in keys]).transpose(1, 0, 2)
-        kp, ki, kd = np.array([(g.kp, g.ki, g.kd) for g in batch]).T[..., None]
-    columns = np.empty((*i.shape[:-1], n + 5, n + 4))  # one row per unit state or error
+    i, e, d = np.array([frame.branches[key] for key in keys]).transpose(1, 0, 2)
+    kp, ki, kd = np.array([(g.kp, g.ki, g.kd) for g in gains]).T[..., None]
+    columns = np.empty((len(gains), n + 5, n + 4))  # one row per unit state or error
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
         u = kp * e + ki * i + kd * d
         columns[..., :n] = frame.mz + u[..., None] * frame.nvec
@@ -473,7 +467,8 @@ class _NonlinearLoop:
     """
 
     def __init__(self, spec: LoopSpec, maps: tuple, m: np.ndarray, nvec: np.ndarray) -> None:
-        f, g, h = maps
+        fs, gs, h = maps  # :func:`_loop_maps` of a batch of one
+        f, g = fs[0], gs[0]
         self.size = len(g)
         self.step_map = np.vstack([np.column_stack([f, g]), np.append(h @ f, h @ g)])
         self.h, self.m, self.nvec, self.gains = h, m, nvec, spec.gains
@@ -486,15 +481,16 @@ class _NonlinearLoop:
         # the block would not verify in a few rounds.
         self.length = 0
         if not (spec.gains.saturates or self.model.sample_dt > 0.0):
-            radius = max(_radius(f), _radius(f - np.outer(g, h)))
+            closed = f - np.outer(g, h)
+            radius = max(_radius(f), _radius(closed))
             # Compared as a root: radius ** length may overflow, and NaN (an
             # overflowed estimate) fails every test.
             lengths = (_BLOCK << k for k in range((_LONGEST_BLOCK // _BLOCK).bit_length()))
             self.length = max((n for n in lengths if radius <= _GROWTH ** (1.0 / n)), default=0)
         if self.length:
-            self.guess = PropagationPlan(f - np.outer(g, h), g, h, [0.0], self.length)
+            self.guess = PropagationPlan(closed[None], gs, h[None, None], [[0.0]], self.length)
             # u[i] is the next state's last entry: F[-1] z[i] + g[-1] e[i].
-            self.open = PropagationPlan(f, g, np.array([h, f[-1]]), [0.0, g[-1]], self.length)
+            self.open = PropagationPlan(fs, gs, np.array([[h, f[-1]]]), [[0.0, g[-1]]], self.length)
         self.cur, self.prev = np.zeros(self.size + 1), np.zeros(self.size + 1)
         self.ym = None
 
@@ -589,14 +585,14 @@ class _NonlinearLoop:
         z = self.cur[:size]
         with np.errstate(over="ignore", invalid="ignore"):
             if ticking:
-                guess, end, _ = self.guess.apply(sp - (model.bias + noise + offset), z)
+                guess, end, _ = self.guess.apply(sp - (model.bias + noise + offset), z[None])[0]
                 if end < count:
                     return 0
                 readings = apply_sensor(guess[:, 0], model, noise, offset)
             else:
                 readings = np.full(count, self.ym)
             errors = sp - readings
-            rows, end, z_end = self.open.apply(errors, z)
+            rows, end, z_end = self.open.apply(errors, z[None])[0]
             final = count
             if model.quantization_step > 0.0 and ticking:
                 for left in range(_ROUNDS - 1, -1, -1):
@@ -610,7 +606,7 @@ class _NonlinearLoop:
                     readings = again
                     errors = sp - readings
                     # The last round keeps only its final samples.
-                    rows, end, z_end = self.open.apply(errors if left else errors[:final], z)
+                    rows, end, z_end = self.open.apply(errors if left else errors[:final], z[None])[0]
             if final == 0 or z_end is None:
                 return 0
         for row, values in zip(out, (rows[:, 0], readings, errors, rows[:, 1])):
@@ -647,7 +643,7 @@ def simulate_loop(spec: LoopSpec, frame: LoopFrame | None = None) -> LoopResult:
         formed = dict(zip(("y_true", "y_measured", *frame.channels[1:]), (y_true, y_true, *others)))
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
-            loop = _NonlinearLoop(spec, _loop_maps(frame, spec.gains), frame.m, frame.nvec)
+            loop = _NonlinearLoop(spec, _loop_maps(frame, [spec.gains]), frame.m, frame.nvec)
         measured = spec.sensor is not None or spec.fault is not None
         terms = sensor_terms(loop.model, spec.fault, spec.seed, t) if measured else None
         channels = np.empty((4, len(t)))  # y_true, y_measured, error, u

@@ -14,11 +14,13 @@ zero-order hold).  Open-loop runs here and the closed loops in
 :mod:`rollsim.loops` both advance plant states with it.  A linear
 recurrence is evaluated in closed form, a block of steps at a time, by a
 :class:`PropagationPlan`, which finds where its run stops: at the first
-sample whose state or output is not finite.  :func:`simulate_lti` applies
-one to an open-loop run and returns the samples before that point, and
-linear closed loops that differ in gains only are the members of one
-stacked plan: they share its maps when all agree on its block length and
-scan span, and are each planned alone if not.  A nonlinear loop reuses
+sample whose state or output is not finite.  A plan runs a batch of loops
+on the same inputs, its members, and a loop run alone is a batch of one.
+:func:`simulate_lti` applies one to an open-loop run and returns the
+samples before that point, and linear closed loops that differ in gains
+only are the members of one plan: they share its maps when all agree on
+its block length and scan span, and are each planned alone if not.  A
+nonlinear loop reuses
 plans for its verified blocks but steps the samples where one stops;
 those stop by the stepping's own test (:mod:`rollsim.loops`): at the
 first non-finite output, or a step before it when a state overflowed.
@@ -356,21 +358,24 @@ def _finite_chain(chain: np.ndarray) -> np.ndarray:
     """Fill ``chain[1:]`` in place, item i = item i-1 squared, and return
     how many leading items each member keeps: all, or those before its
     first non-finite one after ``chain[0]``, found with one finiteness
-    test.  Items are n x n matrices, or stacks of them."""
-    product = np.dot if chain.ndim == 3 else np.matmul  # np.dot calls cost less
+    test.  Items are stacks of n x n matrices, one per member."""
     for i in range(1, len(chain)):
-        product(chain[i - 1], chain[i - 1], out=chain[i])
+        np.matmul(chain[i - 1], chain[i - 1], out=chain[i])
     finite = np.all(np.isfinite(chain[1:]), axis=(-2, -1))
     return 1 + np.logical_and.accumulate(finite).sum(axis=0)
 
 
 class PropagationPlan:
     """The recurrence z[k+1] = m z[k] + g w[k] with rows h z[k] + j w[k]
-    (``h`` p x n, ``j`` of length p) for a batch of loops: its block maps
-    and doubling powers, built once for inputs of up to ``longest``
-    samples and applied from any start.  A caller that runs the same maps
-    over many stretches starts each apply from the state the one before
-    ended on.
+    for a batch of B loops, its members, on the same inputs w: m (B, n, n),
+    g (B, n), h (B, p, n) and j (B, p).  A loop run alone is a batch of one,
+    ``m[None]`` and so on (with n = 0 no reshape can tell B).  The plan holds
+    the block maps and doubling powers, built once for inputs of up to
+    ``longest`` samples and applied from any start; a caller that runs the
+    same maps over many stretches starts each apply from the state the one
+    before ended on.  Each member's products keep the shapes of its batch of
+    one (a stacked product runs one per member), so its rows are its batch
+    of one's, bit for bit.
 
     The recurrence is evaluated in blocks of L <= ``_BLOCK`` steps (G.
     Blelloch, *Prefix sums and their applications*, 1990).  Within a block
@@ -384,12 +389,6 @@ class PropagationPlan:
     P_k^T with P_k = M^(2^k), so Python never steps once per block; the
     first start is z0.
 
-    Maps with a leading axis, m (B, n, n), g (B, n), h (B, p, n) and
-    j (B, p), stack B members; without it they are one loop, and the
-    plan's arrays lack it too.  Each member's products keep the shapes of
-    a plan of that member alone (a stacked product runs one per member),
-    so its rows are those of its batch of one, bit for bit.
-
     A plan decides where its run stops: at ``end``, the first sample whose
     state or first row (the output) is not finite.  An open-loop run and a
     linear closed loop stop there; a nonlinear loop steps the samples where
@@ -401,9 +400,9 @@ class PropagationPlan:
     map column overflowed (at least 1), found by one test of the maps'
     sum, and one scan covers at most 2^K blocks for K finite doubling
     powers.  Members share L and that span when all of them agree on both;
-    when any member's maps give another (they overflow), the plan holds
-    one plan per member, ``alone``, in batch order.  No state or row of a
-    block exceeds its largest operand (start or input) times
+    when any member's maps give another (they overflow), ``alone`` holds
+    each member's batch of one, in batch order, and is empty otherwise.  No
+    state or row of a block exceeds its largest operand (start or input) times
     ``state_gain``, the largest column sum of the block and row maps, and
     rounding adds at most a factor 1 + (n + L)u to that (N. Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.5).
@@ -413,35 +412,29 @@ class PropagationPlan:
     """
 
     def __init__(self, m: np.ndarray, g: np.ndarray, h: np.ndarray, j: np.ndarray, longest: int) -> None:
-        m = np.asarray(m, dtype=float)
-        n, batch = m.shape[-1], m.shape[:-2]  # batch: () or (B,)
-        g = np.asarray(g, dtype=float).reshape(*batch, n)
-        j = np.asarray(j, dtype=float).reshape(*batch, -1)
-        outputs = j.shape[-1]
-        h = np.asarray(h, dtype=float).reshape(*batch, outputs, n)
-        product = np.matmul if batch else np.dot  # np.dot calls cost less
-        k = len(batch)
+        m, g, h, j = (np.asarray(a, dtype=float) for a in (m, g, h, j))
+        batch, outputs, n = h.shape
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.empty((_BLOCK + 1, *batch, n, n))  # m^0 .. m^16
+            powers = np.empty((_BLOCK + 1, batch, n, n))  # m^0 .. m^16
             powers[0], powers[1] = np.eye(n), m
             for i in range(2, _BLOCK + 1):
-                product(m, powers[i - 1], out=powers[i])
-            markov = np.zeros((2 * _BLOCK, *batch, n))  # m^i g, then zeros
+                np.matmul(m, powers[i - 1], out=powers[i])
+            markov = np.zeros((2 * _BLOCK, batch, n))  # m^i g, then zeros
             markov[:_BLOCK] = (powers[:_BLOCK] @ g[..., None])[..., 0]
             # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
             # feeds input w[b+l] to offsets i > l.
             block_map = np.concatenate([
-                powers[:_BLOCK].transpose(*range(1, k + 1), k + 2, 0, k + 1).reshape(*batch, n, _BLOCK * n),
-                markov[_LAGS].transpose(*range(2, k + 2), 0, 1, k + 2).reshape(*batch, _BLOCK, _BLOCK * n),
-            ], axis=-2)
-            row_map = block_map.reshape(*batch, n + _BLOCK, _BLOCK, n) @ h.swapaxes(-1, -2)[..., None, :, :]
-            row_map[..., n + _OFFSETS, _OFFSETS, :] += j[..., None, :]  # input l at offset l
+                powers[:_BLOCK].transpose(1, 3, 0, 2).reshape(batch, n, _BLOCK * n),
+                markov[_LAGS].transpose(2, 0, 1, 3).reshape(batch, _BLOCK, _BLOCK * n),
+            ], axis=1)
+            row_map = block_map.reshape(batch, n + _BLOCK, _BLOCK, n) @ h.swapaxes(1, 2)[:, None]
+            row_map[:, n + _OFFSETS, _OFFSETS, :] += j[:, None, :]  # input l at offset l
             size = sizes = _BLOCK
             if not np.isfinite(powers[1:].sum() + markov.sum() + row_map.sum()):
                 # Offset i needs m^(i+1), m^i g and row map column i; a shorter
                 # block's maps are the top-left corner of these.
-                finite = np.all(np.isfinite(powers[1:]), axis=(-2, -1)) & np.all(np.isfinite(markov[:_BLOCK]), axis=-1)
-                finite &= np.moveaxis(np.all(np.isfinite(row_map), axis=(-3, -1)), -1, 0)
+                finite = np.all(np.isfinite(powers[1:]), axis=(2, 3)) & np.all(np.isfinite(markov[:_BLOCK]), axis=2)
+                finite &= np.all(np.isfinite(row_map), axis=(1, 3)).T
                 sizes = np.maximum(1, np.logical_and.accumulate(finite).sum(axis=0))
                 size = int(sizes.min())
 
@@ -450,25 +443,25 @@ class PropagationPlan:
             blocks = -(-longest // size)
             span = max(1, _SERIAL_PRODUCT // max(1, n * max(n, size)))
             depth = max(1, (min(blocks, span) - 1).bit_length())
-            doubling = np.empty((depth, *powers[size].shape))  # M^(2^k)
+            doubling = np.empty((depth, batch, n, n))  # M^(2^k)
             doubling[0] = powers[size]
             finite = _finite_chain(doubling)
             spans = np.minimum(span, 2 ** finite)
             span, finite = int(spans.min()), int(finite.min())
             # Members share the plan when they agree on L and span; else each
-            # is planned alone.  A plan of one loop has no member axis.
-            self.alone = [] if batch else None
-            if batch and np.any((sizes != size) | (spans != span)):
-                self.alone = [PropagationPlan(m[b], g[b], h[b], j[b], longest) for b in range(len(m))]
+            # is planned alone.
+            self.alone = []
+            if np.any((sizes != size) | (spans != span)):
+                self.alone = [PropagationPlan(*(a[b:b + 1] for a in (m, g, h, j)), longest) for b in range(batch)]
                 return
-            self.block_map = block_map[..., :n + size, :size * n]
-            self.row_map = row_map[..., :n + size, :size, :].reshape(*self.block_map.shape[:-2], n + size, -1)
+            self.block_map = block_map[:, :n + size, :size * n]
+            self.row_map = row_map[:, :n + size, :size].reshape(batch, n + size, -1)
             self.state_gain = np.maximum(  # the largest column sum of both maps
-                np.abs(self.block_map).sum(axis=-2).max(axis=-1, initial=0.0),
-                np.abs(self.row_map).sum(axis=-2).max(axis=-1, initial=0.0),
+                np.abs(self.block_map).sum(axis=1).max(axis=1, initial=0.0),
+                np.abs(self.row_map).sum(axis=1).max(axis=1, initial=0.0),
             ).tolist()
             # Carries a block's inputs to its end: m^(L-1-l) g, read backwards.
-            self.carry = np.moveaxis(markov[size - 1::-1], 0, -2)
+            self.carry = np.moveaxis(markov[size - 1::-1], 0, 1)
             self.leap = doubling[0]
             self.transposed = doubling[:finite].swapaxes(-1, -2).copy()  # contiguous: faster products
             self.span = span
@@ -476,14 +469,13 @@ class PropagationPlan:
         self.per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, outputs)))
 
     def scan(self, w: np.ndarray, z0: np.ndarray | None = None) -> list:
-        """The block starts of every member from the start state ``z0``
-        (zero when None; one row per member for a stacked plan), one scan
-        for all of them.  Returns one callable per member, in batch order,
-        that forms that member's rows from its starts: see :meth:`apply`.
-        Members share the block inputs, so only one member's rows and
-        operands exist at a time."""
+        """The block starts of every member from the start states ``z0``
+        (B, n) (zero when None), one scan for all of them.  Returns one
+        callable per member, in batch order, that forms that member's rows
+        from its starts: see :meth:`apply`.  Members share the block
+        inputs, so only one member's rows and operands exist at a time."""
         if self.alone:
-            return [plan.scan(w, None if z0 is None else z0[b])[0] for b, plan in enumerate(self.alone)]
+            return [plan.scan(w, None if z0 is None else z0[b:b + 1])[0] for b, plan in enumerate(self.alone)]
         w = np.asarray(w, dtype=float)
         n, size, count = self.n, self.size, len(w)
         blocks, full = -(-count // size), count // size
@@ -491,27 +483,24 @@ class PropagationPlan:
         inputs = operands[:, n:]
         inputs[:full] = w[:full * size].reshape(full, size)
         inputs[full:, :count - full * size] = w[full * size:]
-        starts = np.empty((*self.leap.shape[:-2], blocks + 1, n))  # each member's z[b * L], b <= blocks
-        starts[..., 0, :] = 0.0 if z0 is None else z0
+        starts = np.empty((len(self.leap), blocks + 1, n))  # each member's z[b * L], b <= blocks
+        starts[:, 0] = 0.0 if z0 is None else z0
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, blocks, self.span):
-                ends = starts[..., first + 1:first + 1 + self.span, :]
-                length = ends.shape[-2]
+                ends = starts[:, first + 1:first + 1 + self.span]
+                length = ends.shape[1]
                 np.matmul(inputs[first:first + length], self.carry, out=ends)
-                ends[..., 0, :] += (self.leap @ starts[..., first, :, None])[..., 0]
+                ends[:, 0] += (self.leap @ starts[:, first, :, None])[..., 0]
                 for k, power in enumerate(self.transposed[:(length - 1).bit_length()]):
-                    ends[..., 2 ** k:, :] += ends[..., :-2 ** k, :] @ power
-        if self.alone is None:
-            return [partial(self._rows, None, operands, starts, count)]
+                    ends[:, 2 ** k:] += ends[:, :-2 ** k] @ power
         return [partial(self._rows, b, operands, starts[b], count) for b in range(len(starts))]
 
     def _rows(
-        self, member: int | None, operands: np.ndarray, starts: np.ndarray, count: int,
+        self, member: int, operands: np.ndarray, starts: np.ndarray, count: int,
     ) -> tuple[np.ndarray, int, np.ndarray | None]:
-        """Rows, ``end`` and ``z_end`` of one member (None: the plan is one
-        loop) from its block starts; ``operands`` holds the inputs."""
-        maps = (self.block_map, self.row_map, self.state_gain)
-        block_map, row_map, state_gain = maps if member is None else (a[member] for a in maps)
+        """Rows, ``end`` and ``z_end`` of the member at index ``member``
+        from its block starts; ``operands`` holds the inputs."""
+        block_map, row_map, state_gain = self.block_map[member], self.row_map[member], self.state_gain[member]
         n, size, blocks = self.n, self.size, len(operands)
         operands[:, :n] = starts[:blocks]
         rows = np.empty((blocks * size, self.outputs))
@@ -534,17 +523,16 @@ class PropagationPlan:
             start = states[count - last * size].copy() if count % size else starts[blocks]
             return rows[:count], count, start if np.all(np.isfinite(start)) else None
 
-    def apply(self, w: np.ndarray, z0: np.ndarray | None = None):
-        """``(rows, end, z_end)`` over the inputs ``w`` from the start state
-        ``z0`` (zero when None).  ``end`` is the index of the first sample
-        whose state or first row is not finite, or ``len(w)`` when all are
-        finite; ``rows[k]`` for k < end is h z[k] + j w[k].  ``z_end``, the
-        state after the last sample, is None unless it is finite and
-        ``end`` is ``len(w)``.  A non-finite input shows as non-finite
-        samples from the start of its block.  A stacked plan returns a list
-        of these, one per member."""
-        results = [member() for member in self.scan(w, z0)]
-        return results if self.alone is not None else results[0]
+    def apply(self, w: np.ndarray, z0: np.ndarray | None = None) -> list:
+        """One ``(rows, end, z_end)`` per member, in batch order, over the
+        inputs ``w`` from the start states ``z0`` (B, n) (zero when None).
+        ``end`` is the index of the first sample whose state or first row
+        is not finite, or ``len(w)`` when all are finite; ``rows[k]`` for
+        k < end is h z[k] + j w[k].  ``z_end``, the state after the last
+        sample, is None unless it is finite and ``end`` is ``len(w)``.  A
+        non-finite input shows as non-finite samples from the start of its
+        block."""
+        return [member() for member in self.scan(w, z0)]
 
 
 def simulate_lti(ss: StateSpaceModel, u: np.ndarray, cfg: SimConfig) -> TimeSeries:
@@ -565,7 +553,7 @@ def simulate_lti(ss: StateSpaceModel, u: np.ndarray, cfg: SimConfig) -> TimeSeri
     if not np.all(np.isfinite(u)):
         raise ValueError("simulate_lti needs finite inputs: u has a non-finite sample")
     m, nvec = zoh_step_matrices(ss, cfg.dt)
-    rows, end, _ = PropagationPlan(m, nvec, ss.C, [ss.D], len(u)).apply(u)
+    rows, end, _ = PropagationPlan(m[None], nvec[None], ss.C[None], [[ss.D]], len(u)).apply(u)[0]
     return TimeSeries(t=t[:end], channels={"u": u[:end], "y": rows[:, 0]})
 
 

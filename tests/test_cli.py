@@ -227,6 +227,11 @@ _USAGE_ERRORS = {
     "unknown_command": ["bogus"],
     "no_scenario": ["simulate"],
     "dt_not_a_number": ["simulate", "--scenario", "x.yaml", "--dt", "abc"],
+    # Only simulate and tune runs have a step and a horizon to override.
+    "size_dt": ["size", "--scenario", "x.yaml", "--dt", "0.01"],
+    "size_t_end": ["size", "--scenario", "x.yaml", "--t-end", "-3"],
+    "poles_dt": ["poles", "--scenario", "x.yaml", "--dt", "0.01"],
+    "poles_t_end": ["poles", "--scenario", "x.yaml", "--t-end", "5"],
 }
 
 
@@ -331,6 +336,48 @@ def test_an_override_runs_the_file_with_it_written_in(tmp_path, name, sim_path):
     ra, rb = (json.loads(x.json_path.read_text(encoding="utf-8")) for x in (a, b))
     assert (ra["scenario"], ra["results"]) == (rb["scenario"], rb["results"])
     assert a.csv_paths[0].read_bytes() == b.csv_paths[0].read_bytes()
+
+
+@pytest.mark.parametrize("override", [{"dt": 0.01}, {"t_end": -3.0}, {"dt": 0.01, "t_end": 5.0}],
+                         ids=["dt", "t_end", "both"])
+@pytest.mark.parametrize("name", ["size_mill", "poles_multibody"])
+def test_an_override_of_a_run_without_a_simulation_is_an_error(tmp_path, name, override):
+    scenario = parse_scenario_file(str(SCENARIOS / f"{name}.yaml"))
+    with pytest.raises(scenario_module.ScenarioError, match=f"^sim override: a {scenario.kind} scenario has no dt"):
+        cli.run(scenario, out_prefix=str(tmp_path / "out"), **override)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["run_1.5ms", "run_1.25ms", "v2.0.json"])
+def test_a_dotted_prefix_keeps_its_dots(tmp_path, name):
+    # The file names append to the prefix; no part of it is read as a suffix.
+    text = _SPEED_LOOP.replace("output_prefix: runs/speed_loop_pi", f"output_prefix: {tmp_path / name}")
+    path = tmp_path / "loop.yaml"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "b" / name
+    assert cli.main(["simulate", "--scenario", str(path), "--t-end", "0.1"]) == cli.EXIT_OK
+    assert cli.main(["simulate", "--scenario", str(path), "--t-end", "0.2", "--out", str(out)]) == cli.EXIT_OK
+    for prefix, samples in ((tmp_path / name, 101), (out, 201)):
+        report = _valid_report(Path(f"{prefix}.json"))
+        assert report["results"]["samples"] == samples
+        assert len(Path(f"{prefix}.csv").read_text(encoding="utf-8").splitlines()) == samples + 1
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "..", "runs/", "runs/.", "runs/.."])
+@pytest.mark.parametrize("where", ["--out", "output_prefix"])
+def test_a_prefix_that_ends_in_a_directory_exits_1_naming_its_key(tmp_path, monkeypatch, capsys, prefix, where):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "poles.yaml"
+    if where == "--out":
+        path.write_text("kind: poles\npoles: {den: [1, 1]}\n", encoding="utf-8")
+        argv = ["poles", "--scenario", str(path), "--out", prefix]
+    else:
+        path.write_text(f"kind: poles\noutput_prefix: '{prefix}'\npoles: {{den: [1, 1]}}\n", encoding="utf-8")
+        argv = ["poles", "--scenario", str(path)]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: the prefix {prefix!r} ends in a directory") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["poles.yaml"]
 
 
 _HUGE = "9" * 401

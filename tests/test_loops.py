@@ -552,7 +552,8 @@ def test_summed_maps_equal_the_probed_maps_bit_for_bit(plant):
         gains = PidGains(kp=kp, ki=ki if ki_on else 0.0, kd=kd if kd_on else 0.0,
                          derivative_filter_n=n, output_min=-0.5, output_max=0.5)
         loop = replace(spec, gains=gains)
-        for summed, probed in zip(loops._loop_maps(frame, gains), probed_maps(loop)):
+        f, g, h = loops._loop_maps(frame, [gains])  # a batch of one
+        for summed, probed in zip((f[0], g[0], h), probed_maps(loop)):
             assert summed.shape == probed.shape
             assert summed.tobytes() == probed.tobytes(), gains
 
@@ -1071,6 +1072,7 @@ def test_the_multibody_demo_scans_its_two_loops_as_one_batch(monkeypatch):
 
     monkeypatch.setattr(loops.PropagationPlan, "__init__", counting)
     demo = multibody_demo(sim=SimConfig(dt=2e-3, t_end=20.0))
-    # The open loop's 8 states, then the ideal and filtered loops, 12 states each.
-    assert plans == [(8, 8), (2, 12, 12)]
+    # The open loop's 8 states, a batch of one, then the ideal and filtered
+    # loops, 12 states each.
+    assert plans == [(1, 8, 8), (2, 12, 12)]
     assert demo.closed_ideal.spec.gains != demo.closed_filtered.spec.gains

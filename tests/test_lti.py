@@ -529,9 +529,14 @@ def test_a_huge_unstable_pole_diverges_at_the_first_step_without_a_warning():
 # Block propagation
 # ---------------------------------------------------------------------------
 
+def one_loop(m, g, h, j, longest):
+    """The plan of one loop: its maps as a batch of one."""
+    return PropagationPlan(*(np.asarray(a, dtype=float)[None] for a in (m, g, h, j)), longest)
+
+
 def plan_rows(m, g, w, h, j):
-    """``(rows, end)`` of one plan over ``w``, applied from zero."""
-    return PropagationPlan(m, g, h, j, len(w)).apply(w)[:2]
+    """``(rows, end)`` of one loop's plan over ``w``, applied from zero."""
+    return one_loop(m, g, h, j, len(w)).apply(w)[0][:2]
 
 
 def plain_recurrence(m, g, w, z0=None):
@@ -792,7 +797,7 @@ def assert_plan_from(plan, m, g, w, h, j, z0):
     """One apply from ``z0`` gives the plain recurrence's rows, end and
     end state, to 1e-12 of the largest state or row."""
     states = plain_recurrence(m, g, np.append(w, 0.0), z0)  # z[0 .. len(w)]
-    rows, end, z_end = plan.apply(w, z0)
+    rows, end, z_end = plan.apply(w, z0[None])[0]
     expected = states[:-1] @ h.T + np.outer(w, j)
     assert end == len(w) and rows.shape == expected.shape
     assert np.max(np.abs(rows - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
@@ -809,20 +814,20 @@ def test_a_plan_is_the_plain_recurrence_from_any_start(order, count):
     m, g = decaying(order, 3000 + count)
     rng = np.random.default_rng(10 * order + count)
     w, h, j = rng.normal(size=count), rng.normal(size=(2, order)), rng.normal(size=2)
-    plan = PropagationPlan(m, g, h, j, count)
+    plan = one_loop(m, g, h, j, count)
     for z0 in rng.normal(scale=5.0, size=(2, order)):  # one plan, two starts
         assert_plan_from(plan, m, g, w, h, j, z0)
     # Reused from zero, the plan is a fresh plan, bit for bit; no start
     # is the zero start.
-    np.testing.assert_array_equal(plan.apply(w)[0], plan_rows(m, g, w, h, j)[0])
-    np.testing.assert_array_equal(plan.apply(w)[0], plan.apply(w, np.zeros(order))[0])
+    np.testing.assert_array_equal(plan.apply(w)[0][0], plan_rows(m, g, w, h, j)[0])
+    np.testing.assert_array_equal(plan.apply(w)[0][0], plan.apply(w, np.zeros((1, order)))[0][0])
 
 
 def test_applies_carry_their_end_state():
     m, g = decaying(6, 31)
     rng = np.random.default_rng(32)
     w, h, j, z = rng.normal(size=3000), rng.normal(size=(1, 6)), rng.normal(size=1), rng.normal(size=6)
-    plan = PropagationPlan(m, g, h, j, 1024)
+    plan = one_loop(m, g, h, j, 1024)
     for first in range(0, len(w), 1000):
         z = assert_plan_from(plan, m, g, w[first:first + 1000], h, j, z)
 
@@ -837,7 +842,7 @@ def test_a_plan_stops_at_the_first_nonfinite_state_from_a_start(growth, z0):
     first = first_nonfinite(expected)
     assert 0 < first < len(w)
 
-    states, end, z_end = PropagationPlan(m, g, np.eye(2), np.zeros(2), len(w)).apply(w, np.array(z0))
+    states, end, z_end = one_loop(m, g, np.eye(2), np.zeros(2), len(w)).apply(w, np.array([z0]))[0]
     assert end == first and len(states) == first and z_end is None
     np.testing.assert_allclose(states, expected[:first], rtol=1e-12)
 
@@ -880,7 +885,7 @@ def block_products(monkeypatch, plan):
     dot = np.dot
 
     def counting(a, b, *args, **kwargs):
-        if b is plan.block_map:
+        if np.shares_memory(b, plan.block_map):
             products.append(len(a))
         return dot(a, b, *args, **kwargs)
 
@@ -891,7 +896,7 @@ def block_products(monkeypatch, plan):
 def searching(plan):
     """A copy of ``plan`` whose bound never holds, so it searches every chunk."""
     copy = PropagationPlan.__new__(PropagationPlan)
-    copy.__dict__.update(plan.__dict__, state_gain=math.inf)
+    copy.__dict__.update(plan.__dict__, state_gain=[math.inf] * len(plan.state_gain))
     return copy
 
 
@@ -901,12 +906,12 @@ def test_a_bounded_apply_computes_states_for_the_end_state_only(monkeypatch, ord
     m, g = decaying(order, 40 + order)
     rng = np.random.default_rng(count)
     w, h, j, z0 = rng.normal(size=count), rng.normal(size=(3, order)), rng.normal(size=3), rng.normal(size=order)
-    plan = PropagationPlan(m, g, h, j, count)
+    plan = one_loop(m, g, h, j, count)
     assert count > plan.per_chunk * plan.size  # more than one chunk
-    expected = searching(plan).apply(w, z0)
+    expected = searching(plan).apply(w, z0[None])[0]
 
     products = block_products(monkeypatch, plan)
-    rows, end, z_end = plan.apply(w, z0)
+    rows, end, z_end = plan.apply(w, z0[None])[0]
     monkeypatch.undo()
     assert len(products) == (1 if count % plan.size else 0)
     assert end == expected[1] == count
@@ -935,7 +940,7 @@ def test_an_apply_that_fails_the_bound_ends_at_the_first_nonfinite_state(monkeyp
     expected = plain_recurrence(m, g, w)
     finite = np.all(np.isfinite(expected), axis=1)
     first = len(w) if np.all(finite) else int(np.argmin(finite))
-    plan = PropagationPlan(m, g, np.eye(2), np.zeros(2), len(w))
+    plan = one_loop(m, g, np.eye(2), np.zeros(2), len(w))
     assert len(w) > plan.per_chunk * plan.size
     # A non-finite input times a zero entry of the block map is NaN, so the
     # block product reads it as non-finite states from its block's start.
@@ -945,7 +950,7 @@ def test_an_apply_that_fails_the_bound_ends_at_the_first_nonfinite_state(monkeyp
         first = bad_input[0] // plan.size * plan.size
 
     products = block_products(monkeypatch, plan)
-    states, end, z_end = plan.apply(w)
+    states, end, z_end = plan.apply(w)[0]
     monkeypatch.undo()
     assert end == first and len(states) == first and (z_end is None) == (first < len(w))
     # Every chunk is searched, up to the one holding the first non-finite state.
@@ -959,12 +964,12 @@ def test_a_bounded_apply_of_one_chunk_computes_states_only_for_an_end_state_insi
     m, g = decaying(6, 42)
     rng = np.random.default_rng(43)
     w, h, j, z0 = rng.normal(size=count), rng.normal(size=(2, 6)), rng.normal(size=2), rng.normal(size=6)
-    plan = PropagationPlan(m, g, h, j, 1024)
+    plan = one_loop(m, g, h, j, 1024)
     assert count <= plan.per_chunk * plan.size  # one chunk
-    expected = searching(plan).apply(w, z0)
+    expected = searching(plan).apply(w, z0[None])[0]
 
     products = block_products(monkeypatch, plan)
-    rows, end, z_end = plan.apply(w, z0)
+    rows, end, z_end = plan.apply(w, z0[None])[0]
     monkeypatch.undo()
     assert len(products) == (1 if count % plan.size else 0)
     assert end == expected[1] == count
@@ -992,7 +997,7 @@ def test_an_apply_ends_at_the_first_nonfinite_state_or_output(order, regime, ove
     # The overflowing maps grow by 1e25 per step, so m^16 overflows and
     # the block is cut.  A small output map leaves the state to overflow
     # first, a large one the output.
-    probe = PropagationPlan(*growing(order, 0, 1.0)[:4], 1)
+    probe = one_loop(*growing(order, 0, 1.0)[:4], 1)
     chunk = probe.per_chunk * probe.size
     count, radius = {
         "one_chunk": (min(1024, chunk), 10 ** (308 / (0.6 * min(1024, chunk)))),
@@ -1008,7 +1013,7 @@ def test_an_apply_ends_at_the_first_nonfinite_state_or_output(order, regime, ove
     first_state = first_nonfinite(z)
     assert 0 < first_state < count
     assert regime != "several_chunks" or first_state > chunk
-    plan = PropagationPlan(m, g, h, j, count)
+    plan = one_loop(m, g, h, j, count)
     assert plan.size < 16 if regime == "overflowing_maps" else plan.size == 16
 
     # The whole run, the run whose z[len(w)] is the first non-finite
@@ -1016,7 +1021,7 @@ def test_an_apply_ends_at_the_first_nonfinite_state_or_output(order, regime, ove
     for stop in (count, first_state, first_state - 1):
         finite = np.all(np.isfinite(z[:stop]), axis=1) & np.isfinite(outputs[:stop])
         first = stop if np.all(finite) else int(np.argmin(finite))
-        rows, end, z_end = plan.apply(w[:stop], z0)
+        rows, end, z_end = plan.apply(w[:stop], z0[None])[0]
         assert end == first and len(rows) == first
         assert (z_end is None) == (end < stop or not np.all(np.isfinite(z[stop])))
         assert (z_end is None) == (stop != first_state - 1 or overflows == "output")
@@ -1048,13 +1053,13 @@ def test_power_chains_written_in_place_are_the_list_built_ones(seed):
     with np.errstate(over="ignore", invalid="ignore"):
         powers = list_chain(m, lambda p: m @ p, 16)
         doubling = list_chain(powers[-1], lambda p: p @ p, 10)
-        plan = PropagationPlan(m, unit, unit, [0.0], 16)
+        plan = one_loop(m, unit, unit[None], [0.0], 16)
         stack = np.empty((10, order, order))
         stack[0] = powers[-1]
         squares = stack[:_finite_chain(stack)]
     size = len(powers)
     assert plan.size == size and plan.leap.tobytes() == powers[-1].tobytes()
-    in_place = plan.block_map[:order].reshape(order, size, order).transpose(1, 2, 0)
+    in_place = plan.block_map[0, :order].reshape(order, size, order).transpose(1, 2, 0)
     assert in_place[1:].tobytes() == powers[:-1].tobytes()
     assert squares.shape == doubling.shape and squares.tobytes() == doubling.tobytes()
 
@@ -1093,11 +1098,11 @@ def test_a_stacked_plan_gives_each_member_its_plan_alone_bit_for_bit(seed):
     # All or none: members that agree on block length and span share one
     # set of maps, else each is planned alone.  An overflowing member's
     # block is shorter than the others'.
-    plans = [PropagationPlan(m, g, h, j, count) for m, g, h, j, _ in maps]
+    plans = [one_loop(m, g, h, j, count) for m, g, h, j, _ in maps]  # each member's batch of one
     agree = len({(alone.size, alone.span) for alone in plans}) == 1
     assert len(plan.alone) == (0 if agree else size) == (size if "overflowing" in kinds else 0)
     for (m, g, h, j, z0), kind, (rows, end, z_end), alone in zip(maps, kinds, results, plans):
-        expected_rows, expected_end, expected_z_end = alone.apply(w, z0)
+        expected_rows, expected_end, expected_z_end = alone.apply(w, z0[None])[0]
         assert rows.tobytes() == expected_rows.tobytes() and end == expected_end, kind
         assert (z_end is None) == (expected_z_end is None)
         assert z_end is None or z_end.tobytes() == expected_z_end.tobytes()

@@ -50,7 +50,10 @@ from pairs import ROOT
 
 DEFAULT = "default"  # OPENBLAS_CORETYPE unset
 CORETYPES = ("Haswell", "SkylakeX", "Nehalem", "Sandybridge")
-TEST_FILES = ("tests/test_lti.py", "tests/test_loops.py", "tests/test_faults.py", "tests/test_tuning.py")
+TEST_FILES = (
+    "tests/test_lti.py", "tests/test_loops.py", "tests/test_faults.py", "tests/test_tuning.py",
+    "tests/test_shipped_results.py",
+)
 
 # Prints the name of the kernel numpy's bundled OpenBLAS runs.
 CORENAME = """\
