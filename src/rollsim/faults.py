@@ -76,8 +76,7 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     them.
     """
     scalar = np.ndim(counter) == 0
-    pair = np.empty((2, 1 if scalar else np.size(counter)), dtype=np.uint64)  # [base, base + 1]
-    scratch = np.empty_like(pair)
+    pair, scratch = np.empty((2, 2, 1 if scalar else np.size(counter)), dtype=np.uint64)  # [base, base + 1]
     base = pair[0]
     base[:] = np.uint64(int(counter) & _MASK64) if scalar else np.ravel(counter)  # wraps as uint64
     _splitmix64(base, scratch[0])
@@ -87,7 +86,7 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     _splitmix64(pair, scratch)
     pair >>= np.uint64(11)
     u1, u2 = np.divide(pair, _TWO53, out=scratch.view(float))
-    u1[u1 <= 0.0] = 5e-324
+    np.maximum(u1, 5e-324, out=u1)  # only 0 is below it
     draws = np.fromiter(map(math.log, memoryview(u1)), float, len(u1))  # log u1, then the draws
     draws *= -2.0
     np.sqrt(draws, out=draws)
@@ -203,8 +202,11 @@ def sensor_terms(
             active[:1] = False
             reading = tick & ~active
     if model.noise_sigma > 0.0 and reading.any():
-        counters = np.cumsum(tick)[reading] - 1  # the clock-tick numbers of the readings
-        noise[reading] = model.noise_sigma * counter_gauss(seed, counters)
+        counters = np.cumsum(tick)[reading]
+        counters -= 1  # the clock-tick numbers of the readings
+        draws = counter_gauss(seed, counters)
+        draws *= model.noise_sigma
+        noise[reading] = draws
     return reading, noise, offset
 
 

@@ -333,12 +333,13 @@ class LoopFrame:
         self.m, self.nvec = zoh_step_matrices(self.ss, self.dt)
         self.t = np.arange(spec.sim.steps + 1) * self.dt
         self.sp = spec.setpoint.values(self.t)
-        self.t.flags.writeable = False
-        self.sp.flags.writeable = False
+        self.h = np.concatenate([self.ss.C.ravel(), [0.0, 0.0, 0.0, self.ss.D]])  # y_true = h z
+        for shared in (self.t, self.sp, self.h):
+            shared.flags.writeable = False
         n = self.ss.n
         with np.errstate(invalid="ignore"):  # a step map that overflowed is not finite
             self.mz = np.array([self.m @ z[:n] for z in np.eye(n + 5)])
-        self.branches: dict = {}  # active branches -> the controller's probed directions
+        self.branches: dict = {}  # active branches -> the controller's probed I, E, D
         self.batch = batch_size(n + 4, len(self.t))  # loops per batch
         self.prepared: dict = {}  # gains -> the rows of its loop
 
@@ -390,24 +391,23 @@ def _loop_maps(frame: LoopFrame, gains: Sequence[PidGains]) -> tuple[np.ndarray,
     ki I + kd D and m z + nvec u are then the probed maps bit for bit.
     Direct feedthrough uses the previous command.
     """
-    ss = frame.ss
-    n = ss.n
+    n = frame.ss.n
     keys = [(g.ki > 0.0, g.derivative_filter_n if g.kd > 0.0 else 0.0) for g in gains]
     for key, g in zip(keys, gains):
         if key not in frame.branches:
             probe = replace(g, output_min=None, output_max=None)
             states = [pid_step(PidState(*z[n:-2]), z[-1], frame.dt, probe)[1] for z in np.eye(n + 5)]
-            frame.branches[key] = np.array([[s.integral, s.prev_error, s.prev_derivative] for s in states]).T
-    i, e, d = np.array([frame.branches[key] for key in keys]).transpose(1, 0, 2)
+            frame.branches[key] = np.array([[s.integral, s.prev_error, s.prev_derivative] for s in states])
     kp, ki, kd = np.array([(g.kp, g.ki, g.kd) for g in gains]).T[..., None]
     columns = np.empty((len(gains), n + 5, n + 4))  # one row per unit state or error
+    columns[..., n:n + 3] = [frame.branches[key] for key in keys]
+    i, e, d = columns[..., n:n + 3].transpose(2, 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed map diverges at once
         u = kp * e + ki * i + kd * d
         columns[..., :n] = frame.mz + u[..., None] * frame.nvec
-    columns[..., n], columns[..., n + 1], columns[..., n + 2], columns[..., n + 3] = i, e, d, u
+    columns[..., n + 3] = u
     maps = columns.swapaxes(-1, -2)
-    h = np.concatenate([ss.C.ravel(), [0.0, 0.0, 0.0, ss.D]])
-    return maps[..., :n + 4], maps[..., n + 4], h
+    return maps[..., :n + 4], maps[..., n + 4], frame.h
 
 
 _LONGEST_BLOCK = 1024  # longest verified block, in samples

@@ -342,10 +342,9 @@ _SERIAL_PRODUCT = 4 * 65536
 # x states doubles): ten 6-state loops over 10,001 samples take 0.3 MB,
 # the multibody demo's two 12-state loops over 50,001 samples 0.6 MB.
 _BATCH_BYTES = 1 << 20
-# The offsets of a block, and where block map row n + l reads m^(i-1-l) g
-# for offset i: below 0 it reads one of the zero rows after m^15 g.
-_OFFSETS = np.arange(_BLOCK)
-_LAGS = _OFFSETS - _OFFSETS[:, None] - 1
+# Where block map row n + l reads m^(i-1-l) g for offset i: below 0 it
+# wraps to one of the zero rows after m^15 g.
+_LAGS = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None] - 1
 
 
 def batch_size(states: int, longest: int) -> int:
@@ -354,15 +353,19 @@ def batch_size(states: int, longest: int) -> int:
     return max(1, _BATCH_BYTES // (8 * max(1, states) * (longest // _BLOCK + 1)))
 
 
-def _finite_chain(chain: np.ndarray) -> np.ndarray:
+def _finite_chain(chain: np.ndarray) -> int | None:
     """Fill ``chain[1:]`` in place, item i = item i-1 squared, and return
-    how many leading items each member keeps: all, or those before its
-    first non-finite one after ``chain[0]``, found with one finiteness
-    test.  Items are stacks of n x n matrices, one per member."""
-    for i in range(1, len(chain)):
-        np.matmul(chain[i - 1], chain[i - 1], out=chain[i])
-    finite = np.all(np.isfinite(chain[1:]), axis=(-2, -1))
-    return 1 + np.logical_and.accumulate(finite).sum(axis=0)
+    how many leading items every member keeps: all, or those before its
+    first non-finite one after ``chain[0]``; None when members keep
+    different numbers.  Items are stacks of n x n matrices, one per
+    member.  One test of the whole chain's sum finds it finite; only a
+    chain that is not is searched item by item."""
+    for before, square in zip(chain, chain[1:]):
+        np.matmul(before, before, out=square)
+    if np.isfinite(chain.sum()):
+        return len(chain)
+    kept = 1 + np.logical_and.accumulate(np.isfinite(chain[1:]).all(axis=(-2, -1))).sum(axis=0)
+    return int(kept.min()) if kept.min() == kept.max() else None
 
 
 class PropagationPlan:
@@ -397,11 +400,14 @@ class PropagationPlan:
     divergence shows, but an overflowed map entry times a zero state or
     input is NaN, which would flag finite samples; so every map is finite.
     The block length L is the first offset i whose m^(i+1), m^i g or row
-    map column overflowed (at least 1), found by one test of the maps'
-    sum, and one scan covers at most 2^K blocks for K finite doubling
-    powers.  Members share L and that span when all of them agree on both;
-    when any member's maps give another (they overflow), ``alone`` holds
-    each member's batch of one, in batch order, and is empty otherwise.  No
+    map column overflowed (at least 1), and one scan covers at most 2^K
+    blocks for K finite doubling powers.  Each is found by one test of a
+    whole array's sum, the maps' and then the doubling chain's, and only
+    when that sum is not finite by a search of each offset or power.
+    Members share L and that span when all of them agree on both (below
+    the longest span, members agree on it when they keep the same K); when
+    any member's maps give another (they overflow), ``alone`` holds each
+    member's batch of one, in batch order, and is empty otherwise.  No
     state or row of a block exceeds its largest operand (start or input) times
     ``state_gain``, the largest column sum of the block and row maps, and
     rounding adds at most a factor 1 + (n + L)u to that (N. Higham,
@@ -417,26 +423,27 @@ class PropagationPlan:
         with np.errstate(over="ignore", invalid="ignore"):
             powers = np.empty((_BLOCK + 1, batch, n, n))  # m^0 .. m^16
             powers[0], powers[1] = np.eye(n), m
-            for i in range(2, _BLOCK + 1):
-                np.matmul(m, powers[i - 1], out=powers[i])
+            for before, power in zip(powers[1:], powers[2:]):
+                np.matmul(m, before, out=power)
             markov = np.zeros((2 * _BLOCK, batch, n))  # m^i g, then zeros
             markov[:_BLOCK] = (powers[:_BLOCK] @ g[..., None])[..., 0]
             # The first n rows carry z[b] to offset i as m^i z[b]; row n + l
             # feeds input w[b+l] to offsets i > l.
-            block_map = np.concatenate([
-                powers[:_BLOCK].transpose(1, 3, 0, 2).reshape(batch, n, _BLOCK * n),
-                markov[_LAGS].transpose(2, 0, 1, 3).reshape(batch, _BLOCK, _BLOCK * n),
-            ], axis=1)
+            block_map = np.empty((batch, n + _BLOCK, _BLOCK * n))
+            block_map[:, :n].reshape(batch, n, _BLOCK, n)[...] = powers[:_BLOCK].transpose(1, 3, 0, 2)
+            inputs = block_map[:, n:].reshape(batch, _BLOCK, _BLOCK, n)
+            np.take(markov.transpose(1, 0, 2), _LAGS, axis=1, out=inputs, mode="wrap")
             row_map = block_map.reshape(batch, n + _BLOCK, _BLOCK, n) @ h.swapaxes(1, 2)[:, None]
-            row_map[:, n + _OFFSETS, _OFFSETS, :] += j[:, None, :]  # input l at offset l
-            size = sizes = _BLOCK
+            # Input l at offset l: the diagonal of the input rows' offsets.
+            row_map[:, n:].reshape(batch, _BLOCK * _BLOCK, outputs)[:, ::_BLOCK + 1] += j[:, None]
+            size, alone = _BLOCK, False
             if not np.isfinite(powers[1:].sum() + markov.sum() + row_map.sum()):
                 # Offset i needs m^(i+1), m^i g and row map column i; a shorter
                 # block's maps are the top-left corner of these.
-                finite = np.all(np.isfinite(powers[1:]), axis=(2, 3)) & np.all(np.isfinite(markov[:_BLOCK]), axis=2)
-                finite &= np.all(np.isfinite(row_map), axis=(1, 3)).T
+                finite = np.isfinite(powers[1:]).all(axis=(2, 3)) & np.isfinite(markov[:_BLOCK]).all(axis=2)
+                finite &= np.isfinite(row_map).all(axis=(1, 3)).T
                 sizes = np.maximum(1, np.logical_and.accumulate(finite).sum(axis=0))
-                size = int(sizes.min())
+                size, alone = int(sizes.min()), bool(sizes.min() != sizes.max())
 
             # Block starts, a scan of up to ``span`` blocks at a time; shift 2^k
             # needs P_k for 2^k < len(ends).
@@ -445,13 +452,11 @@ class PropagationPlan:
             depth = max(1, (min(blocks, span) - 1).bit_length())
             doubling = np.empty((depth, batch, n, n))  # M^(2^k)
             doubling[0] = powers[size]
-            finite = _finite_chain(doubling)
-            spans = np.minimum(span, 2 ** finite)
-            span, finite = int(spans.min()), int(finite.min())
-            # Members share the plan when they agree on L and span; else each
+            kept = _finite_chain(doubling)
+            # Members share the plan when they agree on L and span, else each
             # is planned alone.
             self.alone = []
-            if np.any((sizes != size) | (spans != span)):
+            if alone or kept is None:
                 self.alone = [PropagationPlan(*(a[b:b + 1] for a in (m, g, h, j)), longest) for b in range(batch)]
                 return
             self.block_map = block_map[:, :n + size, :size * n]
@@ -461,10 +466,10 @@ class PropagationPlan:
                 np.abs(self.row_map).sum(axis=1).max(axis=1, initial=0.0),
             ).tolist()
             # Carries a block's inputs to its end: m^(L-1-l) g, read backwards.
-            self.carry = np.moveaxis(markov[size - 1::-1], 0, 1)
+            self.carry = markov[size - 1::-1].transpose(1, 0, 2)
             self.leap = doubling[0]
-            self.transposed = doubling[:finite].swapaxes(-1, -2).copy()  # contiguous: faster products
-            self.span = span
+            self.transposed = list(doubling[:kept].swapaxes(-1, -2).copy())  # contiguous: faster products
+            self.span = min(span, 2 ** kept)
         self.n, self.size, self.outputs = n, size, outputs
         self.per_chunk = max(1, _SERIAL_PRODUCT // max(1, (n + size) * size * max(n, outputs)))
 
@@ -479,10 +484,11 @@ class PropagationPlan:
         w = np.asarray(w, dtype=float)
         n, size, count = self.n, self.size, len(w)
         blocks, full = -(-count // size), count // size
-        operands = np.zeros((blocks, n + size))  # a block's [start | inputs]
+        operands = np.empty((blocks, n + size))  # a block's [start | inputs]; each member writes its starts
         inputs = operands[:, n:]
         inputs[:full] = w[:full * size].reshape(full, size)
         inputs[full:, :count - full * size] = w[full * size:]
+        inputs[full:, count - full * size:] = 0.0
         starts = np.empty((len(self.leap), blocks + 1, n))  # each member's z[b * L], b <= blocks
         starts[:, 0] = 0.0 if z0 is None else z0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -491,8 +497,10 @@ class PropagationPlan:
                 length = ends.shape[1]
                 np.matmul(inputs[first:first + length], self.carry, out=ends)
                 ends[:, 0] += (self.leap @ starts[:, first, :, None])[..., 0]
-                for k, power in enumerate(self.transposed[:(length - 1).bit_length()]):
-                    ends[:, 2 ** k:] += ends[:, :-2 ** k] @ power
+                shift = 1
+                for power in self.transposed[:(length - 1).bit_length()]:
+                    ends[:, shift:] += ends[:, :-shift] @ power
+                    shift *= 2
         return [partial(self._rows, b, operands, starts[b], count) for b in range(len(starts))]
 
     def _rows(
@@ -521,7 +529,7 @@ class PropagationPlan:
                         return rows[:end], end, None
             # The end state: inside the last block, or the last block start.
             start = states[count - last * size].copy() if count % size else starts[blocks]
-            return rows[:count], count, start if np.all(np.isfinite(start)) else None
+            return rows[:count], count, start if np.isfinite(start).all() else None
 
     def apply(self, w: np.ndarray, z0: np.ndarray | None = None) -> list:
         """One ``(rows, end, z_end)`` per member, in batch order, over the

@@ -52,15 +52,19 @@ def loop_cost(spec: LoopSpec, cost_kind: CostKind = CostKind.ITAE, frame: LoopFr
     run returns ``DIVERGENCE_PENALTY``, which also caps the cost of any
     other run.
     """
+    kind = CostKind(cost_kind)
     result = simulate_loop(spec, frame)
     if result.diverged:
         return DIVERGENCE_PENALTY
-    t = result.series.t
-    e = np.abs(result.series["setpoint"] - result.series["y_true"])
-    dt = spec.sim.dt
-    weight = {CostKind.ITAE: t, CostKind.ISE: e, CostKind.IAE: 1.0}[CostKind(cost_kind)]
+    series = result.series
+    e = np.subtract(series["setpoint"], series["y_true"])
+    np.abs(e, out=e)
     with np.errstate(over="ignore"):  # a growing run may overflow: it pays the ceiling
-        cost = float(np.sum(weight * e) * dt)
+        if kind is CostKind.ITAE:
+            e *= series.t
+        elif kind is CostKind.ISE:
+            e *= e
+        cost = float(e.sum() * spec.sim.dt)
     return cost if cost < DIVERGENCE_PENALTY else DIVERGENCE_PENALTY
 
 

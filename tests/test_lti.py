@@ -1121,6 +1121,62 @@ def test_a_stacked_plan_gives_each_member_its_plan_alone_bit_for_bit(seed):
             np.testing.assert_allclose(rows, outputs[:end], rtol=1e-10)
 
 
+# A plan tests its maps and its doubling chain as whole arrays, each by one
+# sum, and searches them item by item only when that sum is not finite.
+# Those whole-array tests are shortcuts: the plan is the one the search gives.
+
+def searched(monkeypatch, *args):
+    """The plan of ``args`` with every whole-array finiteness test failing,
+    so each block length and chain length comes from the item-by-item
+    search."""
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: isfinite(x, *a, **k) if np.ndim(x) else np.False_)
+    try:
+        return PropagationPlan(*args)
+    finally:
+        monkeypatch.undo()
+
+
+def chain_overflowing(seed):
+    """A member whose maps are finite but whose doubling chain M^(2^k),
+    M = m^16 of size 1e60, overflows at k = 3: its span is 8 blocks."""
+    rng = np.random.default_rng(seed)
+    m = np.array([[10 ** (60 / 16), 0.0], [1.0, 0.5]])
+    return m, rng.uniform(size=2), rng.uniform(size=(2, 2)), rng.uniform(size=2)
+
+
+SECOND_MEMBERS = {
+    "block_maps_overflow": lambda: growing(2, 2, 1e25)[:4],  # m^16 overflows: a shorter block
+    "chain_overflows": lambda: chain_overflowing(2),
+    "all_finite": lambda: (*decaying(2, 4), np.ones((2, 2)), np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("second", SECOND_MEMBERS)
+def test_the_whole_array_finiteness_tests_give_the_plan_the_search_gives(monkeypatch, second):
+    count = 5000
+    args = (*(np.array(pair) for pair in zip(chain_overflowing(1), SECOND_MEMBERS[second]())), count)
+    plan, reference = PropagationPlan(*args), searched(monkeypatch, *args)
+    # Members that disagree on block length or on span are planned alone;
+    # two whose chains overflow at the same square share the plan.
+    assert len(plan.alone) == len(reference.alone) == (0 if second == "chain_overflows" else 2)
+    for made, expected in zip(plan.alone or [plan], reference.alone or [reference]):
+        assert (made.size, made.span) == (expected.size, expected.span)
+        assert len(made.transposed) == len(expected.transposed)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(made.transposed, expected.transposed))
+    first, *others = plan.alone or [plan]
+    assert (first.size, first.span) == (16, 8)
+    assert all((other.size < 16) == (second == "block_maps_overflow") for other in others)
+    # Each member's rows are its batch of one's, bit for bit.
+    w, z0 = np.random.default_rng(3).uniform(size=count), np.ones((2, 2))
+    for b, (rows, end, z_end) in enumerate(plan.apply(w, z0)):
+        alone = one_loop(*(a[b] for a in args[:4]), count)
+        expected_rows, expected_end, expected_z_end = alone.apply(w, z0[b:b + 1])[0]
+        assert rows.tobytes() == expected_rows.tobytes() and end == expected_end
+        assert (z_end is None) == (expected_z_end is None)
+        assert z_end is None or z_end.tobytes() == expected_z_end.tobytes()
+
+
 def test_members_planned_together_share_one_scan():
     # Decaying members of six states: one doubling scan for all of them,
     # so the scan runs the same lines for ten members as for one.

@@ -80,3 +80,22 @@ def test_the_report_lists_each_unreached_run_and_each_function_never_entered(too
 def test_runs_follow_executable_lines(tool):
     assert tool.ranges({3, 5, 8, 9, 12}, [3, 5, 9, 12]) == "3-5, 9-12"
     assert tool.ranges({3, 5, 8}, [8]) == "8"
+
+
+def test_a_required_function_that_no_run_enters_is_named(tool, toy):
+    path, module = toy
+    reached = tool.trace_lines(lambda: module.Counter().count([5, 6], 3))
+    required = ["toy.never", "toy.Counter.count", "toy.Counter.doubled"]
+    assert tool.never_entered(required, [path], reached) == ["toy.never", "toy.Counter.doubled"]
+    assert tool.never_entered(["toy.Counter.count"], [path], reached) == []
+    with pytest.raises(KeyError, match="toy.missing"):
+        tool.never_entered(["toy.missing"], [path], reached)
+
+
+def test_every_route_is_a_function_of_the_package(tool):
+    # Nothing runs: the list must name functions that exist, so that
+    # --require cannot pass over a route that was renamed away.
+    package = TOOLS.parent / "src" / "rollsim"
+    paths = [package / "loops.py", package / "lti.py"]
+    assert {name.split(".")[0] for name in tool.ROUTES} == {"loops", "lti"}
+    assert len(tool.never_entered(tool.ROUTES, paths, set())) == len(tool.ROUTES)

@@ -14,14 +14,16 @@ The tool prints each pass's wall seconds and the minor page faults
 each job's median seconds (for ``tune``, the grid job against the
 Nelder-Mead job).
 
-``--phases`` also prints, for each function of ``PHASES``, the median
-milliseconds per pass spent inside it.  Each is wrapped from outside
-wherever a ``rollsim`` module holds it, only its outermost call is timed
-(a plan builds and scans its lone members through the same methods), and
-the originals are restored after the passes.  A phase's time includes the
-phases it calls: ``loops.simulate_loop`` holds the draws, sensor calls and
-plan calls of nonlinear loops.  Unlike cProfile, this costs one wrapper
-per call of the listed functions only, so small calls are not inflated.
+``--phases`` also prints, for each function of ``PHASES`` that the
+workload enters, the median milliseconds per pass spent inside it.  Each
+is wrapped from outside wherever a ``rollsim`` module holds it, only its
+outermost call is timed (a plan builds and scans its lone members through
+the same methods), and the originals are restored after the passes.  A
+phase's time includes the phases it calls: ``loops.simulate_loop`` holds
+the draws, sensor calls and plan calls of nonlinear loops, and
+``loops.LoopFrame._scan`` the maps, plan build and scan of a tuner
+evaluation.  Unlike cProfile, this costs one wrapper per call of the
+listed functions only, so small calls are not inflated.
 
 Page faults show the allocator returning freed pages to the system and
 faulting them in again, which ``perfbench`` does not report.  Unlike
@@ -48,7 +50,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PHASES = (
     "cli._write_csv",
     "cli._write_json",
+    "tuning.loop_cost",
     "loops.simulate_loop",
+    "loops.LoopFrame._scan",
+    "loops._loop_maps",
     "faults.counter_gauss",
     "faults.apply_sensor",
     "lti.PropagationPlan.__init__",
@@ -78,7 +83,7 @@ def _timed(function, name: str, spent: dict[str, float]):
         try:
             return function(*args, **kwargs)
         finally:
-            spent[name] += time.perf_counter() - start
+            spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
             depth -= 1
 
     return timed
@@ -88,7 +93,8 @@ def _timed(function, name: str, spent: dict[str, float]):
 def timed_phases(spent: dict[str, float]):
     """Wrap each function of ``PHASES`` wherever a loaded ``rollsim``
     module holds it (a method, on its class), adding its time to
-    ``spent``; the originals are back on exit."""
+    ``spent`` under its name once it is entered; the originals are back
+    on exit."""
     modules = [module for key, module in list(sys.modules.items()) if key.split(".")[0] == "rollsim"]
     patched = []
     try:
@@ -113,8 +119,8 @@ def run_passes(
     workload: str, passes: int, seed: int = 1, phases: bool = False,
 ) -> list[tuple[float, int, dict[str, float], dict[str, float]]]:
     """(wall seconds, minor page faults, seconds per job name, seconds per
-    phase, empty unless ``phases``) of each of ``passes`` passes of
-    ``workload``, after one warm-up pass."""
+    phase entered, empty unless ``phases``) of each of ``passes`` passes
+    of ``workload``, after one warm-up pass."""
     _import_paths()
     import rollsim.cli
     import rollsim.scenario
@@ -127,7 +133,7 @@ def run_passes(
     with tempfile.TemporaryDirectory() as tmp, timed_phases(spent) if phases else contextlib.nullcontext():
         for index in range(passes + 1):
             outdir = Path(tmp) / f"pass{index}"
-            spent.update(dict.fromkeys(PHASES if phases else (), 0.0))
+            spent.clear()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             times = {}
             start = time.perf_counter()
@@ -162,8 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"median  {seconds:.6f} s  {faults:g} minor faults per pass over {len(results)} passes")
     for name in results[0][2]:
         print(f"job  {statistics.median(result[2][name] for result in results):.6f} s  median of {name}")
-    for name in results[0][3]:
-        print(f"phase  {statistics.median(result[3][name] for result in results) * 1e3:.3f} ms  median per pass in {name}")
+    for name in PHASES:
+        if any(name in result[3] for result in results):
+            per_pass = statistics.median(result[3].get(name, 0.0) for result in results)
+            print(f"phase  {per_pass * 1e3:.3f} ms  median per pass in {name}")
     return 0
 
 

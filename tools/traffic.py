@@ -3,6 +3,8 @@
 Usage, from the repository root:
 
     python3 tools/traffic.py
+    python3 tools/traffic.py --require
+    python3 tools/traffic.py --require loops._NonlinearLoop._step lti.PropagationPlan.scan
 
 The jobs are those ``tools/outputs.py`` runs: every job of every benchmark
 workload (``perfbench/workloads.py``) for seeds 1-3, and every shipped
@@ -22,6 +24,12 @@ expression or lambda counts as part of the function that holds it.
 Module and class bodies run at import and are not listed.  A last line
 counts the executable lines reached, and any job that raised is named.
 It takes a few seconds.  Only the standard library is used.
+
+``--require FUNC ...`` names functions by their module in ``src/rollsim``
+and qualified name, ``loops._NonlinearLoop._step``; without names it
+requires ``ROUTES``, the functions of the loop routes in ``loops.py`` and
+``lti.py``.  The tool then exits 1 when a required function was never
+entered, naming it, and 2 when a name is not a function of the package.
 """
 
 from __future__ import annotations
@@ -36,6 +44,26 @@ from typing import Callable, Sequence
 
 from outputs import build_jobs
 from pairs import ROOT
+
+# The functions of each loop route: the closed form of linear loops, the
+# verified blocks and the stepped samples of nonlinear ones, and the plan
+# behind both.
+ROUTES = (
+    "loops.simulate_loop",
+    "loops.LoopFrame.batches",
+    "loops.LoopFrame._scan",
+    "loops.LoopFrame.linear_rows",
+    "loops._loop_maps",
+    "loops._NonlinearLoop.run",
+    "loops._NonlinearLoop._block",
+    "loops._NonlinearLoop._step",
+    "lti.zoh_step_matrices",
+    "lti.simulate_lti",
+    "lti.PropagationPlan.__init__",
+    "lti.PropagationPlan.scan",
+    "lti.PropagationPlan._rows",
+    "lti.PropagationPlan.apply",
+)
 
 
 def executable_lines(path: Path) -> dict[tuple[int, str], set[int]]:
@@ -100,6 +128,22 @@ def report(paths: Sequence[Path], reached: set[tuple[str, int]], root: Path) -> 
     return out
 
 
+def never_entered(required: Sequence[str], paths: Sequence[Path], reached: set[tuple[str, int]]) -> list[str]:
+    """The names of ``required``, ``module.qualified_name`` for the modules
+    at ``paths``, whose functions reached no line, in the order given.
+    Raises ``KeyError`` naming one that is not a function of them."""
+    entered = {}
+    for path in paths:
+        name = str(path.resolve())
+        hits = {line for file, line in reached if file == name}
+        for (_, function), executable in executable_lines(path).items():
+            entered[f"{path.stem}.{function}"] = bool(executable & hits)
+    unknown = [function for function in required if function not in entered]
+    if unknown:
+        raise KeyError(f"not a function of the package: {', '.join(unknown)}")
+    return [function for function in required if not entered[function]]
+
+
 def run_jobs(jobs: Sequence[tuple[str, str]], out: Path) -> list[str]:
     """Parse and run each (name, scenario text) of ``jobs``, writing its
     outputs under ``out``; returns a line for each job that raised."""
@@ -119,7 +163,9 @@ def run_jobs(jobs: Sequence[tuple[str, str]], out: Path) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.parse_args(argv)
+    parser.add_argument("--require", nargs="*", metavar="FUNC",
+                        help="exit 1 if a named function (default: ROUTES) is never entered")
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     jobs = build_jobs(ROOT)
     raised: list[str] = []
@@ -127,10 +173,19 @@ def main(argv: list[str] | None = None) -> int:
         reached = trace_lines(lambda: raised.extend(run_jobs(jobs, Path(tmp))))
     import rollsim
 
-    package = Path(rollsim.__file__).parent
-    print("\n".join(report(sorted(package.glob("*.py")), reached, ROOT) + raised))
+    paths = sorted(Path(rollsim.__file__).parent.glob("*.py"))
+    print("\n".join(report(paths, reached, ROOT) + raised))
     print(f"{len(jobs)} jobs, {len(raised)} raised")
-    return 0
+    if args.require is None:
+        return 0
+    try:
+        missing = never_entered(args.require or ROUTES, paths, reached)
+    except KeyError as exc:
+        print(exc.args[0])
+        return 2
+    for function in missing:
+        print(f"required but never entered: {function}")
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":
