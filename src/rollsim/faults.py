@@ -19,9 +19,9 @@ Randomness is a pure function of (seed, draw counter) via a splitmix64
 bit mixer feeding Box-Muller, and the n-th clock tick of a run owns counter n,
 drawn only when the sensor reads at that tick, so a measurement stream is
 reproducible from its seed alone; no global generator is touched.
-Detection works on a residual series (measured minus model-predicted,
-supplied by the caller) with run-length-confirmed threshold and rate
-tests.
+Detection works on a residual series supplied by the caller (the command
+line passes measured minus true output, which is ground truth, not a
+model prediction) with run-length-confirmed threshold and rate tests.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
-def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
-    """Standard normal deviate as a pure function of (seed, counter).
+def counter_gauss(seed: int, counter: np.ndarray) -> np.ndarray:
+    """Standard normal deviates as a pure function of (seed, counter).
 
-    ``counter`` is an int, giving a float, or an integer array, giving an
-    array of draws of the same shape.  The bit mixing runs in numpy
+    ``counter`` is an integer array, 0-d included, giving an array of
+    draws of the same shape.  The bit mixing runs in numpy
     ``uint64``, in place on two buffers: the counters are mixed, xored
     with the seed's word and mixed again into the base, and one call
     mixes the stacked [base, base + 1] that give both uniforms.  They are
@@ -75,10 +75,9 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     correctly rounded IEEE operations, so numpy gives the same bits for
     them.
     """
-    scalar = np.ndim(counter) == 0
-    pair, scratch = np.empty((2, 2, 1 if scalar else np.size(counter)), dtype=np.uint64)  # [base, base + 1]
+    pair, scratch = np.empty((2, 2, np.size(counter)), dtype=np.uint64)  # [base, base + 1]
     base = pair[0]
-    base[:] = np.uint64(int(counter) & _MASK64) if scalar else np.ravel(counter)  # wraps as uint64
+    base[:] = np.ravel(counter)  # wraps as uint64
     _splitmix64(base, scratch[0])
     base ^= np.uint64(((seed & _MASK64) << 1) & _MASK64)
     _splitmix64(base, scratch[0])
@@ -92,7 +91,7 @@ def counter_gauss(seed: int, counter: int | np.ndarray) -> float | np.ndarray:
     np.sqrt(draws, out=draws)
     u2 *= 2.0 * math.pi
     draws *= np.cos(u2, out=u2)
-    return float(draws[0]) if scalar else draws.reshape(np.shape(counter))
+    return draws.reshape(np.shape(counter))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,9 @@ class SensorModel:
     noise_sigma: float = 0.0        # Gaussian std, output units
     bias: float = 0.0               # constant offset, output units
     quantization_step: float = 0.0  # 0 disables
-    sample_dt: float = 0.0          # 0 samples every simulation step
+    # 0 reads every step.  A tick is spaced from the previous tick, not on a fixed
+    # clock, so sample_dt / dt = r reads every ceil(r) steps: 1.5 ms at dt 1 ms, every 2 ms.
+    sample_dt: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("noise_sigma", "bias", "quantization_step"):

@@ -291,14 +291,6 @@ class TimeSeries:
     t: np.ndarray
     channels: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=float)
-        for name, values in self.channels.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape != self.t.shape:
-                raise ValueError(f"channel '{name}' length does not match time axis")
-            self.channels[name] = values
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
 

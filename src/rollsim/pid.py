@@ -1,13 +1,15 @@
 """PID control law in stepped and rational form.
 
-The discrete form (:func:`pid_step`) is what the loop simulator runs:
-trapezoidal integral, first-difference derivative through a first-order
-filter, optional output saturation with conditional-integration
-anti-windup.  The continuous form, for pole analysis, is the raw
-numerator/denominator pair of :func:`pid_rational_terms`; it is improper
-for the ideal (unfiltered) derivative, which characteristic polynomials
-handle all the same.  :func:`rollsim.loops._analysis` composes it with a
-plant into the closed loop.
+The discrete form (:func:`pid_step`) has a trapezoidal integral, a
+first-difference derivative through a first-order filter, and optional
+output saturation with conditional-integration anti-windup.  The loop
+simulator runs the maps :func:`rollsim.loops._loop_maps` probes from it
+with the limits lifted, and applies the limits by :func:`saturate`; with
+its limits it is the reference the loop tests step.  The continuous
+form, for pole analysis, is the raw numerator/denominator pair of
+:func:`pid_rational_terms`; it is improper for the ideal (unfiltered)
+derivative, which characteristic polynomials handle all the same.
+:func:`rollsim.loops._analysis` composes it with a plant into the loop.
 
 State is an explicit value threaded in and out of :func:`pid_step`;
 nothing here mutates, so controllers can run in parallel loops freely.

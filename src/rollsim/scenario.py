@@ -456,16 +456,12 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     dot or no exponent sign (``1e-3``, ``1.5e3``) as floats, not strings."""
 
 
-class _Dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    """The safe dumper, quoting the strings that :class:`_Loader` reads as floats."""
-
-
-yaml.add_implicit_resolver(
+# On the class itself: ``yaml.add_implicit_resolver`` would also add it to
+# PyYAML's global ``yaml.Dumper``.
+_Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
     list("-+0123456789"),
-    Loader=_Loader,
-    Dumper=_Dumper,
 )
 
 # Deepest nesting of collections a scenario may have; the shipped ones nest
@@ -494,11 +490,6 @@ def _load(text: str) -> Any:
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario YAML text: :func:`read_scenario` on the loaded mapping."""
     return read_scenario(_load(text))
-
-
-def dump_scenario(resolved: dict[str, Any]) -> str:
-    """YAML text of a resolved echo that :func:`parse_scenario` reads back to it."""
-    return yaml.dump(resolved, Dumper=_Dumper)
 
 
 def read_scenario(raw: Any) -> Scenario:

@@ -20,8 +20,6 @@ import itertools
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -74,9 +72,10 @@ class TuneSpec:
 
     ``loop`` is the template; candidate triples replace its gains while
     keeping the derivative filter and saturation settings.  A bound pair
-    with lo == hi pins that gain.  ``initial`` supplies the starting
-    triple (projected onto the bounds box) and is always evaluated, so the
-    incumbent can never be lost.
+    with lo == hi pins that gain; a loop with ``derivative_filter_n`` 0
+    has no derivative, so its ``kd_bounds`` must be (0, 0).  ``initial``
+    supplies the starting triple (projected onto the bounds box) and is
+    always evaluated, so the incumbent can never be lost.
     """
 
     loop: LoopSpec
@@ -100,6 +99,8 @@ class TuneSpec:
                 raise ValueError(f"{name} lower bound must be >= 0")
             if lo > hi:
                 raise ValueError(f"{name} is an empty interval: {lo} > {hi}")
+        if self.kd_bounds[1] > 0 and self.loop.gains.derivative_filter_n == 0.0:  # kd would change no run
+            raise ValueError(f"kd_bounds must be [0, 0] where derivative_filter_n is 0: {list(self.kd_bounds)}")
         if self.grid_points < 1:
             raise ValueError("grid_points must be >= 1")
         if self.max_evals < 1:
@@ -184,7 +185,7 @@ class _BudgetSpent(Exception):
     """An evaluation was asked for after ``max_evals``: the search ends."""
 
 
-def tune_pid(spec: TuneSpec, cost_fn: Callable[[LoopSpec, CostKind], float] | None = None) -> TuneResult:
+def tune_pid(spec: TuneSpec) -> TuneResult:
     """Minimize the loop cost over the bounds box.
 
     Grid: the projected initial triple plus an exhaustive lattice of
@@ -197,17 +198,15 @@ def tune_pid(spec: TuneSpec, cost_fn: Callable[[LoopSpec, CostKind], float] | No
     drops below 1e-8.  Cost ties are broken toward the lexicographically
     lowest (kp, ki, kd).
 
-    ``cost_fn`` is injectable for testing; the default is :func:`loop_cost`
-    through one :class:`~rollsim.loops.LoopFrame`, as candidates differ in
-    gains only, and the frame forms only the ``y_true`` row the cost reads.
+    Each candidate is costed by :func:`loop_cost` through one
+    :class:`~rollsim.loops.LoopFrame`, as candidates differ in gains only,
+    and the frame forms only the ``y_true`` row the cost reads.
     Candidates known together (the grid's lattice prefix, Nelder-Mead's
     initial simplex and each shrink) are scanned as one batch by
-    :meth:`~rollsim.loops.LoopFrame.batches` before each is costed in turn,
-    whatever ``cost_fn``.
+    :meth:`~rollsim.loops.LoopFrame.batches` before each is costed in turn.
     """
     bounds = spec.bounds
     frame = LoopFrame(spec.loop, ("y_true",))
-    cost_fn = cost_fn or partial(loop_cost, frame=frame)
     history: list[tuple[PidGains, float]] = []
 
     def evaluate(triples: list[tuple[float, float, float]]) -> list[float]:
@@ -216,7 +215,7 @@ def tune_pid(spec: TuneSpec, cost_fn: Callable[[LoopSpec, CostKind], float] | No
         costs = []
         for run in frame.batches(loops):
             for loop in run:
-                costs.append(cost_fn(loop, spec.cost_kind))
+                costs.append(loop_cost(loop, spec.cost_kind, frame))
                 history.append((loop.gains, costs[-1]))
         if len(loops) < len(triples):
             raise _BudgetSpent

@@ -38,3 +38,19 @@ def test_no_module_but_the_package_assigns_all():
             if isinstance(target, ast.Name)
         ]
         assert ("__all__" in targets) == (path.name == "__init__.py"), path.name
+
+
+def test_every_definition_in_the_package_has_a_use_in_it():
+    # A function or class that only tests reach is not part of the program:
+    # its name must be used somewhere in the package, as a name, an
+    # attribute or an import.  Dunders and promised names are exempt.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    used = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = {
+        node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    unused = {name for name in defined - used - set(rollsim.__all__) if not name.startswith("__")}
+    assert not unused, sorted(unused)

@@ -151,6 +151,9 @@ _MALFORMED = [
     # The tuner sets every candidate's gains; the loop keeps n, umin and umax.
     ("tune", "kind: tune\ntune:\n  loop: {controller: {kp: 5.0, ki: 2.0, kd: 0.1, n: 50.0}}\n", [],
      "unknown key(s): tune.loop.controller.kd, tune.loop.controller.ki, tune.loop.controller.kp"),
+    # With n 0 the loop has no derivative, so kd would change no run.
+    ("tune", "kind: tune\ntune:\n  method: grid\n  bounds: {kp: [1, 10], kd: [0, 5]}\n  grid_points: 3\n", [],
+     "tune: kd_bounds must be [0, 0] where derivative_filter_n is 0"),
     ("tune", "kind: tune\ntune:\n  grid_points: 3\n", [], "tune.grid_points: read only with method: grid"),
     ("tune", "kind: tune\ntune:\n  method: nelder_mead\n  grid_points: 9\n", [],
      "tune.grid_points: read only with method: grid"),
@@ -170,8 +173,8 @@ _MALFORMED_IDS = [
     "force_overflow", "vfd_frequency_overflow", "sigma_y_zero", "width_negative", "line_speed_negative",
     "motor_rpm_zero", "roll_diameter_subnormal", "inaccurate_pole", "den_overflows_monic", "num_overflows_monic",
     "plant_den_overflows_monic", "plant_realization_overflows", "simulate_integrator", "tune_integrator",
-    "tune_loop_gains", "tune_grid_points_default_method", "tune_grid_points_nelder_mead",
-    "stuck_magnitude", "dropout_magnitude", "nested_1000_deep", "nested_at_the_bound",
+    "tune_loop_gains", "tune_kd_without_derivative", "tune_grid_points_default_method",
+    "tune_grid_points_nelder_mead", "stuck_magnitude", "dropout_magnitude", "nested_1000_deep", "nested_at_the_bound",
 ]
 
 
@@ -871,6 +874,8 @@ _INFINITE_GAINS = {
 _ECHOED = {
     **{p.stem: p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.yaml"))},
     **_INFINITE_GAINS,
+    # A string prefix that reads as a float where unquoted.
+    "float_looking_prefix": "kind: size\noutput_prefix: '1e5'\n",
 }
 
 

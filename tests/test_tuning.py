@@ -26,10 +26,10 @@ from rollsim.tuning import (
 )
 
 
-def speed_spec(kp=1.0, t_end=5.0) -> LoopSpec:
+def speed_spec(kp=1.0, t_end=5.0, n=0.0) -> LoopSpec:
     return LoopSpec(
         plant=roll_drive_tf(RollDriveParams()),
-        gains=PidGains(kp=kp),
+        gains=PidGains(kp=kp, derivative_filter_n=n),
         setpoint=SetpointProfile.step(1.0),
         sim=SimConfig(dt=2e-3, t_end=t_end),
     )
@@ -110,7 +110,6 @@ def test_cost_kinds_differ():
 
 def grid_spec(**kwargs) -> TuneSpec:
     defaults = dict(
-        loop=speed_spec(),
         cost_kind=CostKind.ITAE,
         kp_bounds=(0.1, 10.0),
         initial=PidGains(kp=0.1),
@@ -119,6 +118,8 @@ def grid_spec(**kwargs) -> TuneSpec:
         max_evals=50,
     )
     defaults.update(kwargs)
+    if "loop" not in defaults:  # built only when not given: a test counts setpoint checks
+        defaults["loop"] = speed_spec()
     return TuneSpec(**defaults)
 
 
@@ -230,14 +231,26 @@ def test_best_is_minimum_of_history():
     assert result.evals == len(result.history)
 
 
-def test_tie_break_prefers_lexicographically_lowest():
+def test_tie_break_prefers_lexicographically_lowest(monkeypatch):
     costs = {0.1: 5.0, 1.0: 1.0, 10.0: 1.0}  # tie between kp=1 and kp=10
 
-    def fake_cost(loop_spec, kind):
+    def fake_cost(loop_spec, kind, frame):
         return costs[round(loop_spec.gains.kp, 6)]
 
-    result = tune_pid(grid_spec(), cost_fn=fake_cost)
+    monkeypatch.setattr(tuning, "loop_cost", fake_cost)
+    result = tune_pid(grid_spec())
     assert result.best_gains.kp == pytest.approx(1.0)
+
+
+def test_a_kd_search_needs_a_derivative():
+    # With n 0 the derivative is off, so kd changes no run: a kd axis would
+    # only repeat each candidate's cost.
+    with pytest.raises(ValueError, match="kd_bounds must be"):
+        grid_spec(kd_bounds=(0.0, 5.0))
+    with pytest.raises(ValueError, match="kd_bounds must be"):
+        nm_spec(kd_bounds=(2.0, 2.0))
+    assert grid_spec(kd_bounds=(0.0, 5.0), loop=speed_spec(n=50.0)).kd_bounds == (0.0, 5.0)
+    assert grid_spec(initial=PidGains(kp=0.1, kd=3.0)).kd_bounds == (0.0, 0.0)
 
 
 def test_empty_bounds_rejected():
@@ -247,11 +260,11 @@ def test_empty_bounds_rejected():
         grid_spec(kp_bounds=(-1.0, 1.0))
 
 
-def test_grid_enumeration_stops_at_max_evals():
+def test_grid_enumeration_stops_at_max_evals(monkeypatch):
     # 200 points per gain over three free gains is 8 million lattice points;
     # only the first max_evals may be enumerated.
     spec = TuneSpec(
-        loop=speed_spec(),
+        loop=speed_spec(n=50.0),
         method=TuneMethod.GRID,
         kp_bounds=(0.1, 10.0),
         ki_bounds=(0.0, 5.0),
@@ -259,7 +272,8 @@ def test_grid_enumeration_stops_at_max_evals():
         grid_points=200,
         max_evals=50,
     )
-    result = tune_pid(spec, cost_fn=lambda loop, kind: 0.0)
+    monkeypatch.setattr(tuning, "loop_cost", lambda loop, kind, frame: 0.0)
+    result = tune_pid(spec)
     assert result.evals == 50
     triples = [(g.kp, g.ki, g.kd) for g, _ in result.history]
     assert len(set(triples)) == 50
@@ -304,7 +318,9 @@ def test_a_tune_checks_its_setpoint_once(monkeypatch):
     checks = []
     check = SetpointProfile.first_nonfinite
     monkeypatch.setattr(SetpointProfile, "first_nonfinite", lambda *a: checks.append(a) or check(*a))
-    spec = grid_spec(ki_bounds=(0.0, 4.0), kd_bounds=(0.0, 0.5), grid_points=3, max_evals=12)
+    spec = grid_spec(
+        loop=speed_spec(n=50.0), ki_bounds=(0.0, 4.0), kd_bounds=(0.0, 0.5), grid_points=3, max_evals=12
+    )
     assert len(checks) == 1  # the template loop's
     loops_run = []
     cost = tuning.loop_cost
@@ -318,7 +334,8 @@ def test_a_tune_checks_its_setpoint_once(monkeypatch):
 @pytest.mark.parametrize("spec", [
     grid_spec(kd_bounds=(0.0, 0.5), loop=replace(speed_spec(), gains=PidGains(derivative_filter_n=50.0))),
     grid_spec(ki_bounds=(0.0, 4.0), kp_bounds=(0.0, 10.0), grid_points=4),
-    nm_spec(ki_bounds=(0.0, 10.0), kd_bounds=(0.0, 1.0), initial=PidGains(kp=0.5, ki=0.5), max_evals=25),
+    nm_spec(loop=speed_spec(n=50.0), ki_bounds=(0.0, 10.0), kd_bounds=(0.0, 1.0), initial=PidGains(kp=0.5, ki=0.5),
+            max_evals=25),
 ], ids=["grid-kd", "grid-ki-from-0", "nelder-mead"])
 def test_a_tunes_costs_are_those_of_each_loop_run_alone(spec):
     # Every evaluation shares the tune's frame, also where the branch set changes.
@@ -364,10 +381,11 @@ def test_grid_axis_prefix_is_the_full_axis_prefix(lo, hi):
 
 
 @pytest.mark.parametrize("max_evals", [1, 2, 3, 5, 8, 40])
-def test_grid_candidates_are_those_of_the_full_lattice(max_evals):
+def test_grid_candidates_are_those_of_the_full_lattice(monkeypatch, max_evals):
     # ki and kd repeat values within the first max_evals of their 7 points.
     bounds = {"kp": (0.0, 1.0), "ki": (0.0, 2e-323), "kd": (1.0, 1.0 + 4e-16)}
     spec = grid_spec(
+        loop=speed_spec(n=50.0),
         **{f"{gain}_bounds": pair for gain, pair in bounds.items()},
         initial=PidGains(kp=0.5, ki=1e-323, kd=1.0),
         grid_points=7,
@@ -375,7 +393,8 @@ def test_grid_candidates_are_those_of_the_full_lattice(max_evals):
     )
     full = itertools.product(*(full_axis(lo, hi, 7).tolist() for lo, hi in bounds.values()))
     expected = list(dict.fromkeys([(0.5, 1e-323, 1.0), *full]))[:max_evals]
-    result = tune_pid(spec, cost_fn=lambda loop, kind: 0.0)
+    monkeypatch.setattr(tuning, "loop_cost", lambda loop, kind, frame: 0.0)
+    result = tune_pid(spec)
     assert [(g.kp, g.ki, g.kd) for g, _ in result.history] == expected
 
 
@@ -389,7 +408,7 @@ def test_huge_grid_on_a_narrow_interval_returns_at_once():
     assert values == every_double
 
 
-def test_huge_grid_builds_only_the_budgeted_prefix():
+def test_huge_grid_builds_only_the_budgeted_prefix(monkeypatch):
     spec = TuneSpec(
         loop=speed_spec(),
         method=TuneMethod.GRID,
@@ -398,9 +417,10 @@ def test_huge_grid_builds_only_the_budgeted_prefix():
         grid_points=10**9,
         max_evals=5,
     )
+    monkeypatch.setattr(tuning, "loop_cost", lambda loop, kind, frame: 0.0)
     tracemalloc.start()
     try:
-        result = tune_pid(spec, cost_fn=lambda loop, kind: 0.0)
+        result = tune_pid(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -461,7 +481,8 @@ def test_a_tunes_batches_hold_its_loops_in_history_order(monkeypatch):
         return original(self, specs)
 
     monkeypatch.setattr(LoopFrame, "batches", recording)
-    for spec in (grid_spec(ki_bounds=(0.0, 4.0), kd_bounds=(0.0, 0.5), grid_points=3, max_evals=12),
+    for spec in (grid_spec(loop=speed_spec(n=50.0), ki_bounds=(0.0, 4.0), kd_bounds=(0.0, 0.5), grid_points=3,
+                           max_evals=12),
                  nm_spec(ki_bounds=(0.0, 10.0), initial=PidGains(kp=0.5, ki=0.5), max_evals=25)):
         batched.clear()
         result = tune_pid(spec)
