@@ -18,7 +18,10 @@ verifies a block, and not at all where nothing ticks.
 Randomness is a pure function of (seed, draw counter) via a splitmix64
 bit mixer feeding Box-Muller, and the n-th clock tick of a run owns counter n,
 drawn only when the sensor reads at that tick, so a measurement stream is
-reproducible from its seed alone; no global generator is touched.
+reproducible from its seed alone; no global generator is touched.  The
+draws' log is the module's own, :func:`_log`, built from IEEE basic
+operations only, so its bits do not depend on the C library; their cos
+stays numpy's.
 Detection works on a residual series supplied by the caller (the command
 line passes measured minus true output, which is ground truth, not a
 model prediction) with run-length-confirmed threshold and rate tests.
@@ -56,6 +59,60 @@ def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
     z ^= scratch
 
 
+# fdlibm's e_log.c: ln 2 split so that k * _LN2_HI is exact for every binary exponent k,
+# and the minimax coefficients of (log(1 + f) - 2s) / s, s = f / (2 + f), in s**2.
+_SQRT_HALF = 0.7071067811865476  # the double nearest sqrt(1/2), just above it
+_LN2_HI = 6.93147180369123816490e-01  # 0x1.62e42feep-1
+_LN2_LO = 1.90821492927058770002e-10  # 0x1.a39ef35793c76p-33
+_LG = (
+    6.666666666666735130e-01,  # 0x1.5555555555593p-1
+    3.999999999940941908e-01,  # 0x1.999999997fa04p-2
+    2.857142874366239149e-01,  # 0x1.2492494229359p-2
+    2.222219843214978396e-01,  # 0x1.c71c51d8e78afp-3
+    1.818357216161805012e-01,  # 0x1.7466496cb03dep-3
+    1.531383769920937332e-01,  # 0x1.39a09d078c69fp-3
+    1.479819860511658591e-01,  # 0x1.2f112df3e5244p-3
+)
+
+
+def _log(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The natural log of every element of ``x``, a 1-d array of finite
+    positive floats, as a new array; ``x`` and the two rows of ``scratch``
+    are overwritten.
+
+    It is fdlibm's ``e_log.c`` scheme from IEEE basic operations only, so
+    its bits are the same wherever doubles round to nearest, and it is
+    within one ulp of the true log.  ``np.frexp`` gives x = m 2**k with m
+    in [1/2, 1); m below sqrt(1/2) is doubled and k lowered, so
+    f = x 2**-k - 1 is exact and lies in [sqrt(1/2) - 1, sqrt(2) - 1).
+    Then with s = f / (2 + f), hfsq = f**2 / 2 and R(s**2) the minimax
+    polynomial, log x = k ln2_hi - ((hfsq - (s (hfsq + R) + k ln2_lo)) - f),
+    fdlibm's more accurate form, taken for every f.
+    """
+    a, b = scratch
+    out = np.empty_like(x)
+    k = np.empty(len(x), dtype=np.intc)
+    np.frexp(x, out=(a, k))
+    low = np.less(a, _SQRT_HALF, out=out.view(bool)[:len(x)])
+    f = np.subtract(a, 1.0, out=x)
+    f += np.multiply(a, low, out=b)  # 2m - 1 = (m - 1) + m, exact; f + 0.0 = f, as f != 0
+    k -= low
+    s = np.divide(f, np.add(f, 2.0, out=a), out=a)
+    z = np.multiply(s, s, out=b)
+    r = np.multiply(z, _LG[6], out=out)
+    for c in _LG[5::-1]:  # Horner in z
+        r += c
+        r *= z
+    hfsq = np.multiply(f, f, out=b)
+    hfsq *= 0.5
+    r += hfsq
+    r *= s
+    r += np.multiply(k, _LN2_LO, out=a)
+    np.subtract(hfsq, r, out=r)
+    r -= f
+    return np.subtract(np.multiply(k, _LN2_HI, out=a), r, out=r)
+
+
 def counter_gauss(seed: int, counter: np.ndarray) -> np.ndarray:
     """Standard normal deviates as a pure function of (seed, counter).
 
@@ -65,15 +122,14 @@ def counter_gauss(seed: int, counter: np.ndarray) -> np.ndarray:
     with the seed's word and mixed again into the base, and one call
     mixes the stacked [base, base + 1] that give both uniforms.  They are
     scaled into the second buffer, and the float stage runs in place on
-    them and on the logs.  ``cos`` is numpy's, whose float64 results
-    equal ``math.cos`` bit for bit on the angles 2*pi*u2 in [0, 2*pi)
-    (pinned by the tests against a plain-``math`` reference).  ``log``
-    stays a ``math`` call mapped over the elements (a ``memoryview``
-    yields them as floats without a list), because numpy's float64
-    ``log`` differs from libm's in the last ulp on about 0.35 % of the
-    arguments u1 in (0, 1).  The scaling, ``sqrt`` and product are
-    correctly rounded IEEE operations, so numpy gives the same bits for
-    them.
+    them, with the first buffer as the log's scratch.  ``log`` is the
+    module's own :func:`_log`, built from IEEE basic operations, so no
+    element costs a Python call.  ``cos`` is numpy's, whose float64
+    results equal ``math.cos`` bit for bit on the angles 2*pi*u2 in
+    [0, 2*pi) (pinned by the tests against a plain-``math`` reference)
+    on this numpy build; it is the one step whose bits may differ
+    between builds.  The scaling, ``sqrt`` and product are correctly
+    rounded IEEE operations.
     """
     pair, scratch = np.empty((2, 2, np.size(counter)), dtype=np.uint64)  # [base, base + 1]
     base = pair[0]
@@ -86,7 +142,7 @@ def counter_gauss(seed: int, counter: np.ndarray) -> np.ndarray:
     pair >>= np.uint64(11)
     u1, u2 = np.divide(pair, _TWO53, out=scratch.view(float))
     np.maximum(u1, 5e-324, out=u1)  # only 0 is below it
-    draws = np.fromiter(map(math.log, memoryview(u1)), float, len(u1))  # log u1, then the draws
+    draws = _log(u1, pair.view(float))  # log u1, then the draws
     draws *= -2.0
     np.sqrt(draws, out=draws)
     u2 *= 2.0 * math.pi
@@ -203,8 +259,7 @@ def sensor_terms(
             active[:1] = False
             reading = tick & ~active
     if model.noise_sigma > 0.0 and reading.any():
-        counters = np.cumsum(tick)[reading]
-        counters -= 1  # the clock-tick numbers of the readings
+        counters = np.flatnonzero(reading[np.flatnonzero(tick)])  # the clock-tick numbers of the readings
         draws = counter_gauss(seed, counters)
         draws *= model.noise_sigma
         noise[reading] = draws
@@ -215,27 +270,36 @@ def apply_sensor(
     true_value: float | np.ndarray, model: SensorModel, noise: float | np.ndarray = -0.0,
     offset: float | np.ndarray = -0.0,
 ) -> float | np.ndarray:
-    """One reading at a sensor tick, or elementwise a block of them.
+    """One reading at a sensor tick, or elementwise a block of them when
+    ``true_value`` is an array.
 
     Adds the terms in the order ((true_value + bias) + noise) + offset,
-    then quantizes.  ``noise`` and ``offset`` come from
+    then quantizes; a block sums into one new array and rounds in place.
+    ``noise`` and ``offset`` come from
     :func:`sensor_terms`.  A stuck or dropped-out sensor has no ticks, so
     it is never called for one: the loop keeps its last reading.
     """
-    value = true_value + model.bias + noise + offset
     step = model.quantization_step
-    if step > 0.0:
-        if isinstance(value, np.ndarray):
-            with np.errstate(over="ignore"):
-                scaled = value / step
-            # Too large to count in steps: already coarser than one, read as is.
-            # Adding +0.0 turns -0.0 into +0.0, as the scalar int round gives.
-            value = np.where(np.isfinite(scaled), np.round(scaled) * step + 0.0, value)
-        else:
+    if not isinstance(true_value, np.ndarray):
+        value = true_value + model.bias + noise + offset
+        if step > 0.0:
             try:
                 value = round(value / step) * step
             except OverflowError:
                 pass  # too large to count in steps: already coarser than one
+        return value
+    value = np.add(true_value, model.bias)
+    value += noise
+    value += offset
+    if step > 0.0:
+        with np.errstate(over="ignore"):
+            scaled = np.divide(value, step)
+        # Too large to count in steps: already coarser than one, read as is.
+        finite = np.isfinite(scaled)
+        np.round(scaled, out=scaled)
+        scaled *= step
+        scaled += 0.0  # turns -0.0 into +0.0, as the scalar int round gives
+        np.copyto(value, scaled, where=finite)
     return value
 
 

@@ -31,14 +31,44 @@ def reference_splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# fdlibm's e_log.c constants, from its hex words: sqrt(1/2), ln 2 as hi + lo,
+# and the minimax coefficients Lg1-Lg7.
+SQRT_HALF = float.fromhex("0x1.6a09e667f3bcdp-1")
+LN2_HI = float.fromhex("0x1.62e42feep-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+LG = [float.fromhex(word) for word in (
+    "0x1.5555555555593p-1", "0x1.999999997fa04p-2", "0x1.2492494229359p-2", "0x1.c71c51d8e78afp-3",
+    "0x1.7466496cb03dep-3", "0x1.39a09d078c69fp-3", "0x1.2f112df3e5244p-3",
+)]
+
+
+def reference_log(x: float) -> float:
+    """log x of a positive float by fdlibm's scheme in plain floats, the
+    same IEEE operations in the same order as the program's array log
+    (which adds m times the mask m < sqrt(1/2), so +0.0 to a nonzero f
+    where this adds nothing)."""
+    m, k = math.frexp(x)
+    f = m - 1.0
+    if m < SQRT_HALF:
+        f, k = f + m, k - 1
+    s = f / (f + 2.0)
+    z = s * s
+    r = z * LG[6]
+    for c in reversed(LG[:6]):
+        r = (r + c) * z
+    hfsq = f * f * 0.5
+    return k * LN2_HI - ((hfsq - ((r + hfsq) * s + k * LN2_LO)) - f)
+
+
 def reference_gauss(seed: int, counter: int) -> float:
-    """The draw in plain Python integers: splitmix64 feeding Box-Muller."""
+    """The draw in plain Python integers and floats: splitmix64 feeding
+    Box-Muller, with fdlibm's log."""
     base = reference_splitmix64(((seed & MASK64) << 1) ^ reference_splitmix64(counter & MASK64))
     u1 = (reference_splitmix64(base) >> 11) / 2.0**53
     u2 = (reference_splitmix64(base + 1) >> 11) / 2.0**53
     if u1 <= 0.0:
         u1 = 5e-324
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return math.sqrt(-2.0 * reference_log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def per_sample(arrays) -> list:
@@ -75,6 +105,53 @@ def test_array_draws_equal_the_plain_python_draws_bit_for_bit(seed):
     assert draws.dtype == np.float64 and draws.shape == counters.shape
     assert draws.tolist() == expected  # exact float equality, not a tolerance
     assert all(counter_gauss(seed, c) == reference_gauss(seed, c) for c in (0, 1, 2**64 - 1))
+
+
+# The first four draws of each seed, counters 0-3, pinned as bits: the
+# stream is a function of IEEE arithmetic and numpy's cos alone.
+PINNED_DRAWS = {
+    0: ["-0x1.a69edb676a623p-4", "-0x1.840a5972a202fp-1", "0x1.1346049372c58p+1", "-0x1.122cd6f2723cbp-1"],
+    -5: ["0x1.fda2ee7b7bc29p-5", "-0x1.a60890f482f32p-1", "0x1.0d356c9743c9dp-6", "-0x1.101636838c9f0p+0"],
+    2**64 - 1: ["-0x1.385b2491a0ed0p-1", "0x1.c5994391ece50p-3", "-0x1.347f4033792a1p+0", "0x1.0ad0cdbd551e9p+0"],
+    2**70 + 3: ["0x1.1144455631733p+0", "-0x1.5a76aa1f764eep-1", "0x1.0a3a1cd7ab5b0p+0", "0x1.b174f3c6ff97ap-1"],
+}
+
+
+@pytest.mark.parametrize("seed", list(PINNED_DRAWS))
+def test_the_first_draws_of_each_seed_are_pinned(seed):
+    draws = counter_gauss(seed, np.arange(4))
+    assert [value.hex() for value in draws.tolist()] == PINNED_DRAWS[seed]
+
+
+def test_the_draws_call_no_libm_log(monkeypatch):
+    counters = np.arange(1000)
+    expected = counter_gauss(7, counters)
+    monkeypatch.setattr(math, "log", None)
+    assert counter_gauss(7, counters).tolist() == expected.tolist()
+
+
+def log_arguments() -> list[float]:
+    """10^4 seeded uniforms of the draws' kind, k / 2**53, and the edges:
+    the least subnormal and normal, the largest uniform, powers of two and
+    the doubles either side of sqrt(1/2)."""
+    uniforms = np.random.default_rng(5).integers(1, 2**53, 10_000, dtype=np.uint64) / 2.0**53
+    edges = [5e-324, 2.0**-1022, 1.0 - 2.0**-53, 0.5, 0.25, math.nextafter(SQRT_HALF, 0.0), SQRT_HALF]
+    return uniforms.tolist() + edges
+
+
+def test_the_log_is_within_one_ulp_of_the_true_log_and_of_libm():
+    mpmath = pytest.importorskip("mpmath")
+    x = log_arguments()
+    got = faults._log(np.array(x), np.empty((2, len(x)))).tolist()
+    with mpmath.workdps(50):
+        exact = [float(mpmath.log(mpmath.mpf(value))) for value in x]  # correctly rounded
+    assert got == [reference_log(value) for value in x]
+
+    def ulps_apart(a: list[float], b: list[float]) -> int:
+        return int(np.max(np.abs(np.array(a).view(np.int64) - np.array(b).view(np.int64))))
+
+    assert ulps_apart(got, exact) <= 1
+    assert ulps_apart(got, [math.log(value) for value in x]) <= 1
 
 
 def test_signed_and_shaped_counters():

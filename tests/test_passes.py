@@ -35,11 +35,14 @@ def test_each_jobs_median_follows_the_pass_median(capsys):
     assert 0.0 < sum(seconds) <= float(lines[3].split()[1]) * 1.5
 
 
-# The phases a workload never enters, and so does not print: a tune draws
-# no noise and reads no sensor, and a fault sweep runs no tuner evaluation.
+# The phases a workload never enters, and so does not print: a tune and the
+# multibody jobs run only linear loops, which verify no block, draw no noise
+# and read no sensor, and only a tune runs tuner evaluations.
+SENSOR_PATH = {"loops._NonlinearLoop._block", "faults.sensor_terms", "faults.counter_gauss", "faults.apply_sensor"}
 NOT_ENTERED = {
     "fault_sweep": {"tuning.loop_cost", "loops.LoopFrame._scan"},
-    "tune": {"faults.counter_gauss", "faults.apply_sensor"},
+    "tune": SENSOR_PATH,
+    "multibody": SENSOR_PATH | {"tuning.loop_cost"},
 }
 
 

@@ -20,7 +20,9 @@ is wrapped from outside wherever a ``rollsim`` module holds it, only its
 outermost call is timed (a plan builds and scans its lone members through
 the same methods), and the originals are restored after the passes.  A
 phase's time includes the phases it calls: ``loops.simulate_loop`` holds
-the draws, sensor calls and plan calls of nonlinear loops, and
+the sensor terms, sensor calls and plan calls of nonlinear loops,
+``loops._NonlinearLoop._block`` a verified block's plan applies and sensor
+calls, ``faults.sensor_terms`` a run's ticks and its one noise draw, and
 ``loops.LoopFrame._scan`` the maps, plan build and scan of a tuner
 evaluation.  Unlike cProfile, this costs one wrapper per call of the
 listed functions only, so small calls are not inflated.
@@ -54,6 +56,8 @@ PHASES = (
     "loops.simulate_loop",
     "loops.LoopFrame._scan",
     "loops._loop_maps",
+    "loops._NonlinearLoop._block",
+    "faults.sensor_terms",
     "faults.counter_gauss",
     "faults.apply_sensor",
     "lti.PropagationPlan.__init__",
